@@ -17,20 +17,7 @@ import numpy as np
 from . import motion
 from .domain import Allocation, ProblemDomain, is_valid_allocation, resource_count
 from .scheduler import build_scheduling_problem, solve_schedule
-from .search import (
-    APR_TOL,
-    CLOSED,
-    OPEN,
-    PRUNED,
-    SearchResult,
-    Solution,
-    expand,
-    instantiate_plans,
-    makespan_floor,
-    materialize,
-    new_state,
-    search,
-)
+from .search import OPEN, SearchResult, makespan_floor, search
 
 
 def open_frontier(state) -> list[tuple[float, float]]:
@@ -278,44 +265,16 @@ def search_min_resources(
     seed: int = 0,
     max_expansions: int = 100_000,
 ):
-    """Run the search at alpha = 1 and record whether any pop was a tie.
+    """Run the search at alpha = 1; return (solution or None, tie_free, state).
 
     At alpha = 1 the priority is the coverage residual alone, so the
     greedy argument for minimal assignment count holds only when every
-    popped node strictly beats the rest of the frontier; a pop with an
-    equal-priority rival marks the instance tie-bearing.
+    popped node strictly beats the rest of the frontier. ``run_search``
+    counts the pops with an equal-priority rival in ``stats.tied_pops``;
+    the run is tie-free when there were none.
     """
-    state = new_state(domain, 1.0, prm_samples, prm_k, seed)
-    tie_free = True
-    expansions = 0
-    while expansions < max_expansions:
-        node = state.pop()
-        if node is None:
-            return None, tie_free, state
-        if not node.exact:
-            if materialize(state, node):
-                state.push(node)
-            continue
-        rival = min(
-            (
-                n.tetaq
-                for n in state.nodes.values()
-                if n.status == OPEN and n is not node
-            ),
-            default=math.inf,
-        )
-        if rival <= node.tetaq + 1e-12:
-            tie_free = False
-        if node.apr <= APR_TOL:
-            plans = instantiate_plans(state, node.allocation, node.schedule)
-            if plans is None:
-                node.status = PRUNED
-                continue
-            node.status = CLOSED
-            return Solution(node.allocation, node.schedule, plans, node), tie_free, state
-        expand(state, node)
-        expansions += 1
-    return None, tie_free, state
+    result = search(domain, 1.0, prm_samples, prm_k, seed, max_expansions)
+    return result.solution, result.state.stats.tied_pops == 0, result.state
 
 
 def validate_resource_count(

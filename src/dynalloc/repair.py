@@ -37,10 +37,8 @@ from .search import (
     SearchResult,
     SearchState,
     apr_value,
-    evaluate,
-    instantiate_plans,
     make_node,
-    nsq_value,
+    materialize,
     run_search,
     tetaq_value,
 )
@@ -198,19 +196,34 @@ def _rescore_open_apr(state: SearchState) -> None:
 
 def _revive(state: SearchState, node) -> None:
     """Move a closed/pruned node back to the frontier with fresh scores."""
-    sched, apr, nsq, tq = evaluate(state, node.allocation)
-    node.apr = apr
-    node.exact = True
-    if sched is None:
-        node.status = PRUNED
-        node.schedule = None
-        return
-    node.schedule = sched
-    node.nsq = nsq
-    node.tetaq = tq
-    node.est_makespan = sched.makespan
-    node.status = OPEN
-    state.push(node)
+    if materialize(state, node):
+        state.push(node)
+
+
+def _demote(state: SearchState, node) -> None:
+    """Forget an open node's schedule; its priority falls to the trivial bound.
+
+    Zero is a sound makespan floor whatever changed, so the node stays
+    correctly ordered and is re-solved lazily when it is popped.
+    """
+    node.exact = False
+    node.schedule = None
+    node.nsq = 0.0
+    node.tetaq = tetaq_value(node.apr, 0.0, state.alpha)
+
+
+def _rescore_frontier(state: SearchState) -> None:
+    """Re-solve every exact open node and demote the lazy ones.
+
+    Needed whenever the schedules under the frontier changed: a lazy node's
+    inherited makespan floor may no longer hold.
+    """
+    for node in state.open_nodes():
+        if node.exact:
+            materialize(state, node)
+        else:
+            _demote(state, node)
+    state.rebuild_heap()
 
 
 def handle_agent_or_task_loss(state: SearchState, event: DynamicEvent, old_domain: ProblemDomain) -> None:
@@ -244,24 +257,10 @@ def handle_agent_or_task_loss(state: SearchState, event: DynamicEvent, old_domai
     state.schedule_memo.clear()
     for node in state.nodes.values():
         node.apr = apr_value(node.allocation, state.domain.team, state.domain.requirements)
-        if node.status == OPEN:
-            if node.exact:
-                sched, _, nsq, tq = evaluate(state, node.allocation)
-                node.schedule = sched
-                if sched is None:
-                    node.status = PRUNED
-                    continue
-                node.nsq = nsq
-                node.tetaq = tq
-                node.est_makespan = sched.makespan
-            else:
-                # lazily queued: the old makespan floor is gone, so fall
-                # back to the trivial (still sound) bound of zero
-                node.nsq = 0.0
-                node.tetaq = tetaq_value(node.apr, 0.0, state.alpha)
-        elif node.status == CLOSED and node.apr <= APR_TOL:
+    _rescore_frontier(state)
+    for node in state.with_status(CLOSED):
+        if node.apr <= APR_TOL:
             _revive(state, node)
-    state.rebuild_heap()
 
 
 def handle_decrease(state: SearchState, event: DynamicEvent) -> None:
@@ -282,20 +281,7 @@ def handle_increase(state: SearchState, event: DynamicEvent) -> None:
 def handle_duration_change(state: SearchState, event: DynamicEvent) -> None:
     """Durations moved: rescore frontier schedules; apr is untouched."""
     _refresh_bounds(state)
-    for node in state.open_nodes():
-        if node.exact:
-            sched, _, nsq, tq = evaluate(state, node.allocation)
-            node.schedule = sched
-            if sched is None:
-                node.status = PRUNED
-                continue
-            node.nsq = nsq
-            node.tetaq = tq
-            node.est_makespan = sched.makespan
-        else:
-            node.nsq = 0.0
-            node.tetaq = tetaq_value(node.apr, 0.0, state.alpha)
-    state.rebuild_heap()
+    _rescore_frontier(state)
 
 
 def handle_new_agent(state: SearchState, event: DynamicEvent) -> None:
@@ -329,10 +315,7 @@ def handle_new_agent(state: SearchState, event: DynamicEvent) -> None:
     for node in state.nodes.values():
         node.est_makespan = math.nan
         if node.status == OPEN:
-            node.exact = False
-            node.schedule = None
-            node.nsq = 0.0
-            node.tetaq = tetaq_value(node.apr, 0.0, state.alpha)
+            _demote(state, node)
     state.rebuild_heap()
 
     new_col = state.domain.n_robots - 1
@@ -346,18 +329,6 @@ def handle_new_agent(state: SearchState, event: DynamicEvent) -> None:
         child = make_node(state, child_alloc, parent=root)
         if child.status == OPEN:
             state.push(child)
-
-
-_HANDLERS = {
-    EventKind.AGENT_LOST: "loss",
-    EventKind.TASK_LOST: "loss",
-    EventKind.TRAITS_REDUCED: "decrease",
-    EventKind.REQUIREMENTS_INCREASED: "decrease",
-    EventKind.TRAITS_INCREASED: "increase",
-    EventKind.REQUIREMENTS_REDUCED: "increase",
-    EventKind.DURATION_CHANGED: "duration",
-    EventKind.NEW_AGENT: "new_agent",
-}
 
 
 def decompose_mixed(domain: ProblemDomain, event: DynamicEvent) -> list[DynamicEvent]:
@@ -435,45 +406,31 @@ def repair(
     for step in steps:
         old_domain = state.domain
         state.domain = apply_event(old_domain, step)
-        kind = _HANDLERS[step.kind]
-        if kind == "loss":
+        # handlers are called by name, never through a table, so that
+        # wrappers bound to the module attributes see every call
+        kind = step.kind
+        if kind in (EventKind.AGENT_LOST, EventKind.TASK_LOST):
             handle_agent_or_task_loss(state, step, old_domain)
-        elif kind == "decrease":
+        elif kind in (EventKind.TRAITS_REDUCED, EventKind.REQUIREMENTS_INCREASED):
             handle_decrease(state, step)
-        elif kind == "increase":
+        elif kind in (EventKind.TRAITS_INCREASED, EventKind.REQUIREMENTS_REDUCED):
             handle_increase(state, step)
-        elif kind == "duration":
+        elif kind == EventKind.DURATION_CHANGED:
             handle_duration_change(state, step)
         else:
             handle_new_agent(state, step)
 
     # fast path: the old solution may still be a goal under the new domain
-    if sol_node is not None and sol_node.status == OPEN:
-        if sol_node.allocation.key() in state.nodes:
-            sched, apr, nsq, tq = evaluate(state, sol_node.allocation)
-            sol_node.apr = apr
-            sol_node.schedule = sched
-            sol_node.exact = True
-            if sched is not None:
-                sol_node.est_makespan = sched.makespan
-                sol_node.nsq, sol_node.tetaq = nsq, tq
-                state.push(sol_node)
-                if apr <= APR_TOL:
-                    plans = instantiate_plans(
-                        state, sol_node.allocation, sol_node.schedule
-                    )
-                    if plans is not None:
-                        sol_node.status = CLOSED
-                        return SearchResult(
-                            search_mod.Solution(
-                                sol_node.allocation, sol_node.schedule, plans, sol_node
-                            ),
-                            "solved",
-                            search_mod.min_open_apr(state),
-                            state,
-                        )
-                    sol_node.status = PRUNED
-            else:
-                sol_node.status = PRUNED
+    if (
+        sol_node is not None
+        and sol_node.status == OPEN
+        and sol_node.allocation.key() in state.nodes
+        and materialize(state, sol_node)
+    ):
+        state.push(sol_node)
+        if sol_node.apr <= APR_TOL:
+            result = search_mod._accept_goal(state, sol_node)
+            if result is not None:
+                return result
 
     return run_search(state, max_expansions, max_seconds)

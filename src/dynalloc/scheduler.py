@@ -24,7 +24,6 @@ FEAS_TOL = 1e-9
 Pair = tuple[int, int]
 
 # travel(robot_id, from_point, to_point) -> seconds (may be math.inf)
-TravelTimeProvider = object  # callable; kept loose, see motion.py providers
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from .scheduler import (
 )
 
 APR_TOL = 1e-12
-MK_TOL = 1e-9
+TIE_TOL = 1e-12
 
 OPEN, CLOSED, PRUNED = "open", "closed", "pruned"
 
@@ -79,7 +79,7 @@ class AllocationNode:
     # which preserves best-first order while skipping nodes that never
     # reach the top of the frontier.
     exact: bool = True
-    est_makespan: float = math.nan  # straight-line-provider makespan, once solved
+    est_makespan: float = math.nan  # roadmap-priced makespan, once solved
     version: int = 0  # bumped on re-prioritization; stale heap entries skipped
 
     @property
@@ -104,6 +104,7 @@ class SearchStats:
     expansions: int = 0
     scheduler_calls: int = 0
     nodes_touched: int = 0
+    tied_pops: int = 0  # exact pops with an open rival of equal priority
 
 
 @dataclass
@@ -139,12 +140,24 @@ class SearchState:
             (node.tetaq, node.assignments, node.seq, node.version, id(node), node),
         )
 
-    def pop(self) -> AllocationNode | None:
+    def _live_top(self) -> tuple | None:
+        """Drop stale entries off the heap top; the first live entry, if any."""
         while self.open_heap:
-            _, _, _, version, _, node = heapq.heappop(self.open_heap)
-            if node.status == OPEN and node.version == version:
-                return node
+            entry = self.open_heap[0]
+            if entry[5].status == OPEN and entry[5].version == entry[3]:
+                return entry
+            heapq.heappop(self.open_heap)
         return None
+
+    def pop(self) -> AllocationNode | None:
+        if self._live_top() is None:
+            return None
+        return heapq.heappop(self.open_heap)[5]
+
+    def best_priority(self) -> float:
+        """Lowest tetaq on the frontier; inf when it is empty."""
+        entry = self._live_top()
+        return math.inf if entry is None else entry[0]
 
     def rebuild_heap(self) -> None:
         """Re-key every open node after bulk priority updates."""
@@ -254,56 +267,42 @@ def make_node(
     """
     task, robot = new_assignment if new_assignment is not None else (None, None)
     apr = apr_value(alloc, state.domain.team, state.domain.requirements)
-    inherited = _inherited_schedule(state, parent, task, robot)
-    if inherited is not None:
-        sched = inherited
-        nsq = nsq_value(sched.makespan, state.lb, state.ub)
-        node = AllocationNode(
-            allocation=alloc,
-            parent=parent,
-            schedule=sched,
-            apr=apr,
-            nsq=nsq,
-            tetaq=tetaq_value(apr, nsq, state.alpha),
-            status=OPEN,
-            seq=next(state._seq),
-            est_makespan=sched.makespan,
-        )
-    elif parent is None:
-        sched, apr, nsq, tq = evaluate(state, alloc)
-        node = AllocationNode(
-            allocation=alloc,
-            parent=parent,
-            schedule=sched,
-            apr=apr,
-            nsq=nsq,
-            tetaq=tq,
-            status=OPEN if sched is not None else PRUNED,
-            seq=next(state._seq),
-            est_makespan=sched.makespan if sched is not None else math.nan,
-        )
+    sched = _inherited_schedule(state, parent, task, robot)
+    if sched is not None:
+        mk_floor = sched.makespan
+    elif parent is not None and math.isfinite(parent.est_makespan):
+        mk_floor = parent.est_makespan
     else:
-        mk_floor = parent.est_makespan if math.isfinite(parent.est_makespan) else 0.0
-        nsq = nsq_value(mk_floor, state.lb, state.ub)
-        node = AllocationNode(
-            allocation=alloc,
-            parent=parent,
-            schedule=None,
-            apr=apr,
-            nsq=nsq,
-            tetaq=tetaq_value(apr, nsq, state.alpha),
-            status=OPEN,
-            seq=next(state._seq),
-            exact=False,
-        )
+        mk_floor = 0.0
+    nsq = nsq_value(mk_floor, state.lb, state.ub)
+    node = AllocationNode(
+        allocation=alloc,
+        parent=parent,
+        schedule=sched,
+        apr=apr,
+        nsq=nsq,
+        tetaq=tetaq_value(apr, nsq, state.alpha),
+        status=OPEN,
+        seq=next(state._seq),
+        exact=sched is not None,
+        est_makespan=sched.makespan if sched is not None else math.nan,
+    )
+    if parent is None:
+        materialize(state, node)
     state.nodes[alloc.key()] = node
     return node
 
 
 def materialize(state: SearchState, node: AllocationNode) -> bool:
-    """Solve a lazily queued node's schedule; False when it is infeasible."""
-    if node.exact:
-        return node.status != PRUNED
+    """Evaluate a node's allocation and write every score it carries.
+
+    The one place that sets ``schedule``, ``apr``, ``nsq``, ``tetaq``,
+    ``est_makespan``, ``exact`` and ``status`` from a solved schedule: the
+    node is OPEN afterwards, or PRUNED (and False is returned) when its
+    constraints are infeasible. It always re-solves, through the schedule
+    memo; the caller decides whether the node needs it. Pushing the node
+    onto the frontier is also left to the caller.
+    """
     sched, apr, nsq, tq = evaluate(state, node.allocation)
     node.exact = True
     node.apr = apr
@@ -311,6 +310,7 @@ def materialize(state: SearchState, node: AllocationNode) -> bool:
     if sched is None:
         node.status = PRUNED
         return False
+    node.status = OPEN
     node.nsq = nsq
     node.tetaq = tq
     node.est_makespan = sched.makespan
@@ -407,12 +407,34 @@ def min_open_apr(state: SearchState) -> float:
     return min(values, default=1.0)
 
 
+def _accept_goal(state: SearchState, node: AllocationNode) -> SearchResult | None:
+    """Close an exact zero-apr node as the solution once every trip is planned.
+
+    A disconnected trip prunes the node instead, and None is returned.
+    """
+    plans = instantiate_plans(state, node.allocation, node.schedule)
+    if plans is None:
+        node.status = PRUNED
+        return None
+    node.status = CLOSED
+    return SearchResult(
+        Solution(node.allocation, node.schedule, plans, node),
+        "solved",
+        min_open_apr(state),
+        state,
+    )
+
+
 def run_search(
     state: SearchState,
     max_expansions: int = 100_000,
     max_seconds: float = 300.0,
 ) -> SearchResult:
-    """Pop-best loop; goal = zero apr with a plan-backed feasible schedule."""
+    """Pop-best loop; goal = zero apr with a plan-backed feasible schedule.
+
+    An exact pop whose priority some other open node matches (within
+    TIE_TOL) counts in ``stats.tied_pops``.
+    """
     t0 = time.monotonic()
     while True:
         if state.stats.expansions >= max_expansions:
@@ -429,18 +451,13 @@ def run_search(
                 state.push(node)
             continue
         state.stats.nodes_touched += 1
+        if state.best_priority() <= node.tetaq + TIE_TOL:
+            state.stats.tied_pops += 1
         if node.apr <= APR_TOL:
-            plans = instantiate_plans(state, node.allocation, node.schedule)
-            if plans is None:
-                node.status = PRUNED
-                continue
-            node.status = CLOSED
-            return SearchResult(
-                Solution(node.allocation, node.schedule, plans, node),
-                "solved",
-                min_open_apr(state),
-                state,
-            )
+            result = _accept_goal(state, node)
+            if result is not None:
+                return result
+            continue
         expand(state, node)
 
 

@@ -15,6 +15,7 @@ from dynalloc.domain import (
 )
 from dynalloc.generator import generate_problem
 from dynalloc.geometry import Circle
+from dynalloc.search import OPEN
 
 
 def build_domain(
@@ -56,6 +57,32 @@ def build_domain(
         requirements=DesiredTraitMatrix(np.array(req_rows, dtype=float)),
         world=WorldModel(bounds, tuple(obstacles), starts, speeds),
     )
+
+
+def heap_violations(state):
+    """Breaches of the frontier invariant that peeking the heap relies on.
+
+    An entry is live when ``pop`` would return it: its version is the node's
+    and the node is OPEN. Every OPEN node of the graph must have exactly one
+    live entry, keyed by its current tetaq, and no other node may have one.
+    """
+    live = {}
+    problems = []
+    for tetaq, _, _, version, _, node in state.open_heap:
+        if node.status == OPEN and node.version == version:
+            live[id(node)] = live.get(id(node), 0) + 1
+            if tetaq != node.tetaq:
+                problems.append(f"node {node.seq} keyed {tetaq}, tetaq {node.tetaq}")
+    frontier = {id(n): n for n in state.nodes.values() if n.status == OPEN}
+    for key, node in frontier.items():
+        if live.get(key, 0) != 1:
+            problems.append(f"open node {node.seq} has {live.get(key, 0)} live entries")
+    problems.extend(
+        f"live entry for a node outside the frontier ({count})"
+        for key, count in live.items()
+        if key not in frontier
+    )
+    return problems
 
 
 @pytest.fixture

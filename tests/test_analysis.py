@@ -134,6 +134,21 @@ class TestResourceOptimality:
             if report.certified:
                 assert report.matches_oracle
 
+    def test_identical_robots_make_a_tied_pop(self):
+        # either robot alone covers the task: the two children tie at apr 0
+        domain = build_domain([[1.0], [1.0]], [[1.0]])
+        solution, tie_free, state = search_min_resources(domain, prm_samples=50, prm_k=5)
+        assert solution is not None
+        assert tie_free is False
+        assert state.stats.tied_pops > 0
+
+    def test_single_robot_run_is_tie_free(self):
+        domain = build_domain([[1.0]], [[1.0]])
+        solution, tie_free, state = search_min_resources(domain, prm_samples=50, prm_k=5)
+        assert solution is not None
+        assert tie_free is True
+        assert state.stats.tied_pops == 0
+
     def test_achieved_never_below_oracle(self):
         for seed in (4, 5):
             domain = generate_problem(seed, 3, 4, 3)

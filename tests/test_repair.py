@@ -19,7 +19,7 @@ from dynalloc.repair import (
 from dynalloc.search import search
 from dynalloc.validation import solution_violations
 
-from conftest import build_domain
+from conftest import build_domain, heap_violations
 
 ALL_KINDS = list(EventKind)
 
@@ -146,6 +146,7 @@ class TestRepair:
         ev = generate_event(domain, kind, seed=11)
         new_domain = apply_event(domain, ev)
         repaired = repair(result.state, result.solution, ev)
+        assert heap_violations(repaired.state) == []
         if repaired.solution is None:
             # acceptable only when the mutated domain truly has no solution
             fresh = search(new_domain, 0.25)

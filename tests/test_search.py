@@ -25,7 +25,7 @@ from dynalloc.search import (
 )
 from dynalloc.validation import solution_violations
 
-from conftest import build_domain
+from conftest import build_domain, heap_violations
 
 
 class TestScores:
@@ -167,6 +167,22 @@ class TestStateBookkeeping:
         popped = state.pop()
         assert popped is root
         assert state.pop() is None or state.pop() is not root
+
+    def test_heap_holds_exactly_the_frontier_after_search(self):
+        for seed in (0, 1, 2, 3):
+            domain = generate_problem(seed, 3, 4, 3)
+            for alpha in (0.0, 0.25, 1.0):
+                result = search(domain, alpha, seed=0)
+                assert heap_violations(result.state) == []
+
+    def test_best_priority_matches_frontier_scan(self, desk_domain):
+        state = new_state(desk_domain, 0.25, prm_samples=100, prm_k=6)
+        expand(state, state.pop())
+        open_tetaq = [n.tetaq for n in state.nodes.values() if n.status == OPEN]
+        assert state.best_priority() == min(open_tetaq)
+        while state.pop() is not None:
+            pass
+        assert state.best_priority() == math.inf
 
     def test_min_open_apr_tracks_frontier(self, desk_domain):
         state = new_state(desk_domain, 0.25)
