@@ -7,7 +7,6 @@ robot starts are rejection-sampled into free space.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

@@ -4,9 +4,15 @@ Each event kind touches only the node sets it can actually invalidate:
 losses delete nodes that reference the lost agent or task, capability or
 requirement shifts rescore the open frontier (and, for favorable shifts,
 rescan closed/pruned nodes for newly viable allocations), duration changes
-rescore schedules on the frontier, and a new agent widens every allocation
-and seeds fresh root children. Everything else is conserved, and the
-search is then simply resumed.
+and task loss demote the frontier to sound makespan floors, and a new agent
+widens every allocation and seeds fresh root children. Everything else is
+conserved, and the search is then simply resumed.
+
+No frontier schedule is re-solved by the surgery itself: a demoted node
+keeps a lower bound on its new priority and is re-solved only when the
+resumed pop loop reaches it (the lazy reuse of Lifelong Planning A*), so
+the exact pops, and hence the expansions and the solution, are those an
+eager re-solve would give.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from .search import (
     apr_value,
     make_node,
     materialize,
+    nsq_value,
     run_search,
     tetaq_value,
 )
@@ -200,29 +207,31 @@ def _revive(state: SearchState, node) -> None:
         state.push(node)
 
 
-def _demote(state: SearchState, node) -> None:
-    """Forget an open node's schedule; its priority falls to the trivial bound.
+def _demote(state: SearchState, node, floor: float) -> None:
+    """Forget an open node's schedule; its priority falls to a bound.
 
-    Zero is a sound makespan floor whatever changed, so the node stays
-    correctly ordered and is re-solved lazily when it is popped.
+    ``floor`` must be a sound lower bound on the node's optimal makespan in
+    the current domain. nsq is monotone in the makespan, so the priority
+    computed from it (on the refreshed bounds) never exceeds the exact one:
+    the node stays correctly ordered and is re-solved when it is popped.
     """
     node.exact = False
     node.schedule = None
-    node.nsq = 0.0
-    node.tetaq = tetaq_value(node.apr, 0.0, state.alpha)
+    node.floor = floor
+    node.nsq = nsq_value(floor, state.lb, state.ub)
+    node.tetaq = tetaq_value(node.apr, node.nsq, state.alpha)
 
 
-def _rescore_frontier(state: SearchState) -> None:
-    """Re-solve every exact open node and demote the lazy ones.
+def _rescore_frontier(state: SearchState, slack: float) -> None:
+    """Demote every open node, its floor lowered by ``slack``; solve nothing.
 
-    Needed whenever the schedules under the frontier changed: a lazy node's
-    inherited makespan floor may no longer hold.
+    Needed whenever the schedules under the frontier changed. ``slack``
+    bounds how far any allocation's optimal makespan can have fallen
+    (``math.inf`` when nothing is known), so each lowered floor stays
+    sound; the pop loop re-solves a node only if it reaches the top.
     """
     for node in state.open_nodes():
-        if node.exact:
-            materialize(state, node)
-        else:
-            _demote(state, node)
+        _demote(state, node, max(0.0, node.floor - slack))
     state.rebuild_heap()
 
 
@@ -257,7 +266,8 @@ def handle_agent_or_task_loss(state: SearchState, event: DynamicEvent, old_domai
     state.schedule_memo.clear()
     for node in state.nodes.values():
         node.apr = apr_value(node.allocation, state.domain.team, state.domain.requirements)
-    _rescore_frontier(state)
+    # no sound shift of a floor exists when a task disappears
+    _rescore_frontier(state, math.inf)
     for node in state.with_status(CLOSED):
         if node.apr <= APR_TOL:
             _revive(state, node)
@@ -278,10 +288,20 @@ def handle_increase(state: SearchState, event: DynamicEvent) -> None:
             _revive(state, node)
 
 
-def handle_duration_change(state: SearchState, event: DynamicEvent) -> None:
-    """Durations moved: rescore frontier schedules; apr is untouched."""
+def handle_duration_change(
+    state: SearchState, event: DynamicEvent, old_domain: ProblemDomain
+) -> None:
+    """One duration moved: shift the frontier's floors; apr is untouched.
+
+    Under fixed orderings the makespan is a longest path, which lowering one
+    task's duration by d shortens by at most d and raising it shortens not
+    at all; the optimum over orderings inherits both facts.
+    """
+    idx = old_domain.network.task_index(event.payload["task"])
+    d_old = old_domain.network.tasks[idx].duration
+    d_new = state.domain.network.tasks[idx].duration
     _refresh_bounds(state)
-    _rescore_frontier(state)
+    _rescore_frontier(state, max(0.0, d_old - d_new))
 
 
 def handle_new_agent(state: SearchState, event: DynamicEvent) -> None:
@@ -313,10 +333,8 @@ def handle_new_agent(state: SearchState, event: DynamicEvent) -> None:
     # bound) so pops re-solve, and drop the stale makespan floors children
     # would otherwise inherit
     for node in state.nodes.values():
-        node.est_makespan = math.nan
-        if node.status == OPEN:
-            _demote(state, node)
-    state.rebuild_heap()
+        node.floor = 0.0
+    _rescore_frontier(state, math.inf)
 
     new_col = state.domain.n_robots - 1
     base = root.allocation if root is not None else Allocation(
@@ -416,7 +434,7 @@ def repair(
         elif kind in (EventKind.TRAITS_INCREASED, EventKind.REQUIREMENTS_REDUCED):
             handle_increase(state, step)
         elif kind == EventKind.DURATION_CHANGED:
-            handle_duration_change(state, step)
+            handle_duration_change(state, step, old_domain)
         else:
             handle_new_agent(state, step)
 

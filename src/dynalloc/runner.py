@@ -11,7 +11,6 @@ from __future__ import annotations
 import copy
 import csv
 import json
-import math
 import statistics
 import time
 from dataclasses import asdict, dataclass, field

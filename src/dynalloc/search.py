@@ -74,12 +74,14 @@ class AllocationNode:
     tetaq: float
     status: str
     seq: int
-    # False while nsq/tetaq are a lower bound (schedule not yet solved);
-    # the pop loop solves lazily and re-queues with the exact priority,
-    # which preserves best-first order while skipping nodes that never
-    # reach the top of the frontier.
+    # False while nsq/tetaq are a lower bound (schedule not yet solved, or
+    # dropped by a repair); the pop loop solves lazily and re-queues with
+    # the exact priority, which preserves best-first order while skipping
+    # nodes that never reach the top of the frontier.
     exact: bool = True
-    est_makespan: float = math.nan  # roadmap-priced makespan, once solved
+    # sound lower bound on this allocation's optimal makespan: the solved
+    # makespan once exact, otherwise the bound nsq was computed from
+    floor: float = 0.0
     version: int = 0  # bumped on re-prioritization; stale heap entries skipped
 
     @property
@@ -260,8 +262,8 @@ def make_node(
     """Register an allocation as a node; scheduling is deferred when possible.
 
     A child's feasible region is a subset of its parent's, so the parent's
-    makespan lower-bounds the child's and the parent's nsq is a sound
-    priority bound. Children therefore enter the frontier unsolved; the
+    floor lower-bounds the child's makespan and gives a sound priority
+    bound. Children therefore enter the frontier unsolved; the
     root (and children whose schedule is provably inherited) are exact
     immediately.
     """
@@ -269,12 +271,12 @@ def make_node(
     apr = apr_value(alloc, state.domain.team, state.domain.requirements)
     sched = _inherited_schedule(state, parent, task, robot)
     if sched is not None:
-        mk_floor = sched.makespan
-    elif parent is not None and math.isfinite(parent.est_makespan):
-        mk_floor = parent.est_makespan
+        floor = sched.makespan
+    elif parent is not None:
+        floor = parent.floor
     else:
-        mk_floor = 0.0
-    nsq = nsq_value(mk_floor, state.lb, state.ub)
+        floor = 0.0
+    nsq = nsq_value(floor, state.lb, state.ub)
     node = AllocationNode(
         allocation=alloc,
         parent=parent,
@@ -285,7 +287,7 @@ def make_node(
         status=OPEN,
         seq=next(state._seq),
         exact=sched is not None,
-        est_makespan=sched.makespan if sched is not None else math.nan,
+        floor=floor,
     )
     if parent is None:
         materialize(state, node)
@@ -297,7 +299,7 @@ def materialize(state: SearchState, node: AllocationNode) -> bool:
     """Evaluate a node's allocation and write every score it carries.
 
     The one place that sets ``schedule``, ``apr``, ``nsq``, ``tetaq``,
-    ``est_makespan``, ``exact`` and ``status`` from a solved schedule: the
+    ``floor``, ``exact`` and ``status`` from a solved schedule: the
     node is OPEN afterwards, or PRUNED (and False is returned) when its
     constraints are infeasible. It always re-solves, through the schedule
     memo; the caller decides whether the node needs it. Pushing the node
@@ -313,7 +315,7 @@ def materialize(state: SearchState, node: AllocationNode) -> bool:
     node.status = OPEN
     node.nsq = nsq
     node.tetaq = tq
-    node.est_makespan = sched.makespan
+    node.floor = sched.makespan
     return True
 
 
@@ -392,14 +394,11 @@ class SearchResult:
 def makespan_floor(node: AllocationNode) -> float:
     """A value provably no larger than any descendant's optimal makespan.
 
-    Constraints only accumulate down the tree, so an exact node's own
-    makespan floors its subtree; a lazy node inherits its parent's.
+    Constraints only accumulate down the tree, so a node's own floor (its
+    makespan once exact, its parent's when created lazily, shifted or
+    zeroed by repair) floors its whole subtree.
     """
-    if node.exact and node.schedule is not None:
-        return node.schedule.makespan
-    if node.parent is not None and math.isfinite(node.parent.est_makespan):
-        return node.parent.est_makespan
-    return 0.0
+    return node.floor
 
 
 def min_open_apr(state: SearchState) -> float:

@@ -1,12 +1,11 @@
 """Event application and targeted repair across all eight event kinds."""
 
 import copy
-import math
 
 import numpy as np
 import pytest
 
-from dynalloc.domain import resource_count
+from dynalloc import repair as repair_mod
 from dynalloc.generator import generate_event, generate_problem
 from dynalloc.repair import (
     DynamicEvent,
@@ -16,7 +15,7 @@ from dynalloc.repair import (
     decompose_mixed,
     repair,
 )
-from dynalloc.search import search
+from dynalloc.search import OPEN, evaluate, makespan_floor, materialize, search
 from dynalloc.validation import solution_violations
 
 from conftest import build_domain, heap_violations
@@ -223,3 +222,124 @@ class TestRepair:
     def test_negative_event_time_rejected(self):
         with pytest.raises(Exception):
             DynamicEvent(-1.0, EventKind.AGENT_LOST, {"agent": "r0"})
+
+
+def _eager_rescore_frontier(state, slack):
+    """Reference: the eager rescore that lazy demotion replaced.
+
+    Every exact open node is re-solved on the spot and every lazy one falls
+    to the trivial floor; ``slack`` is ignored.
+    """
+    for node in state.open_nodes():
+        if node.exact:
+            materialize(state, node)
+        else:
+            repair_mod._demote(state, node, 0.0)
+    state.rebuild_heap()
+
+
+def _scaled_duration(domain, task, factor):
+    t = domain.network.tasks[task]
+    return DynamicEvent(
+        1.0, EventKind.DURATION_CHANGED, {"task": t.id, "duration": t.duration * factor}
+    )
+
+
+def _event_chain(domain, case, seed):
+    """The events of one differential case, each drawn on the domain before it."""
+    if case == "duration_up":
+        return [_scaled_duration(domain, seed % domain.n_tasks, 1.7)]
+    if case == "duration_down":
+        return [_scaled_duration(domain, seed % domain.n_tasks, 0.3)]
+    if case == "task_lost":
+        return [generate_event(domain, EventKind.TASK_LOST, seed)]
+    first = generate_event(domain, EventKind.TRAITS_REDUCED, seed)
+    after = apply_event(domain, first)
+    return [first, generate_event(after, EventKind.DURATION_CHANGED, seed + 1)]
+
+
+class TestLazyFrontier:
+    """Repair demotes the frontier to sound floors and re-solves on pop."""
+
+    @pytest.fixture(scope="class")
+    def solved_desks(self):
+        """The acceptance suite's first ten desk domains, solved once per alpha.
+
+        Tests repair deep copies only, so the solved states stay untouched.
+        """
+        shapes = ((3, 4), (2, 4), (3, 3), (2, 3), (3, 2))
+        domains = [generate_problem(100 + i, *shapes[i % 5], 3) for i in range(10)]
+        return {alpha: [(d, _solved(d, alpha)) for d in domains] for alpha in (0.0, 0.25)}
+
+    @pytest.mark.parametrize(
+        "seed,shape,kind,event_seed",
+        [
+            (100, (3, 4, 3), EventKind.DURATION_CHANGED, 100001),
+            (101, (2, 4, 3), EventKind.TASK_LOST, 101002),
+        ],
+        ids=["duration_changed", "task_lost"],
+    )
+    def test_open_floors_stay_below_the_optimum(self, seed, shape, kind, event_seed):
+        domain = generate_problem(seed, *shape)
+        result = _solved(domain)
+        ev = generate_event(domain, kind, event_seed)
+        repaired = repair(result.state, result.solution, ev)
+        state = repaired.state
+        frontier = [n for n in state.nodes.values() if n.status == OPEN]
+        assert frontier
+        for node in frontier:
+            sched, *_ = evaluate(state, node.allocation)
+            if sched is not None:
+                assert makespan_floor(node) <= sched.makespan + 1e-9
+
+    @pytest.mark.parametrize(
+        "case", ["duration_up", "duration_down", "task_lost", "traits_then_duration"]
+    )
+    @pytest.mark.parametrize("keep_solution", [True, False], ids=["solution", "resume"])
+    @pytest.mark.parametrize("alpha", [0.0, 0.25])
+    def test_matches_eager_resolving(
+        self, case, keep_solution, alpha, solved_desks, monkeypatch
+    ):
+        """Same solution, makespan and expansions as re-solving eagerly.
+
+        Without the old solution the repair cannot take its fast path, so
+        the resumed pop loop has to walk the demoted frontier; at alpha 0
+        the frontier is ordered by makespan alone, so any floor that breaks
+        the order shows.
+        """
+        for i, (domain, result) in enumerate(solved_desks[alpha]):
+            events = _event_chain(domain, case, 1000 + i)
+            outcomes = []
+            for eager in (False, True):
+                state = copy.deepcopy(result.state)
+                solution = result.solution if keep_solution else None
+                with monkeypatch.context() as m:
+                    if eager:
+                        m.setattr(repair_mod, "_rescore_frontier", _eager_rescore_frontier)
+                    for ev in events:
+                        out = repair(state, solution, ev)
+                        state, solution = out.state, out.solution
+                assert heap_violations(state) == []
+                outcomes.append(out)
+            lazy, eager = outcomes
+            assert lazy.reason == eager.reason, i
+            assert lazy.state.stats.expansions == eager.state.stats.expansions, i
+            assert (lazy.solution is None) == (eager.solution is None), i
+            if lazy.solution is not None:
+                assert lazy.solution.allocation.key() == eager.solution.allocation.key(), i
+                assert lazy.solution.makespan == pytest.approx(
+                    eager.solution.makespan, abs=1e-9
+                ), i
+
+    def test_duration_change_solves_only_the_old_solution(self):
+        domain = generate_problem(100, 3, 4, 3)
+        result = _solved(domain)
+        stats = result.state.stats
+        # eager rescoring would re-solve every one of these
+        assert sum(n.exact for n in result.state.open_nodes()) > 1
+        calls, expansions = stats.scheduler_calls, stats.expansions
+        ev = generate_event(domain, EventKind.DURATION_CHANGED, 100001)
+        repaired = repair(result.state, result.solution, ev)
+        assert repaired.solution.allocation.key() == result.solution.allocation.key()
+        assert stats.scheduler_calls - calls <= 1
+        assert stats.expansions == expansions
