@@ -4,9 +4,10 @@ Each event kind touches only the node sets it can actually invalidate:
 losses delete nodes that reference the lost agent or task, capability or
 requirement shifts rescore the open frontier (and, for favorable shifts,
 rescan closed/pruned nodes for newly viable allocations), duration changes
-and task loss demote the frontier to sound makespan floors, and a new agent
-widens every allocation and seeds fresh root children. Everything else is
-conserved, and the search is then simply resumed.
+and task loss lower every node's makespan floor to a sound value and demote
+the frontier to those floors, and a new agent widens every allocation and
+seeds fresh root children. Everything else is conserved, and the search is
+then simply resumed.
 
 No frontier schedule is re-solved by the surgery itself: a demoted node
 keeps a lower bound on its new priority and is re-solved only when the
@@ -222,16 +223,26 @@ def _demote(state: SearchState, node, floor: float) -> None:
     node.tetaq = tetaq_value(node.apr, node.nsq, state.alpha)
 
 
-def _rescore_frontier(state: SearchState, slack: float) -> None:
-    """Demote every open node, its floor lowered by ``slack``; solve nothing.
+def _lower_floors(state: SearchState, slack: float) -> None:
+    """Lower every node's floor by ``slack``, whatever its status.
 
-    Needed whenever the schedules under the frontier changed. ``slack``
-    bounds how far any allocation's optimal makespan can have fallen
-    (``math.inf`` when nothing is known), so each lowered floor stays
-    sound; the pop loop re-solves a node only if it reaches the top.
+    ``slack`` bounds how far any allocation's optimal makespan can have
+    fallen (``math.inf`` when nothing is known, which zeroes every floor),
+    so each floor stays sound. Closed and pruned nodes matter too: a revived
+    node, and every lazy child, hands its floor to the scheduler.
+    """
+    for node in state.nodes.values():
+        node.floor = max(0.0, node.floor - slack)
+
+
+def _rescore_frontier(state: SearchState) -> None:
+    """Demote every open node to its (already lowered) floor; solve nothing.
+
+    Needed whenever the schedules under the frontier changed; the pop loop
+    re-solves a node only if it reaches the top.
     """
     for node in state.open_nodes():
-        _demote(state, node, max(0.0, node.floor - slack))
+        _demote(state, node, node.floor)
     state.rebuild_heap()
 
 
@@ -267,7 +278,8 @@ def handle_agent_or_task_loss(state: SearchState, event: DynamicEvent, old_domai
     for node in state.nodes.values():
         node.apr = apr_value(node.allocation, state.domain.team, state.domain.requirements)
     # no sound shift of a floor exists when a task disappears
-    _rescore_frontier(state, math.inf)
+    _lower_floors(state, math.inf)
+    _rescore_frontier(state)
     for node in state.with_status(CLOSED):
         if node.apr <= APR_TOL:
             _revive(state, node)
@@ -291,7 +303,7 @@ def handle_increase(state: SearchState, event: DynamicEvent) -> None:
 def handle_duration_change(
     state: SearchState, event: DynamicEvent, old_domain: ProblemDomain
 ) -> None:
-    """One duration moved: shift the frontier's floors; apr is untouched.
+    """One duration moved: shift every node's floor; apr is untouched.
 
     Under fixed orderings the makespan is a longest path, which lowering one
     task's duration by d shortens by at most d and raising it shortens not
@@ -301,7 +313,8 @@ def handle_duration_change(
     d_old = old_domain.network.tasks[idx].duration
     d_new = state.domain.network.tasks[idx].duration
     _refresh_bounds(state)
-    _rescore_frontier(state, max(0.0, d_old - d_new))
+    _lower_floors(state, max(0.0, d_old - d_new))
+    _rescore_frontier(state)
 
 
 def handle_new_agent(state: SearchState, event: DynamicEvent) -> None:
@@ -332,9 +345,8 @@ def handle_new_agent(state: SearchState, event: DynamicEvent) -> None:
     # times, which the rebuild invalidated: demote to lazy (trivial sound
     # bound) so pops re-solve, and drop the stale makespan floors children
     # would otherwise inherit
-    for node in state.nodes.values():
-        node.floor = 0.0
-    _rescore_frontier(state, math.inf)
+    _lower_floors(state, math.inf)
+    _rescore_frontier(state)
 
     new_col = state.domain.n_robots - 1
     base = root.allocation if root is not None else Allocation(

@@ -207,7 +207,39 @@ def _sequential_clique_bound(problem: SchedulingProblem) -> float:
     return best
 
 
-def solve_schedule(problem: SchedulingProblem) -> Schedule | None:
+def _warm_incumbent(
+    comp: _Compiled, pairs, root_s, root_mk: float, hint: Schedule
+) -> Schedule | None:
+    """The schedule that orients every mutex pair as ``hint`` does.
+
+    A pair the hint fixed keeps its direction; any other goes first by the
+    hint's start times, ties to the lower index. Relaxed once from the root
+    on ``comp`` itself, its edges popped again afterwards. None when the
+    hint has another task count or its orientation closes a positive cycle.
+    """
+    starts = hint.start_times
+    if len(starts) != comp.n:
+        return None
+    orderings = {}
+    for i, j in pairs:
+        o = hint.fixed_orderings.get((i, j))
+        if o is None:
+            o = (j, i) if starts[j] < starts[i] else (i, j)
+        orderings[(i, j)] = o
+    edges = [comp.dir_edge[o] for o in orderings.values()]
+    for edge in edges:
+        comp.add_edge(edge)
+    res = comp.relax(root_s, sorted({edge[0] for edge in edges}), root_mk)
+    for edge in reversed(edges):
+        comp.pop_edge(edge)
+    if res is None:
+        return None
+    return Schedule(tuple(res[0]), res[1], orderings)
+
+
+def solve_schedule(
+    problem: SchedulingProblem, floor: float = 0.0, hint: Schedule | None = None
+) -> Schedule | None:
     """Exact minimum makespan over all mutex ordering assignments.
 
     Branch-and-bound: each node fixes a subset of orderings; its bound is
@@ -215,8 +247,15 @@ def solve_schedule(problem: SchedulingProblem) -> Schedule | None:
     only shorten the makespan, so pruning against the incumbent is safe).
     Branching picks the undecided pair whose two one-step child bounds
     differ the most (ties broken by pair order), descending into the
-    cheaper direction first. A static sequential-clique floor allows early
-    exit once the incumbent provably cannot be improved.
+    cheaper direction first. A static floor, the larger of a
+    sequential-clique bound and the caller's ``floor``, allows early exit
+    once the incumbent provably cannot be improved.
+
+    ``floor`` must be a sound lower bound on the optimum: one above it can
+    end the search on a suboptimal schedule. ``hint`` is a related
+    schedule, normally the parent allocation's; the orientation it implies
+    (see ``_warm_incumbent``) is the first incumbent when feasible. Both
+    only prune, so the optimum is unchanged; the defaults solve cold.
     """
     comp = _Compiled(problem)
     if not comp.finite:
@@ -229,9 +268,15 @@ def solve_schedule(problem: SchedulingProblem) -> Schedule | None:
     if not pairs:
         return Schedule(tuple(root_s), root_mk, {})
 
-    static_lb = _sequential_clique_bound(problem)
+    static_lb = max(_sequential_clique_bound(problem), floor)
     best_mk = math.inf
     best: Schedule | None = None
+    if hint is not None:
+        best = _warm_incumbent(comp, pairs, root_s, root_mk, hint)
+        if best is not None:
+            best_mk = best.makespan
+            if best_mk <= static_lb + FEAS_TOL:
+                return best
     dir_edge = comp.dir_edge
 
     # Lookahead table: pair -> (makespan if forward, makespan if reverse),

@@ -79,8 +79,10 @@ class AllocationNode:
     # the exact priority, which preserves best-first order while skipping
     # nodes that never reach the top of the frontier.
     exact: bool = True
-    # sound lower bound on this allocation's optimal makespan: the solved
-    # makespan once exact, otherwise the bound nsq was computed from
+    # sound lower bound on this allocation's optimal makespan in the current
+    # domain, whatever the status: the solved makespan once exact, else the
+    # bound nsq was computed from; repair lowers it on every node. The
+    # scheduler stops at it, so an unsound floor can yield a suboptimal one
     floor: float = 0.0
     version: int = 0  # bumped on re-prioritization; stale heap entries skipped
 
@@ -198,24 +200,41 @@ def new_state(
     return state
 
 
-def solve_with_memo(state: SearchState, problem: SchedulingProblem) -> Schedule | None:
+def solve_with_memo(
+    state: SearchState,
+    problem: SchedulingProblem,
+    floor: float = 0.0,
+    hint: Schedule | None = None,
+) -> Schedule | None:
+    """Solve through the memo; ``floor`` and ``hint`` go to ``solve_schedule``.
+
+    Both only prune, so the optimum and hence the memo key do not depend
+    on them.
+    """
     key = problem.key()
     if key not in state.schedule_memo:
         state.stats.scheduler_calls += 1
-        state.schedule_memo[key] = solve_schedule(problem)
+        state.schedule_memo[key] = solve_schedule(problem, floor, hint)
     return state.schedule_memo[key]
 
 
-def evaluate(state: SearchState, alloc: Allocation, travel=None):
+def evaluate(
+    state: SearchState,
+    alloc: Allocation,
+    travel=None,
+    floor: float = 0.0,
+    hint: Schedule | None = None,
+):
     """Schedule an allocation and score it; returns (schedule, apr, nsq, tetaq).
 
     ``schedule`` is None when the induced constraints are infeasible (the
-    caller prunes such nodes).
+    caller prunes such nodes). ``floor`` must be a sound lower bound on the
+    allocation's optimal makespan; see ``solve_schedule``.
     """
     if travel is None:
         travel = motion.plan_provider(state.domain, state.roadmap, state.plan_cache)
     problem = build_scheduling_problem(state.domain, alloc, travel)
-    sched = solve_with_memo(state, problem)
+    sched = solve_with_memo(state, problem, floor, hint)
     apr = apr_value(alloc, state.domain.team, state.domain.requirements)
     if sched is None:
         return None, apr, math.nan, math.nan
@@ -304,8 +323,12 @@ def materialize(state: SearchState, node: AllocationNode) -> bool:
     constraints are infeasible. It always re-solves, through the schedule
     memo; the caller decides whether the node needs it. Pushing the node
     onto the frontier is also left to the caller.
+
+    The solve is warm: it stops once an incumbent meets the node's floor,
+    and the parent's schedule, when it has one, gives the first incumbent.
     """
-    sched, apr, nsq, tq = evaluate(state, node.allocation)
+    hint = node.parent.schedule if node.parent is not None else None
+    sched, apr, nsq, tq = evaluate(state, node.allocation, floor=node.floor, hint=hint)
     node.exact = True
     node.apr = apr
     node.schedule = sched

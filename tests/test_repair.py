@@ -5,7 +5,7 @@ import copy
 import numpy as np
 import pytest
 
-from dynalloc import repair as repair_mod
+from dynalloc import motion, repair as repair_mod
 from dynalloc.generator import generate_event, generate_problem
 from dynalloc.repair import (
     DynamicEvent,
@@ -15,7 +15,8 @@ from dynalloc.repair import (
     decompose_mixed,
     repair,
 )
-from dynalloc.search import OPEN, evaluate, makespan_floor, materialize, search
+from dynalloc.scheduler import build_scheduling_problem, solve_schedule
+from dynalloc.search import CLOSED, OPEN, evaluate, makespan_floor, materialize, search
 from dynalloc.validation import solution_violations
 
 from conftest import build_domain, heap_violations
@@ -224,11 +225,11 @@ class TestRepair:
             DynamicEvent(-1.0, EventKind.AGENT_LOST, {"agent": "r0"})
 
 
-def _eager_rescore_frontier(state, slack):
+def _eager_rescore_frontier(state):
     """Reference: the eager rescore that lazy demotion replaced.
 
     Every exact open node is re-solved on the spot and every lazy one falls
-    to the trivial floor; ``slack`` is ignored.
+    to the trivial floor.
     """
     for node in state.open_nodes():
         if node.exact:
@@ -291,6 +292,24 @@ class TestLazyFrontier:
             sched, *_ = evaluate(state, node.allocation)
             if sched is not None:
                 assert makespan_floor(node) <= sched.makespan + 1e-9
+
+    @pytest.mark.parametrize("case", ["duration_up", "duration_down", "task_lost"])
+    def test_every_floor_stays_below_the_optimum(self, case, solved_desks):
+        """Closed and pruned nodes too: a revived node or a lazy child hands
+        its floor to the scheduler, which stops as soon as it is met."""
+        for i, (domain, result) in enumerate(solved_desks[0.25]):
+            state = copy.deepcopy(result.state)
+            (ev,) = _event_chain(domain, case, 2000 + i)
+            state = repair(state, result.solution, ev).state
+            travel = motion.plan_provider(state.domain, state.roadmap, state.plan_cache)
+            statuses = set()
+            for node in state.nodes.values():
+                statuses.add(node.status)
+                problem = build_scheduling_problem(state.domain, node.allocation, travel)
+                sched = solve_schedule(problem)
+                if sched is not None:
+                    assert node.floor <= sched.makespan + 1e-9, (i, node.status)
+            assert {OPEN, CLOSED} <= statuses, i
 
     @pytest.mark.parametrize(
         "case", ["duration_up", "duration_down", "task_lost", "traits_then_duration"]

@@ -18,6 +18,7 @@ from dynalloc.scheduler import (
     INFEASIBLE,
     Schedule,
     SchedulingProblem,
+    _Compiled,
     build_scheduling_problem,
     makespan,
     schedule_lower_bound,
@@ -29,6 +30,7 @@ from dynalloc.validation import schedule_violations
 
 from conftest import build_domain
 
+MK_TOL = 1e-9
 
 # ---------------------------------------------------------------- oracle
 
@@ -216,6 +218,106 @@ class TestExactness:
             assert sched is INFEASIBLE
         else:
             assert sched.makespan == pytest.approx(oracle, abs=1e-9)
+
+
+class TestWarmStart:
+    """A sound ``floor`` and any ``hint`` leave the optimum unchanged."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        """Acceptance criterion 1's 200 problems with their brute-force optima."""
+        rng = np.random.default_rng(2024)
+        problems = [random_problem(rng, max_tasks=8, max_mutex=6) for _ in range(200)]
+        return [(p, oracle_min_makespan(p)) for p in problems]
+
+    @pytest.fixture
+    def relax_calls(self, monkeypatch):
+        """A list that gains one entry per ``_Compiled.relax`` call."""
+        calls = []
+        relax = _Compiled.relax
+
+        def counted(self, *args, **kwargs):
+            calls.append(None)
+            return relax(self, *args, **kwargs)
+
+        monkeypatch.setattr(_Compiled, "relax", counted)
+        return calls
+
+    @staticmethod
+    def _solve_at_the_optimum(cases, make_hint):
+        """Solve every case with ``floor`` at its optimum and the given hint."""
+        for p, oracle in cases:
+            sched = solve_schedule(p, oracle or 0.0, make_hint(p))
+            if oracle is None:
+                assert sched is INFEASIBLE
+            else:
+                assert abs(sched.makespan - oracle) <= MK_TOL
+                assert schedule_violations(p, sched) == []
+
+    def test_no_hint(self, cases):
+        self._solve_at_the_optimum(cases, lambda p: None)
+
+    def test_cold_optimum_as_hint(self, cases):
+        self._solve_at_the_optimum(cases, solve_schedule)
+
+    def test_random_orientation_as_hint(self, cases):
+        """Some pairs fixed at random, the rest oriented by random starts."""
+        rng = np.random.default_rng(5)
+
+        def random_hint(p):
+            pairs = sorted(p.mutex_reduced)
+            fixed = {
+                q: (q if rng.random() < 0.5 else (q[1], q[0]))
+                for q in pairs
+                if rng.random() < 0.5
+            }
+            starts = tuple(rng.uniform(0.0, 20.0, len(p.durations)).tolist())
+            return Schedule(starts, math.inf, fixed)
+
+        self._solve_at_the_optimum(cases, random_hint)
+
+    def test_hint_of_the_wrong_length_is_ignored(self, cases, relax_calls):
+        """Same schedule, and not one relaxation more, than without a hint."""
+        for p, oracle in cases:
+            cold = solve_schedule(p)
+            if cold is INFEASIBLE or not p.mutex_reduced:
+                continue
+            relax_calls.clear()
+            plain = solve_schedule(p, oracle)
+            expected = len(relax_calls)
+            for starts in (cold.start_times + (0.0,), cold.start_times[:-1]):
+                relax_calls.clear()
+                hint = Schedule(starts, cold.makespan, cold.fixed_orderings)
+                assert solve_schedule(p, oracle, hint) == plain
+                assert len(relax_calls) == expected
+
+    def test_hint_closing_a_positive_cycle_is_ignored(self, cases):
+        """Every pair run high index first: infeasible wherever precedence
+        already orders a mutex pair the other way round."""
+        cyclic = 0
+        for p, oracle in cases:
+            backwards = {(i, j): (j, i) for i, j in p.mutex_reduced}
+            if stn_solve(p, backwards) is not INFEASIBLE:
+                continue
+            cyclic += 1
+            hint = Schedule((0.0,) * len(p.durations), 0.0, backwards)
+            assert solve_schedule(p, oracle, hint) == solve_schedule(p, oracle)
+        assert cyclic >= 5
+
+    def test_optimal_hint_at_the_floor_exits_before_branching(self, cases, relax_calls):
+        """The root relaxation and the hint's own are the only ones made."""
+        branched = 0
+        for p, oracle in cases:
+            if oracle is None:
+                continue
+            relax_calls.clear()
+            best = solve_schedule(p)
+            branched += len(relax_calls) > 2
+            relax_calls.clear()
+            warm = solve_schedule(p, oracle, best)
+            assert len(relax_calls) <= 2
+            assert abs(warm.makespan - oracle) <= MK_TOL
+        assert branched > 0
 
 
 class TestBounds:

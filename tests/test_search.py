@@ -8,6 +8,7 @@ import pytest
 from dynalloc.analysis import brute_force_optimal_makespan, oracle_travel
 from dynalloc.domain import resource_count
 from dynalloc.generator import generate_problem
+from dynalloc import search as search_mod
 from dynalloc.search import (
     CLOSED,
     OPEN,
@@ -111,6 +112,30 @@ class TestLaziness:
             assert node.schedule.makespan == pytest.approx(
                 lazy_result.solution.makespan, abs=1e-9
             )
+
+
+class TestWarmStartedSchedules:
+    @pytest.mark.parametrize("alpha", [0.0, 0.25])
+    def test_search_matches_cold_solves(self, alpha, monkeypatch):
+        """Solves warm-started from the parent and stopped at the node's floor
+        give the same search as cold ones on the 20 acceptance desk domains."""
+        cold_solve = search_mod.solve_schedule
+        shapes = ((3, 4), (2, 4), (3, 3), (2, 3), (3, 2))
+        for i in range(20):
+            domain = generate_problem(100 + i, *shapes[i % 5], 3)
+            warm = search(domain, alpha)
+            with monkeypatch.context() as m:
+                m.setattr(
+                    search_mod,
+                    "solve_schedule",
+                    lambda problem, floor=0.0, hint=None: cold_solve(problem),
+                )
+                cold = search(domain, alpha)
+            assert warm.reason == cold.reason == "solved", i
+            assert warm.solution.allocation.key() == cold.solution.allocation.key(), i
+            assert warm.solution.makespan == pytest.approx(cold.solution.makespan, abs=1e-9), i
+            assert warm.state.stats.expansions == cold.state.stats.expansions, i
+            assert len(warm.state.nodes) == len(cold.state.nodes), i
 
 
 class TestMonotonicity:
