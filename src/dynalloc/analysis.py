@@ -17,14 +17,12 @@ import numpy as np
 from . import motion
 from .domain import Allocation, ProblemDomain, is_valid_allocation, resource_count
 from .scheduler import build_scheduling_problem, solve_schedule
-from .search import OPEN, SearchResult, makespan_floor, search
+from .search import OPEN, SearchResult, search
 
 
 def open_frontier(state) -> list[tuple[float, float]]:
     """(apr, makespan floor) for every open node; input to posthoc_bound."""
-    return [
-        (n.apr, makespan_floor(n)) for n in state.nodes.values() if n.status == OPEN
-    ]
+    return [(n.apr, n.floor) for n in state.nodes.values() if n.status == OPEN]
 
 BRUTE_FORCE_CELL_LIMIT = 12
 BOUND_TOL = 1e-9
@@ -86,11 +84,11 @@ def posthoc_bound(
     infeasible, and a fully expanded chain would have put the optimum
     itself on the frontier). For that ancestor n, two quantities each
     bound the gap: the a-priori coefficient times apr(n) (the best-first
-    pop inequality), and achieved - makespan_floor(n) (the ancestor's
-    schedule can only lengthen toward the optimum). The ancestor is
-    unknown, so take the max over the frontier of the smaller of the two.
-    ``frontier`` is an iterable of (apr, makespan_floor) pairs for the
-    open nodes; an empty frontier certifies optimality.
+    pop inequality), and achieved - floor(n) (a node's floor also floors
+    every descendant's optimum). The ancestor is unknown, so take the max
+    over the frontier of the smaller of the two. ``frontier`` is an
+    iterable of (apr, floor) pairs for the open nodes; an empty frontier
+    certifies optimality.
     """
     coef = time_optimality_bound(alpha, lb, ub)
     best = 0.0

@@ -9,6 +9,7 @@ can be loaded and reported instead of crashing the loader.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -290,7 +291,9 @@ def validate_problem(domain: ProblemDomain) -> ValidationReport:
     if precedence_has_cycle(net):
         report.add("CYCLIC_PRECEDENCE", "precedence edges contain a cycle")
     for i, t in enumerate(net.tasks):
-        if t.duration < 0:
+        if not math.isfinite(t.duration):
+            report.add("NONFINITE_DURATION", f"task {t.id} has duration {t.duration}")
+        elif t.duration < 0:
             report.add("NEGATIVE_DURATION", f"task {t.id} has duration {t.duration}")
     for i, j in net.precedence_edges | net.mutex_edges:
         if not (0 <= i < net.n_tasks and 0 <= j < net.n_tasks):
@@ -305,6 +308,6 @@ def validate_problem(domain: ProblemDomain) -> ValidationReport:
         if point_in_any(start, world.obstacles):
             report.add("START_IN_OBSTACLE", f"robot {rid} starts inside an obstacle")
         speed = world.robot_speeds.get(rid, 0.0)
-        if speed is None or speed <= 0:
-            report.add("BAD_SPEED", f"robot {rid} has non-positive speed")
+        if speed is None or not 0 < speed < math.inf:
+            report.add("BAD_SPEED", f"robot {rid} has speed {speed}")
     return report

@@ -70,8 +70,8 @@ class DynamicEvent:
     payload: dict
 
     def __post_init__(self):
-        if self.time < 0:
-            raise DomainError("event time must be non-negative")
+        if not 0 <= self.time < math.inf:
+            raise DomainError(f"event time must be finite and non-negative: {self.time}")
 
 
 class EventError(DomainError):
@@ -159,8 +159,8 @@ def apply_event(domain: ProblemDomain, event: DynamicEvent) -> ProblemDomain:
     elif kind == EventKind.DURATION_CHANGED:
         idx = net.task_index(payload["task"])
         d = float(payload["duration"])
-        if d < 0:
-            raise EventError("duration must be non-negative")
+        if not 0 <= d < math.inf:
+            raise EventError(f"duration must be finite and non-negative, got {d}")
         t = net.tasks[idx]
         tasks = list(net.tasks)
         tasks[idx] = TaskSpec(t.id, d, t.initial_config, t.terminal_config)
@@ -171,6 +171,9 @@ def apply_event(domain: ProblemDomain, event: DynamicEvent) -> ProblemDomain:
         rid = spec["id"]
         if rid in team.robot_ids:
             raise EventError(f"agent id {rid!r} already exists")
+        speed = float(spec["speed"])
+        if not 0 < speed < math.inf:
+            raise EventError(f"agent speed must be finite and positive, got {speed}")
         row = _trait_row(domain, spec["traits"])
         team = TeamTraitMatrix(
             np.vstack([team.entries, row]), team.robot_ids + (rid,), team.trait_names
@@ -178,7 +181,7 @@ def apply_event(domain: ProblemDomain, event: DynamicEvent) -> ProblemDomain:
         starts = dict(world.robot_start_configs)
         speeds = dict(world.robot_speeds)
         starts[rid] = tuple(spec["start"])
-        speeds[rid] = float(spec["speed"])
+        speeds[rid] = speed
         world = WorldModel(world.bounds, world.obstacles, starts, speeds)
 
     else:  # pragma: no cover

@@ -145,12 +145,6 @@ class _Compiled:
                         queue.append(v)
         return s, mk
 
-    def makespan_of(self, s) -> float:
-        if self.n == 0:
-            return 0.0
-        d = self.durations
-        return max(s[i] + d[i] for i in range(self.n))
-
 
 def makespan(start_times, durations) -> float:
     """Completion time of the last task; 0 for no tasks."""
@@ -171,7 +165,7 @@ def stn_solve(
         return INFEASIBLE
     for i, j in orderings.values():
         comp.add_edge((i, j, problem.durations[i] + problem.transition(i, j)))
-    res = comp.relax(comp.arrivals, range(comp.n), comp.makespan_of(comp.arrivals))
+    res = comp.relax(comp.arrivals, range(comp.n), makespan(comp.arrivals, comp.durations))
     if res is None:
         return INFEASIBLE
     starts, mk = res
@@ -261,7 +255,7 @@ def solve_schedule(
     if not comp.finite:
         return INFEASIBLE
     pairs = sorted(problem.mutex_reduced)
-    root = comp.relax(comp.arrivals, range(comp.n), comp.makespan_of(comp.arrivals))
+    root = comp.relax(comp.arrivals, range(comp.n), makespan(comp.arrivals, comp.durations))
     if root is None:
         return INFEASIBLE
     root_s, root_mk = root

@@ -78,11 +78,14 @@ class AllocationNode:
     # dropped by a repair); the pop loop solves lazily and re-queues with
     # the exact priority, which preserves best-first order while skipping
     # nodes that never reach the top of the frontier.
-    exact: bool = True
+    exact: bool = False
     # sound lower bound on this allocation's optimal makespan in the current
     # domain, whatever the status: the solved makespan once exact, else the
-    # bound nsq was computed from; repair lowers it on every node. The
-    # scheduler stops at it, so an unsound floor can yield a suboptimal one
+    # bound nsq was computed from (the parent's floor for a new child);
+    # repair lowers it on every node. Constraints only accumulate down the
+    # tree, so it also floors every descendant's optimum, which is what the
+    # post-hoc gap bound relies on. The scheduler stops at it, so an
+    # unsound floor can yield a suboptimal schedule
     floor: float = 0.0
     version: int = 0  # bumped on re-prioritization; stale heap entries skipped
 
@@ -221,7 +224,6 @@ def solve_with_memo(
 def evaluate(
     state: SearchState,
     alloc: Allocation,
-    travel=None,
     floor: float = 0.0,
     hint: Schedule | None = None,
 ):
@@ -231,8 +233,7 @@ def evaluate(
     caller prunes such nodes). ``floor`` must be a sound lower bound on the
     allocation's optimal makespan; see ``solve_schedule``.
     """
-    if travel is None:
-        travel = motion.plan_provider(state.domain, state.roadmap, state.plan_cache)
+    travel = motion.plan_provider(state.domain, state.roadmap, state.plan_cache)
     problem = build_scheduling_problem(state.domain, alloc, travel)
     sched = solve_with_memo(state, problem, floor, hint)
     apr = apr_value(alloc, state.domain.team, state.domain.requirements)
@@ -242,70 +243,29 @@ def evaluate(
     return sched, apr, nsq, tetaq_value(apr, nsq, state.alpha)
 
 
-def _inherited_schedule(
-    state: SearchState, parent: AllocationNode | None, task: int | None, robot: int | None
-) -> Schedule | None:
-    """Parent's schedule when the new assignment provably cannot change it.
-
-    Adding a robot that is assigned nowhere else introduces no mutex pair
-    and only raises the task's arrival floor; if the parent's optimal start
-    already clears the new floor, the parent's schedule stays optimal (the
-    child's constraints are a superset, so it cannot do better).
-    """
-    if parent is None or parent.schedule is None or task is None:
-        return None
-    if parent.allocation.entries[:, robot].any():
-        return None
-    domain = state.domain
-    rid = domain.team.robot_ids[robot]
-    cid = motion.capability_classes(domain.team, domain.world)[rid]
-    p = motion.plan(
-        state.roadmap,
-        domain.world.robot_start_configs[rid],
-        domain.network.tasks[task].initial_config,
-        cid,
-        domain.world.robot_speeds[rid],
-        state.plan_cache,
-    )
-    if p is not None and p.duration <= parent.schedule.start_times[task] + 1e-12:
-        return parent.schedule
-    return None
-
-
 def make_node(
-    state: SearchState,
-    alloc: Allocation,
-    parent: AllocationNode | None,
-    new_assignment: tuple[int, int] | None = None,
+    state: SearchState, alloc: Allocation, parent: AllocationNode | None
 ) -> AllocationNode:
-    """Register an allocation as a node; scheduling is deferred when possible.
+    """Register an allocation as a node; only the root is scheduled here.
 
     A child's feasible region is a subset of its parent's, so the parent's
     floor lower-bounds the child's makespan and gives a sound priority
-    bound. Children therefore enter the frontier unsolved; the
-    root (and children whose schedule is provably inherited) are exact
-    immediately.
+    bound. No child is exact at creation: each enters the frontier with
+    its parent's floor, and ``materialize`` solves it once it reaches the
+    top of the frontier.
     """
-    task, robot = new_assignment if new_assignment is not None else (None, None)
     apr = apr_value(alloc, state.domain.team, state.domain.requirements)
-    sched = _inherited_schedule(state, parent, task, robot)
-    if sched is not None:
-        floor = sched.makespan
-    elif parent is not None:
-        floor = parent.floor
-    else:
-        floor = 0.0
+    floor = parent.floor if parent is not None else 0.0
     nsq = nsq_value(floor, state.lb, state.ub)
     node = AllocationNode(
         allocation=alloc,
         parent=parent,
-        schedule=sched,
+        schedule=None,
         apr=apr,
         nsq=nsq,
         tetaq=tetaq_value(apr, nsq, state.alpha),
         status=OPEN,
         seq=next(state._seq),
-        exact=sched is not None,
         floor=floor,
     )
     if parent is None:
@@ -354,9 +314,8 @@ def expand(state: SearchState, node: AllocationNode) -> list[AllocationNode]:
             child_alloc = node.allocation.with_assignment(m, n)
             if child_alloc.key() in state.nodes:
                 continue
-            child = make_node(state, child_alloc, parent=node, new_assignment=(m, n))
-            if child.status == OPEN:
-                state.push(child)
+            child = make_node(state, child_alloc, parent=node)
+            state.push(child)
             children.append(child)
     node.status = CLOSED
     return children
@@ -412,16 +371,6 @@ class SearchResult:
     @property
     def exhausted(self) -> bool:
         return self.solution is None
-
-
-def makespan_floor(node: AllocationNode) -> float:
-    """A value provably no larger than any descendant's optimal makespan.
-
-    Constraints only accumulate down the tree, so a node's own floor (its
-    makespan once exact, its parent's when created lazily, shifted or
-    zeroed by repair) floors its whole subtree.
-    """
-    return node.floor
 
 
 def min_open_apr(state: SearchState) -> float:

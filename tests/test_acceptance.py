@@ -33,11 +33,7 @@ from dynalloc.repair import DynamicEvent, EventKind, apply_event, decompose_mixe
 from dynalloc.runner import TIMING_COLUMNS
 from dynalloc.scheduler import solve_schedule
 from dynalloc.search import apr_value, search
-from dynalloc.validation import (
-    plan_collision_samples,
-    schedule_violations,
-    solution_violations,
-)
+from dynalloc.validation import plan_collision_samples, solution_violations
 
 from test_scheduler import oracle_min_makespan, random_problem
 

@@ -1,8 +1,5 @@
 """Gap bounds, brute-force oracles, and the alpha = 1 resource guarantee."""
 
-import math
-
-import numpy as np
 import pytest
 
 from dynalloc.analysis import (

@@ -1,5 +1,7 @@
 """Domain model: matrices, allocations, trait math, and validation codes."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -207,3 +209,13 @@ class TestValidateProblem:
     def test_negative_duration_flagged(self):
         domain = build_domain([[1.0]], [[1.0]], durations=[-1.0])
         assert "NEGATIVE_DURATION" in validate_problem(domain).codes()
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("field", ["duration", "speed"])
+    def test_non_finite_numbers_flagged(self, field, value):
+        if field == "duration":
+            domain = build_domain([[1.0]], [[1.0]], durations=[value])
+            assert "NONFINITE_DURATION" in validate_problem(domain).codes()
+        else:
+            domain = build_domain([[1.0]], [[1.0]], speeds={"r0": value})
+            assert "BAD_SPEED" in validate_problem(domain).codes()

@@ -18,7 +18,7 @@ from dynalloc.problem_io import (
     save_domain,
     save_events,
 )
-from dynalloc.repair import DynamicEvent, EventKind
+from dynalloc.repair import EventKind
 from dynalloc.runner import TIMING_COLUMNS, run_scenario, write_results
 
 

@@ -1,11 +1,13 @@
 """Event application and targeted repair across all eight event kinds."""
 
 import copy
+import math
 
 import numpy as np
 import pytest
 
 from dynalloc import motion, repair as repair_mod
+from dynalloc.domain import DomainError
 from dynalloc.generator import generate_event, generate_problem
 from dynalloc.repair import (
     DynamicEvent,
@@ -16,7 +18,7 @@ from dynalloc.repair import (
     repair,
 )
 from dynalloc.scheduler import build_scheduling_problem, solve_schedule
-from dynalloc.search import CLOSED, OPEN, evaluate, makespan_floor, materialize, search
+from dynalloc.search import CLOSED, OPEN, evaluate, materialize, search
 from dynalloc.validation import solution_violations
 
 from conftest import build_domain, heap_violations
@@ -109,6 +111,29 @@ class TestApplyEvent:
         assert new.n_robots == desk_domain.n_robots + 1
         assert new.team.robot_ids[-1] == "rx"
         assert new.world.robot_speeds["rx"] == 2.0
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("field", ["time", "duration", "speed"])
+    def test_non_finite_numbers_rejected(self, desk_domain, field, value):
+        """An infinite duration would repair to an infinite makespan that no
+        check flags, and a NaN one reaches the scheduler; both are refused
+        when the event is built or applied."""
+        tid = desk_domain.network.tasks[0].id
+        agent = {"id": "rx", "traits": {}, "start": [5.0, 5.0], "speed": value}
+        with pytest.raises(DomainError):
+            if field == "time":
+                DynamicEvent(value, EventKind.AGENT_LOST, {"agent": "r0"})
+            elif field == "duration":
+                apply_event(
+                    desk_domain,
+                    DynamicEvent(
+                        0.0, EventKind.DURATION_CHANGED, {"task": tid, "duration": value}
+                    ),
+                )
+            else:
+                apply_event(
+                    desk_domain, DynamicEvent(0.0, EventKind.NEW_AGENT, {"agent": agent})
+                )
 
     def test_iteration_counter_advances(self, desk_domain):
         ev = generate_event(desk_domain, EventKind.DURATION_CHANGED, 0)
@@ -291,7 +316,7 @@ class TestLazyFrontier:
         for node in frontier:
             sched, *_ = evaluate(state, node.allocation)
             if sched is not None:
-                assert makespan_floor(node) <= sched.makespan + 1e-9
+                assert node.floor <= sched.makespan + 1e-9
 
     @pytest.mark.parametrize("case", ["duration_up", "duration_down", "task_lost"])
     def test_every_floor_stays_below_the_optimum(self, case, solved_desks):

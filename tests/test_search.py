@@ -2,31 +2,32 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from dynalloc.analysis import brute_force_optimal_makespan, oracle_travel
 from dynalloc.domain import resource_count
 from dynalloc.generator import generate_problem
-from dynalloc import search as search_mod
+from dynalloc import motion, search as search_mod
 from dynalloc.search import (
-    CLOSED,
     OPEN,
-    PRUNED,
     apr_value,
     expand,
-    make_node,
     materialize,
     min_open_apr,
     new_state,
     nsq_value,
-    run_search,
     search,
     tetaq_value,
 )
 from dynalloc.validation import solution_violations
 
 from conftest import build_domain, heap_violations
+
+
+def _acceptance_desks():
+    """The 20 desk domains of acceptance criterion 2 (seeds 100-119)."""
+    shapes = ((3, 4), (2, 4), (3, 3), (2, 3), (3, 2))
+    return [generate_problem(100 + i, *shapes[i % 5], 3) for i in range(20)]
 
 
 class TestScores:
@@ -74,6 +75,72 @@ class TestTrivialGoals:
 
 
 class TestLaziness:
+    @pytest.fixture(scope="class")
+    def desk_searches(self):
+        """Searches on the acceptance desk domains at alpha 0 and 0.25, with
+        each child ``expand`` returned as it stood at creation: (exact,
+        schedule, floor, the parent's floor)."""
+        created = []
+        real_expand = search_mod.expand
+
+        def recording_expand(state, node):
+            children = real_expand(state, node)
+            created.extend((c.exact, c.schedule, c.floor, node.floor) for c in children)
+            return children
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(search_mod, "expand", recording_expand)
+            results = [
+                search(domain, alpha)
+                for domain in _acceptance_desks()
+                for alpha in (0.0, 0.25)
+            ]
+        return results, created
+
+    def test_every_child_enters_the_frontier_lazy(self, desk_searches):
+        """Only ``materialize`` makes a node exact; a child starts from its
+        parent's floor."""
+        _, created = desk_searches
+        assert created
+        for exact, schedule, floor, parent_floor in created:
+            assert not exact
+            assert schedule is None
+            assert floor == parent_floor
+
+    def test_unhindered_new_robot_keeps_the_parent_schedule(self, desk_searches):
+        """A new robot assigned nowhere else in the parent adds no mutex pair;
+        if it also reaches the task no later than the parent starts it, the
+        child's warm solve returns the parent's start times and makespan."""
+        checked = 0
+        for result in desk_searches[0]:
+            assert result.reason == "solved"
+            state = result.state
+            domain = state.domain
+            classes = motion.capability_classes(domain.team, domain.world)
+            for node in state.nodes.values():
+                parent = node.parent
+                if parent is None or not node.exact:
+                    continue
+                old = parent.allocation.entries
+                m, n = divmod(int((node.allocation.entries != old).argmax()), old.shape[1])
+                if old[:, n].any():
+                    continue
+                rid = domain.team.robot_ids[n]
+                trip = motion.plan(
+                    state.roadmap,
+                    domain.world.robot_start_configs[rid],
+                    domain.network.tasks[m].initial_config,
+                    classes[rid],
+                    domain.world.robot_speeds[rid],
+                    state.plan_cache,
+                )
+                if trip is None or trip.duration > parent.schedule.start_times[m] + 1e-12:
+                    continue
+                checked += 1
+                assert node.schedule.start_times == parent.schedule.start_times
+                assert node.schedule.makespan == parent.schedule.makespan
+        assert checked
+
     def test_lazy_children_materialize_on_pop(self, desk_domain):
         state = new_state(desk_domain, 0.25, prm_samples=100, prm_k=6)
         root = state.pop()
@@ -120,9 +187,7 @@ class TestWarmStartedSchedules:
         """Solves warm-started from the parent and stopped at the node's floor
         give the same search as cold ones on the 20 acceptance desk domains."""
         cold_solve = search_mod.solve_schedule
-        shapes = ((3, 4), (2, 4), (3, 3), (2, 3), (3, 2))
-        for i in range(20):
-            domain = generate_problem(100 + i, *shapes[i % 5], 3)
+        for i, domain in enumerate(_acceptance_desks()):
             warm = search(domain, alpha)
             with monkeypatch.context() as m:
                 m.setattr(
