@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from . import problem_io, runner
-from .domain import resource_count, validate_problem
+from .domain import DomainError, resource_count, validate_problem
 from .generator import generate_problem
 from .search import search
 
@@ -59,6 +59,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refused(exc: DomainError) -> int:
+    """Report input the model refused as one JSON line on stderr; exit 2."""
+    kind = "parse" if isinstance(exc, problem_io.ParseError) else "input"
+    print(json.dumps({"error": kind, "message": str(exc)}), file=sys.stderr)
+    return 2
+
+
 def cmd_gen(args) -> int:
     domain = generate_problem(args.seed, args.robots, args.tasks, args.traits)
     args.out.mkdir(parents=True, exist_ok=True)
@@ -69,7 +76,10 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    domain = problem_io.load_domain(args.problem)
+    try:
+        domain = problem_io.load_domain(args.problem)
+    except DomainError as exc:
+        return _refused(exc)
     report = validate_problem(domain)
     if not report.ok:
         print(json.dumps([vars(i) for i in report.issues], indent=2), file=sys.stderr)
@@ -103,9 +113,8 @@ def cmd_run_scenario(args) -> int:
     try:
         domain = problem_io.load_domain(args.problem)
         events = problem_io.load_events(args.scenario)
-    except problem_io.ParseError as exc:
-        print(json.dumps({"error": "parse", "message": str(exc)}), file=sys.stderr)
-        return 2
+    except DomainError as exc:
+        return _refused(exc)
     try:
         result = runner.run_scenario(
             domain,
@@ -117,6 +126,8 @@ def cmd_run_scenario(args) -> int:
             args.prm_k,
             repetitions=args.reps,
         )
+    except DomainError as exc:
+        return _refused(exc)
     except runner.ScenarioError as exc:
         print(json.dumps({"error": "scenario", "message": str(exc)}), file=sys.stderr)
         return 1
@@ -130,7 +141,10 @@ def cmd_run_scenario(args) -> int:
 
 def cmd_bounds(args) -> int:
     if args.problem is not None:
-        domains = [problem_io.load_domain(args.problem)]
+        try:
+            domains = [problem_io.load_domain(args.problem)]
+        except DomainError as exc:
+            return _refused(exc)
     else:
         domains = [
             generate_problem(args.seed + i, args.robots, args.tasks, args.traits)

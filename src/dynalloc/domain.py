@@ -54,8 +54,8 @@ class TeamTraitMatrix:
             raise DimensionMismatchError("robot_ids length must equal row count")
         if len(self.trait_names) != u:
             raise DimensionMismatchError("trait_names length must equal column count")
-        if np.any(self.entries < 0):
-            raise DomainError("trait values must be non-negative")
+        if not np.all(np.isfinite(self.entries) & (self.entries >= 0)):
+            raise DomainError("trait values must be finite and non-negative")
 
     @property
     def n_robots(self) -> int:
@@ -76,8 +76,8 @@ class DesiredTraitMatrix:
         object.__setattr__(self, "entries", _frozen(self.entries))
         if self.entries.ndim != 2:
             raise DimensionMismatchError("desired trait matrix must be 2-D")
-        if np.any(self.entries < 0):
-            raise DomainError("required trait values must be non-negative")
+        if not np.all(np.isfinite(self.entries) & (self.entries >= 0)):
+            raise DomainError("required trait values must be finite and non-negative")
 
     @property
     def n_tasks(self) -> int:
@@ -176,27 +176,53 @@ class ProblemDomain:
 
 @dataclass(frozen=True)
 class Allocation:
-    """Binary robot-to-task assignment matrix, tasks x robots."""
+    """Binary robot-to-task assignment matrix, tasks x robots.
+
+    A matrix handed in by a caller is validated here, once: it must be 2-D
+    and every entry must equal 0 or 1 before the int8 cast, so 0.5, 257 or
+    -255 are refused rather than truncated. ``with_assignment`` derives a
+    child without re-checking it, since setting one cell of a valid matrix
+    to 1 keeps it valid. Every allocation carries its assignment ``count``
+    and its ``key``, so neither is recomputed from the matrix.
+    """
 
     entries: np.ndarray
+    count: int = field(init=False, repr=False, compare=False)
+    _key: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        arr = np.array(self.entries, dtype=np.int8)
-        if arr.ndim != 2:
+        raw = np.asarray(self.entries)
+        if raw.ndim != 2:
             raise DimensionMismatchError("allocation must be 2-D")
-        if not np.isin(arr, (0, 1)).all():
+        if not ((raw == 0) | (raw == 1)).all():
             raise DomainError("allocation entries must be 0 or 1")
+        arr = raw.astype(np.int8, order="C")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
+        object.__setattr__(self, "count", int(np.count_nonzero(arr)))
+        object.__setattr__(self, "_key", arr.tobytes())
 
     def key(self) -> bytes:
         """Canonical hashable form (shape is fixed per domain)."""
-        return self.entries.tobytes()
+        return self._key
+
+    def child_key(self, task: int, robot: int) -> bytes:
+        """``with_assignment(task, robot).key()``, without building the child."""
+        rows, cols = self.entries.shape
+        if not (0 <= task < rows and 0 <= robot < cols):
+            raise IndexError(f"cell ({task}, {robot}) outside a {rows}x{cols} allocation")
+        i = task * cols + robot
+        return self._key[:i] + b"\x01" + self._key[i + 1 :]
 
     def with_assignment(self, task: int, robot: int) -> "Allocation":
-        out = np.array(self.entries)
-        out[task, robot] = 1
-        return Allocation(out)
+        key = self.child_key(task, robot)
+        child = object.__new__(Allocation)
+        # a read-only view of the immutable key: no copy, no re-validation
+        entries = np.frombuffer(key, dtype=np.int8).reshape(self.entries.shape)
+        object.__setattr__(child, "entries", entries)
+        object.__setattr__(child, "count", self.count + 1 - int(self.entries[task, robot]))
+        object.__setattr__(child, "_key", key)
+        return child
 
 
 def aggregate_traits(alloc: Allocation, team: TeamTraitMatrix) -> np.ndarray:
@@ -229,7 +255,7 @@ def is_valid_allocation(
 
 
 def resource_count(alloc: Allocation) -> int:
-    return int(alloc.entries.sum())
+    return alloc.count
 
 
 def precedence_has_cycle(network: TaskNetwork) -> bool:

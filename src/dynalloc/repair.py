@@ -356,10 +356,9 @@ def handle_new_agent(state: SearchState, event: DynamicEvent) -> None:
         np.zeros((state.domain.n_tasks, state.domain.n_robots), dtype=np.int8)
     )
     for m in range(state.domain.n_tasks):
-        child_alloc = base.with_assignment(m, new_col)
-        if child_alloc.key() in state.nodes:
+        if base.child_key(m, new_col) in state.nodes:
             continue
-        child = make_node(state, child_alloc, parent=root)
+        child = make_node(state, base.with_assignment(m, new_col), parent=root)
         if child.status == OPEN:
             state.push(child)
 
@@ -419,9 +418,15 @@ def repair(
     The previous solution node is first returned to the frontier; after the
     kind-specific surgery it is re-certified under the new domain and, when
     it is still a goal, returned without any further expansion.
+
+    Every step is applied to the domain before the state is touched, so an
+    event that is refused leaves the retained state as it was.
     """
-    state.repair_reads += 1
     steps = decompose_mixed(state.domain, event)
+    domains = [state.domain]
+    for step in steps:
+        domains.append(apply_event(domains[-1], step))
+    state.repair_reads += 1
 
     # resolve the solution's node inside *this* state (the caller may hand
     # us a copied state whose node objects are distinct from solution.node)
@@ -436,9 +441,8 @@ def repair(
             sol_node.status = OPEN
             state.push(sol_node)
 
-    for step in steps:
-        old_domain = state.domain
-        state.domain = apply_event(old_domain, step)
+    for step, old_domain, new_domain in zip(steps, domains, domains[1:]):
+        state.domain = new_domain
         # handlers are called by name, never through a table, so that
         # wrappers bound to the module attributes see every call
         kind = step.kind

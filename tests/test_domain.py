@@ -37,6 +37,11 @@ def _team(rows):
     )
 
 
+def _draw_rows(data, n_rows, n_cols):
+    row = st.lists(st.floats(0, 3, allow_nan=False), min_size=n_cols, max_size=n_cols)
+    return data.draw(st.lists(row, min_size=n_rows, max_size=n_rows))
+
+
 class TestMatrices:
     def test_team_rejects_negative_traits(self):
         with pytest.raises(DomainError):
@@ -50,6 +55,15 @@ class TestMatrices:
         with pytest.raises(DomainError):
             DesiredTraitMatrix(np.array([[-1.0]]))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("matrix", ["team", "requirements"])
+    def test_non_finite_values_rejected(self, matrix, value):
+        with pytest.raises(DomainError):
+            if matrix == "team":
+                _team([[1.0, value]])
+            else:
+                DesiredTraitMatrix(np.array([[1.0, value]]))
+
     def test_entries_are_frozen(self):
         team = _team([[1.0]])
         with pytest.raises(ValueError):
@@ -60,6 +74,61 @@ class TestAllocation:
     def test_rejects_non_binary(self):
         with pytest.raises(DomainError):
             Allocation(np.array([[2]], dtype=np.int8))
+
+    @pytest.mark.parametrize(
+        "entries", [[[0.5, 1.0]], [[257, 0]], [[-255, 1]], [[math.nan, 0.0]]],
+        ids=["fraction", "wraps-to-1", "wraps-to-1-negative", "nan"],
+    )
+    def test_rejects_values_the_int8_cast_would_truncate(self, entries):
+        with pytest.raises(DomainError):
+            Allocation(np.array(entries))
+
+    @pytest.mark.parametrize("dtype", [bool, np.int8, float])
+    def test_accepts_binary_input_of_any_dtype(self, dtype):
+        a = Allocation(np.array([[1, 0], [1, 1]], dtype=dtype))
+        assert a.entries.dtype == np.int8
+        assert a.entries.tolist() == [[1, 0], [1, 1]]
+        assert resource_count(a) == 3
+
+    def test_rejects_non_2d(self):
+        with pytest.raises(DimensionMismatchError):
+            Allocation(np.zeros(3, dtype=np.int8))
+
+    def test_entries_are_frozen_and_copied(self):
+        source = np.zeros((2, 2), dtype=np.int8)
+        a = Allocation(source)
+        source[0, 0] = 1
+        assert a.entries[0, 0] == 0
+        with pytest.raises(ValueError):
+            a.entries[0, 0] = 1
+        with pytest.raises(ValueError):
+            a.with_assignment(0, 1).entries[0, 0] = 1
+
+    def test_with_assignment_rejects_cells_outside(self):
+        a = Allocation(np.zeros((2, 3), dtype=np.int8))
+        for task, robot in ((2, 0), (0, 3), (-1, 0)):
+            with pytest.raises(IndexError):
+                a.with_assignment(task, robot)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_derived_children_match_fresh_construction(self, data):
+        """A chain of ``with_assignment`` calls carries the same key, count and
+        apr as the same matrix validated from scratch, compared exactly."""
+        n_tasks = data.draw(st.integers(1, 4))
+        n_robots = data.draw(st.integers(1, 4))
+        n_traits = data.draw(st.integers(1, 3))
+        team = _team(_draw_rows(data, n_robots, n_traits))
+        req = DesiredTraitMatrix(np.array(_draw_rows(data, n_tasks, n_traits)))
+        cells = st.tuples(st.integers(0, n_tasks - 1), st.integers(0, n_robots - 1))
+        child = Allocation(np.zeros((n_tasks, n_robots), dtype=np.int8))
+        for task, robot in data.draw(st.lists(cells, max_size=2 * n_tasks * n_robots)):
+            expected_key = child.child_key(task, robot)
+            child = child.with_assignment(task, robot)
+            fresh = Allocation(np.array(child.entries))
+            assert child.key() == expected_key == fresh.key()
+            assert resource_count(child) == resource_count(fresh) == int(fresh.entries.sum())
+            assert apr_value(child, team, req) == apr_value(fresh, team, req)
 
     def test_with_assignment_is_a_copy(self):
         a = Allocation(np.zeros((2, 2), dtype=np.int8))

@@ -151,6 +151,46 @@ class TestCLI:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "event",
+        [
+            {"time": -1.0, "kind": "agent_lost", "payload": {"agent": "r0"}},
+            {"time": 1.0, "kind": "duration_changed",
+             "payload": {"task": "t0", "duration": float("inf")}},
+            {"time": 1.0, "kind": "agent_lost", "payload": {"agent": "ghost"}},
+        ],
+        ids=["negative-time", "infinite-duration", "unknown-agent"],
+    )
+    def test_run_scenario_reports_refused_events(self, tmp_path, capsys, event):
+        ppath, spath = tmp_path / "p.json", tmp_path / "s.json"
+        save_domain(generate_problem(0, 3, 4, 3), ppath)
+        spath.write_text(json.dumps({"events": [event]}))
+        rc = main(
+            ["run-scenario", str(ppath), str(spath), "--reps", "1",
+             "--out", str(tmp_path / "run")]
+        )
+        assert rc == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "input"
+
+    @pytest.mark.parametrize("command", ["solve", "run-scenario", "bounds"])
+    def test_refused_problem_reported_as_json(self, tmp_path, capsys, command):
+        data = domain_to_dict(generate_problem(0, 3, 4, 3))
+        data["tasks"][0]["requires"] = {data["traits"][0]: float("nan")}
+        ppath, spath = tmp_path / "p.json", tmp_path / "s.json"
+        ppath.write_text(json.dumps(data))
+        spath.write_text(json.dumps({"events": []}))
+        argv = {
+            "solve": ["solve", str(ppath)],
+            "run-scenario": ["run-scenario", str(ppath), str(spath)],
+            "bounds": ["bounds", "--problem", str(ppath)],
+        }[command]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert "finite" in json.loads(lines[0])["message"]
+
     def test_run_scenario_writes_outputs(self, tmp_path):
         domain = generate_problem(0, 3, 4, 3)
         out = tmp_path / "run"

@@ -249,6 +249,37 @@ class TestRepair:
         with pytest.raises(Exception):
             DynamicEvent(-1.0, EventKind.AGENT_LOST, {"agent": "r0"})
 
+    @pytest.mark.parametrize(
+        "kind, payload",
+        [
+            (EventKind.DURATION_CHANGED, {"task": "t0", "duration": math.inf}),
+            (EventKind.AGENT_LOST, {"agent": "ghost"}),
+        ],
+        ids=["infinite-duration", "unknown-agent"],
+    )
+    def test_refused_event_leaves_the_state_untouched(self, kind, payload):
+        domain = generate_problem(100, 3, 4, 3)
+        result = _solved(domain)
+        state = result.state
+        before = (
+            result.solution.node.status,
+            len(state.open_heap),
+            state.repair_reads,
+            state.domain,
+            dict(state.nodes),
+        )
+        assert before[0] == CLOSED
+        with pytest.raises(DomainError):
+            repair(state, result.solution, DynamicEvent(0.0, kind, payload))
+        after = (
+            result.solution.node.status,
+            len(state.open_heap),
+            state.repair_reads,
+            state.domain,
+            dict(state.nodes),
+        )
+        assert after == before
+
 
 def _eager_rescore_frontier(state):
     """Reference: the eager rescore that lazy demotion replaced.

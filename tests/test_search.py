@@ -5,7 +5,7 @@ import math
 import pytest
 
 from dynalloc.analysis import brute_force_optimal_makespan, oracle_travel
-from dynalloc.domain import resource_count
+from dynalloc.domain import Allocation, resource_count
 from dynalloc.generator import generate_problem
 from dynalloc import motion, search as search_mod
 from dynalloc.search import (
@@ -247,6 +247,21 @@ class TestStateBookkeeping:
         result = search(desk_domain, 0.25)
         keys = [n.allocation.key() for n in result.state.nodes.values()]
         assert len(keys) == len(set(keys))
+
+    def test_only_registered_children_are_built(self, desk_domain, monkeypatch):
+        """Duplicates are dropped by key before any child allocation exists."""
+        builds = []
+        original = Allocation.with_assignment
+
+        def counting(alloc, task, robot):
+            builds.append((task, robot))
+            return original(alloc, task, robot)
+
+        monkeypatch.setattr(Allocation, "with_assignment", counting)
+        result = search(desk_domain, 0.0)
+        assert result.reason == "solved"
+        assert result.state.stats.expansions > 1
+        assert len(builds) == len(result.state.nodes) - 1  # every node but the root
 
     def test_stale_heap_entries_skipped(self, desk_domain):
         state = new_state(desk_domain, 0.25)
