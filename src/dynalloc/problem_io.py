@@ -165,8 +165,22 @@ def domain_to_dict(domain: ProblemDomain) -> dict:
     }
 
 
+def _load(path, from_dict):
+    """``from_dict`` of one JSON file; a malformed file raises ParseError naming it.
+
+    Values the model itself refuses (a NaN trait, a negative event time)
+    keep their own ``DomainError``.
+    """
+    try:
+        return from_dict(json.loads(Path(path).read_text()))
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    except (OSError, ValueError, TypeError, KeyError, AttributeError, IndexError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
 def load_domain(path) -> ProblemDomain:
-    return domain_from_dict(json.loads(Path(path).read_text()))
+    return _load(path, domain_from_dict)
 
 
 def save_domain(domain: ProblemDomain, path) -> None:
@@ -189,7 +203,7 @@ def events_from_dict(data: dict) -> list[DynamicEvent]:
 
 
 def load_events(path) -> list[DynamicEvent]:
-    return events_from_dict(json.loads(Path(path).read_text()))
+    return _load(path, events_from_dict)
 
 
 def save_events(events: list[DynamicEvent], path) -> None:

@@ -23,7 +23,7 @@ from .analysis import (
     validate_bound,
 )
 from .domain import ProblemDomain, resource_count
-from .repair import DynamicEvent, apply_event, repair
+from .repair import DynamicEvent, apply_event, decompose_mixed, repair
 from .search import SearchResult, search
 from .validation import solution_violations
 
@@ -134,7 +134,10 @@ def run_scenario(
         out.records.append(_record(scenario_name, -1, "initial", run_mode, ms, result))
 
         for idx, event in enumerate(sorted(events, key=lambda e: e.time)):
-            next_domain = apply_event(current, event)
+            # a sign-mixed row change is applied as its pure steps, as repair does
+            next_domain = current
+            for step in decompose_mixed(current, event):
+                next_domain = apply_event(next_domain, step)
             if run_mode == "repair":
                 pre_reads = result.state.repair_reads
                 if repetitions > 1:

@@ -172,35 +172,6 @@ def stn_solve(
     return Schedule(tuple(starts), mk, dict(orderings))
 
 
-def _sequential_clique_bound(problem: SchedulingProblem) -> float:
-    """Static makespan floor from tasks known pairwise non-overlapping.
-
-    Any clique in the graph of precedence plus mutex pairs must run
-    sequentially, so its duration sum lower-bounds the makespan. Greedy
-    growth from each task; not maximal, but cheap and often tight.
-    """
-    n = len(problem.durations)
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for i, j in problem.precedence:
-        adj[i].add(j)
-        adj[j].add(i)
-    for i, j in problem.mutex_reduced:
-        adj[i].add(j)
-        adj[j].add(i)
-    d = problem.durations
-    order = sorted(range(n), key=lambda i: -d[i])
-    best = max(d, default=0.0)
-    for seed in order:
-        clique = {seed}
-        total = d[seed]
-        for cand in order:
-            if cand not in clique and clique <= adj[cand]:
-                clique.add(cand)
-                total += d[cand]
-        best = max(best, total)
-    return best
-
-
 def _warm_incumbent(
     comp: _Compiled, pairs, root_s, root_mk: float, hint: Schedule
 ) -> Schedule | None:
@@ -241,9 +212,8 @@ def solve_schedule(
     only shorten the makespan, so pruning against the incumbent is safe).
     Branching picks the undecided pair whose two one-step child bounds
     differ the most (ties broken by pair order), descending into the
-    cheaper direction first. A static floor, the larger of a
-    sequential-clique bound and the caller's ``floor``, allows early exit
-    once the incumbent provably cannot be improved.
+    cheaper direction first. The search ends as soon as the incumbent
+    meets the caller's ``floor``, the only static bound.
 
     ``floor`` must be a sound lower bound on the optimum: one above it can
     end the search on a suboptimal schedule. ``hint`` is a related
@@ -262,140 +232,103 @@ def solve_schedule(
     if not pairs:
         return Schedule(tuple(root_s), root_mk, {})
 
-    static_lb = max(_sequential_clique_bound(problem), floor)
     best_mk = math.inf
     best: Schedule | None = None
     if hint is not None:
         best = _warm_incumbent(comp, pairs, root_s, root_mk, hint)
         if best is not None:
             best_mk = best.makespan
-            if best_mk <= static_lb + FEAS_TOL:
+            if best_mk <= floor + FEAS_TOL:
                 return best
     dir_edge = comp.dir_edge
 
-    # Lookahead table: pair -> (makespan if forward, makespan if reverse),
-    # computed from the starts of the node where the entry was made. Starts
-    # only grow as orderings are fixed, so every entry stays a valid lower
-    # bound in the whole subtree; forcing and pruning against stale entries
-    # is sound. Each node refreshes only the most promising few candidates
-    # exactly (by stale gap), branching on the largest exact gap, so the
-    # per-node cost stays O(pairs) scalar work plus a handful of
+    def probe(s, mk, p):
+        """Lookahead entry of pair ``p`` at the node (s, mk), and its children.
+
+        The entry is (makespan if forward, makespan if reverse), inf where
+        the ordering closes a positive cycle; the children are
+        (makespan, edge, relaxation) in the same order.
+        """
+        kids = []
+        for edge in (dir_edge[p], dir_edge[(p[1], p[0])]):
+            res = comp.relax(s, (edge[0],), mk, extra=edge)
+            kids.append((math.inf if res is None else res[1], edge, res))
+        return (kids[0][0], kids[1][0]), kids
+
+    # Lookahead table: pair -> probe entry at the node where it was made.
+    # Starts only grow as orderings are fixed, so every entry stays a valid
+    # lower bound in the whole subtree; forcing and pruning against stale
+    # entries is sound. Each node refreshes only the most promising few
+    # candidates exactly (by stale gap), branching on the largest exact gap,
+    # so the per-node cost stays O(pairs) scalar work plus a handful of
     # incremental relaxations.
     refresh_width = 8
 
     def recurse(s_cur, mk_cur: float, undecided, la, orderings) -> None:
         nonlocal best, best_mk
         forced: list = []  # edges committed by unit propagation, undone on exit
-
-        def force(p, edge, res) -> bool:
-            """Commit a single direction; False when it cannot improve."""
-            nonlocal s_cur, mk_cur, undecided, orderings
-            if res is None or res[1] >= best_mk - FEAS_TOL:
-                return False
-            comp.add_edge(edge)
-            forced.append(edge)
-            orderings = {**orderings, p: (edge[0], edge[1])}
-            s_cur, mk_cur = res
-            undecided = [q for q in undecided if q != p]
-            return True
-
         try:
             while True:
-                if best_mk <= static_lb + FEAS_TOL or mk_cur >= best_mk - FEAS_TOL:
+                if best_mk <= floor + FEAS_TOL or mk_cur >= best_mk - FEAS_TOL:
                     return
                 if not undecided:
                     best_mk = mk_cur
                     best = Schedule(tuple(s_cur), mk_cur, dict(orderings))
                     return
-                node_lb = mk_cur
-                forced_now = False
+                cut = best_mk - FEAS_TOL
+                fresh = None  # the children of p when its entry was just probed
                 scored = []
                 for p in undecided:
                     mk_f, mk_r = la[p]
-                    f_dead = mk_f >= best_mk - FEAS_TOL
-                    r_dead = mk_r >= best_mk - FEAS_TOL
-                    if f_dead and r_dead:
-                        return  # no completion of this node can improve
-                    if f_dead or r_dead:
-                        edge = dir_edge[(p[1], p[0])] if f_dead else dir_edge[p]
-                        res = comp.relax(s_cur, (edge[0],), mk_cur, extra=edge)
-                        if not force(p, edge, res):
-                            return
-                        forced_now = True
+                    if mk_f >= cut or mk_r >= cut:
                         break
-                    low = mk_f if mk_f < mk_r else mk_r
-                    if low > node_lb:
-                        node_lb = low
                     scored.append((abs(mk_f - mk_r), p))
-                if forced_now:
-                    continue
-                if node_lb >= best_mk - FEAS_TOL:
-                    return  # every completion must decide some pair at >= node_lb
-                # refresh the widest-gap candidates exactly
-                scored.sort(reverse=True)
-                la = dict(la)
-                best_pair = None
-                best_gap = -1.0
-                best_children = None
-                for _, p in scored[:refresh_width]:
-                    fwd_e = dir_edge[p]
-                    rev_e = dir_edge[(p[1], p[0])]
-                    res_f = comp.relax(s_cur, (fwd_e[0],), mk_cur, extra=fwd_e)
-                    res_r = comp.relax(s_cur, (rev_e[0],), mk_cur, extra=rev_e)
-                    mk_f = math.inf if res_f is None else res_f[1]
-                    mk_r = math.inf if res_r is None else res_r[1]
-                    la[p] = (mk_f, mk_r)
-                    f_dead = mk_f >= best_mk - FEAS_TOL
-                    r_dead = mk_r >= best_mk - FEAS_TOL
-                    if f_dead and r_dead:
+                else:
+                    # no stale entry has a dead direction: refresh the widest gaps
+                    scored.sort(reverse=True)
+                    la = dict(la)
+                    best_gap = -1.0
+                    for _, p in scored[:refresh_width]:
+                        la[p], kids = probe(s_cur, mk_cur, p)
+                        mk_f, mk_r = la[p]
+                        if mk_f >= cut or mk_r >= cut:
+                            fresh = kids
+                            break
+                        if abs(mk_f - mk_r) > best_gap:
+                            best_gap = abs(mk_f - mk_r)
+                            branch, children = p, kids
+                    else:
+                        break  # every refreshed pair is open both ways: branch
+                # settle p, reached by a break above: its entry has a dead direction
+                r_live = mk_f >= cut
+                if r_live and mk_r >= cut:
+                    return  # no completion of this node can improve
+                if fresh is None:  # stale entry: relax the live edge from here
+                    edge = dir_edge[(p[1], p[0]) if r_live else p]
+                    res = comp.relax(s_cur, (edge[0],), mk_cur, extra=edge)
+                    if res is None or res[1] >= cut:
                         return
-                    if f_dead or r_dead:
-                        res, edge = (res_r, rev_e) if f_dead else (res_f, fwd_e)
-                        if not force(p, edge, res):
-                            return
-                        forced_now = True
-                        break
-                    low = mk_f if mk_f < mk_r else mk_r
-                    if low > node_lb:
-                        node_lb = low
-                    gap = abs(mk_f - mk_r)
-                    if gap > best_gap:
-                        best_gap = gap
-                        best_pair = p
-                        best_children = ((mk_f, fwd_e, res_f), (mk_r, rev_e, res_r))
-                if forced_now:
-                    continue
-                if node_lb >= best_mk - FEAS_TOL:
-                    return
-                break
-            assert best_pair is not None and best_children is not None
-            rest = [q for q in undecided if q != best_pair]
-            for mk, edge, res in sorted(best_children, key=lambda c: c[0]):
+                else:  # fresh entry: its live direction is finite and below the cut
+                    _, edge, res = fresh[r_live]
+                comp.add_edge(edge)
+                forced.append(edge)
+                orderings = {**orderings, p: (edge[0], edge[1])}
+                s_cur, mk_cur = res
+                undecided = [q for q in undecided if q != p]
+            rest = [q for q in undecided if q != branch]
+            for mk, edge, res in sorted(children, key=lambda c: c[0]):
                 if mk >= best_mk - FEAS_TOL:
                     continue
                 comp.add_edge(edge)
-                recurse(
-                    res[0], mk, rest, la,
-                    {**orderings, best_pair: (edge[0], edge[1])},
-                )
+                recurse(res[0], mk, rest, la, {**orderings, branch: (edge[0], edge[1])})
                 comp.pop_edge(edge)
-                if best_mk <= static_lb + FEAS_TOL:
-                    return  # incumbent meets the static floor: provably optimal
+                if best_mk <= floor + FEAS_TOL:
+                    return  # incumbent meets the floor: provably optimal
         finally:
             for edge in reversed(forced):
                 comp.pop_edge(edge)
 
-    root_la = {}
-    for p in pairs:
-        fwd_e = dir_edge[p]
-        rev_e = dir_edge[(p[1], p[0])]
-        res_f = comp.relax(root_s, (fwd_e[0],), root_mk, extra=fwd_e)
-        res_r = comp.relax(root_s, (rev_e[0],), root_mk, extra=rev_e)
-        root_la[p] = (
-            math.inf if res_f is None else res_f[1],
-            math.inf if res_r is None else res_r[1],
-        )
-    recurse(root_s, root_mk, pairs, root_la, {})
+    recurse(root_s, root_mk, pairs, {p: probe(root_s, root_mk, p)[0] for p in pairs}, {})
     return best
 
 

@@ -369,10 +369,6 @@ class SearchResult:
     min_open_apr: float
     state: SearchState
 
-    @property
-    def exhausted(self) -> bool:
-        return self.solution is None
-
 
 def min_open_apr(state: SearchState) -> float:
     values = [n.apr for n in state.nodes.values() if n.status == OPEN]

@@ -18,7 +18,7 @@ from dynalloc.problem_io import (
     save_domain,
     save_events,
 )
-from dynalloc.repair import EventKind
+from dynalloc.repair import DynamicEvent, EventKind, decompose_mixed
 from dynalloc.runner import TIMING_COLUMNS, run_scenario, write_results
 
 
@@ -191,6 +191,41 @@ class TestCLI:
         assert len(lines) == 1
         assert "finite" in json.loads(lines[0])["message"]
 
+    @pytest.mark.parametrize(
+        "bad_file, text",
+        [
+            ("p.json", '{"traits": ['),
+            ("p.json", None),
+            ("p.json", "robots"),
+            ("s.json", json.dumps(
+                {"events": [{"time": "x", "kind": "agent_lost", "payload": {"agent": "r0"}}]}
+            )),
+        ],
+        ids=["truncated", "missing-path", "robots-not-a-list", "non-numeric-time"],
+    )
+    def test_malformed_file_reported_as_parse_error(self, tmp_path, capsys, bad_file, text):
+        ppath, spath = tmp_path / "p.json", tmp_path / "s.json"
+        data = domain_to_dict(generate_problem(0, 3, 4, 3))
+        if text == "robots":
+            data["robots"] = 5
+        ppath.write_text(json.dumps(data))
+        spath.write_text(json.dumps({"events": []}))
+        bad = tmp_path / bad_file
+        if text is None:
+            bad.unlink()
+        elif text != "robots":
+            bad.write_text(text)
+        rc = main(
+            ["run-scenario", str(ppath), str(spath), "--reps", "1",
+             "--out", str(tmp_path / "run")]
+        )
+        assert rc == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "parse"
+        assert str(bad) in err["message"]
+
     def test_run_scenario_writes_outputs(self, tmp_path):
         domain = generate_problem(0, 3, 4, 3)
         out = tmp_path / "run"
@@ -233,6 +268,19 @@ class TestDeterminism:
         assert _csv_without_timing(dirs[0] / "results.csv") == _csv_without_timing(
             dirs[1] / "results.csv"
         )
+
+    def test_sign_mixed_event_runs_in_both_modes(self):
+        domain = generate_problem(0, 3, 4, 3)
+        event = DynamicEvent(
+            1.0,
+            EventKind.TRAITS_INCREASED,
+            {"agent": "r0", "traits": {"trait0": 1.0, "trait2": 1.5}},  # up and down
+        )
+        assert len(decompose_mixed(domain, event)) == 2
+        result = run_scenario(domain, [event], "both", alpha=0.25, repetitions=1)
+        assert [(r.mode, r.event_index) for r in result.records] == [
+            ("repair", -1), ("repair", 0), ("recompute", -1), ("recompute", 0)
+        ]
 
     def test_gen_output_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
