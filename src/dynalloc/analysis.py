@@ -99,7 +99,8 @@ def posthoc_bound(
     return best
 
 
-def _guard(domain: ProblemDomain) -> None:
+def check_enumerable(domain: ProblemDomain) -> None:
+    """Raise ``BoundError`` when the domain is too large for the oracles."""
     cells = domain.n_tasks * domain.n_robots
     if cells > BRUTE_FORCE_CELL_LIMIT:
         raise BoundError(
@@ -122,7 +123,7 @@ def brute_force_optimal_makespan(domain: ProblemDomain, travel) -> float:
     ``travel`` should use instantiated plans; math.inf when no valid
     allocation is schedulable.
     """
-    _guard(domain)
+    check_enumerable(domain)
     best = math.inf
     for alloc in _enumerate_valid(domain):
         sched = solve_schedule(build_scheduling_problem(domain, alloc, travel))
@@ -133,7 +134,7 @@ def brute_force_optimal_makespan(domain: ProblemDomain, travel) -> float:
 
 def brute_force_min_assignments(domain: ProblemDomain, travel) -> float:
     """Fewest assignments among valid, schedulable allocations; inf if none."""
-    _guard(domain)
+    check_enumerable(domain)
     best = math.inf
     for alloc in _enumerate_valid(domain):
         rc = resource_count(alloc)
@@ -171,7 +172,7 @@ def validate_bound(
     ``optimal`` may be passed in when sweeping several alphas over one
     domain (the oracle value does not depend on alpha).
     """
-    _guard(domain)
+    check_enumerable(domain)
     result: SearchResult = search(domain, alpha, prm_samples, prm_k, seed)
     if result.solution is None:
         raise BoundError(f"search did not find a solution ({result.reason})")
@@ -282,7 +283,7 @@ def validate_resource_count(
     seed: int = 0,
 ) -> ResourceReport:
     """Compare the alpha = 1 search's assignment count with the oracle."""
-    _guard(domain)
+    check_enumerable(domain)
     solution, tie_free, _ = search_min_resources(domain, prm_samples, prm_k, seed)
     if solution is None:
         raise BoundError("alpha=1 search found no solution")

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 from . import problem_io, runner
+from .analysis import BoundError, check_enumerable
 from .domain import DomainError, resource_count, validate_problem
 from .generator import generate_problem
 from .search import search
@@ -59,11 +60,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _refused(exc: DomainError) -> int:
+def _refused(exc: DomainError | BoundError) -> int:
     """Report input the model refused as one JSON line on stderr; exit 2."""
     kind = "parse" if isinstance(exc, problem_io.ParseError) else "input"
     print(json.dumps({"error": kind, "message": str(exc)}), file=sys.stderr)
     return 2
+
+
+def _load_problem(path: Path):
+    """(domain, 0) for a valid problem file, else (None, 2) once it is reported.
+
+    A file the model refuses is one JSON line; a well-formed problem that
+    fails ``validate_problem`` is the list of its issues.
+    """
+    try:
+        domain = problem_io.load_domain(path)
+    except DomainError as exc:
+        return None, _refused(exc)
+    report = validate_problem(domain)
+    if not report.ok:
+        print(json.dumps([vars(i) for i in report.issues], indent=2), file=sys.stderr)
+        return None, 2
+    return domain, 0
 
 
 def cmd_gen(args) -> int:
@@ -76,14 +94,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    try:
-        domain = problem_io.load_domain(args.problem)
-    except DomainError as exc:
-        return _refused(exc)
-    report = validate_problem(domain)
-    if not report.ok:
-        print(json.dumps([vars(i) for i in report.issues], indent=2), file=sys.stderr)
-        return 2
+    domain, status = _load_problem(args.problem)
+    if domain is None:
+        return status
     result = search(
         domain,
         args.alpha,
@@ -110,8 +123,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_run_scenario(args) -> int:
+    domain, status = _load_problem(args.problem)
+    if domain is None:
+        return status
     try:
-        domain = problem_io.load_domain(args.problem)
         events = problem_io.load_events(args.scenario)
     except DomainError as exc:
         return _refused(exc)
@@ -141,10 +156,10 @@ def cmd_run_scenario(args) -> int:
 
 def cmd_bounds(args) -> int:
     if args.problem is not None:
-        try:
-            domains = [problem_io.load_domain(args.problem)]
-        except DomainError as exc:
-            return _refused(exc)
+        domain, status = _load_problem(args.problem)
+        if domain is None:
+            return status
+        domains = [domain]
     else:
         domains = [
             generate_problem(args.seed + i, args.robots, args.tasks, args.traits)
@@ -157,6 +172,11 @@ def cmd_bounds(args) -> int:
                 file=sys.stderr,
             )
             return 2
+    for domain in domains:  # refuse an oversized domain before any search runs
+        try:
+            check_enumerable(domain)
+        except BoundError as exc:
+            return _refused(exc)
     reports = runner.run_bounds_sweep(
         domains, list(args.alphas), args.prm_samples, args.prm_k, args.seed
     )

@@ -210,10 +210,13 @@ def solve_schedule(
     Branch-and-bound: each node fixes a subset of orderings; its bound is
     the STN relaxation ignoring undecided pairs (dropping constraints can
     only shorten the makespan, so pruning against the incumbent is safe).
-    Branching picks the undecided pair whose two one-step child bounds
-    differ the most (ties broken by pair order), descending into the
-    cheaper direction first. The search ends as soon as the incumbent
-    meets the caller's ``floor``, the only static bound.
+    Branching is max-min strong branching (Achterberg, Koch & Martin, OR
+    Letters 2005): each undecided pair is probed one step in both
+    directions, and the search branches on the pair whose weaker child has
+    the largest bound (the first such pair in probe order), descending into
+    the cheaper direction first. A pair with a dead direction is forced
+    instead. The search ends as soon as the incumbent meets the caller's
+    ``floor``, the only static bound.
 
     ``floor`` must be a sound lower bound on the optimum: one above it can
     end the search on a suboptimal schedule. ``hint`` is a related
@@ -258,11 +261,10 @@ def solve_schedule(
     # Lookahead table: pair -> probe entry at the node where it was made.
     # Starts only grow as orderings are fixed, so every entry stays a valid
     # lower bound in the whole subtree; forcing and pruning against stale
-    # entries is sound. Each node refreshes only the most promising few
-    # candidates exactly (by stale gap), branching on the largest exact gap,
-    # so the per-node cost stays O(pairs) scalar work plus a handful of
-    # incremental relaxations.
-    refresh_width = 8
+    # entries is sound. When no stale entry forces a pair, the node re-probes
+    # every pair in order of stale gap, stopping at the first fresh entry
+    # with a dead direction, and otherwise branches on the pair whose weaker
+    # child bound is the largest (max-min strong branching).
 
     def recurse(s_cur, mk_cur: float, undecided, la, orderings) -> None:
         nonlocal best, best_mk
@@ -284,18 +286,18 @@ def solve_schedule(
                         break
                     scored.append((abs(mk_f - mk_r), p))
                 else:
-                    # no stale entry has a dead direction: refresh the widest gaps
+                    # no stale entry has a dead direction: refresh every pair
                     scored.sort(reverse=True)
                     la = dict(la)
-                    best_gap = -1.0
-                    for _, p in scored[:refresh_width]:
+                    best_min = -1.0
+                    for _, p in scored:
                         la[p], kids = probe(s_cur, mk_cur, p)
                         mk_f, mk_r = la[p]
                         if mk_f >= cut or mk_r >= cut:
                             fresh = kids
                             break
-                        if abs(mk_f - mk_r) > best_gap:
-                            best_gap = abs(mk_f - mk_r)
+                        if min(mk_f, mk_r) > best_min:
+                            best_min = min(mk_f, mk_r)
                             branch, children = p, kids
                     else:
                         break  # every refreshed pair is open both ways: branch

@@ -191,6 +191,36 @@ class TestCLI:
         assert len(lines) == 1
         assert "finite" in json.loads(lines[0])["message"]
 
+    @pytest.mark.parametrize("command", ["run-scenario", "bounds"])
+    def test_invalid_problem_reported_like_solve(self, tmp_path, capsys, command):
+        """A parsable but invalid problem lists its issues and exits 2, as in solve."""
+        data = domain_to_dict(generate_problem(0, 3, 4, 3))
+        data["precedence"] = [["t0", "t1"], ["t1", "t0"]]
+        ppath, spath = tmp_path / "p.json", tmp_path / "s.json"
+        ppath.write_text(json.dumps(data))
+        spath.write_text(json.dumps({"events": []}))
+        argv = {
+            "run-scenario": ["run-scenario", str(ppath), str(spath), "--reps", "1"],
+            "bounds": ["bounds", "--problem", str(ppath)],
+        }[command]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        issues = json.loads(capsys.readouterr().err)
+        assert [i["code"] for i in issues] == ["CYCLIC_PRECEDENCE"]
+        assert not (tmp_path / "out").exists()
+
+    def test_bounds_refuses_a_domain_over_the_enumeration_guard(self, tmp_path, capsys):
+        """4 robots x 4 tasks is 16 cells, over the guard: refused before any search."""
+        rc = main(
+            ["bounds", "--robots", "4", "--tasks", "4", "--out", str(tmp_path / "out")]
+        )
+        assert rc == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "input"
+        assert "16 allocation cells" in err["message"]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "bad_file, text",
         [

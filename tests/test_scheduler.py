@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynalloc import search as search_module
 from dynalloc.domain import Allocation
+from dynalloc.generator import generate_problem
 from dynalloc.scheduler import (
     INFEASIBLE,
     Schedule,
@@ -26,6 +28,7 @@ from dynalloc.scheduler import (
     solve_schedule,
     stn_solve,
 )
+from dynalloc.search import search
 from dynalloc.validation import schedule_violations
 
 from conftest import build_domain
@@ -109,6 +112,20 @@ def random_problem(rng, max_tasks=8, max_mutex=6) -> SchedulingProblem:
 
 
 # ----------------------------------------------------------------- tests
+
+
+@pytest.fixture
+def relax_calls(monkeypatch):
+    """A list that gains one entry per ``_Compiled.relax`` call."""
+    calls = []
+    relax = _Compiled.relax
+
+    def counted(self, *args, **kwargs):
+        calls.append(None)
+        return relax(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Compiled, "relax", counted)
+    return calls
 
 
 class TestFixedOrderingSolve:
@@ -230,19 +247,6 @@ class TestWarmStart:
         problems = [random_problem(rng, max_tasks=8, max_mutex=6) for _ in range(200)]
         return [(p, oracle_min_makespan(p)) for p in problems]
 
-    @pytest.fixture
-    def relax_calls(self, monkeypatch):
-        """A list that gains one entry per ``_Compiled.relax`` call."""
-        calls = []
-        relax = _Compiled.relax
-
-        def counted(self, *args, **kwargs):
-            calls.append(None)
-            return relax(self, *args, **kwargs)
-
-        monkeypatch.setattr(_Compiled, "relax", counted)
-        return calls
-
     @staticmethod
     def _solve_at_the_optimum(cases, make_hint):
         """Solve every case with ``floor`` at its optimum and the given hint."""
@@ -318,6 +322,93 @@ class TestWarmStart:
             assert len(relax_calls) <= 2
             assert abs(warm.makespan - oracle) <= MK_TOL
         assert branched > 0
+
+
+def _milp_optimum(problem: SchedulingProblem, optimize):
+    """HiGHS's dual bound and optimal orientation for the disjunctive big-M model.
+
+    Binary ``y`` per mutex pair (i, j) is 1 when i goes first; each direction's
+    edge is switched off by ``big_m`` in the other. Starts are capped at
+    ``horizon``, the longest any acyclic orientation's least starts can be,
+    which keeps the big-M valid.
+    """
+    n, d = len(problem.durations), problem.durations
+    pairs = sorted(problem.mutex_reduced)
+    arrivals = [problem.initial_arrivals.get(i, 0.0) for i in range(n)]
+    edges = sorted(problem.precedence) + pairs + [(j, i) for i, j in pairs]
+    weight = {(i, j): d[i] + problem.transition(i, j) for i, j in edges}
+    longest_out = [0.0] * n
+    for (i, _), w in weight.items():
+        longest_out[i] = max(longest_out[i], w)
+    horizon = max(arrivals) + sum(longest_out)
+    big_m = horizon + max(weight.values(), default=0.0)
+    cmax, ys = n, n + 1  # variable layout: starts, makespan, one y per pair
+    rows, lower = [], []
+
+    def constraint(coefs, lb):
+        row = np.zeros(ys + len(pairs))
+        for k, v in coefs:
+            row[k] += v
+        rows.append(row)
+        lower.append(lb)
+
+    for i in range(n):
+        constraint([(cmax, 1.0), (i, -1.0)], d[i])
+    for i, j in problem.precedence:
+        constraint([(j, 1.0), (i, -1.0)], weight[(i, j)])
+    for k, (i, j) in enumerate(pairs):
+        constraint([(j, 1.0), (i, -1.0), (ys + k, -big_m)], weight[(i, j)] - big_m)
+        constraint([(i, 1.0), (j, -1.0), (ys + k, big_m)], weight[(j, i)])
+    cost = np.zeros(ys + len(pairs))
+    cost[cmax] = 1.0
+    res = optimize.milp(
+        cost,
+        constraints=optimize.LinearConstraint(np.array(rows), lb=np.array(lower)),
+        integrality=np.array([0] * ys + [1] * len(pairs)),
+        bounds=optimize.Bounds(
+            arrivals + [0.0] + [0.0] * len(pairs),
+            [horizon] * n + [horizon + max(d)] + [1.0] * len(pairs),
+        ),
+        options={"mip_rel_gap": 0.0},
+    )
+    assert res.status == 0, res.message
+    orientation = {
+        (i, j): (i, j) if res.x[ys + k] > 0.5 else (j, i) for k, (i, j) in enumerate(pairs)
+    }
+    return res.mip_dual_bound, orientation
+
+
+class TestBenchScale:
+    """Warm solves of ``search`` on the 8-robot, 15-task, 4-trait bench domains."""
+
+    def test_relax_budget_on_seed_503(self, relax_calls):
+        """Seed 503 holds the heaviest solves; max-min branching makes about
+        68k relaxations there, where branching on the widest gap made 247k."""
+        search(generate_problem(503, 8, 15, 4), 0.25)
+        assert len(relax_calls) <= 100_000
+
+    def test_warm_solves_match_a_milp_oracle(self, monkeypatch):
+        """Every solve with at least 45 mutex pairs, and every 25th of the rest,
+        lies between HiGHS's dual bound and the makespan of HiGHS's orientation
+        re-solved by ``stn_solve``. HiGHS's bound can sit up to 1e-6 low."""
+        optimize = pytest.importorskip("scipy.optimize")
+        solves = []
+
+        def capture(problem, floor=0.0, hint=None):
+            sched = solve_schedule(problem, floor, hint)
+            solves.append((problem, sched))
+            return sched
+
+        monkeypatch.setattr(search_module, "solve_schedule", capture)
+        for seed in range(500, 510):
+            search(generate_problem(seed, 8, 15, 4), 0.25)
+        heavy = [c for c in solves if len(c[0].mutex_reduced) >= 45]
+        rest = [c for c in solves if len(c[0].mutex_reduced) < 45]
+        assert len(heavy) >= 10
+        for problem, sched in heavy + rest[::25]:
+            dual, orientation = _milp_optimum(problem, optimize)
+            assert sched.makespan <= stn_solve(problem, orientation).makespan + MK_TOL
+            assert sched.makespan >= dual - 1e-6
 
 
 class TestBounds:
