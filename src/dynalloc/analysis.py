@@ -147,11 +147,12 @@ def brute_force_min_assignments(domain: ProblemDomain, travel) -> float:
 
 
 def oracle_travel(domain: ProblemDomain, prm_samples: int = 200, prm_k: int = 8, seed: int = 0):
-    """Plan-backed travel provider built fresh, outside any search state.
+    """Plan-backed travel provider outside any search state.
 
-    Roadmap construction is deterministic in (world, samples, k, seed), so
-    this reproduces exactly the travel times a search with the same
-    parameters uses, without sharing its caches.
+    It gets the roadmap a search with the same (world, samples, k, seed)
+    uses, the same immutable object within a process, so it prices trips
+    exactly as that search does. It keeps its own ``PlanCache``, so its
+    queries never move a search's plan counters.
     """
     roadmap = motion.build_roadmap(
         domain.world, motion.mandatory_vertices(domain), prm_samples, prm_k, seed

@@ -67,6 +67,28 @@ def _refused(exc: DomainError | BoundError) -> int:
     return 2
 
 
+def _argument_error(args) -> DomainError | BoundError | None:
+    """Why the search arguments cannot be used, or None when they can.
+
+    ``bounds`` keeps each of its alphas below 0.5, where the gap bound still
+    means something; ``solve`` and ``run-scenario`` take one alpha in
+    [0, 1]. NaN lies in neither range.
+    """
+    if args.command == "bounds":
+        for a in args.alphas:
+            if not 0.0 <= a < 0.5:
+                return BoundError(
+                    f"alpha={a} rejected: the gap bound loses significance at alpha >= 0.5"
+                )
+    elif not 0.0 <= args.alpha <= 1.0:
+        return DomainError(f"alpha={args.alpha} rejected: alpha must lie in [0, 1]")
+    if args.prm_samples < 1:
+        return DomainError(
+            f"--prm-samples {args.prm_samples} rejected: a roadmap needs at least 1 sample"
+        )
+    return None
+
+
 def _load_problem(path: Path):
     """(domain, 0) for a valid problem file, else (None, 2) once it is reported.
 
@@ -165,13 +187,6 @@ def cmd_bounds(args) -> int:
             generate_problem(args.seed + i, args.robots, args.tasks, args.traits)
             for i in range(args.instances)
         ]
-    for a in args.alphas:
-        if not 0.0 <= a < 0.5:
-            print(
-                f"alpha={a} rejected: the gap bound loses significance at alpha >= 0.5",
-                file=sys.stderr,
-            )
-            return 2
     for domain in domains:  # refuse an oversized domain before any search runs
         try:
             check_enumerable(domain)
@@ -187,6 +202,10 @@ def cmd_bounds(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.command != "gen":  # refuse unusable arguments before any domain is read
+        error = _argument_error(args)
+        if error is not None:
+            return _refused(error)
     return {
         "gen": cmd_gen,
         "solve": cmd_solve,

@@ -1,21 +1,27 @@
 """Probabilistic roadmap planning with memoized, capability-shared plans.
 
-The roadmap is built once per world with every task site and robot start
-forced in as a vertex, so path queries never need on-the-fly sampling.
-Plans are cached per capability class: robots with identical trait rows
-and speed reuse each other's plans.
+A roadmap is built with every task site and robot start forced in as a
+vertex, so path queries never need on-the-fly sampling. It depends only on
+the world, those vertices, the sample count, k and the seed, so a process
+builds it once per set of these inputs and hands every caller the same
+immutable ``Roadmap``. Each roadmap keeps one shortest-path tree per source
+vertex it was queried from; a path query only reads its path off the tree.
+Plans are cached per capability class, per search state: robots with
+identical trait rows and speed reuse each other's plans.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .domain import ProblemDomain, TeamTraitMatrix, WorldModel
-from .geometry import Point, point_in_any, segment_collides
+from .geometry import Point, Shape, point_in_any, segment_collides
 
 
 class RoadmapError(Exception):
@@ -27,6 +33,11 @@ class Roadmap:
     vertices: tuple[Point, ...]
     adjacency: dict[int, tuple[tuple[int, float], ...]]
     total_edge_length: float
+    # source vertex -> (dist, prev) by vertex index, filled by the first query
+    # from that source; prev is -1 at the source and at unreachable vertices
+    trees: dict[int, tuple[array, array]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     def vertex_index(self, p: Point) -> int:
         # mandatory vertices are inserted exactly, so lookup is by equality
@@ -99,12 +110,35 @@ def build_roadmap(
 ) -> Roadmap:
     """Sample free space, force mandatory vertices, connect k nearest.
 
-    Deterministic for a fixed seed. Raises when rejection sampling cannot
-    find a single free sample within the cap.
+    Deterministic for a fixed seed, and memoized on these inputs: asking
+    again for the same roadmap returns the same object. Raises when
+    rejection sampling cannot find a single free sample within the cap; an
+    error is not memoized.
     """
+    return _build_roadmap(
+        tuple(world.bounds),
+        world.obstacles,
+        tuple(tuple(p) for p in mandatory),
+        n_samples,
+        k_neighbors,
+        seed,
+        rejection_cap_factor,
+    )
+
+
+@functools.lru_cache(maxsize=8)
+def _build_roadmap(
+    bounds: tuple[float, float, float, float],
+    obstacles: tuple[Shape, ...],
+    mandatory: tuple[Point, ...],
+    n_samples: int,
+    k_neighbors: int,
+    seed: int,
+    rejection_cap_factor: int,
+) -> Roadmap:
     if n_samples < 1:
         raise RoadmapError("n_samples must be >= 1")
-    xmin, ymin, xmax, ymax = world.bounds
+    xmin, ymin, xmax, ymax = bounds
     if xmax <= xmin or ymax <= ymin:
         raise RoadmapError("world bounds are degenerate")
 
@@ -115,12 +149,12 @@ def build_roadmap(
     while len(free) < n_samples and attempts < cap:
         attempts += 1
         p = (float(rng.uniform(xmin, xmax)), float(rng.uniform(ymin, ymax)))
-        if not point_in_any(p, world.obstacles):
+        if not point_in_any(p, obstacles):
             free.append(p)
     if not free:
         raise RoadmapError(f"no free sample found in {cap} attempts")
 
-    vertices = list(dict.fromkeys([tuple(p) for p in mandatory] + free))
+    vertices = list(dict.fromkeys(list(mandatory) + free))
     pts = np.array(vertices)
     n = len(vertices)
     k = min(k_neighbors, n - 1)
@@ -135,7 +169,7 @@ def build_roadmap(
             e = (min(i, j), max(i, j))
             if e in edges:
                 continue
-            if segment_collides(vertices[i], vertices[j], world.obstacles):
+            if segment_collides(vertices[i], vertices[j], obstacles):
                 continue
             edges.add(e)
             lengths[e] = float(d[j])
@@ -151,28 +185,44 @@ def build_roadmap(
     )
 
 
-def _dijkstra(roadmap: Roadmap, src: int, dst: int) -> tuple[list[int], float] | None:
-    dist = {src: 0.0}
-    prev: dict[int, int] = {}
+def _shortest_path_tree(roadmap: Roadmap, src: int) -> tuple[array, array]:
+    """Single-source Dijkstra over the whole roadmap: (dist, prev) by vertex.
+
+    It pops vertices in the order a search stopped at any one of them
+    would, and a popped vertex's dist and prev never change, so a path read
+    off the tree is the one that search returns, bit for bit.
+    """
+    n = len(roadmap.vertices)
+    dist = array("d", [math.inf]) * n
+    prev = array("i", [-1]) * n
+    done = bytearray(n)
+    dist[src] = 0.0
     heap = [(0.0, src)]
-    done: set[int] = set()
     while heap:
         d, v = heapq.heappop(heap)
-        if v in done:
+        if done[v]:
             continue
-        done.add(v)
-        if v == dst:
-            path = [dst]
-            while path[-1] != src:
-                path.append(prev[path[-1]])
-            return path[::-1], d
+        done[v] = 1
         for w, ln in roadmap.adjacency.get(v, ()):
             nd = d + ln
-            if nd < dist.get(w, math.inf):
+            if nd < dist[w]:
                 dist[w] = nd
                 prev[w] = v
                 heapq.heappush(heap, (nd, w))
-    return None
+    return dist, prev
+
+
+def _dijkstra(roadmap: Roadmap, src: int, dst: int) -> tuple[list[int], float] | None:
+    tree = roadmap.trees.get(src)
+    if tree is None:
+        tree = roadmap.trees[src] = _shortest_path_tree(roadmap, src)
+    dist, prev = tree
+    if dist[dst] == math.inf:
+        return None
+    path = [dst]
+    while path[-1] != src:
+        path.append(prev[path[-1]])
+    return path[::-1], dist[dst]
 
 
 def plan(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from dynalloc import motion
 from dynalloc.analysis import (
     BoundError,
     brute_force_min_assignments,
@@ -95,6 +96,27 @@ class TestOracles:
         assert travel(rid, frm, t0.initial_config) == pytest.approx(
             search_travel(rid, frm, t0.initial_config), abs=1e-12
         )
+
+    def test_searches_and_oracle_share_one_roadmap_not_one_cache(self, monkeypatch):
+        """One roadmap per set of build inputs; each caller keeps its own PlanCache."""
+        domain = generate_problem(7, 3, 4, 3)
+        states = [search(domain, alpha).state for alpha in (0.0, 0.25)]
+        calls = [st.plan_cache.planner_calls for st in states]
+        provided = []
+        real = motion.plan_provider
+
+        def record(domain, roadmap, cache):
+            provided.append((roadmap, cache))
+            return real(domain, roadmap, cache)
+
+        monkeypatch.setattr(motion, "plan_provider", record)
+        travel = oracle_travel(domain)
+        (roadmap, cache), = provided
+        brute_force_optimal_makespan(domain, travel)
+        assert cache.planner_calls > 0
+        assert roadmap is states[0].roadmap is states[1].roadmap
+        assert len({id(cache), id(states[0].plan_cache), id(states[1].plan_cache)}) == 3
+        assert [st.plan_cache.planner_calls for st in states] == calls
 
 
 class TestValidateBound:

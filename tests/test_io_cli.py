@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from dynalloc import motion
 from dynalloc.cli import main
 from dynalloc.generator import generate_event, generate_problem
 from dynalloc.problem_io import (
@@ -146,10 +147,58 @@ class TestCLI:
 
     def test_bounds_rejects_large_alpha(self, tmp_path, capsys):
         rc = main(
-            ["bounds", "--alphas", "0.6", "--out", str(tmp_path), "--robots", "2",
+            ["bounds", "--alphas", "0.6", "--out", str(tmp_path / "out"), "--robots", "2",
              "--tasks", "2", "--traits", "2"]
         )
         assert rc == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "input"
+        assert "alpha=0.6 rejected" in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, flags, word",
+        [
+            ("solve", ["--alpha", "1.5"], "alpha=1.5"),
+            ("solve", ["--alpha", "nan"], "alpha=nan"),
+            ("solve", ["--alpha", "-0.1"], "alpha=-0.1"),
+            ("solve", ["--prm-samples", "0"], "--prm-samples 0"),
+            ("run-scenario", ["--alpha", "1.5"], "alpha=1.5"),
+            ("run-scenario", ["--alpha", "nan"], "alpha=nan"),
+            ("run-scenario", ["--prm-samples", "0"], "--prm-samples 0"),
+            ("bounds", ["--alphas", "0.0", "0.5"], "alpha=0.5"),
+            ("bounds", ["--alphas", "nan"], "alpha=nan"),
+            ("bounds", ["--prm-samples", "0"], "--prm-samples 0"),
+        ],
+        ids=["solve-alpha-1.5", "solve-alpha-nan", "solve-alpha-negative", "solve-no-samples",
+             "run-scenario-alpha-1.5", "run-scenario-alpha-nan", "run-scenario-no-samples",
+             "bounds-alpha-0.5", "bounds-alpha-nan", "bounds-no-samples"],
+    )
+    def test_unusable_search_arguments_refused(self, tmp_path, capsys, monkeypatch,
+                                               command, flags, word):
+        """Refused as one JSON line, exit 2, before any roadmap is built."""
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("a roadmap was built")
+
+        monkeypatch.setattr(motion, "build_roadmap", no_build)
+        ppath, spath = tmp_path / "p.json", tmp_path / "s.json"
+        save_domain(generate_problem(0, 2, 2, 2), ppath)
+        spath.write_text(json.dumps({"events": []}))
+        argv = {
+            "solve": ["solve", str(ppath)],
+            "run-scenario": ["run-scenario", str(ppath), str(spath), "--reps", "1"],
+            "bounds": ["bounds", "--problem", str(ppath)],
+        }[command]
+        assert main(argv + flags + ["--out", str(tmp_path / "out")]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "input"
+        assert word in err["message"]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "event",

@@ -1,12 +1,16 @@
 """Roadmap construction and plan queries against independent oracles."""
 
+import heapq
 import math
 
 import pytest
 
+from dynalloc import motion
+from dynalloc.generator import generate_problem
 from dynalloc.geometry import Circle
 from dynalloc.motion import (
     PlanCache,
+    Roadmap,
     RoadmapError,
     build_roadmap,
     capability_classes,
@@ -38,6 +42,31 @@ def _bellman_ford_shortest(roadmap, src, dst):
     return dist[dst]
 
 
+def _early_exit_dijkstra(roadmap, src, dst):
+    """Reference single-pair Dijkstra that stops as soon as ``dst`` pops."""
+    dist = {src: 0.0}
+    prev = {}
+    heap = [(0.0, src)]
+    done = set()
+    while heap:
+        d, v = heapq.heappop(heap)
+        if v in done:
+            continue
+        done.add(v)
+        if v == dst:
+            path = [dst]
+            while path[-1] != src:
+                path.append(prev[path[-1]])
+            return path[::-1], d
+        for w, ln in roadmap.adjacency.get(v, ()):
+            nd = d + ln
+            if nd < dist.get(w, math.inf):
+                dist[w] = nd
+                prev[w] = v
+                heapq.heappush(heap, (nd, w))
+    return None
+
+
 def _components(roadmap):
     """Flood-fill connectivity oracle."""
     seen = set()
@@ -67,7 +96,9 @@ class TestRoadmap:
     def test_deterministic_for_fixed_seed(self, world_and_mandatory):
         world, mandatory = world_and_mandatory
         a = build_roadmap(world, mandatory, 60, 5, seed=3)
+        motion._build_roadmap.cache_clear()
         b = build_roadmap(world, mandatory, 60, 5, seed=3)
+        assert a is not b  # b was built afresh, not handed back by the memo
         assert a.vertices == b.vertices
         assert a.adjacency == b.adjacency
         assert a.total_edge_length == b.total_edge_length
@@ -106,6 +137,19 @@ class TestRoadmap:
         )
         with pytest.raises(RoadmapError):
             build_roadmap(domain.world, [], 10, 3, seed=0, rejection_cap_factor=5)
+
+    def test_same_inputs_share_one_roadmap(self, world_and_mandatory):
+        world, mandatory = world_and_mandatory
+        a = build_roadmap(world, mandatory, 60, 5, seed=3)
+        assert build_roadmap(world, list(mandatory), 60, 5, seed=3) is a
+        assert build_roadmap(world, mandatory, 60, 5, seed=4) is not a
+        assert build_roadmap(world, mandatory[1:], 60, 5, seed=3) is not a
+
+    def test_errors_are_not_memoized(self, world_and_mandatory):
+        world, mandatory = world_and_mandatory
+        for _ in range(2):
+            with pytest.raises(RoadmapError):
+                build_roadmap(world, mandatory, n_samples=0)
 
 
 class TestPlans:
@@ -167,6 +211,79 @@ class TestPlans:
                 p = plan(rm, frm, to, class_id=0, speed=1.0)
                 if p is not None:
                     assert plan_collision_samples(p, world.obstacles)
+
+
+def _roadmap_of(domain, *build_args):
+    mandatory = mandatory_vertices(domain)
+    return build_roadmap(domain.world, mandatory, *build_args), mandatory
+
+
+def _obstacle_domain():
+    """The ``obstacle_domain`` fixture's domain, for use in parametrize."""
+    return build_domain([[1.0], [1.0]], [[1.0], [1.0]], obstacles=[Circle((10.0, 3.5), 2.0)])
+
+
+def _diamond_roadmap():
+    """Two equally long routes from vertex 0 to vertex 3, through 1 and 2."""
+    vertices = ((0.0, 0.0), (1.0, 1.0), (1.0, -1.0), (2.0, 0.0), (3.0, 0.0))
+    adjacency = {
+        0: ((1, 1.0), (2, 1.0)),
+        1: ((0, 1.0), (3, 1.0)),
+        2: ((0, 1.0), (3, 1.0)),
+        3: ((1, 1.0), (2, 1.0), (4, 2.0)),
+        4: ((3, 2.0),),
+    }
+    return Roadmap(vertices, adjacency, 6.0), vertices
+
+
+class TestShortestPathTrees:
+    """Paths read off the per-source trees equal an early-exit search's."""
+
+    @pytest.mark.parametrize(
+        "make, unreachable_pairs",
+        [
+            (lambda: _roadmap_of(generate_problem(500, 8, 15, 4)), 0),
+            (lambda: _roadmap_of(generate_problem(100, 3, 4, 3)), 0),
+            (lambda: _roadmap_of(_obstacle_domain(), 120, 8), 0),
+            (lambda: _roadmap_of(_obstacle_domain(), 3, 1), 16),
+            (_diamond_roadmap, 0),
+        ],
+        ids=["bench-500", "desk-100", "obstacle", "obstacle-disconnected", "diamond-ties"],
+    )
+    def test_every_mandatory_pair_matches_the_reference(self, make, unreachable_pairs):
+        rm, mandatory = make()
+        index = [rm.vertex_index(p) for p in mandatory]
+        unreachable = 0
+        for s in index:
+            assert motion._dijkstra(rm, s, s) == ([s], 0.0)  # grows the tree from s
+            dist, prev = rm.trees[s]
+            wants = {t: _early_exit_dijkstra(rm, s, t) for t in index}
+            # read the tree before walking it: a corrupted prev can loop
+            for t, want in wants.items():
+                assert dist[t] == (math.inf if want is None else want[1])
+                assert prev[t] == (-1 if want is None or t == s else want[0][-2])
+            for t, want in wants.items():
+                assert motion._dijkstra(rm, s, t) == want
+                p = plan(rm, rm.vertices[s], rm.vertices[t], class_id=0, speed=1.0)
+                if want is None:
+                    unreachable += 1
+                    assert p is None
+                elif s != t:
+                    assert p.waypoints == tuple(rm.vertices[i] for i in want[0])
+                    assert p.length == want[1]
+        assert unreachable == unreachable_pairs
+
+    def test_one_tree_per_queried_source(self):
+        rm, vertices = _diamond_roadmap()
+        assert rm.trees == {}
+        assert motion._dijkstra(rm, 0, 0) == ([0], 0.0)
+        tree = rm.trees[0]
+        dist, prev = tree
+        assert list(dist) == [0.0, 1.0, 1.0, 2.0, 4.0]
+        assert list(prev) == [-1, 0, 0, 1, 3]  # the tie at 3 keeps the first route
+        plan(rm, vertices[0], vertices[4], class_id=0, speed=1.0)
+        plan(rm, vertices[0], vertices[3], class_id=0, speed=1.0)
+        assert list(rm.trees) == [0] and rm.trees[0] is tree
 
 
 class TestProviders:
