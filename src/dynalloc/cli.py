@@ -86,6 +86,10 @@ def _argument_error(args) -> DomainError | BoundError | None:
         return DomainError(
             f"--prm-samples {args.prm_samples} rejected: a roadmap needs at least 1 sample"
         )
+    if args.prm_k < 1:
+        return DomainError(
+            f"--prm-k {args.prm_k} rejected: each roadmap vertex needs at least 1 neighbor"
+        )
     return None
 
 

@@ -182,8 +182,9 @@ class Allocation:
     and every entry must equal 0 or 1 before the int8 cast, so 0.5, 257 or
     -255 are refused rather than truncated. ``with_assignment`` derives a
     child without re-checking it, since setting one cell of a valid matrix
-    to 1 keeps it valid. Every allocation carries its assignment ``count``
-    and its ``key``, so neither is recomputed from the matrix.
+    to 1 keeps it valid; ``unstack_allocations`` likewise trusts a stack cut
+    or widened from valid matrices. Every allocation carries its assignment
+    ``count`` and its ``key``, so neither is recomputed from the matrix.
     """
 
     entries: np.ndarray
@@ -215,14 +216,52 @@ class Allocation:
         return self._key[:i] + b"\x01" + self._key[i + 1 :]
 
     def with_assignment(self, task: int, robot: int) -> "Allocation":
-        key = self.child_key(task, robot)
-        child = object.__new__(Allocation)
-        # a read-only view of the immutable key: no copy, no re-validation
-        entries = np.frombuffer(key, dtype=np.int8).reshape(self.entries.shape)
-        object.__setattr__(child, "entries", entries)
-        object.__setattr__(child, "count", self.count + 1 - int(self.entries[task, robot]))
-        object.__setattr__(child, "_key", key)
-        return child
+        return Allocation._trusted(
+            self.child_key(task, robot),
+            self.entries.shape,
+            self.count + 1 - int(self.entries[task, robot]),
+        )
+
+    @classmethod
+    def _trusted(cls, key: bytes, shape: tuple[int, ...], count: int) -> "Allocation":
+        """The allocation whose key is ``key``, the bytes of a valid matrix.
+
+        Its entries are a read-only view of the immutable key: no copy, no
+        re-validation. Only code that derived ``key`` (and ``count``) from
+        valid matrices may call it.
+        """
+        alloc = object.__new__(cls)
+        entries = np.frombuffer(key, dtype=np.int8).reshape(shape)
+        object.__setattr__(alloc, "entries", entries)
+        object.__setattr__(alloc, "count", count)
+        object.__setattr__(alloc, "_key", key)
+        return alloc
+
+
+def stack_allocations(allocs, shape: tuple[int, int]) -> np.ndarray:
+    """The allocations' matrices, all of ``shape``, as one (K, M, N) int8 array.
+
+    Read-only: a view of the allocations' keys joined into one buffer.
+    """
+    buf = b"".join(a.key() for a in allocs)
+    return np.frombuffer(buf, dtype=np.int8).reshape(len(allocs), *shape)
+
+
+def unstack_allocations(stack: np.ndarray) -> list[Allocation]:
+    """One allocation per slice of a (K, M, N) int8 stack of valid matrices.
+
+    Nothing is re-validated: each allocation's entries are a read-only view
+    of its own key bytes, and the assignment counts come from one pass over
+    the stack.
+    """
+    k, *shape = stack.shape
+    size = math.prod(shape)
+    buf = stack.tobytes()
+    counts = np.count_nonzero(stack.reshape(k, size), axis=1).tolist()
+    return [
+        Allocation._trusted(buf[i * size : (i + 1) * size], tuple(shape), c)
+        for i, c in enumerate(counts)
+    ]
 
 
 def aggregate_traits(alloc: Allocation, team: TeamTraitMatrix) -> np.ndarray:

@@ -112,8 +112,9 @@ def build_roadmap(
 
     Deterministic for a fixed seed, and memoized on these inputs: asking
     again for the same roadmap returns the same object. Raises when
-    rejection sampling cannot find a single free sample within the cap; an
-    error is not memoized.
+    ``n_samples`` or ``k_neighbors`` is below 1, or when rejection sampling
+    cannot find a single free sample within the cap; an error is not
+    memoized.
     """
     return _build_roadmap(
         tuple(world.bounds),
@@ -138,6 +139,8 @@ def _build_roadmap(
 ) -> Roadmap:
     if n_samples < 1:
         raise RoadmapError("n_samples must be >= 1")
+    if k_neighbors < 1:
+        raise RoadmapError("k_neighbors must be >= 1")
     xmin, ymin, xmax, ymax = bounds
     if xmax <= xmin or ymax <= ymin:
         raise RoadmapError("world bounds are degenerate")

@@ -14,6 +14,13 @@ keeps a lower bound on its new priority and is re-solved only when the
 resumed pop loop reaches it (the lazy reuse of Lifelong Planning A*), so
 the exact pops, and hence the expansions and the solution, are those an
 eager re-solve would give.
+
+The surgery handles nodes in whole arrays, not one numpy call per node:
+the allocations it rescores are stacked into one (K, M, N) array and
+scored by one ``apr_values`` call, a loss is cut out of every allocation
+with one ``np.delete`` over that stack and a new agent adds one zero
+column to it, and each reshaped allocation is then a read-only view of its
+own key bytes, trusted rather than re-validated.
 """
 
 from __future__ import annotations
@@ -34,6 +41,8 @@ from .domain import (
     TaskSpec,
     TeamTraitMatrix,
     WorldModel,
+    stack_allocations,
+    unstack_allocations,
 )
 from .scheduler import schedule_lower_bound, schedule_upper_bound
 from .search import (
@@ -43,8 +52,8 @@ from .search import (
     PRUNED,
     SearchResult,
     SearchState,
-    apr_value,
-    make_node,
+    add_children,
+    apr_values,
     materialize,
     nsq_value,
     run_search,
@@ -198,11 +207,31 @@ def _refresh_bounds(state: SearchState) -> None:
     )
 
 
+def _stack(nodes, shape: tuple[int, int]) -> np.ndarray:
+    return stack_allocations([node.allocation for node in nodes], shape)
+
+
+def _aprs(state: SearchState, nodes) -> list[float]:
+    """The nodes' apr in the current domain, from one ``apr_values`` call."""
+    domain = state.domain
+    stack = _stack(nodes, (domain.n_tasks, domain.n_robots))
+    return apr_values(stack, domain.team, domain.requirements).tolist()
+
+
 def _rescore_open_apr(state: SearchState) -> None:
-    for node in state.open_nodes():
-        node.apr = apr_value(node.allocation, state.domain.team, state.domain.requirements)
-        node.tetaq = tetaq_value(node.apr, node.nsq, state.alpha)
+    nodes = state.open_nodes()
+    for node, apr in zip(nodes, _aprs(state, nodes)):
+        node.apr = apr
+        node.tetaq = tetaq_value(apr, node.nsq, state.alpha)
     state.rebuild_heap()
+
+
+def _reshape(state: SearchState, nodes, stack: np.ndarray) -> None:
+    """Give each node the allocation of its slice of ``stack``; re-register all."""
+    state.nodes = {}
+    for node, alloc in zip(nodes, unstack_allocations(stack)):
+        node.allocation = alloc
+        state.nodes[alloc.key()] = node
 
 
 def _revive(state: SearchState, node) -> None:
@@ -259,15 +288,16 @@ def handle_agent_or_task_loss(state: SearchState, event: DynamicEvent, old_domai
         idx = old_domain.network.task_index(event.payload["task"])
         axis = 0
 
-    survivors: dict[bytes, object] = {}
-    for node in state.nodes.values():
-        uses = bool(node.allocation.entries.take(idx, axis=axis).any())
-        if uses:
+    nodes = list(state.nodes.values())
+    stack = _stack(nodes, (old_domain.n_tasks, old_domain.n_robots))
+    uses = stack.take(idx, axis=axis + 1).any(axis=1)
+    survivors = []
+    for node, used in zip(nodes, uses.tolist()):
+        if used:
             node.status = PRUNED  # detached; not re-registered below
-            continue
-        node.allocation = Allocation(np.delete(node.allocation.entries, idx, axis=axis))
-        survivors[node.allocation.key()] = node
-    state.nodes = survivors
+        else:
+            survivors.append(node)
+    _reshape(state, survivors, np.delete(stack[~uses], idx, axis=axis + 1))
 
     if agent_loss:
         # surviving nodes never assigned the agent: aggregates, schedules,
@@ -278,8 +308,8 @@ def handle_agent_or_task_loss(state: SearchState, event: DynamicEvent, old_domai
     # task loss: requirement mass and schedule indexing both changed
     _refresh_bounds(state)
     state.schedule_memo.clear()
-    for node in state.nodes.values():
-        node.apr = apr_value(node.allocation, state.domain.team, state.domain.requirements)
+    for node, apr in zip(survivors, _aprs(state, survivors)):
+        node.apr = apr
     # no sound shift of a floor exists when a task disappears
     _lower_floors(state, math.inf)
     _rescore_frontier(state)
@@ -296,8 +326,8 @@ def handle_decrease(state: SearchState, event: DynamicEvent) -> None:
 def handle_increase(state: SearchState, event: DynamicEvent) -> None:
     """Capabilities rose or requirements fell: stale nodes may now be viable."""
     _rescore_open_apr(state)
-    for node in state.with_status(CLOSED) + state.with_status(PRUNED):
-        apr = apr_value(node.allocation, state.domain.team, state.domain.requirements)
+    stale = state.with_status(CLOSED) + state.with_status(PRUNED)
+    for node, apr in zip(stale, _aprs(state, stale)):
         node.apr = apr
         if apr <= APR_TOL:
             _revive(state, node)
@@ -322,17 +352,12 @@ def handle_duration_change(
 
 def handle_new_agent(state: SearchState, event: DynamicEvent) -> None:
     """Widen every allocation and seed root children using the new agent."""
-    widened: dict[bytes, object] = {}
-    root = None
-    for node in state.nodes.values():
-        entries = node.allocation.entries
-        node.allocation = Allocation(
-            np.hstack([entries, np.zeros((entries.shape[0], 1), dtype=np.int8)])
-        )
-        widened[node.allocation.key()] = node
-        if node.parent is None:
-            root = node
-    state.nodes = widened
+    nodes = list(state.nodes.values())
+    n_tasks = state.domain.n_tasks
+    stack = _stack(nodes, (n_tasks, state.domain.n_robots - 1))
+    zeros = np.zeros((len(nodes), n_tasks, 1), dtype=np.int8)
+    _reshape(state, nodes, np.concatenate([stack, zeros], axis=2))
+    root = next((node for node in nodes if node.parent is None), None)
 
     # the start config of the new agent must be a roadmap vertex
     state.roadmap = motion.build_roadmap(
@@ -355,12 +380,7 @@ def handle_new_agent(state: SearchState, event: DynamicEvent) -> None:
     base = root.allocation if root is not None else Allocation(
         np.zeros((state.domain.n_tasks, state.domain.n_robots), dtype=np.int8)
     )
-    for m in range(state.domain.n_tasks):
-        if base.child_key(m, new_col) in state.nodes:
-            continue
-        child = make_node(state, base.with_assignment(m, new_col), parent=root)
-        if child.status == OPEN:
-            state.push(child)
+    add_children(state, base, root, [(m, new_col) for m in range(state.domain.n_tasks)])
 
 
 def decompose_mixed(domain: ProblemDomain, event: DynamicEvent) -> list[DynamicEvent]:

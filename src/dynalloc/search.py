@@ -22,8 +22,11 @@ import numpy as np
 from . import motion
 from .domain import (
     Allocation,
+    DesiredTraitMatrix,
+    DimensionMismatchError,
     ProblemDomain,
-    aggregate_traits,
+    TeamTraitMatrix,
+    stack_allocations,
 )
 from .motion import MotionPlan, PlanCache, Roadmap
 from .scheduler import (
@@ -37,17 +40,45 @@ from .scheduler import (
 
 APR_TOL = 1e-12
 TIE_TOL = 1e-12
+# allocations scored per matmul in ``apr_values``, so that its float
+# temporaries stay small however many nodes a repair rescores
+APR_SLICE = 512
 
 OPEN, CLOSED, PRUNED = "open", "closed", "pruned"
 
 
-def apr_value(alloc: Allocation, team, req) -> float:
-    """Fraction of total required trait mass still unmet; 0 means valid."""
+def apr_values(
+    stack: np.ndarray, team: TeamTraitMatrix, req: DesiredTraitMatrix
+) -> np.ndarray:
+    """Unmet-requirement fraction of each allocation in a (K, M, N) stack.
+
+    For each matrix A of the stack, ``sum(max(req - A @ Q, 0)) / sum(req)``:
+    the fraction of total required trait mass still unmet, 0 when A is
+    valid. The stacked matmul multiplies each matrix on its own, as the
+    one-allocation product does, so every value equals that formula
+    exactly; one 2-D product over the flattened stack would round some sums
+    differently. ``apr_value`` is the one-row call.
+    """
+    k, m, n = stack.shape
+    if (m, n) != (req.n_tasks, team.n_robots):
+        raise DimensionMismatchError(
+            f"allocations are {m}x{n}, domain has {req.n_tasks} tasks "
+            f"and {team.n_robots} robots"
+        )
+    out = np.zeros(k)
     total = float(req.entries.sum())
     if total == 0.0:
-        return 0.0
-    unmet = np.maximum(req.entries - aggregate_traits(alloc, team), 0.0)
-    return float(unmet.sum()) / total
+        return out
+    for lo in range(0, k, APR_SLICE):
+        part = stack[lo : lo + APR_SLICE]
+        unmet = np.maximum(req.entries - part.astype(float) @ team.entries, 0.0)
+        out[lo : lo + len(part)] = unmet.reshape(len(part), -1).sum(axis=1)
+    return out / total
+
+
+def apr_value(alloc: Allocation, team, req) -> float:
+    """``apr_values`` of one allocation."""
+    return float(apr_values(alloc.entries[None], team, req)[0])
 
 
 def nsq_value(mk: float, lb: float, ub: float) -> float:
@@ -139,12 +170,14 @@ class SearchState:
     def open_nodes(self):
         return self.with_status(OPEN)
 
-    def push(self, node: AllocationNode) -> None:
+    @staticmethod
+    def _entry(node: AllocationNode) -> tuple:
+        """A fresh heap entry for the node; its older entries go stale."""
         node.version += 1
-        heapq.heappush(
-            self.open_heap,
-            (node.tetaq, node.assignments, node.seq, node.version, id(node), node),
-        )
+        return (node.tetaq, node.assignments, node.seq, node.version, id(node), node)
+
+    def push(self, node: AllocationNode) -> None:
+        heapq.heappush(self.open_heap, self._entry(node))
 
     def _live_top(self) -> tuple | None:
         """Drop stale entries off the heap top; the first live entry, if any."""
@@ -166,11 +199,15 @@ class SearchState:
         return math.inf if entry is None else entry[0]
 
     def rebuild_heap(self) -> None:
-        """Re-key every open node after bulk priority updates."""
-        self.open_heap = []
-        for node in self.nodes.values():
-            if node.status == OPEN:
-                self.push(node)
+        """Re-key every open node after bulk priority updates.
+
+        One ``heapify`` over the fresh entries. ``seq`` is unique, so the
+        entries are totally ordered and pop in the order pushes would give.
+        """
+        self.open_heap = [
+            self._entry(node) for node in self.nodes.values() if node.status == OPEN
+        ]
+        heapq.heapify(self.open_heap)
 
 
 def new_state(
@@ -196,7 +233,9 @@ def new_state(
         seed=seed,
     )
     root_alloc = Allocation(np.zeros((domain.n_tasks, domain.n_robots), dtype=np.int8))
-    root = make_node(state, root_alloc, parent=None)
+    root = make_node(
+        state, root_alloc, None, apr_value(root_alloc, domain.team, domain.requirements)
+    )
     if root.status == OPEN:
         state.push(root)
     return state
@@ -243,17 +282,17 @@ def evaluate(
 
 
 def make_node(
-    state: SearchState, alloc: Allocation, parent: AllocationNode | None
+    state: SearchState, alloc: Allocation, parent: AllocationNode | None, apr: float
 ) -> AllocationNode:
     """Register an allocation as a node; only the root is scheduled here.
 
-    A child's feasible region is a subset of its parent's, so the parent's
-    floor lower-bounds the child's makespan and gives a sound priority
-    bound. No child is exact at creation: each enters the frontier with
-    its parent's floor, and ``materialize`` solves it once it reaches the
-    top of the frontier.
+    ``apr`` is the allocation's ``apr_values`` score, which callers take in
+    one call for a batch of new nodes. A child's feasible region is a
+    subset of its parent's, so the parent's floor lower-bounds the child's
+    makespan and gives a sound priority bound. No child is exact at
+    creation: each enters the frontier with its parent's floor, and
+    ``materialize`` solves it once it reaches the top of the frontier.
     """
-    apr = apr_value(alloc, state.domain.team, state.domain.requirements)
     floor = parent.floor if parent is not None else 0.0
     nsq = nsq_value(floor, state.lb, state.ub)
     node = AllocationNode(
@@ -301,23 +340,44 @@ def materialize(state: SearchState, node: AllocationNode) -> bool:
     return True
 
 
-def expand(state: SearchState, node: AllocationNode) -> list[AllocationNode]:
-    """Generate all one-assignment children; dedup against the whole graph.
+def add_children(
+    state: SearchState,
+    base: Allocation,
+    parent: AllocationNode | None,
+    cells,
+) -> list[AllocationNode]:
+    """Register ``base`` plus one assignment at each new cell, as nodes.
 
-    A child's key is looked up before the child is built, so a duplicate
-    costs one ``bytes`` lookup and no numpy work.
+    A cell already assigned in ``base``, or whose child is already in the
+    graph, is skipped: its key is looked up before the child is built, so a
+    duplicate costs one ``bytes`` lookup and no numpy work. The new children
+    are scored in one ``apr_values`` call and pushed when open.
     """
-    state.stats.expansions += 1
+    key, cols = base.key(), base.entries.shape[1]
+    allocs = [
+        base.with_assignment(m, n)
+        for m, n in cells
+        if not key[m * cols + n] and base.child_key(m, n) not in state.nodes
+    ]
+    if not allocs:  # common at desk scale: no numpy call for an empty batch
+        return []
+    stack = stack_allocations(allocs, base.entries.shape)
+    aprs = apr_values(stack, state.domain.team, state.domain.requirements).tolist()
     children = []
-    alloc = node.allocation
-    a = alloc.entries
-    for m in range(a.shape[0]):
-        for n in range(a.shape[1]):
-            if a[m, n] or alloc.child_key(m, n) in state.nodes:
-                continue
-            child = make_node(state, alloc.with_assignment(m, n), parent=node)
+    for alloc, apr in zip(allocs, aprs):
+        child = make_node(state, alloc, parent, apr)
+        if child.status == OPEN:
             state.push(child)
-            children.append(child)
+        children.append(child)
+    return children
+
+
+def expand(state: SearchState, node: AllocationNode) -> list[AllocationNode]:
+    """Generate all one-assignment children; dedup against the whole graph."""
+    state.stats.expansions += 1
+    rows, cols = node.allocation.entries.shape
+    cells = [(m, n) for m in range(rows) for n in range(cols)]
+    children = add_children(state, node.allocation, node, cells)
     node.status = CLOSED
     return children
 

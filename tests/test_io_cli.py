@@ -171,10 +171,16 @@ class TestCLI:
             ("bounds", ["--alphas", "0.0", "0.5"], "alpha=0.5"),
             ("bounds", ["--alphas", "nan"], "alpha=nan"),
             ("bounds", ["--prm-samples", "0"], "--prm-samples 0"),
+            ("solve", ["--prm-k", "0"], "--prm-k 0"),
+            ("solve", ["--prm-k", "-1"], "--prm-k -1"),
+            ("run-scenario", ["--prm-k", "0"], "--prm-k 0"),
+            ("bounds", ["--prm-k", "-1"], "--prm-k -1"),
         ],
         ids=["solve-alpha-1.5", "solve-alpha-nan", "solve-alpha-negative", "solve-no-samples",
              "run-scenario-alpha-1.5", "run-scenario-alpha-nan", "run-scenario-no-samples",
-             "bounds-alpha-0.5", "bounds-alpha-nan", "bounds-no-samples"],
+             "bounds-alpha-0.5", "bounds-alpha-nan", "bounds-no-samples",
+             "solve-no-neighbors", "solve-negative-neighbors", "run-scenario-no-neighbors",
+             "bounds-negative-neighbors"],
     )
     def test_unusable_search_arguments_refused(self, tmp_path, capsys, monkeypatch,
                                                command, flags, word):

@@ -145,6 +145,13 @@ class TestRoadmap:
         assert build_roadmap(world, mandatory, 60, 5, seed=4) is not a
         assert build_roadmap(world, mandatory[1:], 60, 5, seed=3) is not a
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_neighbor_count_below_one_refused(self, world_and_mandatory, k):
+        """k = -1 would link each vertex to all but its farthest; k = 0 to none."""
+        world, mandatory = world_and_mandatory
+        with pytest.raises(RoadmapError, match="k_neighbors"):
+            build_roadmap(world, mandatory, 60, k, seed=3)
+
     def test_errors_are_not_memoized(self, world_and_mandatory):
         world, mandatory = world_and_mandatory
         for _ in range(2):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dynalloc import motion, repair as repair_mod
-from dynalloc.domain import DomainError
+from dynalloc.domain import Allocation, DomainError
 from dynalloc.generator import generate_event, generate_problem
 from dynalloc.repair import (
     DynamicEvent,
@@ -18,7 +18,7 @@ from dynalloc.repair import (
     repair,
 )
 from dynalloc.scheduler import build_scheduling_problem, solve_schedule
-from dynalloc.search import CLOSED, OPEN, evaluate, materialize, search
+from dynalloc.search import CLOSED, OPEN, apr_value, evaluate, materialize, search
 from dynalloc.validation import solution_violations
 
 from conftest import build_domain, heap_violations
@@ -418,3 +418,71 @@ class TestLazyFrontier:
         assert repaired.solution.allocation.key() == result.solution.allocation.key()
         assert stats.scheduler_calls - calls <= 1
         assert stats.expansions == expansions
+
+
+class TestReshaping:
+    """Surgery reshapes the retained graph in whole arrays, as validated rebuilds would."""
+
+    @pytest.mark.parametrize("case", ["agent_lost", "task_lost", "new_agent"])
+    def test_survivors_match_validated_rebuilds(self, case):
+        domain = generate_problem(0, 3, 4, 3)
+        state = _solved(domain).state
+        before = {id(n): (n, np.array(n.allocation.entries)) for n in state.nodes.values()}
+        idx = 1  # neither the first nor the last robot or task
+        if case == "agent_lost":
+            ev = DynamicEvent(1.0, EventKind.AGENT_LOST, {"agent": domain.team.robot_ids[idx]})
+        elif case == "task_lost":
+            ev = DynamicEvent(1.0, EventKind.TASK_LOST, {"task": domain.network.tasks[idx].id})
+        else:
+            ev = generate_event(domain, EventKind.NEW_AGENT, 13)
+        state.domain = new = apply_event(domain, ev)
+        if case == "new_agent":
+            repair_mod.handle_new_agent(state, ev)
+        else:
+            repair_mod.handle_agent_or_task_loss(state, ev, domain)
+
+        after = {id(n): n for n in state.nodes.values()}
+        deleted = 0
+        for key, (node, old) in before.items():
+            if case == "new_agent":
+                column = np.zeros((old.shape[0], 1), dtype=np.int8)
+                expected = Allocation(np.hstack([old, column]))
+            else:
+                axis = 1 if case == "agent_lost" else 0
+                if old.take(idx, axis=axis).any():
+                    assert key not in after
+                    deleted += 1
+                    continue
+                expected = Allocation(np.delete(old, idx, axis=axis))
+            got = after[key].allocation
+            assert got.key() == expected.key()
+            assert got.count == expected.count
+            assert got.entries.dtype == np.int8
+            assert np.array_equal(got.entries, expected.entries)
+            assert not got.entries.flags.writeable
+            assert state.nodes[expected.key()] is node
+        assert (deleted > 0) == (case != "new_agent")
+        assert len(after) == len(before) - deleted + (
+            new.n_tasks if case == "new_agent" else 0
+        )
+        if case != "agent_lost":  # task loss and new agent rescore or score apr
+            for node in state.nodes.values():
+                assert node.apr == apr_value(node.allocation, new.team, new.requirements)
+        assert heap_violations(state) == []
+
+    def test_rebuild_heap_pops_as_pushes_would(self):
+        state = _solved(generate_problem(0, 3, 4, 3)).state
+        frontier = state.open_nodes()
+        for node in frontier:
+            node.tetaq = round(node.tetaq, 1)  # ties, broken by assignments then seq
+        assert len({n.tetaq for n in frontier}) < len(frontier)
+        assert len({(n.tetaq, n.assignments) for n in frontier}) < len(frontier)
+        state.rebuild_heap()
+        assert heap_violations(state) == []
+        rebuilt = [n.seq for n in iter(state.pop, None)]
+        state.open_heap = []
+        for node in reversed(frontier):
+            state.push(node)
+        pushed = [n.seq for n in iter(state.pop, None)]
+        ranked = sorted(frontier, key=lambda n: (n.tetaq, n.assignments, n.seq))
+        assert rebuilt == pushed == [n.seq for n in ranked]

@@ -2,15 +2,27 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynalloc.analysis import brute_force_optimal_makespan, oracle_travel
-from dynalloc.domain import Allocation, resource_count
+from dynalloc.domain import (
+    Allocation,
+    DesiredTraitMatrix,
+    DimensionMismatchError,
+    TeamTraitMatrix,
+    resource_count,
+    stack_allocations,
+)
 from dynalloc.generator import generate_problem
 from dynalloc import motion, search as search_mod
 from dynalloc.search import (
+    APR_SLICE,
     OPEN,
     apr_value,
+    apr_values,
     expand,
     materialize,
     min_open_apr,
@@ -41,6 +53,108 @@ class TestScores:
         assert tetaq_value(0.4, 0.8, 0.25) == pytest.approx(0.25 * 0.4 + 0.75 * 0.8)
         with pytest.raises(ValueError):
             tetaq_value(0.0, 0.0, 1.5)
+
+
+def _reference_aprs(stack, team, req):
+    """The unmet-requirement fraction of each allocation, one at a time."""
+    total = req.entries.sum()
+    if total == 0.0:
+        return [0.0] * len(stack)
+    return [
+        float(np.maximum(req.entries - a.astype(float) @ team.entries, 0).sum() / total)
+        for a in stack
+    ]
+
+
+def _random_kernel_input(seed, k, n_tasks, n_robots, n_traits, zero_req=False):
+    """A random binary (k, n_tasks, n_robots) stack, team and requirements."""
+    rng = np.random.default_rng(seed)
+
+    def sparse(rows, high, density):
+        return rng.uniform(0, high, (rows, n_traits)) * (rng.random((rows, n_traits)) < density)
+
+    team = TeamTraitMatrix(
+        sparse(n_robots, 3, 0.7),
+        tuple(f"r{i}" for i in range(n_robots)),
+        tuple(f"u{j}" for j in range(n_traits)),
+    )
+    req_rows = sparse(n_tasks, 4, 0.8)
+    req = DesiredTraitMatrix(0 * req_rows if zero_req else req_rows)
+    stack = rng.integers(0, 2, (k, n_tasks, n_robots)).astype(np.int8)
+    return stack, team, req
+
+
+class TestAprKernel:
+    """``apr_values`` scores a stack exactly as the one-allocation formula."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.one_of(st.integers(0, 8), st.integers(APR_SLICE - 2, 2 * APR_SLICE + 3)),
+        n_tasks=st.integers(1, 15),
+        n_robots=st.integers(1, 10),
+        n_traits=st.integers(1, 4),
+        zero_req=st.booleans(),
+    )
+    def test_matches_the_reference_formula(
+        self, seed, k, n_tasks, n_robots, n_traits, zero_req
+    ):
+        stack, team, req = _random_kernel_input(
+            seed, k, n_tasks, n_robots, n_traits, zero_req
+        )
+        got = apr_values(stack, team, req)
+        assert got.shape == (k,)
+        assert got.tolist() == _reference_aprs(stack, team, req)
+
+    @pytest.mark.parametrize(
+        "k, shape, zero_req",
+        [
+            (0, (15, 8, 4), False),
+            (3, (15, 8, 4), True),
+            (APR_SLICE + 1, (15, 8, 4), False),
+            (2 * APR_SLICE + 7, (15, 8, 4), False),
+            # one 2-D matmul over the flattened stack rounds some of these
+            # differently from the one-allocation product
+            (40, (1, 12, 4), False),
+        ],
+        ids=[
+            "empty-stack",
+            "zero-requirements",
+            "one-slice-boundary",
+            "two-slice-boundaries",
+            "one-task-twelve-robots",
+        ],
+    )
+    def test_edge_cases(self, k, shape, zero_req):
+        stack, team, req = _random_kernel_input(199, k, *shape, zero_req=zero_req)
+        got = apr_values(stack, team, req).tolist()
+        assert got == _reference_aprs(stack, team, req)
+        if zero_req:
+            assert got == [0.0] * k
+
+    def test_one_row_call_is_apr_value(self):
+        stack, team, req = _random_kernel_input(3, 40, 6, 4, 3)
+        for a, expected in zip(stack, apr_values(stack, team, req).tolist()):
+            assert apr_value(Allocation(a), team, req) == expected
+
+    def test_refuses_a_stack_of_another_shape(self):
+        stack, team, req = _random_kernel_input(3, 2, 6, 4, 3)
+        for bad in (stack[:, :, 1:], stack[:, 1:, :]):
+            with pytest.raises(DimensionMismatchError):
+                apr_values(bad, team, req)
+
+    def test_expanded_children_carry_the_kernel_values(self):
+        domain = generate_problem(500, 8, 15, 4)
+        state = new_state(domain, 0.25)
+        node = state.pop()
+        for _ in range(2):
+            children = expand(state, node)
+            assert len(children) == node.allocation.entries.size - node.assignments
+            stack = stack_allocations([c.allocation for c in children], (15, 8))
+            expected = _reference_aprs(stack, domain.team, domain.requirements)
+            assert [c.apr for c in children] == expected
+            assert all(type(c.apr) is float for c in children)
+            node = children[-1]
 
 
 class TestTrivialGoals:
