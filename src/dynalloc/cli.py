@@ -68,12 +68,20 @@ def _refused(exc: DomainError | BoundError) -> int:
 
 
 def _argument_error(args) -> DomainError | BoundError | None:
-    """Why the search arguments cannot be used, or None when they can.
+    """Why the arguments cannot be used, or None when they can.
 
-    ``bounds`` keeps each of its alphas below 0.5, where the gap bound still
-    means something; ``solve`` and ``run-scenario`` take one alpha in
-    [0, 1]. NaN lies in neither range.
+    ``gen`` and ``bounds`` generate at least one problem of at least one
+    robot, task and trait. ``gen`` runs no search; ``bounds`` keeps each of
+    its alphas below 0.5, where the gap bound still means something;
+    ``solve`` and ``run-scenario`` take one alpha in [0, 1]. NaN lies in
+    neither range.
     """
+    for flag in ("robots", "tasks", "traits", "instances"):
+        count = getattr(args, flag, 1)
+        if count < 1:
+            return DomainError(f"--{flag} {count} rejected: at least 1 is needed")
+    if args.command == "gen":
+        return None
     if args.command == "bounds":
         for a in args.alphas:
             if not 0.0 <= a < 0.5:
@@ -206,10 +214,10 @@ def cmd_bounds(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command != "gen":  # refuse unusable arguments before any domain is read
-        error = _argument_error(args)
-        if error is not None:
-            return _refused(error)
+    # refuse unusable arguments before any domain is read or generated
+    error = _argument_error(args)
+    if error is not None:
+        return _refused(error)
     return {
         "gen": cmd_gen,
         "solve": cmd_solve,

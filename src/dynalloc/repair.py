@@ -2,18 +2,21 @@
 
 Each event kind touches only the node sets it can actually invalidate:
 losses delete nodes that reference the lost agent or task, capability or
-requirement shifts rescore the open frontier (and, for favorable shifts,
-rescan closed/pruned nodes for newly viable allocations), duration changes
-and task loss lower every node's makespan floor to a sound value and demote
-the frontier to those floors, and a new agent widens every allocation and
-seeds fresh root children. Everything else is conserved, and the search is
-then simply resumed.
+requirement shifts rescore the open frontier's apr (and, for favorable
+shifts, rescan closed/pruned nodes for newly viable allocations), duration
+changes and task loss lower every node's makespan floor to a sound value
+and demote the frontier to those floors, and a new agent widens every
+allocation and seeds fresh root children. Everything else is conserved,
+and the search is then simply resumed.
 
-No frontier schedule is re-solved by the surgery itself: a demoted node
-keeps a lower bound on its new priority and is re-solved only when the
-resumed pop loop reaches it (the lazy reuse of Lifelong Planning A*), so
-the exact pops, and hence the expansions and the solution, are those an
-eager re-solve would give.
+Repair only reshapes allocations and sets apr and floors; every priority
+and every node transition goes through the search's own primitives
+(``prioritize``, ``demote``, ``requeue``, ``accept_goal``). No frontier
+schedule is re-solved by the surgery itself: a demoted node keeps a lower
+bound on its new priority and is re-solved only when the resumed pop loop
+reaches it (the lazy reuse of Lifelong Planning A*), so the exact pops, and
+hence the expansions and the solution, are those an eager re-solve would
+give.
 
 The surgery handles nodes in whole arrays, not one numpy call per node:
 the allocations it rescores are stacked into one (K, M, N) array and
@@ -31,9 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import motion, search as search_mod
+from . import motion
 from .domain import (
-    Allocation,
     DesiredTraitMatrix,
     DomainError,
     ProblemDomain,
@@ -44,7 +46,6 @@ from .domain import (
     stack_allocations,
     unstack_allocations,
 )
-from .scheduler import schedule_lower_bound, schedule_upper_bound
 from .search import (
     APR_TOL,
     CLOSED,
@@ -52,12 +53,14 @@ from .search import (
     PRUNED,
     SearchResult,
     SearchState,
+    accept_goal,
     add_children,
     apr_values,
-    materialize,
-    nsq_value,
+    demote,
+    prioritize,
+    refresh_bounds,
+    requeue,
     run_search,
-    tetaq_value,
 )
 
 
@@ -199,14 +202,6 @@ def apply_event(domain: ProblemDomain, event: DynamicEvent) -> ProblemDomain:
     return ProblemDomain(domain.iteration + 1, net, team, req, world)
 
 
-def _refresh_bounds(state: SearchState) -> None:
-    durations = [t.duration for t in state.domain.network.tasks]
-    state.lb = schedule_lower_bound(durations)
-    state.ub = schedule_upper_bound(
-        state.domain.world, durations, state.roadmap.total_edge_length
-    )
-
-
 def _stack(nodes, shape: tuple[int, int]) -> np.ndarray:
     return stack_allocations([node.allocation for node in nodes], shape)
 
@@ -222,7 +217,7 @@ def _rescore_open_apr(state: SearchState) -> None:
     nodes = state.open_nodes()
     for node, apr in zip(nodes, _aprs(state, nodes)):
         node.apr = apr
-        node.tetaq = tetaq_value(apr, node.nsq, state.alpha)
+    prioritize(state, nodes)
     state.rebuild_heap()
 
 
@@ -232,27 +227,6 @@ def _reshape(state: SearchState, nodes, stack: np.ndarray) -> None:
     for node, alloc in zip(nodes, unstack_allocations(stack)):
         node.allocation = alloc
         state.nodes[alloc.key()] = node
-
-
-def _revive(state: SearchState, node) -> None:
-    """Move a closed/pruned node back to the frontier with fresh scores."""
-    if materialize(state, node):
-        state.push(node)
-
-
-def _demote(state: SearchState, node, floor: float) -> None:
-    """Forget an open node's schedule; its priority falls to a bound.
-
-    ``floor`` must be a sound lower bound on the node's optimal makespan in
-    the current domain. nsq is monotone in the makespan, so the priority
-    computed from it (on the refreshed bounds) never exceeds the exact one:
-    the node stays correctly ordered and is re-solved when it is popped.
-    """
-    node.exact = False
-    node.schedule = None
-    node.floor = floor
-    node.nsq = nsq_value(floor, state.lb, state.ub)
-    node.tetaq = tetaq_value(node.apr, node.nsq, state.alpha)
 
 
 def _lower_floors(state: SearchState, slack: float) -> None:
@@ -273,8 +247,7 @@ def _rescore_frontier(state: SearchState) -> None:
     Needed whenever the schedules under the frontier changed; the pop loop
     re-solves a node only if it reaches the top.
     """
-    for node in state.open_nodes():
-        _demote(state, node, node.floor)
+    demote(state, state.open_nodes())
     state.rebuild_heap()
 
 
@@ -301,12 +274,12 @@ def handle_agent_or_task_loss(state: SearchState, event: DynamicEvent, old_domai
 
     if agent_loss:
         # surviving nodes never assigned the agent: aggregates, schedules,
-        # and both scores are unchanged, so nothing is recomputed
-        state.rebuild_heap()
+        # and every priority are unchanged, so nothing is recomputed; the
+        # deleted nodes are PRUNED, which leaves their heap entries dead
         return
 
     # task loss: requirement mass and schedule indexing both changed
-    _refresh_bounds(state)
+    refresh_bounds(state)
     state.schedule_memo.clear()
     for node, apr in zip(survivors, _aprs(state, survivors)):
         node.apr = apr
@@ -315,7 +288,7 @@ def handle_agent_or_task_loss(state: SearchState, event: DynamicEvent, old_domai
     _rescore_frontier(state)
     for node in state.with_status(CLOSED):
         if node.apr <= APR_TOL:
-            _revive(state, node)
+            requeue(state, node)
 
 
 def handle_decrease(state: SearchState, event: DynamicEvent) -> None:
@@ -330,7 +303,7 @@ def handle_increase(state: SearchState, event: DynamicEvent) -> None:
     for node, apr in zip(stale, _aprs(state, stale)):
         node.apr = apr
         if apr <= APR_TOL:
-            _revive(state, node)
+            requeue(state, node)
 
 
 def handle_duration_change(
@@ -345,7 +318,7 @@ def handle_duration_change(
     idx = old_domain.network.task_index(event.payload["task"])
     d_old = old_domain.network.tasks[idx].duration
     d_new = state.domain.network.tasks[idx].duration
-    _refresh_bounds(state)
+    refresh_bounds(state)
     _lower_floors(state, max(0.0, d_old - d_new))
     _rescore_frontier(state)
 
@@ -357,7 +330,8 @@ def handle_new_agent(state: SearchState, event: DynamicEvent) -> None:
     stack = _stack(nodes, (n_tasks, state.domain.n_robots - 1))
     zeros = np.zeros((len(nodes), n_tasks, 1), dtype=np.int8)
     _reshape(state, nodes, np.concatenate([stack, zeros], axis=2))
-    root = next((node for node in nodes if node.parent is None), None)
+    # the root's allocation is all zeros, so no loss has deleted it
+    root = next(node for node in nodes if node.parent is None)
 
     # the start config of the new agent must be a roadmap vertex
     state.roadmap = motion.build_roadmap(
@@ -368,7 +342,7 @@ def handle_new_agent(state: SearchState, event: DynamicEvent) -> None:
         state.seed,
     )
     state.plan_cache = motion.PlanCache()
-    _refresh_bounds(state)
+    refresh_bounds(state)
     # every retained schedule was solved against the old roadmap's travel
     # times, which the rebuild invalidated: demote to lazy (trivial sound
     # bound) so pops re-solve, and drop the stale makespan floors children
@@ -377,10 +351,7 @@ def handle_new_agent(state: SearchState, event: DynamicEvent) -> None:
     _rescore_frontier(state)
 
     new_col = state.domain.n_robots - 1
-    base = root.allocation if root is not None else Allocation(
-        np.zeros((state.domain.n_tasks, state.domain.n_robots), dtype=np.int8)
-    )
-    add_children(state, base, root, [(m, new_col) for m in range(state.domain.n_tasks)])
+    add_children(state, root.allocation, root, [(m, new_col) for m in range(n_tasks)])
 
 
 def decompose_mixed(domain: ProblemDomain, event: DynamicEvent) -> list[DynamicEvent]:
@@ -482,12 +453,11 @@ def repair(
         sol_node is not None
         and sol_node.status == OPEN
         and sol_node.allocation.key() in state.nodes
-        and materialize(state, sol_node)
+        and requeue(state, sol_node)
+        and sol_node.apr <= APR_TOL
     ):
-        state.push(sol_node)
-        if sol_node.apr <= APR_TOL:
-            result = search_mod._accept_goal(state, sol_node)
-            if result is not None:
-                return result
+        result = accept_goal(state, sol_node)
+        if result is not None:
+            return result
 
     return run_search(state, max_expansions, max_seconds)

@@ -3,10 +3,12 @@
 Nodes are allocation matrices; each edge adds one robot-task assignment.
 Priority is a convex mix of two normalized scores: the unmet-requirement
 fraction (apr) and the schedule quality relative to analytic makespan
-bounds (nsq). Every schedule is solved against roadmap travel times; the
-underlying plans are computed on demand and memoized in a shared cache, so
-repeated trips cost one shortest-path query across the whole search and an
-accepted solution's schedule is always backed by real plans.
+bounds (nsq). ``prioritize`` is the only code that writes nsq and the
+priority, and every node transition (lazy, exact, open, demoted) lives
+here. Every schedule is solved against roadmap travel times; the underlying
+plans are computed on demand and memoized in a shared cache, so repeated
+trips cost one shortest-path query across the whole search and an accepted
+solution's schedule is always backed by real plans.
 """
 
 from __future__ import annotations
@@ -81,34 +83,21 @@ def apr_value(alloc: Allocation, team, req) -> float:
     return float(apr_values(alloc.entries[None], team, req)[0])
 
 
-def nsq_value(mk: float, lb: float, ub: float) -> float:
-    """Makespan normalized between the analytic bounds, clamped to [0, 1]."""
-    if ub <= lb:
-        return 0.0
-    return min(1.0, max(0.0, (mk - lb) / (ub - lb)))
-
-
-def tetaq_value(apr: float, nsq: float, alpha: float) -> float:
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    return alpha * apr + (1.0 - alpha) * nsq
-
-
 @dataclass
 class AllocationNode:
+    """One allocation of the graph and its scores.
+
+    ``apr`` is current in the domain whenever the node is OPEN: its creator
+    scored it, and repair rescores every node an event can move. ``nsq``
+    and ``tetaq`` are written by ``prioritize`` alone, from apr and floor.
+    """
+
     allocation: Allocation
     parent: "AllocationNode | None"
-    schedule: Schedule | None
+    schedule: Schedule | None  # None until solved, once demoted, or if infeasible
     apr: float
-    nsq: float
-    tetaq: float
     status: str
     seq: int
-    # False while nsq/tetaq are a lower bound (schedule not yet solved, or
-    # dropped by a repair); the pop loop solves lazily and re-queues with
-    # the exact priority, which preserves best-first order while skipping
-    # nodes that never reach the top of the frontier.
-    exact: bool = False
     # sound lower bound on this allocation's optimal makespan in the current
     # domain, whatever the status: the solved makespan once exact, else the
     # bound nsq was computed from (the parent's floor for a new child);
@@ -117,7 +106,19 @@ class AllocationNode:
     # post-hoc gap bound relies on. The scheduler stops at it, so an
     # unsound floor can yield a suboptimal schedule
     floor: float = 0.0
+    nsq: float = math.nan
+    tetaq: float = math.nan
     version: int = 0  # bumped on re-prioritization; stale heap entries skipped
+
+    @property
+    def exact(self) -> bool:
+        """Whether the priority is exact rather than a lower bound.
+
+        The pop loop solves a lazy node and re-queues it with the exact
+        priority, which preserves best-first order while skipping nodes
+        that never reach the top of the frontier.
+        """
+        return self.schedule is not None
 
     @property
     def assignments(self) -> int:
@@ -152,8 +153,8 @@ class SearchState:
     alpha: float
     roadmap: Roadmap
     plan_cache: PlanCache
-    lb: float
-    ub: float
+    lb: float = 0.0  # analytic makespan bounds; see ``refresh_bounds``
+    ub: float = 0.0
     prm_samples: int = 200
     prm_k: int = 8
     seed: int = 0
@@ -217,28 +218,34 @@ def new_state(
     prm_k: int = 8,
     seed: int = 0,
 ) -> SearchState:
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     roadmap = motion.build_roadmap(
         domain.world, motion.mandatory_vertices(domain), prm_samples, prm_k, seed
     )
-    durations = [t.duration for t in domain.network.tasks]
     state = SearchState(
         domain=domain,
         alpha=alpha,
         roadmap=roadmap,
         plan_cache=PlanCache(),
-        lb=schedule_lower_bound(durations),
-        ub=schedule_upper_bound(domain.world, durations, roadmap.total_edge_length),
         prm_samples=prm_samples,
         prm_k=prm_k,
         seed=seed,
     )
+    refresh_bounds(state)
     root_alloc = Allocation(np.zeros((domain.n_tasks, domain.n_robots), dtype=np.int8))
-    root = make_node(
-        state, root_alloc, None, apr_value(root_alloc, domain.team, domain.requirements)
-    )
-    if root.status == OPEN:
-        state.push(root)
+    apr = apr_value(root_alloc, domain.team, domain.requirements)
+    requeue(state, make_node(state, root_alloc, None, apr))
     return state
+
+
+def refresh_bounds(state: SearchState) -> None:
+    """Set the analytic makespan bounds from the current domain and roadmap."""
+    durations = [t.duration for t in state.domain.network.tasks]
+    state.lb = schedule_lower_bound(durations)
+    state.ub = schedule_upper_bound(
+        state.domain.world, durations, state.roadmap.total_edge_length
+    )
 
 
 def solve_with_memo(
@@ -264,86 +271,96 @@ def evaluate(
     alloc: Allocation,
     floor: float = 0.0,
     hint: Schedule | None = None,
-):
-    """Schedule an allocation and score it; returns (schedule, apr, nsq, tetaq).
+) -> Schedule | None:
+    """Schedule an allocation through the memo; None when it is infeasible.
 
-    ``schedule`` is None when the induced constraints are infeasible (the
-    caller prunes such nodes). ``floor`` must be a sound lower bound on the
-    allocation's optimal makespan; see ``solve_schedule``.
+    ``floor`` must be a sound lower bound on the allocation's optimal
+    makespan; see ``solve_schedule``.
     """
     travel = motion.plan_provider(state.domain, state.roadmap, state.plan_cache)
     problem = build_scheduling_problem(state.domain, alloc, travel)
-    sched = solve_with_memo(state, problem, floor, hint)
-    apr = apr_value(alloc, state.domain.team, state.domain.requirements)
-    if sched is None:
-        return None, apr, math.nan, math.nan
-    nsq = nsq_value(sched.makespan, state.lb, state.ub)
-    return sched, apr, nsq, tetaq_value(apr, nsq, state.alpha)
+    return solve_with_memo(state, problem, floor, hint)
+
+
+def prioritize(state: SearchState, nodes) -> None:
+    """Write each node's nsq and tetaq from its apr and floor.
+
+    nsq is the floor normalized between the state's makespan bounds and
+    clamped to [0, 1] (0 when the bounds meet); tetaq mixes apr and nsq by
+    alpha. An exact node's floor is its makespan, any other's a lower bound
+    on it, so a lazy priority never exceeds the exact one. The only writer
+    of nsq and tetaq; re-keying the heap is left to the caller.
+    """
+    lb, ub, alpha = state.lb, state.ub, state.alpha
+    for node in nodes:
+        nsq = 0.0 if ub <= lb else min(1.0, max(0.0, (node.floor - lb) / (ub - lb)))
+        node.nsq = nsq
+        node.tetaq = alpha * node.apr + (1.0 - alpha) * nsq
 
 
 def make_node(
     state: SearchState, alloc: Allocation, parent: AllocationNode | None, apr: float
 ) -> AllocationNode:
-    """Register an allocation as a node; only the root is scheduled here.
+    """Register an allocation as a lazy, unscored node.
 
     ``apr`` is the allocation's ``apr_values`` score, which callers take in
     one call for a batch of new nodes. A child's feasible region is a
-    subset of its parent's, so the parent's floor lower-bounds the child's
-    makespan and gives a sound priority bound. No child is exact at
-    creation: each enters the frontier with its parent's floor, and
-    ``materialize`` solves it once it reaches the top of the frontier.
+    subset of its parent's, so it starts from the parent's floor, a sound
+    bound on its makespan; the caller ``prioritize``s the batch, and
+    ``materialize`` solves a child once it reaches the top of the frontier.
     """
     floor = parent.floor if parent is not None else 0.0
-    nsq = nsq_value(floor, state.lb, state.ub)
-    node = AllocationNode(
-        allocation=alloc,
-        parent=parent,
-        schedule=None,
-        apr=apr,
-        nsq=nsq,
-        tetaq=tetaq_value(apr, nsq, state.alpha),
-        status=OPEN,
-        seq=next(state._seq),
-        floor=floor,
-    )
-    if parent is None:
-        materialize(state, node)
+    node = AllocationNode(alloc, parent, None, apr, OPEN, next(state._seq), floor)
     state.nodes[alloc.key()] = node
     return node
 
 
 def materialize(state: SearchState, node: AllocationNode) -> bool:
-    """Evaluate a node's allocation and write every score it carries.
+    """Solve a node's schedule and rescore it; False when it is pruned.
 
-    The one place that sets ``schedule``, ``apr``, ``nsq``, ``tetaq``,
-    ``floor``, ``exact`` and ``status`` from a solved schedule: the
-    node is OPEN afterwards, or PRUNED (and False is returned) when its
-    constraints are infeasible. It always re-solves, through the schedule
-    memo; the caller decides whether the node needs it. Pushing the node
-    onto the frontier is also left to the caller.
+    Sets ``schedule``, ``status`` (OPEN, or PRUNED when its constraints are
+    infeasible) and ``floor`` (the solved makespan), then ``prioritize``s
+    the node; its apr must already be current. It always re-solves, through
+    the schedule memo; pushing is left to the caller.
 
     The solve is warm: it stops once an incumbent meets the node's floor,
     and the parent's schedule, when it has one, gives the first incumbent.
     """
     hint = node.parent.schedule if node.parent is not None else None
-    sched, apr, nsq, tq = evaluate(state, node.allocation, floor=node.floor, hint=hint)
-    node.exact = True
-    node.apr = apr
-    node.schedule = sched
-    if sched is None:
+    node.schedule = evaluate(state, node.allocation, node.floor, hint)
+    if node.schedule is None:
         node.status = PRUNED
         return False
     node.status = OPEN
-    node.nsq = nsq
-    node.tetaq = tq
-    node.floor = sched.makespan
+    node.floor = node.schedule.makespan
+    prioritize(state, [node])
     return True
+
+
+def requeue(state: SearchState, node: AllocationNode) -> bool:
+    """Materialize a node and push it when it stays open."""
+    is_open = materialize(state, node)
+    if is_open:
+        state.push(node)
+    return is_open
+
+
+def demote(state: SearchState, nodes) -> None:
+    """Forget the nodes' schedules; each priority falls to its floor's bound.
+
+    Each floor must already be a sound lower bound on its node's optimal
+    makespan in the current domain, so the node stays correctly ordered and
+    is re-solved when it is popped. Re-keying the heap is left to the caller.
+    """
+    for node in nodes:
+        node.schedule = None
+    prioritize(state, nodes)
 
 
 def add_children(
     state: SearchState,
     base: Allocation,
-    parent: AllocationNode | None,
+    parent: AllocationNode,
     cells,
 ) -> list[AllocationNode]:
     """Register ``base`` plus one assignment at each new cell, as nodes.
@@ -351,7 +368,7 @@ def add_children(
     A cell already assigned in ``base``, or whose child is already in the
     graph, is skipped: its key is looked up before the child is built, so a
     duplicate costs one ``bytes`` lookup and no numpy work. The new children
-    are scored in one ``apr_values`` call and pushed when open.
+    are scored in one ``apr_values`` and one ``prioritize`` call, then pushed.
     """
     key, cols = base.key(), base.entries.shape[1]
     allocs = [
@@ -363,12 +380,10 @@ def add_children(
         return []
     stack = stack_allocations(allocs, base.entries.shape)
     aprs = apr_values(stack, state.domain.team, state.domain.requirements).tolist()
-    children = []
-    for alloc, apr in zip(allocs, aprs):
-        child = make_node(state, alloc, parent, apr)
-        if child.status == OPEN:
-            state.push(child)
-        children.append(child)
+    children = [make_node(state, alloc, parent, apr) for alloc, apr in zip(allocs, aprs)]
+    prioritize(state, children)
+    for child in children:
+        state.push(child)
     return children
 
 
@@ -435,7 +450,7 @@ def min_open_apr(state: SearchState) -> float:
     return min(values, default=1.0)
 
 
-def _accept_goal(state: SearchState, node: AllocationNode) -> SearchResult | None:
+def accept_goal(state: SearchState, node: AllocationNode) -> SearchResult | None:
     """Close an exact zero-apr node as the solution once every trip is planned.
 
     A disconnected trip prunes the node instead, and None is returned.
@@ -475,14 +490,13 @@ def run_search(
         if not node.exact:
             # re-queue with the exact priority; best-first order over exact
             # values is preserved because the bound never overestimates
-            if materialize(state, node):
-                state.push(node)
+            requeue(state, node)
             continue
         state.stats.nodes_touched += 1
         if state.best_priority() <= node.tetaq + TIE_TOL:
             state.stats.tied_pops += 1
         if node.apr <= APR_TOL:
-            result = _accept_goal(state, node)
+            result = accept_goal(state, node)
             if result is not None:
                 return result
             continue

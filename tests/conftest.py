@@ -15,7 +15,7 @@ from dynalloc.domain import (
 )
 from dynalloc.generator import generate_problem
 from dynalloc.geometry import Circle
-from dynalloc.search import OPEN
+from dynalloc.search import OPEN, apr_value
 
 
 def build_domain(
@@ -82,6 +82,33 @@ def heap_violations(state):
         for key, count in live.items()
         if key not in frontier
     )
+    return problems
+
+
+def score_violations(state):
+    """OPEN nodes whose scores are not current, compared with ``==``.
+
+    Each OPEN node's apr must be its allocation's ``apr_value`` on the
+    state's domain, its nsq and tetaq the priority formula on (apr, floor,
+    lb, ub, alpha), and an exact node's floor its schedule's makespan. This
+    is the rule that lets the search materialize a node without re-deriving
+    its apr.
+    """
+    domain, lb, ub, alpha = state.domain, state.lb, state.ub, state.alpha
+    problems = []
+    for node in state.nodes.values():
+        if node.status != OPEN:
+            continue
+        apr = apr_value(node.allocation, domain.team, domain.requirements)
+        nsq = 0.0 if ub <= lb else min(1.0, max(0.0, (node.floor - lb) / (ub - lb)))
+        expected = {"apr": apr, "nsq": nsq, "tetaq": alpha * node.apr + (1.0 - alpha) * nsq}
+        if node.exact:
+            expected["floor"] = node.schedule.makespan
+        problems.extend(
+            f"node {node.seq}: {name} {getattr(node, name)!r}, expected {value!r}"
+            for name, value in expected.items()
+            if getattr(node, name) != value
+        )
     return problems
 
 

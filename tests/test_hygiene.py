@@ -55,3 +55,112 @@ def test_the_scan_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_top_level_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_reads(source: str) -> list[str]:
+    """Underscore names a module takes from another ``dynalloc`` module.
+
+    Either imported by name (``from .search import _x``) or read through a
+    module it imported (``search_mod._x``). Dunder names are public.
+    """
+    tree = ast.parse(source)
+    modules: set[str] = set()
+    found: list[tuple[int, str]] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {
+                (a.asname or a.name).split(".")[0]
+                for a in node.names
+                if a.name.split(".")[0] == "dynalloc"
+            }
+        elif isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "dynalloc"
+        ):
+            from_package = node.module in (None, "dynalloc")
+            for a in node.names:
+                if _private(a.name):
+                    found.append((node.lineno, a.name))
+                elif from_package:
+                    modules.add(a.asname or a.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _private(node.attr):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in modules:
+                found.append((node.lineno, f"{ast.unparse(node.value)}.{node.attr}"))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def score_writers(source: str) -> list[tuple[int, str | None]]:
+    """(line, enclosing function) of every store to an ``.nsq`` or ``.tetaq``."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (
+                isinstance(child, ast.Attribute)
+                and child.attr in ("nsq", "tetaq")
+                and isinstance(child.ctx, ast.Store)
+            ):
+                found.append((child.lineno, function))
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_the_scan_sees_a_private_read():
+    source = (
+        "import dynalloc.motion as m\n"
+        "import numpy as np\n"
+        "from . import motion, search as search_mod\n"
+        "from .search import _accept_goal, run_search\n"
+        "from .domain import Allocation\n"
+        "def f(state):\n"
+        "    search_mod._accept_goal(state), m._cache, motion.PlanCache._x\n"
+        "    np._x, state._seq, Allocation._trusted, motion.__name__\n"
+        "    return run_search(state)\n"
+    )
+    assert private_reads(source) == [
+        "line 4: _accept_goal",
+        "line 7: m._cache",
+        "line 7: motion.PlanCache._x",
+        "line 7: search_mod._accept_goal",
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_private_read_across_modules(path):
+    assert private_reads(path.read_text()) == []
+
+
+def test_the_scan_sees_a_score_write():
+    source = (
+        "node.nsq = 0.0\n"
+        "def prioritize(nodes):\n"
+        "    for n in nodes:\n"
+        "        n.nsq, n.tetaq = 0.0, 0.0\n"
+        "def demote(node):\n"
+        "    node.tetaq += 1.0\n"
+        "    return node.nsq\n"
+    )
+    assert score_writers(source) == [
+        (1, None), (4, "prioritize"), (4, "prioritize"), (6, "demote")
+    ]
+
+
+def test_only_prioritize_writes_scores():
+    writers = {
+        (path.name, function)
+        for path in MODULES
+        for _, function in score_writers(path.read_text())
+    }
+    assert writers == {("search.py", "prioritize")}

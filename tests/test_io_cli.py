@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from dynalloc import motion
+from dynalloc import cli, motion
 from dynalloc.cli import main
 from dynalloc.generator import generate_event, generate_problem
 from dynalloc.problem_io import (
@@ -199,6 +199,34 @@ class TestCLI:
             "bounds": ["bounds", "--problem", str(ppath)],
         }[command]
         assert main(argv + flags + ["--out", str(tmp_path / "out")]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "input"
+        assert word in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, word",
+        [
+            (["gen", "--robots", "0"], "--robots 0"),
+            (["gen", "--tasks", "0"], "--tasks 0"),
+            (["gen", "--traits", "-1"], "--traits -1"),
+            (["bounds", "--tasks", "0"], "--tasks 0"),
+            (["bounds", "--traits", "0"], "--traits 0"),
+            (["bounds", "--instances", "0"], "--instances 0"),
+        ],
+        ids=["gen-no-robots", "gen-no-tasks", "gen-negative-traits", "bounds-no-tasks",
+             "bounds-no-traits", "bounds-no-instances"],
+    )
+    def test_counts_below_one_refused(self, tmp_path, capsys, monkeypatch, argv, word):
+        """Refused as one JSON line, exit 2, before any problem is generated."""
+
+        def no_generation(*args, **kwargs):
+            raise AssertionError("a problem was generated")
+
+        monkeypatch.setattr(cli, "generate_problem", no_generation)
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
         err = json.loads(lines[0])

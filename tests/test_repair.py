@@ -18,10 +18,18 @@ from dynalloc.repair import (
     repair,
 )
 from dynalloc.scheduler import build_scheduling_problem, solve_schedule
-from dynalloc.search import CLOSED, OPEN, apr_value, evaluate, materialize, search
+from dynalloc.search import (
+    CLOSED,
+    OPEN,
+    apr_value,
+    demote,
+    evaluate,
+    materialize,
+    search,
+)
 from dynalloc.validation import solution_violations
 
-from conftest import build_domain, heap_violations
+from conftest import build_domain, heap_violations, score_violations
 
 ALL_KINDS = list(EventKind)
 
@@ -291,7 +299,8 @@ def _eager_rescore_frontier(state):
         if node.exact:
             materialize(state, node)
         else:
-            repair_mod._demote(state, node, 0.0)
+            node.floor = 0.0
+            demote(state, [node])
     state.rebuild_heap()
 
 
@@ -315,18 +324,70 @@ def _event_chain(domain, case, seed):
     return [first, generate_event(after, EventKind.DURATION_CHANGED, seed + 1)]
 
 
+@pytest.fixture(scope="module")
+def solved_desks():
+    """The acceptance suite's first ten desk domains, solved once per alpha.
+
+    Tests repair deep copies only, so the solved states stay untouched.
+    """
+    shapes = ((3, 4), (2, 4), (3, 3), (2, 3), (3, 2))
+    domains = [generate_problem(100 + i, *shapes[i % 5], 3) for i in range(10)]
+    return {alpha: [(d, _solved(d, alpha)) for d in domains] for alpha in (0.0, 0.25)}
+
+
+def _mixed_trait_event(domain):
+    """Sign-mixed row change: a robot's largest trait halves, its smallest
+    rises by 1 (the robot whose traits differ most)."""
+    entries = domain.team.entries
+    i = int(np.argmax(entries.max(axis=1) - entries.min(axis=1)))
+    row = np.array(entries[i])
+    row[int(np.argmax(row))] *= 0.5
+    row[int(np.argmin(entries[i]))] += 1.0
+    traits = dict(zip(domain.team.trait_names, row.tolist()))
+    return DynamicEvent(
+        1.0, EventKind.TRAITS_INCREASED, {"agent": domain.team.robot_ids[i], "traits": traits}
+    )
+
+
+class TestScoreAudit:
+    """Every OPEN node's scores stay current (``conftest.score_violations``)."""
+
+    GROUPS = [k.value for k in EventKind] + ["mixed", "multi"]
+
+    def test_after_fresh_searches(self, solved_desks):
+        for results in solved_desks.values():
+            for i, (_, result) in enumerate(results):
+                assert score_violations(result.state) == [], i
+
+    @pytest.mark.parametrize("group", GROUPS)
+    def test_after_every_repair_group(self, group, solved_desks, monkeypatch):
+        """Checked when the surgery hands over to the resumed search, and
+        once the repair returns."""
+        real_run_search = repair_mod.run_search
+
+        def audited_run_search(state, *args, **kwargs):
+            assert score_violations(state) == []
+            return real_run_search(state, *args, **kwargs)
+
+        monkeypatch.setattr(repair_mod, "run_search", audited_run_search)
+        for i, (domain, result) in enumerate(solved_desks[0.25]):
+            if group == "mixed":
+                events = [_mixed_trait_event(domain)]
+                assert len(decompose_mixed(domain, events[0])) == 2, i
+            elif group == "multi":
+                events = _event_chain(domain, "traits_then_duration", 3000 + i)
+            else:
+                events = [generate_event(domain, EventKind(group), 3000 + i)]
+            state, solution = copy.deepcopy(result.state), result.solution
+            for ev in events:
+                out = repair(state, solution, ev)
+                state, solution = out.state, out.solution
+                assert score_violations(state) == [], (i, ev)
+                assert heap_violations(state) == [], (i, ev)
+
+
 class TestLazyFrontier:
     """Repair demotes the frontier to sound floors and re-solves on pop."""
-
-    @pytest.fixture(scope="class")
-    def solved_desks(self):
-        """The acceptance suite's first ten desk domains, solved once per alpha.
-
-        Tests repair deep copies only, so the solved states stay untouched.
-        """
-        shapes = ((3, 4), (2, 4), (3, 3), (2, 3), (3, 2))
-        domains = [generate_problem(100 + i, *shapes[i % 5], 3) for i in range(10)]
-        return {alpha: [(d, _solved(d, alpha)) for d in domains] for alpha in (0.0, 0.25)}
 
     @pytest.mark.parametrize(
         "seed,shape,kind,event_seed",
@@ -345,7 +406,7 @@ class TestLazyFrontier:
         frontier = [n for n in state.nodes.values() if n.status == OPEN]
         assert frontier
         for node in frontier:
-            sched, *_ = evaluate(state, node.allocation)
+            sched = evaluate(state, node.allocation)
             if sched is not None:
                 assert node.floor <= sched.makespan + 1e-9
 

@@ -1,6 +1,7 @@
 """Best-first allocation search: goals, ordering, laziness, monotonicity."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,9 +28,8 @@ from dynalloc.search import (
     materialize,
     min_open_apr,
     new_state,
-    nsq_value,
+    prioritize,
     search,
-    tetaq_value,
 )
 from dynalloc.validation import solution_violations
 
@@ -43,16 +43,28 @@ def _acceptance_desks():
 
 
 class TestScores:
+    """``prioritize`` writes nsq and tetaq from a node's apr and floor."""
+
+    @staticmethod
+    def _scored(apr, floor, lb, ub, alpha):
+        node = SimpleNamespace(apr=apr, floor=floor)
+        prioritize(SimpleNamespace(lb=lb, ub=ub, alpha=alpha), [node])
+        return node
+
     def test_nsq_clamps_and_normalizes(self):
-        assert nsq_value(5.0, 0.0, 10.0) == 0.5
-        assert nsq_value(-1.0, 0.0, 10.0) == 0.0
-        assert nsq_value(99.0, 0.0, 10.0) == 1.0
-        assert nsq_value(3.0, 5.0, 5.0) == 0.0  # degenerate interval
+        assert self._scored(0.0, 5.0, 0.0, 10.0, 0.25).nsq == 0.5
+        assert self._scored(0.0, -1.0, 0.0, 10.0, 0.25).nsq == 0.0
+        assert self._scored(0.0, 99.0, 0.0, 10.0, 0.25).nsq == 1.0
+        assert self._scored(0.0, 3.0, 5.0, 5.0, 0.25).nsq == 0.0  # degenerate interval
 
     def test_tetaq_mixes_convexly(self):
-        assert tetaq_value(0.4, 0.8, 0.25) == pytest.approx(0.25 * 0.4 + 0.75 * 0.8)
+        node = self._scored(0.4, 8.0, 0.0, 10.0, 0.25)
+        assert node.nsq == 0.8
+        assert node.tetaq == pytest.approx(0.25 * 0.4 + 0.75 * 0.8)
+
+    def test_alpha_outside_unit_interval_refused(self, tiny_domain):
         with pytest.raises(ValueError):
-            tetaq_value(0.0, 0.0, 1.5)
+            search(tiny_domain, 1.5)
 
 
 def _reference_aprs(stack, team, req):
