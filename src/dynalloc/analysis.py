@@ -258,13 +258,7 @@ class ResourceReport:
         return self.achieved_assignments == self.optimal_assignments
 
 
-def search_min_resources(
-    domain: ProblemDomain,
-    prm_samples: int = 200,
-    prm_k: int = 8,
-    seed: int = 0,
-    max_expansions: int = 100_000,
-):
+def search_min_resources(domain: ProblemDomain):
     """Run the search at alpha = 1; return (solution or None, tie_free, state).
 
     At alpha = 1 the priority is the coverage residual alone, so the
@@ -273,23 +267,17 @@ def search_min_resources(
     counts the pops with an equal-priority rival in ``stats.tied_pops``;
     the run is tie-free when there were none.
     """
-    result = search(domain, 1.0, prm_samples, prm_k, seed, max_expansions)
+    result = search(domain, 1.0)
     return result.solution, result.state.stats.tied_pops == 0, result.state
 
 
-def validate_resource_count(
-    domain: ProblemDomain,
-    prm_samples: int = 200,
-    prm_k: int = 8,
-    seed: int = 0,
-) -> ResourceReport:
+def validate_resource_count(domain: ProblemDomain) -> ResourceReport:
     """Compare the alpha = 1 search's assignment count with the oracle."""
     check_enumerable(domain)
-    solution, tie_free, _ = search_min_resources(domain, prm_samples, prm_k, seed)
+    solution, tie_free, _ = search_min_resources(domain)
     if solution is None:
         raise BoundError("alpha=1 search found no solution")
-    travel = oracle_travel(domain, prm_samples, prm_k, seed)
-    optimal = brute_force_min_assignments(domain, travel)
+    optimal = brute_force_min_assignments(domain, oracle_travel(domain))
     report = ResourceReport(
         achieved_assignments=resource_count(solution.allocation),
         optimal_assignments=optimal,

@@ -14,12 +14,26 @@ from .generator import generate_problem
 from .search import search
 
 
-def _common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--alpha", type=float, default=0.25)
-    parser.add_argument("--out", type=Path, default=Path("out"))
-    parser.add_argument("--prm-samples", type=int, default=200)
-    parser.add_argument("--prm-k", type=int, default=8)
+# flags several subcommands share; each subcommand names the ones it reads
+SHARED_FLAGS = {
+    "--seed": dict(type=int, default=0),
+    "--alpha": dict(type=float, default=0.25),
+    "--out": dict(type=Path, default=Path("out")),
+    "--prm-samples": dict(type=int, default=200),
+    "--prm-k": dict(type=int, default=8),
+}
+
+
+def _subcommand(sub, name: str, help: str, *shared: str) -> argparse.ArgumentParser:
+    """A subcommand's parser with the named shared flags.
+
+    It takes no abbreviation: an abbreviated flag the subcommand lacks,
+    such as ``bounds --alpha``, would be read as another (``--alphas``).
+    """
+    parser = sub.add_parser(name, help=help, allow_abbrev=False)
+    for flag in shared:
+        parser.add_argument(flag, **SHARED_FLAGS[flag])
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -30,27 +44,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate a random problem file")
-    _common(p)
+    p = _subcommand(sub, "gen", "generate a random problem file", "--seed", "--out")
     p.add_argument("--robots", type=int, default=8)
     p.add_argument("--tasks", type=int, default=15)
     p.add_argument("--traits", type=int, default=4)
 
-    p = sub.add_parser("solve", help="solve a problem file once")
-    _common(p)
+    p = _subcommand(
+        sub, "solve", "solve a problem file once",
+        "--seed", "--alpha", "--out", "--prm-samples", "--prm-k",
+    )
     p.add_argument("problem", type=Path)
     p.add_argument("--max-expansions", type=int, default=100_000)
     p.add_argument("--max-seconds", type=float, default=300.0)
 
-    p = sub.add_parser("run-scenario", help="apply a scenario's events in order")
-    _common(p)
+    p = _subcommand(
+        sub, "run-scenario", "apply a scenario's events in order",
+        "--seed", "--alpha", "--out", "--prm-samples", "--prm-k",
+    )
     p.add_argument("problem", type=Path)
     p.add_argument("scenario", type=Path)
     p.add_argument("--mode", choices=["repair", "recompute", "both"], default="both")
     p.add_argument("--reps", type=int, default=3, help="timing repetitions per event")
 
-    p = sub.add_parser("bounds", help="alpha sweep validating the gap bounds")
-    _common(p)
+    p = _subcommand(
+        sub, "bounds", "alpha sweep validating the gap bounds",
+        "--seed", "--out", "--prm-samples", "--prm-k",
+    )
     p.add_argument("--problem", type=Path, default=None, help="problem file (else generated)")
     p.add_argument("--alphas", type=float, nargs="+", default=[0.0, 0.1, 0.2, 0.3, 0.4, 0.45])
     p.add_argument("--robots", type=int, default=3)
@@ -71,10 +90,11 @@ def _argument_error(args) -> DomainError | BoundError | None:
     """Why the arguments cannot be used, or None when they can.
 
     ``gen`` and ``bounds`` generate at least one problem of at least one
-    robot, task and trait. ``gen`` runs no search; ``bounds`` keeps each of
-    its alphas below 0.5, where the gap bound still means something;
-    ``solve`` and ``run-scenario`` take one alpha in [0, 1]. NaN lies in
-    neither range.
+    robot, task and trait. ``bounds`` keeps each of its alphas below 0.5,
+    where the gap bound still means something; ``solve`` and
+    ``run-scenario`` take one alpha in [0, 1]. NaN lies in neither range.
+    Every subcommand but ``gen`` builds a roadmap from ``--prm-samples``
+    and ``--prm-k``.
     """
     for flag in ("robots", "tasks", "traits", "instances"):
         count = getattr(args, flag, 1)

@@ -7,8 +7,6 @@ robot starts are rejection-sampled into free space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .domain import (
@@ -27,19 +25,18 @@ from .repair import DynamicEvent, EventKind
 MAX_PLACEMENT_TRIES = 10_000
 
 
-@dataclass(frozen=True)
-class WorldParams:
-    width: float = 100.0
-    height: float = 100.0
-    n_obstacles: int = 3
-    max_obstacle_radius: float = 8.0
-    min_speed: float = 1.0
-    max_speed: float = 3.0
-    precedence_prob: float = 0.15
-    mutex_prob: float = 0.1
-    max_coalition: int = 2
-    trait_prob: float = 0.7  # chance a robot possesses each trait
-    max_duration: float = 10.0
+# the generated world: a square with a few circular obstacles
+WIDTH = 100.0
+HEIGHT = 100.0
+N_OBSTACLES = 3
+MAX_OBSTACLE_RADIUS = 8.0
+MIN_SPEED = 1.0
+MAX_SPEED = 3.0
+PRECEDENCE_PROB = 0.15
+MUTEX_PROB = 0.1
+MAX_COALITION = 2
+TRAIT_PROB = 0.7  # chance a robot possesses each trait
+MAX_DURATION = 10.0
 
 
 def _free_point(rng, world_bounds, obstacles):
@@ -54,29 +51,22 @@ def _free_point(rng, world_bounds, obstacles):
     raise DomainError("could not place a point in free space")
 
 
-def generate_problem(
-    seed: int,
-    n_robots: int,
-    n_tasks: int,
-    n_traits: int,
-    world_params: WorldParams | None = None,
-) -> ProblemDomain:
+def generate_problem(seed: int, n_robots: int, n_tasks: int, n_traits: int) -> ProblemDomain:
     """Deterministic random domain; always passes validate_problem."""
     if min(n_robots, n_tasks, n_traits) < 1:
         raise DomainError("counts must all be >= 1")
-    wp = world_params or WorldParams()
     rng = np.random.default_rng(seed)
-    bounds = (0.0, 0.0, wp.width, wp.height)
+    bounds = (0.0, 0.0, WIDTH, HEIGHT)
 
     obstacles = tuple(
         Circle(
             (
-                round(float(rng.uniform(0.15 * wp.width, 0.85 * wp.width)), 3),
-                round(float(rng.uniform(0.15 * wp.height, 0.85 * wp.height)), 3),
+                round(float(rng.uniform(0.15 * WIDTH, 0.85 * WIDTH)), 3),
+                round(float(rng.uniform(0.15 * HEIGHT, 0.85 * HEIGHT)), 3),
             ),
-            round(float(rng.uniform(1.0, wp.max_obstacle_radius)), 3),
+            round(float(rng.uniform(1.0, MAX_OBSTACLE_RADIUS)), 3),
         )
-        for _ in range(wp.n_obstacles)
+        for _ in range(N_OBSTACLES)
     )
 
     # robots: trait rows with sparse zeros, positive speeds, free starts
@@ -84,13 +74,13 @@ def generate_problem(
     team = np.zeros((n_robots, n_traits))
     for i in range(n_robots):
         while True:
-            mask = rng.random(n_traits) < wp.trait_prob
+            mask = rng.random(n_traits) < TRAIT_PROB
             if mask.any():
                 break
         team[i, mask] = np.round(rng.uniform(0.5, 2.0, int(mask.sum())), 3)
     starts = {rid: _free_point(rng, bounds, obstacles) for rid in robot_ids}
     speeds = {
-        rid: round(float(rng.uniform(wp.min_speed, wp.max_speed)), 3)
+        rid: round(float(rng.uniform(MIN_SPEED, MAX_SPEED)), 3)
         for rid in robot_ids
     }
 
@@ -98,7 +88,7 @@ def generate_problem(
     tasks = []
     req = np.zeros((n_tasks, n_traits))
     for m in range(n_tasks):
-        size = int(rng.integers(1, min(wp.max_coalition, n_robots) + 1))
+        size = int(rng.integers(1, min(MAX_COALITION, n_robots) + 1))
         subset = rng.choice(n_robots, size=size, replace=False)
         scale = float(rng.uniform(0.5, 1.0))
         req[m] = np.round(team[subset].sum(axis=0) * scale, 3)
@@ -107,7 +97,7 @@ def generate_problem(
         tasks.append(
             TaskSpec(
                 f"t{m}",
-                round(float(rng.uniform(1.0, wp.max_duration)), 3),
+                round(float(rng.uniform(1.0, MAX_DURATION)), 3),
                 initial,
                 terminal,
             )
@@ -118,9 +108,9 @@ def generate_problem(
     for i in range(n_tasks):
         for j in range(i + 1, n_tasks):
             u = rng.random()
-            if u < wp.precedence_prob:
+            if u < PRECEDENCE_PROB:
                 precedence.add((i, j))  # i < j keeps the DAG acyclic
-            elif u < wp.precedence_prob + wp.mutex_prob:
+            elif u < PRECEDENCE_PROB + MUTEX_PROB:
                 mutex.add((i, j))
 
     domain = ProblemDomain(

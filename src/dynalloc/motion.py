@@ -24,6 +24,10 @@ from .domain import ProblemDomain, TeamTraitMatrix, WorldModel
 from .geometry import Point, Shape, point_in_any, segment_collides
 
 
+# rejection sampling gives up after this many draws per requested sample
+REJECTION_CAP_FACTOR = 50
+
+
 class RoadmapError(Exception):
     pass
 
@@ -106,7 +110,6 @@ def build_roadmap(
     n_samples: int = 200,
     k_neighbors: int = 8,
     seed: int = 0,
-    rejection_cap_factor: int = 50,
 ) -> Roadmap:
     """Sample free space, force mandatory vertices, connect k nearest.
 
@@ -123,7 +126,6 @@ def build_roadmap(
         n_samples,
         k_neighbors,
         seed,
-        rejection_cap_factor,
     )
 
 
@@ -135,7 +137,6 @@ def _build_roadmap(
     n_samples: int,
     k_neighbors: int,
     seed: int,
-    rejection_cap_factor: int,
 ) -> Roadmap:
     if n_samples < 1:
         raise RoadmapError("n_samples must be >= 1")
@@ -148,7 +149,7 @@ def _build_roadmap(
     rng = np.random.default_rng(seed)
     free: list[Point] = []
     attempts = 0
-    cap = rejection_cap_factor * n_samples
+    cap = REJECTION_CAP_FACTOR * n_samples
     while len(free) < n_samples and attempts < cap:
         attempts += 1
         p = (float(rng.uniform(xmin, xmax)), float(rng.uniform(ymin, ymax)))

@@ -397,40 +397,37 @@ def decompose_mixed(domain: ProblemDomain, event: DynamicEvent) -> list[DynamicE
     ]
 
 
-def repair(
-    state: SearchState,
-    solution,
-    event: DynamicEvent,
-    max_expansions: int = 100_000,
-    max_seconds: float = 300.0,
-) -> SearchResult:
+def repair(state: SearchState, solution, event: DynamicEvent) -> SearchResult:
     """Mutate the retained state for one event and resume the search.
 
-    The previous solution node is first returned to the frontier; after the
-    kind-specific surgery it is re-certified under the new domain and, when
-    it is still a goal, returned without any further expansion.
+    ``solution`` is the one the last solve or repair of this state
+    returned, None when that found none. Its node is first returned to the
+    frontier; after the kind-specific surgery it is re-certified under the
+    new domain and, when it is still a goal, returned without any further
+    expansion.
 
-    Every step is applied to the domain before the state is touched, so an
-    event that is refused leaves the retained state as it was.
+    A solution whose allocation is not in the state's graph is refused, and
+    every step is applied to the domain before the state is touched, so a
+    refused solution or event leaves the retained state as it was.
     """
-    steps = decompose_mixed(state.domain, event)
-    domains = [state.domain]
+    domain = state.domain
+    sol_node = None
+    if solution is not None:
+        # look the node up by key: the state may be a copy whose node
+        # objects are not those the solution was taken from
+        alloc = solution.allocation
+        sol_node = state.nodes.get(alloc.key())
+        if sol_node is None or alloc.entries.shape != (domain.n_tasks, domain.n_robots):
+            raise DomainError("the solution's allocation is not in this state's graph")
+    steps = decompose_mixed(domain, event)
+    domains = [domain]
     for step in steps:
         domains.append(apply_event(domains[-1], step))
     state.repair_reads += 1
 
-    # resolve the solution's node inside *this* state (the caller may hand
-    # us a copied state whose node objects are distinct from solution.node)
-    sol_node = None
-    if solution is not None:
-        key = solution.allocation.key()
-        sol_node = state.nodes.get(key)
-        if sol_node is None:
-            sol_node = solution.node
-            state.nodes[key] = sol_node
-        if sol_node.status != OPEN:
-            sol_node.status = OPEN
-            state.push(sol_node)
+    if sol_node is not None and sol_node.status != OPEN:
+        sol_node.status = OPEN
+        state.push(sol_node)
 
     for step, old_domain, new_domain in zip(steps, domains, domains[1:]):
         state.domain = new_domain
@@ -460,4 +457,4 @@ def repair(
         if result is not None:
             return result
 
-    return run_search(state, max_expansions, max_seconds)
+    return run_search(state)

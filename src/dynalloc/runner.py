@@ -72,7 +72,7 @@ def _timed(fn, repetitions: int):
     """Median wall time over repetitions; the last call's value is kept."""
     times = []
     result = None
-    for _ in range(max(1, repetitions)):
+    for _ in range(repetitions):
         t0 = time.perf_counter()
         result = fn()
         times.append((time.perf_counter() - t0) * 1000.0)
@@ -88,12 +88,10 @@ def _checked(result: SearchResult, domain: ProblemDomain, context: str) -> Searc
     return result
 
 
-def _record(
-    scenario: str, idx: int, kind: str, mode: str, ms: float, result: SearchResult
-) -> EventRecord:
+def _record(idx: int, kind: str, mode: str, ms: float, result: SearchResult) -> EventRecord:
     state = result.state
     return EventRecord(
-        scenario=scenario,
+        scenario="scenario",
         event_index=idx,
         event_kind=kind,
         mode=mode,
@@ -115,23 +113,18 @@ def run_scenario(
     prm_samples: int = 200,
     prm_k: int = 8,
     repetitions: int = 1,
-    scenario_name: str = "scenario",
-    max_expansions: int = 100_000,
-    max_seconds: float = 300.0,
 ) -> ScenarioResult:
     if mode not in ("repair", "recompute", "both"):
         raise ScenarioError(f"unknown mode {mode!r}")
     modes = ["repair", "recompute"] if mode == "both" else [mode]
+    runs = max(1, repetitions)
     out = ScenarioResult()
 
     for run_mode in modes:
         current = domain
-        result, ms = _timed(
-            lambda: search(current, alpha, prm_samples, prm_k, seed, max_expansions, max_seconds),
-            repetitions,
-        )
+        result, ms = _timed(lambda: search(current, alpha, prm_samples, prm_k, seed), runs)
         result = _checked(result, current, f"{run_mode} initial solve")
-        out.records.append(_record(scenario_name, -1, "initial", run_mode, ms, result))
+        out.records.append(_record(-1, "initial", run_mode, ms, result))
 
         for idx, event in enumerate(sorted(events, key=lambda e: e.time)):
             # a sign-mixed row change is applied as its pure steps, as repair does
@@ -139,36 +132,25 @@ def run_scenario(
             for step in decompose_mixed(current, event):
                 next_domain = apply_event(next_domain, step)
             if run_mode == "repair":
-                pre_reads = result.state.repair_reads
-                if repetitions > 1:
-                    # timing copies keep the real state untouched until the last run
-                    base_state, base_sol = result.state, result.solution
-                    times = []
-                    for rep in range(repetitions):
-                        st = copy.deepcopy(base_state)
-                        t0 = time.perf_counter()
-                        result = repair(st, base_sol, event, max_expansions, max_seconds)
-                        times.append((time.perf_counter() - t0) * 1000.0)
-                    ms = statistics.median(times)
-                else:
+                state, solution = result.state, result.solution
+                pre_reads = state.repair_reads
+                times = []
+                for rep in range(runs):
+                    # every run but the last repairs a copy, so each starts
+                    # from the same state; the last repairs the state itself
+                    target = state if rep == runs - 1 else copy.deepcopy(state)
                     t0 = time.perf_counter()
-                    result = repair(
-                        result.state, result.solution, event, max_expansions, max_seconds
-                    )
-                    ms = (time.perf_counter() - t0) * 1000.0
+                    result = repair(target, solution, event)
+                    times.append((time.perf_counter() - t0) * 1000.0)
+                ms = statistics.median(times)
                 assert result.state.repair_reads > pre_reads
             else:
                 result, ms = _timed(
-                    lambda d=next_domain: search(
-                        d, alpha, prm_samples, prm_k, seed, max_expansions, max_seconds
-                    ),
-                    repetitions,
+                    lambda d=next_domain: search(d, alpha, prm_samples, prm_k, seed), runs
                 )
                 assert result.state.repair_reads == 0  # recompute never reuses state
             result = _checked(result, next_domain, f"{run_mode} event {idx}")
-            out.records.append(
-                _record(scenario_name, idx, event.kind.value, run_mode, ms, result)
-            )
+            out.records.append(_record(idx, event.kind.value, run_mode, ms, result))
             current = next_domain
     return out
 

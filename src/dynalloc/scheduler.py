@@ -340,14 +340,13 @@ def schedule_lower_bound(durations) -> float:
 
 
 def schedule_upper_bound(
-    world: WorldModel, durations, roadmap_total_edge_length: float | None = None
+    world: WorldModel, durations, roadmap_total_edge_length: float
 ) -> float:
     """Worst-case makespan: total ordering with maximal travel.
 
-    ``z`` is the longest possible path length: the roadmap's total edge
-    length once one exists, else a perimeter-scaled fallback of
-    2*(width+height)*M. The travel term charges every task two worst-case
-    trips at the slowest robot's speed.
+    No roadmap path is longer than the roadmap's total edge length, so the
+    travel term charges every task two trips of that length at the slowest
+    robot's speed.
     """
     m = len(durations)
     if m == 0:
@@ -357,12 +356,7 @@ def schedule_upper_bound(
     w = min(world.robot_speeds.values())
     if w <= 0:
         raise ValueError("robot speeds must be positive")
-    if roadmap_total_edge_length is not None:
-        z = roadmap_total_edge_length
-    else:
-        xmin, ymin, xmax, ymax = world.bounds
-        z = 2.0 * ((xmax - xmin) + (ymax - ymin)) * m
-    return 2.0 * m * z / w + float(sum(durations))
+    return 2.0 * m * roadmap_total_edge_length / w + float(sum(durations))
 
 
 def _transitive_closure(n: int, edges: frozenset[Pair]) -> set[Pair]:

@@ -130,7 +130,6 @@ class Solution:
     allocation: Allocation
     schedule: Schedule
     motion_plans: dict[tuple[int, tuple, tuple], MotionPlan]
-    node: AllocationNode
 
     @property
     def makespan(self) -> float:
@@ -461,7 +460,7 @@ def accept_goal(state: SearchState, node: AllocationNode) -> SearchResult | None
         return None
     node.status = CLOSED
     return SearchResult(
-        Solution(node.allocation, node.schedule, plans, node),
+        Solution(node.allocation, node.schedule, plans),
         "solved",
         min_open_apr(state),
         state,

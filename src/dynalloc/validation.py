@@ -13,6 +13,7 @@ from .scheduler import SchedulingProblem, Schedule, build_scheduling_problem
 from .search import SearchState, Solution
 
 CHECK_TOL = 1e-9
+COLLISION_SAMPLE_STEP = 0.01  # world units between the oracle's samples
 
 
 def schedule_violations(problem: SchedulingProblem, schedule: Schedule) -> list[str]:
@@ -39,11 +40,11 @@ def schedule_violations(problem: SchedulingProblem, schedule: Schedule) -> list[
     return out
 
 
-def plan_collision_samples(plan: MotionPlan, obstacles, step: float = 0.01) -> bool:
+def plan_collision_samples(plan: MotionPlan, obstacles) -> bool:
     """Dense-sampling oracle: True when every sample is obstacle-free."""
     for a, b in zip(plan.waypoints, plan.waypoints[1:]):
         length = math.dist(a, b)
-        n = max(2, int(length / step) + 1)
+        n = max(2, int(length / COLLISION_SAMPLE_STEP) + 1)
         xs = np.linspace(a[0], b[0], n)
         ys = np.linspace(a[1], b[1], n)
         for p in zip(xs, ys):

@@ -156,14 +156,14 @@ class TestResourceOptimality:
     def test_identical_robots_make_a_tied_pop(self):
         # either robot alone covers the task: the two children tie at apr 0
         domain = build_domain([[1.0], [1.0]], [[1.0]])
-        solution, tie_free, state = search_min_resources(domain, prm_samples=50, prm_k=5)
+        solution, tie_free, state = search_min_resources(domain)
         assert solution is not None
         assert tie_free is False
         assert state.stats.tied_pops > 0
 
     def test_single_robot_run_is_tie_free(self):
         domain = build_domain([[1.0]], [[1.0]])
-        solution, tie_free, state = search_min_resources(domain, prm_samples=50, prm_k=5)
+        solution, tie_free, state = search_min_resources(domain)
         assert solution is not None
         assert tie_free is True
         assert state.stats.tied_pops == 0

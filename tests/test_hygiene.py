@@ -164,3 +164,111 @@ def test_only_prioritize_writes_scores():
         for _, function in score_writers(path.read_text())
     }
     assert writers == {("search.py", "prioritize")}
+
+
+PERFBENCH = PACKAGE.parent.parent / "perfbench"
+# the entry point's ``argv`` defaults to the process's own arguments
+UNPASSED_ALLOWED = {"cli.py: main(argv)"}
+
+
+def defaulted_parameters(source: str) -> list[tuple[str, int | None, str]]:
+    """(function, position, name) of every parameter with a default.
+
+    The position is None for a keyword-only parameter. A method's ``self``
+    or ``cls`` is not counted, so ``obj.f(a)`` passes position 0 of ``f``
+    whether ``f`` is a method or a module's function.
+    """
+    out = []
+
+    def visit(node, in_class: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                static = any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in child.decorator_list
+                )
+                bound = 1 if in_class and not static else 0
+                for i in range(first, len(positional)):
+                    out.append((child.name, i - bound, positional[i].arg))
+                for a, d in zip(args.kwonlyargs, args.kw_defaults):
+                    if d is not None:
+                        out.append((child.name, None, a.arg))
+                visit(child, False)
+            else:
+                visit(child, isinstance(child, ast.ClassDef))
+
+    visit(ast.parse(source), False)
+    return out
+
+
+def passed_arguments(sources) -> set[tuple[str, int | str]]:
+    """(called name, position or keyword) of every argument some call passes.
+
+    The called name is the function's, or the attribute's for ``obj.f()``;
+    ``*args`` counts as every position ("*") and ``**kwargs`` as every
+    keyword ("**").
+    """
+    passed: set[tuple[str, int | str]] = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Name):
+                name = node.func.id
+            elif isinstance(node.func, ast.Attribute):
+                name = node.func.attr
+            else:
+                continue
+            for i, arg in enumerate(node.args):
+                passed.add((name, "*" if isinstance(arg, ast.Starred) else i))
+            for kw in node.keywords:
+                passed.add((name, "**" if kw.arg is None else kw.arg))
+    return passed
+
+
+def unpassed_defaults(defined: dict[str, str], callers) -> list[str]:
+    """``module: function(parameter)`` for each default no call overrides.
+
+    ``defined`` maps a module's name to its source; ``callers`` are the
+    sources whose calls count. Callees are matched by name alone.
+    """
+    passed = passed_arguments(callers)
+    found = []
+    for module, source in defined.items():
+        for function, position, name in defaulted_parameters(source):
+            keys = {name, "**"} if position is None else {name, "**", position, "*"}
+            if not any((function, key) in passed for key in keys):
+                found.append(f"{module}: {function}({name})")
+    return sorted(found)
+
+
+def test_the_scan_sees_an_unpassed_default():
+    defined = {
+        "m.py": (
+            "def f(a, b=1, *, c=2, d=3):\n"
+            "    return f(a, d=4)\n"
+            "class K:\n"
+            "    def g(self, x=0, y=0):\n"
+            "        pass\n"
+            "    @staticmethod\n"
+            "    def h(x=0, y=0):\n"
+            "        pass\n"
+            "def v(x=0, y=0):\n"
+            "    pass\n"
+            "def w(x=0):\n"
+            "    pass\n"
+        )
+    }
+    callers = [defined["m.py"], "k.g(1)\nK.h(1)\nv(*xs)\nw(**kw)\nf(0, c=5)\n"]
+    assert unpassed_defaults(defined, callers) == [
+        "m.py: f(b)", "m.py: g(y)", "m.py: h(y)"
+    ]
+
+
+def test_every_default_is_passed_by_some_caller():
+    callers = [p.read_text() for p in MODULES + sorted(PERFBENCH.glob("*.py"))]
+    defined = {p.name: p.read_text() for p in MODULES}
+    assert set(unpassed_defaults(defined, callers)) == UNPASSED_ALLOWED

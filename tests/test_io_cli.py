@@ -1,6 +1,7 @@
 """JSON round trips, strict parsing, the CLI, and CSV determinism."""
 
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -207,6 +208,24 @@ class TestCLI:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--alpha", "0.3"],
+            ["gen", "--prm-samples", "50"],
+            ["gen", "--prm-k", "4"],
+            ["bounds", "--alpha", "0.3"],
+        ],
+        ids=["gen-alpha", "gen-prm-samples", "gen-prm-k", "bounds-alpha"],
+    )
+    def test_flags_a_subcommand_never_reads_refused(self, tmp_path, capsys, argv):
+        """Refused by the parser with exit status 2; nothing is written."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "argv, word",
         [
             (["gen", "--robots", "0"], "--robots 0"),
@@ -355,6 +374,49 @@ class TestCLI:
         assert (out / "summary.txt").exists()
 
 
+# sha256 of ``save_domain``'s bytes for the domains the benchmark and the
+# acceptance suite generate: seeds 500-509 at 8 robots, 15 tasks, 4 traits,
+# and seeds 100-119 at the desk shapes (robots, tasks), 3 traits
+DESK_SHAPES = ((3, 4), (2, 4), (3, 3), (2, 3), (3, 2))
+BENCH_DIGESTS = (
+    "26252eaeeefe5aecb02e10ceac1a446d9826ba390397f89cf439880de5aa05f0",
+    "7efc2fcc51d63a77da01da8ecf6f64d1616bb457372432faea9999d20ac6d44c",
+    "6666383c2121fceb737747816d3f73023c9e3b33d4097e89f1a47f3e4a0704b1",
+    "7746c709d717d4251b1fbc4b1381b4865f3edbb7c8ba816ab692e54454d1e066",
+    "784397bc4e66e52cb943d0462fa70c62b374068d54dc34e6261a1a91e9d004ba",
+    "de0be84812adca5d8aece333a75dba907ac51e8b6fb3d409f4f55e527729d2fa",
+    "5a1e6d1f40626757cc819bb33dde3e1525d406ce02f04b1e2582497b6e1c953c",
+    "0b5f74b5584d0819b8dc8eb0b81d610e1654502fe147c9de2bc33059433d7ac0",
+    "b15948d3a19d95f47508c0ce2d21aabfe3e5323e201832a209c904cb56a204fc",
+    "f34a58a174c221683b08116544636d63f895d734da717292f5439aa2968eb785",
+)
+DESK_DIGESTS = (
+    "c7a9ae5a0db610cebe5a58c92c4b0d8d9c84574296cc73ff7ba6c7eeceee6408",
+    "2bd41e47c2e28a2b4f789c38632295a7676722739c05af3dc08dc1af19bc5d6d",
+    "f01081edf49d205e94dfe6813eaef7c4d01efd803212afe33146e8f7df7e31d7",
+    "88fca287ee301fff95b678d9a213c8c42d70d22ccf657d8f57ad8317504f849b",
+    "4bcfa08ad03fd63ad632b81354319afb8d3ef8bc379ce438a61f91e9254300cd",
+    "9b59d6d102eea380874dad195e4dff3d81277eaf45a419917804787ccc197c7c",
+    "b5d9feb7a6c1e30f8552709273ed33f18fc70c86ee8ea49c81ff11fbbc699d9f",
+    "4e6aa2bfe61f1cb26d9a3183c386051212c32a1fd01c7e947e9d225c1ed72f42",
+    "d1126b3913519fd22bfa63bc994b56a4d2546df34c3b3853b26a6e3a960321da",
+    "6b4062f0f2513edc46fd63e864bf3d73341d3dd408aaf91d41c60e40e650f816",
+    "b42cff010b0e80289045196792bffbe0caf3405a5edacb78af8bcbc23d431f1f",
+    "b3645aa00edc96e65dd5174cf00fa944412d87e27fd904af147e480e6c2f520e",
+    "c18f2b059fb02672cf93404163162efaebaf3f7f46318443a69f96ddadb22dc9",
+    "27604167c0fdc794aa0a4262e06a27155d830a7604a0db6f6bd9c1e7d6f2061f",
+    "965561ef1cd377f7ac4fd498d7a3acc67b5bb0d68bc566a05ba7acec1495e090",
+    "2118d494c0c85c1a2cbc76d5e23e28421f82df75a7e7f82e9130c5da571379b1",
+    "7c96440312191c0887bd522ff92917a76c2a614e1892651f2f9ae4db5985c2ee",
+    "db077941521fba554a996471fa304221407a2050fa9004d16b7aa07bbe43f58d",
+    "48b25a333995adba470034b9ed2067cce4534a229c2c743e89f3d3a084744414",
+    "b8dac904ca6e2db037c7b462da1763a83b2d77372353476dd972964dd1df7e9e",
+)
+PINNED_DOMAINS = [(500 + i, (8, 15, 4), d) for i, d in enumerate(BENCH_DIGESTS)] + [
+    (100 + i, (*DESK_SHAPES[i % len(DESK_SHAPES)], 3), d) for i, d in enumerate(DESK_DIGESTS)
+]
+
+
 def _csv_without_timing(path):
     with open(path, newline="") as f:
         rows = list(csv.DictReader(f))
@@ -394,6 +456,30 @@ class TestDeterminism:
         assert [(r.mode, r.event_index) for r in result.records] == [
             ("repair", -1), ("repair", 0), ("recompute", -1), ("recompute", 0)
         ]
+
+    def test_repeated_repairs_record_what_one_repair_does(self, tmp_path):
+        domain = generate_problem(2, 3, 4, 3)
+        events = [
+            generate_event(domain, EventKind.TASK_LOST, 3),
+            generate_event(domain, EventKind.DURATION_CHANGED, 4),
+        ]
+        for reps in (1, 3):
+            write_results(
+                run_scenario(domain, events, "repair", alpha=0.25, repetitions=reps),
+                tmp_path / str(reps),
+            )
+        assert _csv_without_timing(tmp_path / "1" / "results.csv") == _csv_without_timing(
+            tmp_path / "3" / "results.csv"
+        )
+
+    @pytest.mark.parametrize(
+        "seed, shape, digest", PINNED_DOMAINS, ids=[str(s) for s, _, _ in PINNED_DOMAINS]
+    )
+    def test_generated_domain_matches_its_pinned_digest(self, tmp_path, seed, shape, digest):
+        """The benchmark's and the acceptance suite's domains stay as they are."""
+        path = tmp_path / "p.json"
+        save_domain(generate_problem(seed, *shape), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_gen_output_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

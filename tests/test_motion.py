@@ -136,7 +136,7 @@ class TestRoadmap:
             obstacles=[Circle((2.0, 2.0), 10.0)],
         )
         with pytest.raises(RoadmapError):
-            build_roadmap(domain.world, [], 10, 3, seed=0, rejection_cap_factor=5)
+            build_roadmap(domain.world, [], 10, 3, seed=0)
 
     def test_same_inputs_share_one_roadmap(self, world_and_mandatory):
         world, mandatory = world_and_mandatory

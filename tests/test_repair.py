@@ -269,8 +269,9 @@ class TestRepair:
         domain = generate_problem(100, 3, 4, 3)
         result = _solved(domain)
         state = result.state
+        node = state.nodes[result.solution.allocation.key()]
         before = (
-            result.solution.node.status,
+            node.status,
             len(state.open_heap),
             state.repair_reads,
             state.domain,
@@ -280,13 +281,32 @@ class TestRepair:
         with pytest.raises(DomainError):
             repair(state, result.solution, DynamicEvent(0.0, kind, payload))
         after = (
-            result.solution.node.status,
+            node.status,
             len(state.open_heap),
             state.repair_reads,
             state.domain,
             dict(state.nodes),
         )
         assert after == before
+
+    def test_solution_outside_the_graph_is_refused(self):
+        # after r1 is lost the graph holds 4x2 allocations; the pre-loss
+        # solution is 4x3 and belongs to no node of it
+        domain = generate_problem(5, 3, 4, 3)
+        result = _solved(domain)
+        state = result.state
+        loss = DynamicEvent(0.0, EventKind.AGENT_LOST, {"agent": "r1"})
+        repair(state, result.solution, loss)
+
+        def snapshot():
+            statuses = {key: node.status for key, node in state.nodes.items()}
+            return statuses, len(state.open_heap), state.repair_reads, state.domain
+
+        before = snapshot()
+        event = DynamicEvent(0.0, EventKind.DURATION_CHANGED, {"task": "t1", "duration": 3.0})
+        with pytest.raises(DomainError, match="not in this state's graph"):
+            repair(state, result.solution, event)
+        assert snapshot() == before
 
 
 def _eager_rescore_frontier(state):

@@ -419,20 +419,23 @@ class TestBounds:
     def test_bounds_bracket_solutions(self):
         rng = np.random.default_rng(11)
         domain = build_domain([[1.0], [1.0]], [[1.0], [1.0], [2.0]])
-        from dynalloc.motion import euclidean_provider
+        from dynalloc.motion import build_roadmap, euclidean_provider, mandatory_vertices
 
         travel = euclidean_provider(domain)
         alloc = Allocation(np.array([[1, 0], [0, 1], [1, 1]], dtype=np.int8))
         p = build_scheduling_problem(domain, alloc, travel)
         sched = solve_schedule(p)
         lb = schedule_lower_bound(p.durations)
-        ub = schedule_upper_bound(domain.world, p.durations)
+        # the roadmap's total edge length far exceeds any straight-line
+        # trip in this 20 x 20 world
+        roadmap = build_roadmap(domain.world, mandatory_vertices(domain))
+        ub = schedule_upper_bound(domain.world, p.durations, roadmap.total_edge_length)
         assert lb <= sched.makespan <= ub
 
     def test_upper_bound_rejects_bad_speeds(self):
         domain = build_domain([[1.0]], [[1.0]], speeds={"r0": -1.0})
         with pytest.raises(ValueError):
-            schedule_upper_bound(domain.world, [1.0])
+            schedule_upper_bound(domain.world, [1.0], 1.0)
 
 
 class TestProblemAssembly:
