@@ -8,6 +8,7 @@ against.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -47,20 +48,8 @@ class BoundReport:
     CSV_HEADER = "alpha,optimal,achieved,lb,ub,bound_apriori,bound_posthoc,min_open_apr,gap_normalized"
 
     def csv_row(self) -> str:
-        return ",".join(
-            repr(v)
-            for v in (
-                self.alpha,
-                self.optimal_makespan,
-                self.achieved_makespan,
-                self.lb,
-                self.ub,
-                self.apriori_bound,
-                self.posthoc_bound,
-                self.min_open_apr,
-                self.normalized_gap,
-            )
-        )
+        # the fields, in declaration order, are the CSV_HEADER columns
+        return ",".join(repr(v) for v in dataclasses.astuple(self))
 
 
 def time_optimality_bound(alpha: float, lb: float, ub: float) -> float:
@@ -218,44 +207,17 @@ def min_assignments_certificate(domain: ProblemDomain) -> float:
     """
     total = 0.0
     n = domain.n_robots
-    for m in range(domain.n_tasks):
-        req = domain.requirements.entries[m]
-        best = math.inf
-        for size in range(0, n + 1):
-            for subset in itertools.combinations(range(n), size):
-                agg = domain.team.entries[list(subset)].sum(axis=0)
-                if np.all(agg >= req - 1e-9):
-                    best = size
-                    break
-            if best < math.inf:
-                break
-        total += best
+    for req in domain.requirements.entries:
+        total += next(
+            (
+                size
+                for size in range(n + 1)
+                for subset in itertools.combinations(range(n), size)
+                if np.all(domain.team.entries[list(subset)].sum(axis=0) >= req - 1e-9)
+            ),
+            math.inf,
+        )
     return total
-
-
-@dataclass
-class ResourceReport:
-    """Outcome of a pure-coverage (alpha = 1) run against the oracle.
-
-    The run's assignment count is *certified* minimal only when no pop was
-    tied and the count matches the per-task certificate floor; a greedy
-    trait-coverage choice can otherwise take a longer route even with
-    strictly separated priorities (weighted-set-cover behaviour), so
-    uncertified runs carry no guarantee and are reported for logging.
-    """
-
-    achieved_assignments: int
-    optimal_assignments: float
-    certificate: float
-    tie_free: bool
-
-    @property
-    def certified(self) -> bool:
-        return self.tie_free and self.achieved_assignments == self.certificate
-
-    @property
-    def matches_oracle(self) -> bool:
-        return self.achieved_assignments == self.optimal_assignments
 
 
 def search_min_resources(domain: ProblemDomain):
@@ -269,26 +231,3 @@ def search_min_resources(domain: ProblemDomain):
     """
     result = search(domain, 1.0)
     return result.solution, result.state.stats.tied_pops == 0, result.state
-
-
-def validate_resource_count(domain: ProblemDomain) -> ResourceReport:
-    """Compare the alpha = 1 search's assignment count with the oracle."""
-    check_enumerable(domain)
-    solution, tie_free, _ = search_min_resources(domain)
-    if solution is None:
-        raise BoundError("alpha=1 search found no solution")
-    optimal = brute_force_min_assignments(domain, oracle_travel(domain))
-    report = ResourceReport(
-        achieved_assignments=resource_count(solution.allocation),
-        optimal_assignments=optimal,
-        certificate=min_assignments_certificate(domain),
-        tie_free=tie_free,
-    )
-    if report.achieved_assignments < optimal:
-        raise BoundError("search beat the brute-force oracle; oracle is broken")
-    if report.certified and not report.matches_oracle:
-        raise BoundError(
-            f"certified run used {report.achieved_assignments} assignments, "
-            f"oracle needs {optimal}"
-        )
-    return report

@@ -338,6 +338,16 @@ class ValidationReport:
         return {i.code for i in self.issues}
 
 
+def start_faults(world: WorldModel, start: Point) -> list[tuple[str, str]]:
+    """(code, reason) for each rule a robot start breaks; empty when valid."""
+    faults = []
+    if not world.in_bounds(start):
+        faults.append(("START_OUT_OF_BOUNDS", "starts outside bounds"))
+    if point_in_any(start, world.obstacles):
+        faults.append(("START_IN_OBSTACLE", "starts inside an obstacle"))
+    return faults
+
+
 def validate_problem(domain: ProblemDomain) -> ValidationReport:
     """Collect every well-formedness violation; empty report means valid."""
     report = ValidationReport()
@@ -368,10 +378,8 @@ def validate_problem(domain: ProblemDomain) -> ValidationReport:
         if start is None:
             report.add("MISSING_START", f"robot {rid} has no start config")
             continue
-        if not world.in_bounds(start):
-            report.add("START_OUT_OF_BOUNDS", f"robot {rid} starts outside bounds")
-        if point_in_any(start, world.obstacles):
-            report.add("START_IN_OBSTACLE", f"robot {rid} starts inside an obstacle")
+        for code, reason in start_faults(world, start):
+            report.add(code, f"robot {rid} {reason}")
         speed = world.robot_speeds.get(rid, 0.0)
         if speed is None or not 0 < speed < math.inf:
             report.add("BAD_SPEED", f"robot {rid} has speed {speed}")

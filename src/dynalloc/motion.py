@@ -4,8 +4,9 @@ A roadmap is built with every task site and robot start forced in as a
 vertex, so path queries never need on-the-fly sampling. It depends only on
 the world, those vertices, the sample count, k and the seed, so a process
 builds it once per set of these inputs and hands every caller the same
-immutable ``Roadmap``. Each roadmap keeps one shortest-path tree per source
-vertex it was queried from; a path query only reads its path off the tree.
+immutable ``Roadmap``; a robot that joins later is linked in by
+``link_start``. Each roadmap keeps one shortest-path tree per source vertex
+it was queried from; a path query only reads its path off the tree.
 Plans are cached per capability class, per search state: robots with
 identical trait rows and speed reuse each other's plans.
 """
@@ -34,6 +35,10 @@ class RoadmapError(Exception):
 
 @dataclass(frozen=True)
 class Roadmap:
+    """Vertices and adjacency by index. Built edges run both ways; a start
+    linked in by ``link_start`` has edges out of it only, so a path can
+    begin there but never pass through it."""
+
     vertices: tuple[Point, ...]
     adjacency: dict[int, tuple[tuple[int, float], ...]]
     total_edge_length: float
@@ -86,6 +91,25 @@ def capability_classes(team: TeamTraitMatrix, world: WorldModel) -> dict[str, in
             classes[sig] = len(classes)
         out[rid] = classes[sig]
     return out
+
+
+def drop_mispriced_plans(cache: PlanCache, domain: ProblemDomain) -> int:
+    """Drop the cached plans a fresh plan would not give; return how many.
+
+    Class ids are positions in ``capability_classes``, which an agent loss
+    or a trait change renumbers. A plan depends on its class only through
+    the speed, so an entry stays exactly when its id still names a class
+    and its duration is its length at that class's speed."""
+    classes = capability_classes(domain.team, domain.world)
+    speed = {cid: domain.world.robot_speeds[rid] for rid, cid in classes.items()}
+    kept = {
+        key: p
+        for key, p in cache.entries.items()
+        if key[0] in speed and (p is None or p.duration == p.length / speed[key[0]])
+    }
+    dropped = len(cache.entries) - len(kept)
+    cache.entries = kept
+    return dropped
 
 
 def mandatory_vertices(domain: ProblemDomain) -> list[Point]:
@@ -186,6 +210,32 @@ def _build_roadmap(
         vertices=tuple(vertices),
         adjacency={i: tuple(v) for i, v in adjacency.items()},
         total_edge_length=float(sum(lengths.values())),
+    )
+
+
+def link_start(roadmap: Roadmap, world: WorldModel, start: Point, k_neighbors: int) -> Roadmap:
+    """A new roadmap with ``start`` linked to its ``k_neighbors`` nearest
+    visible vertices by edges out of the start only (the PRM query
+    connection of Kavraki, Svestka, Latombe & Overmars, IEEE T-RA 1996).
+
+    No edge enters the start, so no older path changes; the new edges join
+    ``total_edge_length``, so the makespan upper bound stays sound. The given
+    (possibly memoized) roadmap is never changed, and comes back as is when
+    it already holds the start."""
+    start = tuple(start)
+    if start in roadmap.vertices:
+        return roadmap
+    d = np.hypot(*(np.array(roadmap.vertices) - start).T)
+    links: list[tuple[int, float]] = []
+    for j in np.argsort(d, kind="stable").tolist():
+        if len(links) == k_neighbors:
+            break
+        if not segment_collides(start, roadmap.vertices[j], world.obstacles):
+            links.append((j, float(d[j])))
+    return Roadmap(
+        vertices=roadmap.vertices + (start,),
+        adjacency={**roadmap.adjacency, len(roadmap.vertices): tuple(sorted(links))},
+        total_edge_length=roadmap.total_edge_length + sum(ln for _, ln in links),
     )
 
 

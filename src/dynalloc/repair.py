@@ -6,8 +6,11 @@ requirement shifts rescore the open frontier's apr (and, for favorable
 shifts, rescan closed/pruned nodes for newly viable allocations), duration
 changes and task loss lower every node's makespan floor to a sound value
 and demote the frontier to those floors, and a new agent widens every
-allocation and seeds fresh root children. Everything else is conserved,
-and the search is then simply resumed.
+allocation, links its start into the kept roadmap by edges out of it
+only, and seeds fresh root children. Everything else is conserved (a new
+agent leaves every path, plan, schedule and floor valid, unless an earlier
+loss renumbered the plan cache's classes), and the search is then simply
+resumed.
 
 Repair only reshapes allocations and sets apr and floors; every priority
 and every node transition goes through the search's own primitives
@@ -44,6 +47,7 @@ from .domain import (
     TeamTraitMatrix,
     WorldModel,
     stack_allocations,
+    start_faults,
     unstack_allocations,
 )
 from .search import (
@@ -128,19 +132,13 @@ def apply_event(domain: ProblemDomain, event: DynamicEvent) -> ProblemDomain:
     elif kind == EventKind.TASK_LOST:
         idx = net.task_index(payload["task"])
 
-        def shift(i: int) -> int:
-            return i - 1 if i > idx else i
+        def without(edges):
+            return frozenset((i - (i > idx), j - (j > idx)) for i, j in edges if idx not in (i, j))
 
         net = TaskNetwork(
             net.tasks[:idx] + net.tasks[idx + 1 :],
-            frozenset(
-                (shift(i), shift(j))
-                for i, j in net.precedence_edges
-                if i != idx and j != idx
-            ),
-            frozenset(
-                (shift(i), shift(j)) for i, j in net.mutex_edges if i != idx and j != idx
-            ),
+            without(net.precedence_edges),
+            without(net.mutex_edges),
         )
         req = DesiredTraitMatrix(np.delete(req.entries, idx, axis=0))
 
@@ -186,13 +184,22 @@ def apply_event(domain: ProblemDomain, event: DynamicEvent) -> ProblemDomain:
         speed = float(spec["speed"])
         if not 0 < speed < math.inf:
             raise EventError(f"agent speed must be finite and positive, got {speed}")
+        try:
+            start = tuple(float(v) for v in spec["start"])
+        except (TypeError, ValueError):
+            start = ()
+        if len(start) != 2:
+            raise EventError(f"agent start must be a 2-D point, got {spec['start']!r}")
+        faults = start_faults(world, start)
+        if faults:
+            raise EventError(f"agent {rid!r} {faults[0][1]}: start {start}")
         row = _trait_row(domain, spec["traits"])
         team = TeamTraitMatrix(
             np.vstack([team.entries, row]), team.robot_ids + (rid,), team.trait_names
         )
         starts = dict(world.robot_start_configs)
         speeds = dict(world.robot_speeds)
-        starts[rid] = tuple(spec["start"])
+        starts[rid] = start
         speeds[rid] = speed
         world = WorldModel(world.bounds, world.obstacles, starts, speeds)
 
@@ -213,12 +220,17 @@ def _aprs(state: SearchState, nodes) -> list[float]:
     return apr_values(stack, domain.team, domain.requirements).tolist()
 
 
+def _rekey_open(state: SearchState) -> None:
+    """Re-prioritize every open node from its current scores; one heapify."""
+    prioritize(state, state.open_nodes())
+    state.rebuild_heap()
+
+
 def _rescore_open_apr(state: SearchState) -> None:
     nodes = state.open_nodes()
     for node, apr in zip(nodes, _aprs(state, nodes)):
         node.apr = apr
-    prioritize(state, nodes)
-    state.rebuild_heap()
+    _rekey_open(state)
 
 
 def _reshape(state: SearchState, nodes, stack: np.ndarray) -> None:
@@ -273,9 +285,13 @@ def handle_agent_or_task_loss(state: SearchState, event: DynamicEvent, old_domai
     _reshape(state, survivors, np.delete(stack[~uses], idx, axis=axis + 1))
 
     if agent_loss:
-        # surviving nodes never assigned the agent: aggregates, schedules,
-        # and every priority are unchanged, so nothing is recomputed; the
-        # deleted nodes are PRUNED, which leaves their heap entries dead
+        # survivors never assigned the agent: schedules and floors hold, and
+        # the deleted nodes are PRUNED, so their heap entries are dead; only
+        # ub can move (it divides by the slowest remaining speed)
+        bounds = (state.lb, state.ub)
+        refresh_bounds(state)
+        if (state.lb, state.ub) != bounds:
+            _rekey_open(state)
         return
 
     # task loss: requirement mass and schedule indexing both changed
@@ -324,7 +340,15 @@ def handle_duration_change(
 
 
 def handle_new_agent(state: SearchState, event: DynamicEvent) -> None:
-    """Widen every allocation and seed root children using the new agent."""
+    """Widen every allocation, link the new start in, seed root children.
+
+    The start joins the retained roadmap by edges out of it only
+    (``motion.link_start``), so no older path changes and every plan,
+    schedule and floor stays exact; only the bounds move, so the frontier
+    is re-keyed once. The exception is a cache whose class ids an earlier
+    agent loss or trait change renumbered: its mispriced plans are dropped,
+    and as schedules solved since may have read them, the floors are zeroed
+    and the frontier demoted."""
     nodes = list(state.nodes.values())
     n_tasks = state.domain.n_tasks
     stack = _stack(nodes, (n_tasks, state.domain.n_robots - 1))
@@ -333,22 +357,15 @@ def handle_new_agent(state: SearchState, event: DynamicEvent) -> None:
     # the root's allocation is all zeros, so no loss has deleted it
     root = next(node for node in nodes if node.parent is None)
 
-    # the start config of the new agent must be a roadmap vertex
-    state.roadmap = motion.build_roadmap(
-        state.domain.world,
-        motion.mandatory_vertices(state.domain),
-        state.prm_samples,
-        state.prm_k,
-        state.seed,
-    )
-    state.plan_cache = motion.PlanCache()
+    world = state.domain.world
+    start = world.robot_start_configs[state.domain.team.robot_ids[-1]]
+    state.roadmap = motion.link_start(state.roadmap, world, start, state.prm_k)
     refresh_bounds(state)
-    # every retained schedule was solved against the old roadmap's travel
-    # times, which the rebuild invalidated: demote to lazy (trivial sound
-    # bound) so pops re-solve, and drop the stale makespan floors children
-    # would otherwise inherit
-    _lower_floors(state, math.inf)
-    _rescore_frontier(state)
+    if motion.drop_mispriced_plans(state.plan_cache, state.domain):
+        _lower_floors(state, math.inf)
+        _rescore_frontier(state)
+    else:
+        _rekey_open(state)
 
     new_col = state.domain.n_robots - 1
     add_children(state, root.allocation, root, [(m, new_col) for m in range(n_tasks)])
@@ -382,18 +399,9 @@ def decompose_mixed(domain: ProblemDomain, event: DynamicEvent) -> list[DynamicE
     has_up = bool(np.any(new > old + 1e-12))
     if not (has_down and has_up):
         return [event]
-    low = np.minimum(new, old)
     return [
-        DynamicEvent(
-            event.time,
-            down_kind,
-            {ident[0]: ident[1], key: dict(zip(names, low.tolist()))},
-        ),
-        DynamicEvent(
-            event.time,
-            up_kind,
-            {ident[0]: ident[1], key: dict(zip(names, new.tolist()))},
-        ),
+        DynamicEvent(event.time, kind, {ident[0]: ident[1], key: dict(zip(names, row.tolist()))})
+        for kind, row in ((down_kind, np.minimum(new, old)), (up_kind, new))
     ]
 
 

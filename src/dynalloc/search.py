@@ -154,9 +154,7 @@ class SearchState:
     plan_cache: PlanCache
     lb: float = 0.0  # analytic makespan bounds; see ``refresh_bounds``
     ub: float = 0.0
-    prm_samples: int = 200
     prm_k: int = 8
-    seed: int = 0
     open_heap: list = field(default_factory=list)
     nodes: dict[bytes, AllocationNode] = field(default_factory=dict)
     schedule_memo: dict = field(default_factory=dict)
@@ -204,9 +202,7 @@ class SearchState:
         One ``heapify`` over the fresh entries. ``seq`` is unique, so the
         entries are totally ordered and pop in the order pushes would give.
         """
-        self.open_heap = [
-            self._entry(node) for node in self.nodes.values() if node.status == OPEN
-        ]
+        self.open_heap = [self._entry(node) for node in self.open_nodes()]
         heapq.heapify(self.open_heap)
 
 
@@ -227,9 +223,7 @@ def new_state(
         alpha=alpha,
         roadmap=roadmap,
         plan_cache=PlanCache(),
-        prm_samples=prm_samples,
         prm_k=prm_k,
-        seed=seed,
     )
     refresh_bounds(state)
     root_alloc = Allocation(np.zeros((domain.n_tasks, domain.n_robots), dtype=np.int8))

@@ -166,6 +166,31 @@ def test_only_prioritize_writes_scores():
     assert writers == {("search.py", "prioritize")}
 
 
+def called_names(source: str) -> set[str]:
+    """Names a module calls, as ``f`` for ``f()`` and ``obj.f()`` alike."""
+    called = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name):
+                called.add(node.func.id)
+            elif isinstance(node.func, ast.Attribute):
+                called.add(node.func.attr)
+    return called
+
+
+def test_the_scan_sees_a_call():
+    source = "import motion\nmotion.build_roadmap(w)\nc = PlanCache()\nf = plan\n"
+    assert called_names(source) == {"build_roadmap", "PlanCache"}
+
+
+def test_only_fresh_solves_build_roadmaps():
+    """Repair keeps its roadmap: a new agent's start is linked into it, so
+    repair neither rebuilds it nor replaces the plan cache."""
+    builders = {p.name for p in MODULES if "build_roadmap" in called_names(p.read_text())}
+    assert builders == {"search.py", "analysis.py"}
+    assert "PlanCache" not in called_names((PACKAGE / "repair.py").read_text())
+
+
 PERFBENCH = PACKAGE.parent.parent / "perfbench"
 # the entry point's ``argv`` defaults to the process's own arguments
 UNPASSED_ALLOWED = {"cli.py: main(argv)"}

@@ -7,15 +7,17 @@ import pytest
 
 from dynalloc import motion
 from dynalloc.generator import generate_problem
-from dynalloc.geometry import Circle
+from dynalloc.geometry import Circle, segment_collides
 from dynalloc.motion import (
     PlanCache,
     Roadmap,
     RoadmapError,
     build_roadmap,
     capability_classes,
+    drop_mispriced_plans,
     estimate_travel_time,
     euclidean_provider,
+    link_start,
     mandatory_vertices,
     plan,
     plan_provider,
@@ -293,6 +295,55 @@ class TestShortestPathTrees:
         assert list(rm.trees) == [0] and rm.trees[0] is tree
 
 
+class TestLinkStart:
+    """A start linked in by out-edges keeps every older path."""
+
+    START = (15.0, 2.0)
+
+    def test_start_gets_edges_out_of_it_only(self, world_and_mandatory):
+        world, mandatory = world_and_mandatory
+        rm = build_roadmap(world, mandatory, 60, 5, seed=3)
+        plan(rm, mandatory[0], mandatory[1], class_id=0, speed=1.0)  # grows a tree
+        snapshot = (rm.vertices, dict(rm.adjacency), rm.total_edge_length, dict(rm.trees))
+        linked = link_start(rm, world, self.START, 5)
+        assert (rm.vertices, rm.adjacency, rm.total_edge_length, rm.trees) == snapshot
+        n = len(rm.vertices)
+        assert linked.vertices == rm.vertices + (self.START,)
+        assert linked.trees == {} and linked.trees is not rm.trees
+        # the k nearest vertices the start sees, by brute force
+        visible = [
+            j
+            for j in sorted(range(n), key=lambda j: math.dist(self.START, rm.vertices[j]))
+            if not segment_collides(self.START, rm.vertices[j], world.obstacles)
+        ]
+        edges = linked.adjacency[n]
+        assert sorted(j for j, _ in edges) == sorted(visible[:5])
+        for j, ln in edges:
+            assert ln == pytest.approx(math.dist(self.START, rm.vertices[j]), abs=1e-12)
+        assert {v: linked.adjacency[v] for v in range(n)} == rm.adjacency
+        assert linked.total_edge_length == pytest.approx(
+            rm.total_edge_length + sum(ln for _, ln in edges), abs=1e-9
+        )
+
+    def test_paths_from_the_start_match_bellman_ford(self, world_and_mandatory):
+        world, mandatory = world_and_mandatory
+        rm = build_roadmap(world, mandatory, 60, 5, seed=2)
+        linked = link_start(rm, world, self.START, 5)
+        src = linked.vertex_index(self.START)
+        for to in mandatory:
+            p = plan(linked, self.START, to, class_id=0, speed=2.0)
+            oracle = _bellman_ford_shortest(linked, src, linked.vertex_index(to))
+            assert p.length == pytest.approx(oracle, abs=1e-9)
+            assert p.waypoints[0] == self.START
+            # nothing routes back through the start
+            assert plan(linked, to, self.START, class_id=0, speed=2.0) is None
+
+    def test_a_start_already_on_the_roadmap_changes_nothing(self, world_and_mandatory):
+        world, mandatory = world_and_mandatory
+        rm = build_roadmap(world, mandatory, 60, 5, seed=3)
+        assert link_start(rm, world, list(mandatory[0]), 5) is rm
+
+
 class TestProviders:
     def test_capability_classes_group_by_traits_and_speed(self):
         domain = build_domain(
@@ -303,6 +354,23 @@ class TestProviders:
         classes = capability_classes(domain.team, domain.world)
         assert classes["r0"] == classes["r1"]
         assert classes["r0"] != classes["r2"]
+
+    def test_mispriced_plans_are_dropped(self, obstacle_domain):
+        mandatory = mandatory_vertices(obstacle_domain)
+        rm = build_roadmap(obstacle_domain.world, mandatory, 120, 8, seed=0)
+        cache = PlanCache()
+        travel = plan_provider(obstacle_domain, rm, cache)
+        for to in mandatory:
+            travel("r0", mandatory[0], to)
+        kept = dict(cache.entries)
+        assert drop_mispriced_plans(cache, obstacle_domain) == 0
+        assert cache.entries == kept
+        # a plan priced at another speed, and one under an id no class holds
+        wrong = plan(rm, mandatory[1], mandatory[2], 0, 123.0)
+        cache.store(0, mandatory[1], mandatory[2], wrong)
+        cache.store(99, mandatory[1], mandatory[2], None)
+        assert drop_mispriced_plans(cache, obstacle_domain) == 2
+        assert cache.entries == kept
 
     def test_euclidean_is_a_lower_bound_on_plans(self, obstacle_domain):
         mandatory = mandatory_vertices(obstacle_domain)

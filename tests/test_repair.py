@@ -5,10 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
 from dynalloc import motion, repair as repair_mod
 from dynalloc.domain import Allocation, DomainError
 from dynalloc.generator import generate_event, generate_problem
+from dynalloc.geometry import Circle
 from dynalloc.repair import (
     DynamicEvent,
     EventError,
@@ -17,7 +20,11 @@ from dynalloc.repair import (
     decompose_mixed,
     repair,
 )
-from dynalloc.scheduler import build_scheduling_problem, solve_schedule
+from dynalloc.scheduler import (
+    build_scheduling_problem,
+    schedule_upper_bound,
+    solve_schedule,
+)
 from dynalloc.search import (
     CLOSED,
     OPEN,
@@ -143,6 +150,24 @@ class TestApplyEvent:
                     desk_domain, DynamicEvent(0.0, EventKind.NEW_AGENT, {"agent": agent})
                 )
 
+    @pytest.mark.parametrize(
+        "where", ["nan", "inf", "three-d", "not-a-number", "out-of-bounds", "in-obstacle"]
+    )
+    def test_bad_new_agent_start_rejected(self, desk_domain, where):
+        """A NaN start would repair to a NaN upper bound; a start outside the
+        world or inside an obstacle is one ``validate_problem`` refuses."""
+        start = {
+            "nan": [math.nan, 1.0],
+            "inf": [1.0, math.inf],
+            "three-d": [1.0, 1.0, 1.0],
+            "not-a-number": ["a", 1.0],
+            "out-of-bounds": [desk_domain.world.bounds[2] + 1.0, 5.0],
+            "in-obstacle": list(desk_domain.world.obstacles[0].center),
+        }[where]
+        agent = {"id": "rx", "traits": {}, "start": start, "speed": 1.0}
+        with pytest.raises(EventError, match="start"):
+            apply_event(desk_domain, DynamicEvent(0.0, EventKind.NEW_AGENT, {"agent": agent}))
+
     def test_iteration_counter_advances(self, desk_domain):
         ev = generate_event(desk_domain, EventKind.DURATION_CHANGED, 0)
         assert apply_event(desk_domain, ev).iteration == desk_domain.iteration + 1
@@ -218,6 +243,22 @@ class TestRepair:
             new_domain = apply_event(domain, ev)
             assert solution_violations(new_domain, repaired.solution, repaired.state) == []
 
+    def test_losing_the_slowest_robot_refreshes_the_bounds(self):
+        domain = generate_problem(2, 3, 4, 3)
+        state = _solved(domain).state
+        speeds = domain.world.robot_speeds
+        ev = DynamicEvent(1.0, EventKind.AGENT_LOST, {"agent": min(speeds, key=speeds.get)})
+        ub = state.ub
+        state.domain = apply_event(domain, ev)
+        repair_mod.handle_agent_or_task_loss(state, ev, domain)
+        durations = [t.duration for t in state.domain.network.tasks]
+        assert state.ub == schedule_upper_bound(
+            state.domain.world, durations, state.roadmap.total_edge_length
+        )
+        assert state.ub < ub
+        assert heap_violations(state) == []
+        assert score_violations(state) == []
+
     def test_new_agent_widens_every_node(self):
         domain = generate_problem(4, 3, 4, 3)
         result = _solved(domain)
@@ -262,8 +303,16 @@ class TestRepair:
         [
             (EventKind.DURATION_CHANGED, {"task": "t0", "duration": math.inf}),
             (EventKind.AGENT_LOST, {"agent": "ghost"}),
+            (
+                EventKind.NEW_AGENT,
+                {"agent": {"id": "rx", "traits": {}, "start": [math.nan, 1.0], "speed": 1.0}},
+            ),
+            (
+                EventKind.NEW_AGENT,
+                {"agent": {"id": "rx", "traits": {}, "start": [-5.0, 1.0], "speed": 1.0}},
+            ),
         ],
-        ids=["infinite-duration", "unknown-agent"],
+        ids=["infinite-duration", "unknown-agent", "nan-start", "start-out-of-bounds"],
     )
     def test_refused_event_leaves_the_state_untouched(self, kind, payload):
         domain = generate_problem(100, 3, 4, 3)
@@ -499,6 +548,120 @@ class TestLazyFrontier:
         assert repaired.solution.allocation.key() == result.solution.allocation.key()
         assert stats.scheduler_calls - calls <= 1
         assert stats.expansions == expansions
+
+
+def _distances_from(roadmap, src):
+    """Shortest lengths from ``src`` over the roadmap's directed edges (scipy)."""
+    rows, cols, lengths = zip(
+        *((u, v, ln) for u, edges in roadmap.adjacency.items() for v, ln in edges)
+    )
+    n = len(roadmap.vertices)
+    graph = csr_matrix((lengths, (rows, cols)), shape=(n, n))
+    return csgraph_dijkstra(graph, directed=True, indices=src)
+
+
+@pytest.fixture(scope="module")
+def bench_solved():
+    """Bench seed 500 solved once; tests repair deep copies only."""
+    domain = generate_problem(500, 8, 15, 4)
+    return domain, _solved(domain)
+
+
+class TestNewAgent:
+    """A new agent's start is linked into the retained roadmap, which keeps
+    every older path, so nothing retained is invalidated."""
+
+    def test_every_old_shortest_path_is_kept(self, bench_solved):
+        domain, result = bench_solved
+        state = copy.deepcopy(result.state)
+        old = state.roadmap
+        repair(state, result.solution, generate_event(domain, EventKind.NEW_AGENT, 9000))
+        new = state.roadmap
+        assert new.vertices[:-1] == old.vertices
+        mandatory = motion.mandatory_vertices(domain)
+        assert len(mandatory) ** 2 > 1000
+        for frm in mandatory:
+            for to in mandatory:
+                want = motion.plan(old, frm, to, class_id=0, speed=1.0)
+                assert motion.plan(new, frm, to, class_id=0, speed=1.0) == want
+
+    def test_repair_keeps_the_roadmap_plans_schedules_and_floors(self, monkeypatch):
+        domain = generate_problem(4, 3, 4, 3)
+        result = _solved(domain)
+        state = result.state
+        memoized = motion.build_roadmap(
+            domain.world, motion.mandatory_vertices(domain), 200, 8, 0
+        )
+        assert memoized is state.roadmap
+        n_vertices, cache = len(memoized.vertices), state.plan_cache
+        kept = [(node, node.floor, node.schedule) for node in state.nodes.values()]
+        calls = state.stats.scheduler_calls
+        old = result.solution.allocation.entries
+        widened = Allocation(np.hstack([old, np.zeros((old.shape[0], 1), np.int8)]))
+
+        def refused(what):
+            def call(*args, **kwargs):
+                raise AssertionError(f"a new-agent repair must not {what}")
+
+            return call
+
+        with monkeypatch.context() as m:
+            m.setattr(motion, "build_roadmap", refused("rebuild the roadmap"))
+            m.setattr(repair_mod, "run_search", refused("resume the search"))
+            ev = generate_event(domain, EventKind.NEW_AGENT, 13)
+            repaired = repair(state, result.solution, ev)
+
+        again = motion.build_roadmap(domain.world, motion.mandatory_vertices(domain), 200, 8, 0)
+        assert again is memoized and len(memoized.vertices) == n_vertices
+        assert len(state.roadmap.vertices) == n_vertices + 1
+        assert state.plan_cache is cache
+        for node, floor, schedule in kept:
+            assert node.floor == floor and node.schedule is schedule
+        assert heap_violations(state) == []
+        assert score_violations(state) == []
+        assert repaired.solution.allocation.key() == widened.key()
+        assert state.stats.scheduler_calls == calls
+
+    def test_a_new_agent_after_an_agent_loss_prices_plans_afresh(self):
+        """Losing r0 renumbers every capability class (ROADMAP item 1), so
+        the cache holds plans priced at another robot's speed; the new-agent
+        repair that follows must price its solution as a fresh cache does."""
+        domain = generate_problem(0, 4, 5, 3)
+        result = search(domain, 0.25)
+        state = result.state
+        ev = DynamicEvent(1.0, EventKind.AGENT_LOST, {"agent": "r0"})
+        lost = repair(state, result.solution, ev)
+        repaired = repair(state, lost.solution, generate_event(state.domain, EventKind.NEW_AGENT, 7))
+        alloc = repaired.solution.allocation
+        travel = motion.plan_provider(state.domain, state.roadmap, motion.PlanCache())
+        fresh = solve_schedule(build_scheduling_problem(state.domain, alloc, travel))
+        assert repaired.solution.makespan == pytest.approx(fresh.makespan, abs=1e-9)
+        assert heap_violations(state) == []
+        assert score_violations(state) == []
+
+    def test_a_repair_can_assign_the_new_robot(self):
+        # two robots of one unit each cannot meet a requirement of three
+        domain = build_domain(
+            [[1.0], [1.0]], [[3.0]], obstacles=[Circle((10.0, 3.5), 2.0)]
+        )
+        result = search(domain, 0.25)
+        assert result.reason == "exhausted"
+        start = (15.0, 2.0)
+        agent = {"id": "rx", "traits": {"trait0": 1.0}, "start": list(start), "speed": 2.0}
+        ev = DynamicEvent(1.0, EventKind.NEW_AGENT, {"agent": agent})
+        repaired = repair(result.state, None, ev)
+        assert repaired.reason == "solved"
+        assert repaired.solution.allocation.entries.all()
+        state = repaired.state
+        assert solution_violations(state.domain, repaired.solution, state) == []
+        rm = state.roadmap
+        dist = _distances_from(rm, rm.vertex_index(start))
+        from_start = [
+            p for (_, frm, _), p in repaired.solution.motion_plans.items() if frm == start
+        ]
+        assert from_start
+        for p in from_start:
+            assert p.length == pytest.approx(dist[rm.vertex_index(p.waypoints[-1])], abs=1e-9)
 
 
 class TestReshaping:
