@@ -94,12 +94,15 @@ def _argument_error(args) -> DomainError | BoundError | None:
     where the gap bound still means something; ``solve`` and
     ``run-scenario`` take one alpha in [0, 1]. NaN lies in neither range.
     Every subcommand but ``gen`` builds a roadmap from ``--prm-samples``
-    and ``--prm-k``.
+    and ``--prm-k``. ``--reps`` and ``--max-expansions`` are at least 1, and
+    ``--max-seconds`` is positive (NaN is not).
     """
-    for flag in ("robots", "tasks", "traits", "instances"):
-        count = getattr(args, flag, 1)
+    for flag in ("robots", "tasks", "traits", "instances", "reps", "max-expansions"):
+        count = getattr(args, flag.replace("-", "_"), 1)
         if count < 1:
             return DomainError(f"--{flag} {count} rejected: at least 1 is needed")
+    if not getattr(args, "max_seconds", 1.0) > 0.0:
+        return DomainError(f"--max-seconds {args.max_seconds} rejected: it must be positive")
     if args.command == "gen":
         return None
     if args.command == "bounds":

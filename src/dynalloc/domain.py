@@ -129,12 +129,6 @@ class TaskNetwork:
     def n_tasks(self) -> int:
         return len(self.tasks)
 
-    def task_index(self, task_id: str) -> int:
-        for i, t in enumerate(self.tasks):
-            if t.id == task_id:
-                return i
-        raise KeyError(f"unknown task id {task_id!r}")
-
 
 @dataclass(frozen=True)
 class WorldModel:

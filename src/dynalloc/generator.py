@@ -20,7 +20,7 @@ from .domain import (
     validate_problem,
 )
 from .geometry import Circle, point_in_any
-from .repair import DynamicEvent, EventKind
+from .repair import ROW_CHANGES, DynamicEvent, EventKind, ids_and_rows
 
 MAX_PLACEMENT_TRIES = 10_000
 
@@ -37,6 +37,13 @@ MUTEX_PROB = 0.1
 MAX_COALITION = 2
 TRAIT_PROB = 0.7  # chance a robot possesses each trait
 MAX_DURATION = 10.0
+# the range of the factor each row-change kind scales its row by
+ROW_FACTORS = {
+    EventKind.TRAITS_REDUCED: (0.3, 0.9),
+    EventKind.TRAITS_INCREASED: (1.1, 1.8),
+    EventKind.REQUIREMENTS_INCREASED: (1.05, 1.3),
+    EventKind.REQUIREMENTS_REDUCED: (0.3, 0.9),
+}
 
 
 def _free_point(rng, world_bounds, obstacles):
@@ -132,52 +139,25 @@ def generate_event(domain: ProblemDomain, kind: EventKind, seed: int) -> Dynamic
     names = domain.team.trait_names
     time = round(float(rng.uniform(0.0, 10.0)), 3)
 
-    def pick_robot() -> int:
-        return int(rng.integers(domain.n_robots))
+    def pick(id_key: str) -> tuple[int, str]:
+        ids = ids_and_rows(domain, id_key)[0]
+        i = int(rng.integers(len(ids)))
+        return i, ids[i]
 
-    def pick_task() -> int:
-        return int(rng.integers(domain.n_tasks))
-
-    if kind == EventKind.AGENT_LOST:
+    if kind in (EventKind.AGENT_LOST, EventKind.TASK_LOST):
+        id_key = "agent" if kind == EventKind.AGENT_LOST else "task"
+        return DynamicEvent(time, kind, {id_key: pick(id_key)[1]})
+    if kind in ROW_CHANGES:
+        id_key, row_key, _ = ROW_CHANGES[kind]
+        i, ident = pick(id_key)
+        row = ids_and_rows(domain, id_key)[1][i] * rng.uniform(*ROW_FACTORS[kind])
         return DynamicEvent(
-            time, kind, {"agent": domain.team.robot_ids[pick_robot()]}
-        )
-    if kind == EventKind.TASK_LOST:
-        return DynamicEvent(time, kind, {"task": domain.network.tasks[pick_task()].id})
-    if kind in (EventKind.TRAITS_REDUCED, EventKind.TRAITS_INCREASED):
-        i = pick_robot()
-        row = np.array(domain.team.entries[i])
-        factor = rng.uniform(0.3, 0.9) if kind == EventKind.TRAITS_REDUCED else rng.uniform(
-            1.1, 1.8
-        )
-        row = np.round(row * factor, 6)
-        return DynamicEvent(
-            time,
-            kind,
-            {"agent": domain.team.robot_ids[i], "traits": dict(zip(names, row.tolist()))},
-        )
-    if kind in (EventKind.REQUIREMENTS_INCREASED, EventKind.REQUIREMENTS_REDUCED):
-        m = pick_task()
-        row = np.array(domain.requirements.entries[m])
-        factor = (
-            rng.uniform(1.05, 1.3)
-            if kind == EventKind.REQUIREMENTS_INCREASED
-            else rng.uniform(0.3, 0.9)
-        )
-        row = np.round(row * factor, 6)
-        return DynamicEvent(
-            time,
-            kind,
-            {"task": domain.network.tasks[m].id, "requires": dict(zip(names, row.tolist()))},
+            time, kind, {id_key: ident, row_key: dict(zip(names, np.round(row, 6).tolist()))}
         )
     if kind == EventKind.DURATION_CHANGED:
-        m = pick_task()
-        task = domain.network.tasks[m]
-        return DynamicEvent(
-            time,
-            kind,
-            {"task": task.id, "duration": round(task.duration * float(rng.uniform(0.5, 2.0)), 6)},
-        )
+        m, tid = pick("task")
+        duration = domain.network.tasks[m].duration * float(rng.uniform(0.5, 2.0))
+        return DynamicEvent(time, kind, {"task": tid, "duration": round(duration, 6)})
     if kind == EventKind.NEW_AGENT:
         row = np.zeros(len(names))
         mask = rng.random(len(names)) < 0.7
@@ -185,16 +165,11 @@ def generate_event(domain: ProblemDomain, kind: EventKind, seed: int) -> Dynamic
             mask[int(rng.integers(len(names)))] = True
         row[mask] = np.round(rng.uniform(0.5, 2.0, int(mask.sum())), 3)
         start = _free_point(rng, domain.world.bounds, domain.world.obstacles)
-        return DynamicEvent(
-            time,
-            kind,
-            {
-                "agent": {
-                    "id": f"r_new_{seed}",
-                    "traits": dict(zip(names, row.tolist())),
-                    "start": list(start),
-                    "speed": round(float(rng.uniform(1.0, 3.0)), 3),
-                }
-            },
-        )
+        agent = {
+            "id": f"r_new_{seed}",
+            "traits": dict(zip(names, row.tolist())),
+            "start": list(start),
+            "speed": round(float(rng.uniform(1.0, 3.0)), 3),
+        }
+        return DynamicEvent(time, kind, {"agent": agent})
     raise DomainError(f"unsupported event kind {kind}")

@@ -198,7 +198,7 @@ def events_from_dict(data: dict) -> list[DynamicEvent]:
             kind = EventKind(e["kind"])
         except ValueError:
             raise ParseError(f"unknown event kind {e['kind']!r}") from None
-        out.append(DynamicEvent(float(e["time"]), kind, dict(e["payload"])))
+        out.append(DynamicEvent(float(e["time"]), kind, e["payload"]))
     return sorted(out, key=lambda ev: ev.time)
 
 

@@ -1,9 +1,14 @@
 """Targeted repair of a retained search state after a domain mutation.
 
+A payload is read only through ``_index`` (agent and task ids),
+``_trait_row`` and ``_number``, which refuse a missing or malformed field
+by name (``EventError``). The four trait/requirement row changes are one
+shape, declared once in ``ROW_CHANGES``.
+
 Each event kind touches only the node sets it can actually invalidate:
-losses delete nodes that reference the lost agent or task, capability or
-requirement shifts rescore the open frontier's apr (and, for favorable
-shifts, rescan closed/pruned nodes for newly viable allocations), duration
+losses delete nodes that reference the lost agent or task, a row change
+rescores the open frontier's apr (and, when favorable, rescans
+closed/pruned nodes for newly viable allocations), duration
 changes and task loss lower every node's makespan floor to a sound value
 and demote the frontier to those floors, and a new agent widens every
 allocation, links its start into the kept roadmap by edges out of it
@@ -79,6 +84,10 @@ class EventKind(enum.Enum):
     NEW_AGENT = "new_agent"
 
 
+class EventError(DomainError):
+    pass
+
+
 @dataclass(frozen=True)
 class DynamicEvent:
     time: float
@@ -88,25 +97,76 @@ class DynamicEvent:
     def __post_init__(self):
         if not 0 <= self.time < math.inf:
             raise DomainError(f"event time must be finite and non-negative: {self.time}")
+        if not isinstance(self.payload, dict):
+            raise EventError(f"event payload must be an object, got {self.payload!r}")
 
 
-class EventError(DomainError):
-    pass
+# each trait/requirement row change: the payload's id key, its row key, and
+# the direction (+1 up, -1 down) the row may move
+ROW_CHANGES = {
+    EventKind.TRAITS_REDUCED: ("agent", "traits", -1),
+    EventKind.TRAITS_INCREASED: ("agent", "traits", 1),
+    EventKind.REQUIREMENTS_INCREASED: ("task", "requires", 1),
+    EventKind.REQUIREMENTS_REDUCED: ("task", "requires", -1),
+}
 
 
-def _trait_row(domain: ProblemDomain, mapping: dict) -> np.ndarray:
+def ids_and_rows(domain: ProblemDomain, id_key: str) -> tuple[tuple, np.ndarray]:
+    """The ids an ``agent`` or ``task`` key names, and their trait rows."""
+    if id_key == "agent":
+        return domain.team.robot_ids, domain.team.entries
+    return tuple(t.id for t in domain.network.tasks), domain.requirements.entries
+
+
+def _field(payload: dict, key: str, kind: type = object):
+    """``payload[key]``, refused by name when it is absent or not a ``kind``."""
+    if key not in payload:
+        raise EventError(f"event payload has no {key!r}")
+    value = payload[key]
+    if not isinstance(value, kind):
+        expected = {dict: "an object", str: "a string"}[kind]
+        raise EventError(f"event field {key!r} must be {expected}, got {value!r}")
+    return value
+
+
+def _index(domain: ProblemDomain, payload: dict, id_key: str) -> int:
+    """Position of the agent or task that ``payload[id_key]`` names."""
+    ident = _field(payload, id_key)
+    try:
+        return ids_and_rows(domain, id_key)[0].index(ident)
+    except ValueError:
+        raise EventError(f"unknown {id_key} id {ident!r}") from None
+
+
+def _number(payload: dict, key: str) -> float:
+    """``payload[key]`` as a float, refused by name when it is not a number."""
+    value = _field(payload, key)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise EventError(f"event field {key!r} must be a number, got {value!r}") from None
+
+
+def _trait_row(domain: ProblemDomain, payload: dict, key: str) -> np.ndarray:
+    """The row ``payload[key]`` maps by trait name; an unnamed trait is 0."""
+    mapping = _field(payload, key, dict)
     names = domain.team.trait_names
     unknown = set(mapping) - set(names)
     if unknown:
         raise EventError(f"unknown trait names {sorted(unknown)}")
-    return np.array([float(mapping.get(n, 0.0)) for n in names])
+    return np.array([_number(mapping, n) if n in mapping else 0.0 for n in names])
 
 
-def _robot_index(domain: ProblemDomain, agent_id: str) -> int:
-    try:
-        return domain.team.robot_ids.index(agent_id)
-    except ValueError:
-        raise EventError(f"unknown agent id {agent_id!r}") from None
+def _row_change(domain: ProblemDomain, event: DynamicEvent) -> tuple[int, np.ndarray, np.ndarray]:
+    """(index, old row, new row) of a row-change event, read from its payload."""
+    id_key, row_key, _ = ROW_CHANGES[event.kind]
+    idx = _index(domain, event.payload, id_key)
+    return idx, ids_and_rows(domain, id_key)[1][idx], _trait_row(domain, event.payload, row_key)
+
+
+def _moves(old: np.ndarray, new: np.ndarray) -> dict[int, bool]:
+    """Whether some value of the row moves, by direction (-1 down, +1 up)."""
+    return {-1: bool(np.any(new < old - 1e-12)), 1: bool(np.any(new > old + 1e-12))}
 
 
 def apply_event(domain: ProblemDomain, event: DynamicEvent) -> ProblemDomain:
@@ -115,7 +175,7 @@ def apply_event(domain: ProblemDomain, event: DynamicEvent) -> ProblemDomain:
     kind, payload = event.kind, event.payload
 
     if kind == EventKind.AGENT_LOST:
-        idx = _robot_index(domain, payload["agent"])
+        idx = _index(domain, payload, "agent")
         rid = team.robot_ids[idx]
         team = TeamTraitMatrix(
             np.delete(team.entries, idx, axis=0),
@@ -130,7 +190,7 @@ def apply_event(domain: ProblemDomain, event: DynamicEvent) -> ProblemDomain:
         )
 
     elif kind == EventKind.TASK_LOST:
-        idx = net.task_index(payload["task"])
+        idx = _index(domain, payload, "task")
 
         def without(edges):
             return frozenset((i - (i > idx), j - (j > idx)) for i, j in edges if idx not in (i, j))
@@ -142,33 +202,22 @@ def apply_event(domain: ProblemDomain, event: DynamicEvent) -> ProblemDomain:
         )
         req = DesiredTraitMatrix(np.delete(req.entries, idx, axis=0))
 
-    elif kind in (EventKind.TRAITS_REDUCED, EventKind.TRAITS_INCREASED):
-        idx = _robot_index(domain, payload["agent"])
-        row = _trait_row(domain, payload["traits"])
-        old = team.entries[idx]
-        if kind == EventKind.TRAITS_REDUCED and np.any(row > old + 1e-12):
-            raise EventError("traits_reduced payload raises some trait value")
-        if kind == EventKind.TRAITS_INCREASED and np.any(row < old - 1e-12):
-            raise EventError("traits_increased payload lowers some trait value")
-        entries = np.array(team.entries)
+    elif kind in ROW_CHANGES:
+        id_key, _, direction = ROW_CHANGES[kind]
+        idx, old, row = _row_change(domain, event)
+        if _moves(old, row)[-direction]:
+            way = "up" if direction < 0 else "down"
+            raise EventError(f"{kind.value} payload moves some value {way}")
+        entries = np.array(ids_and_rows(domain, id_key)[1])
         entries[idx] = row
-        team = TeamTraitMatrix(entries, team.robot_ids, team.trait_names)
-
-    elif kind in (EventKind.REQUIREMENTS_INCREASED, EventKind.REQUIREMENTS_REDUCED):
-        idx = net.task_index(payload["task"])
-        row = _trait_row(domain, payload["requires"])
-        old = req.entries[idx]
-        if kind == EventKind.REQUIREMENTS_INCREASED and np.any(row < old - 1e-12):
-            raise EventError("requirements_increased payload lowers a requirement")
-        if kind == EventKind.REQUIREMENTS_REDUCED and np.any(row > old + 1e-12):
-            raise EventError("requirements_reduced payload raises a requirement")
-        entries = np.array(req.entries)
-        entries[idx] = row
-        req = DesiredTraitMatrix(entries)
+        if id_key == "agent":
+            team = TeamTraitMatrix(entries, team.robot_ids, team.trait_names)
+        else:
+            req = DesiredTraitMatrix(entries)
 
     elif kind == EventKind.DURATION_CHANGED:
-        idx = net.task_index(payload["task"])
-        d = float(payload["duration"])
+        idx = _index(domain, payload, "task")
+        d = _number(payload, "duration")
         if not 0 <= d < math.inf:
             raise EventError(f"duration must be finite and non-negative, got {d}")
         t = net.tasks[idx]
@@ -177,23 +226,24 @@ def apply_event(domain: ProblemDomain, event: DynamicEvent) -> ProblemDomain:
         net = TaskNetwork(tuple(tasks), net.precedence_edges, net.mutex_edges)
 
     elif kind == EventKind.NEW_AGENT:
-        spec = payload["agent"]
-        rid = spec["id"]
+        spec = _field(payload, "agent", dict)
+        rid = _field(spec, "id", str)
         if rid in team.robot_ids:
             raise EventError(f"agent id {rid!r} already exists")
-        speed = float(spec["speed"])
+        speed = _number(spec, "speed")
         if not 0 < speed < math.inf:
             raise EventError(f"agent speed must be finite and positive, got {speed}")
+        given = _field(spec, "start")
         try:
-            start = tuple(float(v) for v in spec["start"])
+            start = tuple(float(v) for v in given)
         except (TypeError, ValueError):
             start = ()
         if len(start) != 2:
-            raise EventError(f"agent start must be a 2-D point, got {spec['start']!r}")
+            raise EventError(f"agent start must be a 2-D point, got {given!r}")
         faults = start_faults(world, start)
         if faults:
             raise EventError(f"agent {rid!r} {faults[0][1]}: start {start}")
-        row = _trait_row(domain, spec["traits"])
+        row = _trait_row(domain, spec, "traits")
         team = TeamTraitMatrix(
             np.vstack([team.entries, row]), team.robot_ids + (rid,), team.trait_names
         )
@@ -266,12 +316,8 @@ def _rescore_frontier(state: SearchState) -> None:
 def handle_agent_or_task_loss(state: SearchState, event: DynamicEvent, old_domain: ProblemDomain) -> None:
     """Drop every node referencing the lost agent or task, reindex the rest."""
     agent_loss = event.kind == EventKind.AGENT_LOST
-    if agent_loss:
-        idx = old_domain.team.robot_ids.index(event.payload["agent"])
-        axis = 1
-    else:
-        idx = old_domain.network.task_index(event.payload["task"])
-        axis = 0
+    idx = _index(old_domain, event.payload, "agent" if agent_loss else "task")
+    axis = 1 if agent_loss else 0
 
     nodes = list(state.nodes.values())
     stack = _stack(nodes, (old_domain.n_tasks, old_domain.n_robots))
@@ -307,14 +353,17 @@ def handle_agent_or_task_loss(state: SearchState, event: DynamicEvent, old_domai
             requeue(state, node)
 
 
-def handle_decrease(state: SearchState, event: DynamicEvent) -> None:
-    """Capabilities fell or requirements rose: only the frontier can improve."""
-    _rescore_open_apr(state)
+def handle_row_change(state: SearchState, event: DynamicEvent) -> None:
+    """A trait or requirement row moved one way: only apr changes.
 
-
-def handle_increase(state: SearchState, event: DynamicEvent) -> None:
-    """Capabilities rose or requirements fell: stale nodes may now be viable."""
+    The frontier is rescored. Only a favorable change (a capability rose or
+    a requirement fell) can make a closed or pruned node viable, so only
+    then are those rescanned, and each viable one is requeued."""
     _rescore_open_apr(state)
+    id_key, _, direction = ROW_CHANGES[event.kind]
+    favorable = direction > 0 if id_key == "agent" else direction < 0
+    if not favorable:
+        return
     stale = state.with_status(CLOSED) + state.with_status(PRUNED)
     for node, apr in zip(stale, _aprs(state, stale)):
         node.apr = apr
@@ -331,7 +380,7 @@ def handle_duration_change(
     task's duration by d shortens by at most d and raising it shortens not
     at all; the optimum over orderings inherits both facts.
     """
-    idx = old_domain.network.task_index(event.payload["task"])
+    idx = _index(old_domain, event.payload, "task")
     d_old = old_domain.network.tasks[idx].duration
     d_new = state.domain.network.tasks[idx].duration
     refresh_bounds(state)
@@ -372,36 +421,24 @@ def handle_new_agent(state: SearchState, event: DynamicEvent) -> None:
 
 
 def decompose_mixed(domain: ProblemDomain, event: DynamicEvent) -> list[DynamicEvent]:
-    """Split a sign-mixed trait/requirement row change into pure events."""
-    if event.kind in (EventKind.TRAITS_REDUCED, EventKind.TRAITS_INCREASED):
-        idx = _robot_index(domain, event.payload["agent"])
-        old = domain.team.entries[idx]
-        new = _trait_row(domain, event.payload["traits"])
-        down_kind, up_kind = EventKind.TRAITS_REDUCED, EventKind.TRAITS_INCREASED
-        key, ident = "traits", ("agent", event.payload["agent"])
-    elif event.kind in (
-        EventKind.REQUIREMENTS_INCREASED,
-        EventKind.REQUIREMENTS_REDUCED,
-    ):
-        idx = domain.network.task_index(event.payload["task"])
-        old = domain.requirements.entries[idx]
-        new = _trait_row(domain, event.payload["requires"])
-        down_kind, up_kind = (
-            EventKind.REQUIREMENTS_REDUCED,
-            EventKind.REQUIREMENTS_INCREASED,
-        )
-        key, ident = "requires", ("task", event.payload["task"])
-    else:
+    """Split a sign-mixed trait/requirement row change into pure events:
+    first the row's falls, then its rises, each under its own kind."""
+    if event.kind not in ROW_CHANGES:
         return [event]
-
+    idx, old, new = _row_change(domain, event)
+    if not all(_moves(old, new).values()):
+        return [event]
+    id_key, row_key, _ = ROW_CHANGES[event.kind]
+    kinds = {spec: kind for kind, spec in ROW_CHANGES.items()}
+    ident = ids_and_rows(domain, id_key)[0][idx]
     names = domain.team.trait_names
-    has_down = bool(np.any(new < old - 1e-12))
-    has_up = bool(np.any(new > old + 1e-12))
-    if not (has_down and has_up):
-        return [event]
     return [
-        DynamicEvent(event.time, kind, {ident[0]: ident[1], key: dict(zip(names, row.tolist()))})
-        for kind, row in ((down_kind, np.minimum(new, old)), (up_kind, new))
+        DynamicEvent(
+            event.time,
+            kinds[id_key, row_key, direction],
+            {id_key: ident, row_key: dict(zip(names, row.tolist()))},
+        )
+        for direction, row in ((-1, np.minimum(new, old)), (1, new))
     ]
 
 
@@ -444,10 +481,8 @@ def repair(state: SearchState, solution, event: DynamicEvent) -> SearchResult:
         kind = step.kind
         if kind in (EventKind.AGENT_LOST, EventKind.TASK_LOST):
             handle_agent_or_task_loss(state, step, old_domain)
-        elif kind in (EventKind.TRAITS_REDUCED, EventKind.REQUIREMENTS_INCREASED):
-            handle_decrease(state, step)
-        elif kind in (EventKind.TRAITS_INCREASED, EventKind.REQUIREMENTS_REDUCED):
-            handle_increase(state, step)
+        elif kind in ROW_CHANGES:
+            handle_row_change(state, step)
         elif kind == EventKind.DURATION_CHANGED:
             handle_duration_change(state, step, old_domain)
         else:

@@ -13,7 +13,7 @@ import csv
 import json
 import statistics
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .analysis import (
@@ -26,21 +26,6 @@ from .domain import ProblemDomain, resource_count
 from .repair import DynamicEvent, apply_event, decompose_mixed, repair
 from .search import SearchResult, search
 from .validation import solution_violations
-
-RESULT_COLUMNS = [
-    "scenario",
-    "event_index",
-    "event_kind",
-    "mode",
-    "wall_time_ms",
-    "makespan",
-    "resource_count",
-    "nodes_touched",
-    "planner_calls",
-    "scheduler_calls",
-]
-TIMING_COLUMNS = {"wall_time_ms"}
-
 
 class ScenarioError(Exception):
     pass
@@ -58,6 +43,11 @@ class EventRecord:
     nodes_touched: int
     planner_calls: int
     scheduler_calls: int
+
+
+# the fields, in declaration order, are the results.csv columns
+RESULT_COLUMNS = [f.name for f in fields(EventRecord)]
+TIMING_COLUMNS = {"wall_time_ms"}
 
 
 @dataclass
@@ -116,13 +106,14 @@ def run_scenario(
 ) -> ScenarioResult:
     if mode not in ("repair", "recompute", "both"):
         raise ScenarioError(f"unknown mode {mode!r}")
+    if repetitions < 1:
+        raise ScenarioError(f"repetitions must be at least 1, got {repetitions}")
     modes = ["repair", "recompute"] if mode == "both" else [mode]
-    runs = max(1, repetitions)
     out = ScenarioResult()
 
     for run_mode in modes:
         current = domain
-        result, ms = _timed(lambda: search(current, alpha, prm_samples, prm_k, seed), runs)
+        result, ms = _timed(lambda: search(current, alpha, prm_samples, prm_k, seed), repetitions)
         result = _checked(result, current, f"{run_mode} initial solve")
         out.records.append(_record(-1, "initial", run_mode, ms, result))
 
@@ -135,10 +126,10 @@ def run_scenario(
                 state, solution = result.state, result.solution
                 pre_reads = state.repair_reads
                 times = []
-                for rep in range(runs):
+                for rep in range(repetitions):
                     # every run but the last repairs a copy, so each starts
                     # from the same state; the last repairs the state itself
-                    target = state if rep == runs - 1 else copy.deepcopy(state)
+                    target = state if rep == repetitions - 1 else copy.deepcopy(state)
                     t0 = time.perf_counter()
                     result = repair(target, solution, event)
                     times.append((time.perf_counter() - t0) * 1000.0)
@@ -146,7 +137,7 @@ def run_scenario(
                 assert result.state.repair_reads > pre_reads
             else:
                 result, ms = _timed(
-                    lambda d=next_domain: search(d, alpha, prm_samples, prm_k, seed), runs
+                    lambda d=next_domain: search(d, alpha, prm_samples, prm_k, seed), repetitions
                 )
                 assert result.state.repair_reads == 0  # recompute never reuses state
             result = _checked(result, next_domain, f"{run_mode} event {idx}")

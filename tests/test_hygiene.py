@@ -191,6 +191,53 @@ def test_only_fresh_solves_build_roadmaps():
     assert "PlanCache" not in called_names((PACKAGE / "repair.py").read_text())
 
 
+def payload_reads(source: str) -> list[tuple[int, str | None]]:
+    """(line, enclosing function) of every ``payload[...]`` or ``payload.get``,
+    where ``payload`` is a name or an attribute (``event.payload``)."""
+    found = []
+
+    def is_payload(node) -> bool:
+        return (isinstance(node, ast.Name) and node.id == "payload") or (
+            isinstance(node, ast.Attribute) and node.attr == "payload"
+        )
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Subscript) and is_payload(child.value)) or (
+                isinstance(child, ast.Attribute) and child.attr == "get" and is_payload(child.value)
+            ):
+                found.append((child.lineno, function))
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_the_scan_sees_a_payload_read():
+    source = (
+        "x = payload['a']\n"
+        "def apply(event, spec):\n"
+        "    event.payload.get('agent'), spec['id'], payload_of(event), event.payload\n"
+        "def _field(payload, key):\n"
+        "    return payload[key]\n"
+    )
+    assert payload_reads(source) == [(1, None), (3, "apply"), (5, "_field")]
+
+
+def test_payload_fields_are_read_only_by_the_readers():
+    """Each field is read, and a malformed one refused by name, in one place."""
+    readers = {"_field", "_index", "_number", "_trait_row"}
+    reads = {
+        (path.name, function)
+        for path in MODULES
+        for _, function in payload_reads(path.read_text())
+    }
+    assert reads and reads <= {("repair.py", name) for name in readers}
+
+
 PERFBENCH = PACKAGE.parent.parent / "perfbench"
 # the entry point's ``argv`` defaults to the process's own arguments
 UNPASSED_ALLOWED = {"cli.py: main(argv)"}

@@ -21,7 +21,7 @@ from dynalloc.problem_io import (
     save_events,
 )
 from dynalloc.repair import DynamicEvent, EventKind, decompose_mixed
-from dynalloc.runner import TIMING_COLUMNS, run_scenario, write_results
+from dynalloc.runner import TIMING_COLUMNS, ScenarioError, run_scenario, write_results
 
 
 def _domains_equal(a, b) -> bool:
@@ -176,21 +176,30 @@ class TestCLI:
             ("solve", ["--prm-k", "-1"], "--prm-k -1"),
             ("run-scenario", ["--prm-k", "0"], "--prm-k 0"),
             ("bounds", ["--prm-k", "-1"], "--prm-k -1"),
+            ("run-scenario", ["--reps", "0"], "--reps 0"),
+            ("run-scenario", ["--reps", "-4"], "--reps -4"),
+            ("solve", ["--max-seconds", "nan"], "--max-seconds nan"),
+            ("solve", ["--max-seconds", "-1"], "--max-seconds -1"),
+            ("solve", ["--max-seconds", "0"], "--max-seconds 0"),
+            ("solve", ["--max-expansions", "0"], "--max-expansions 0"),
         ],
         ids=["solve-alpha-1.5", "solve-alpha-nan", "solve-alpha-negative", "solve-no-samples",
              "run-scenario-alpha-1.5", "run-scenario-alpha-nan", "run-scenario-no-samples",
              "bounds-alpha-0.5", "bounds-alpha-nan", "bounds-no-samples",
              "solve-no-neighbors", "solve-negative-neighbors", "run-scenario-no-neighbors",
-             "bounds-negative-neighbors"],
+             "bounds-negative-neighbors", "run-scenario-no-reps", "run-scenario-negative-reps",
+             "solve-nan-seconds", "solve-negative-seconds", "solve-no-seconds",
+             "solve-no-expansions"],
     )
     def test_unusable_search_arguments_refused(self, tmp_path, capsys, monkeypatch,
                                                command, flags, word):
-        """Refused as one JSON line, exit 2, before any roadmap is built."""
+        """Refused as one JSON line, exit 2, before any problem is read."""
 
-        def no_build(*args, **kwargs):
-            raise AssertionError("a roadmap was built")
+        def refuse(*args, **kwargs):
+            raise AssertionError("a problem was read or a roadmap built")
 
-        monkeypatch.setattr(motion, "build_roadmap", no_build)
+        monkeypatch.setattr(motion, "build_roadmap", refuse)
+        monkeypatch.setattr(cli.problem_io, "load_domain", refuse)
         ppath, spath = tmp_path / "p.json", tmp_path / "s.json"
         save_domain(generate_problem(0, 2, 2, 2), ppath)
         spath.write_text(json.dumps({"events": []}))
@@ -260,8 +269,23 @@ class TestCLI:
             {"time": 1.0, "kind": "duration_changed",
              "payload": {"task": "t0", "duration": float("inf")}},
             {"time": 1.0, "kind": "agent_lost", "payload": {"agent": "ghost"}},
+            {"time": 1.0, "kind": "task_lost", "payload": {"task": "nope"}},
+            {"time": 1.0, "kind": "agent_lost", "payload": {}},
+            {"time": 1.0, "kind": "duration_changed",
+             "payload": {"task": "t0", "duration": "x"}},
+            {"time": 1.0, "kind": "traits_reduced",
+             "payload": {"agent": "r0", "traits": {"trait0": "a"}}},
+            {"time": 1.0, "kind": "new_agent",
+             "payload": {"agent": {"id": "rx", "traits": {}, "start": [5.0, 5.0],
+                                   "speed": "fast"}}},
+            {"time": 1.0, "kind": "new_agent", "payload": {"agent": "rx"}},
+            {"time": 1.0, "kind": "requirements_reduced",
+             "payload": {"task": "t0", "requires": [0.5]}},
+            {"time": 1.0, "kind": "agent_lost", "payload": "r0"},
         ],
-        ids=["negative-time", "infinite-duration", "unknown-agent"],
+        ids=["negative-time", "infinite-duration", "unknown-agent", "unknown-task",
+             "no-agent", "duration-not-a-number", "trait-not-a-number", "speed-not-a-number",
+             "spec-not-an-object", "row-not-a-mapping", "payload-not-an-object"],
     )
     def test_run_scenario_reports_refused_events(self, tmp_path, capsys, event):
         ppath, spath = tmp_path / "p.json", tmp_path / "s.json"
@@ -412,8 +436,51 @@ DESK_DIGESTS = (
     "48b25a333995adba470034b9ed2067cce4534a229c2c743e89f3d3a084744414",
     "b8dac904ca6e2db037c7b462da1763a83b2d77372353476dd972964dd1df7e9e",
 )
+# sha256 of ``save_events`` of one generated event of every kind, in
+# ``EventKind`` order, per pinned domain; the event seed is the benchmark's
+# ``9000 + 37 * (seed - 500)`` on the bench domains and ``1000 + i`` on desk i
+BENCH_EVENT_DIGESTS = (
+    "11ee95669e27e3df1db06c8ee0d92eb2a64ba83909f48e6910ae7a00caea63e2",
+    "5dbe4af37bfdec3182b17d6c67abb1eafccbe5995c127652f7a7e2db19293100",
+    "21f2d9855d53986ab6c616c088fed06aacabf5d2b2d00f250e617436be7e60e7",
+    "54c92b53e061ea9af11cddcf4f77677010629d9bb2f475faa136dd5c1b0ca1f8",
+    "16749d0ccee50ed236bcc8b6cdf25804cf3e6c54d68b55a329e48f316a9461ec",
+    "f9d366381414afb76c3b02bc97f6943c8a2b6726a410d45e7fc3bcab74c22130",
+    "ae14df7a1df9f881abc8a54bfd79e4b341f84861240bc8a7c1c5a6cbab7b5eda",
+    "ca17de3cd8b3ed86fdc7f521b9e31d86e389ec895b0f6a81cb39d858f74a45fb",
+    "51be41256d189e5d936f4879730e31ebe09de2a6a2e71d17c02fdcc23aa1c353",
+    "45d5849e232c84e0bb1e9cc26e780af3dedd4fc5e7393e157d36ea38918f3762",
+)
+DESK_EVENT_DIGESTS = (
+    "c32bbc8d96bf815043a6df63882a96484419f3d09a953f4233e841f9213f296a",
+    "ffb4704c92afb0316070b9432915beb6518e848ba39dc60513bbbf61f8bf9e2f",
+    "4e5143a7d38246ebaa61e64479ca02e7d9c62c3b12a3119d65822a8774fce348",
+    "e5eb7d0633114b089c3bee8b8a91f19cc8d79340eeb878eb38a7933360affe6c",
+    "04034a3785bbc42df9ab2c1ca56c9c9984cde8a784d0dcb27f76054c3bd21500",
+    "7c665ab233f554d62a68d2214184f344f322458831c8b5b6856ee120e68dd2aa",
+    "f816f779374c33f321fd2b3c256e792a8de307c410b595751bc447740afc5181",
+    "ff47a1218f631b4aa1e16be9ad2e694938558dc48c0cf86d6188b810b6c93377",
+    "beb02a875596791a362b426ba81c9ad806c0c3be59b8bfa9a6eacb0c94005ee1",
+    "5581b9a15bc8a7363f1e7d39483d0be926412f100bcecac84fdb3085c5c11197",
+    "7baca213e64d2492f355b40ced7a051d34d88ad7a92cbe45ce983fae74c341d8",
+    "84fe9bc0efcb50ec803700e4650f15e8b3a8ffd8364eaa95843996d9c49b0b60",
+    "3906e2cc4d4c424852dae288e92dfc02ede38af7e99436a73e91c6f52fa12bdc",
+    "714d978e2627eadb2eb1c63d27ed26f4d3e86b5a64de98b55be123b61b07fb67",
+    "cadba33d2b71d6fcfcd500e97b93df63e9b5f7d24ed1f09c5d7c19a869ebb491",
+    "f91100e692d09fb819ca57f44efce6ffdb226cbab2a0f874a62178ea88f5e298",
+    "42a498a1b6c6a4f3c62b0840ecabf5044908aea2dbbcf2683b33caf9d10f58ad",
+    "505735a375d3c291f6bef270bfd253ddd7b74b34b9d37f93e1208e9761680ff7",
+    "125f8f2276c13e4427596d6624f0ce38cfe4932940ac7529f35518987b8aea46",
+    "f8de320a413822c9375d16c3f878025f44650103d4d3699110caa36af3f32f7b",
+)
 PINNED_DOMAINS = [(500 + i, (8, 15, 4), d) for i, d in enumerate(BENCH_DIGESTS)] + [
     (100 + i, (*DESK_SHAPES[i % len(DESK_SHAPES)], 3), d) for i, d in enumerate(DESK_DIGESTS)
+]
+PINNED_EVENTS = [
+    (500 + i, (8, 15, 4), 9000 + 37 * i, d) for i, d in enumerate(BENCH_EVENT_DIGESTS)
+] + [
+    (100 + i, (*DESK_SHAPES[i % len(DESK_SHAPES)], 3), 1000 + i, d)
+    for i, d in enumerate(DESK_EVENT_DIGESTS)
 ]
 
 
@@ -480,6 +547,22 @@ class TestDeterminism:
         path = tmp_path / "p.json"
         save_domain(generate_problem(seed, *shape), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "seed, shape, event_seed, digest", PINNED_EVENTS, ids=[str(c[0]) for c in PINNED_EVENTS]
+    )
+    def test_generated_event_matches_its_pinned_digest(
+        self, tmp_path, seed, shape, event_seed, digest
+    ):
+        """The events the benchmark's repairs and criterion 5 draw stay as they are."""
+        domain = generate_problem(seed, *shape)
+        path = tmp_path / "e.json"
+        save_events([generate_event(domain, kind, event_seed) for kind in EventKind], path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_run_scenario_refuses_no_repetitions(self, desk_domain):
+        with pytest.raises(ScenarioError, match="repetitions"):
+            run_scenario(desk_domain, [], "repair", alpha=0.25, repetitions=0)
 
     def test_gen_output_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

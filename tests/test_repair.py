@@ -39,6 +39,7 @@ from dynalloc.validation import solution_violations
 from conftest import build_domain, heap_violations, score_violations
 
 ALL_KINDS = list(EventKind)
+ROW_KINDS = list(repair_mod.ROW_CHANGES)
 
 
 def _solved(domain, alpha=0.25, **kw):
@@ -168,6 +169,33 @@ class TestApplyEvent:
         with pytest.raises(EventError, match="start"):
             apply_event(desk_domain, DynamicEvent(0.0, EventKind.NEW_AGENT, {"agent": agent}))
 
+    @pytest.mark.parametrize(
+        "kind, payload, field",
+        [
+            (EventKind.TASK_LOST, {"task": "nope"}, "nope"),
+            (EventKind.DURATION_CHANGED, {"task": "nope", "duration": 1.0}, "nope"),
+            (EventKind.AGENT_LOST, {}, "'agent'"),
+            (EventKind.DURATION_CHANGED, {"task": "t0", "duration": "x"}, "'duration'"),
+            (EventKind.TRAITS_REDUCED, {"agent": "r0", "traits": {"trait0": "a"}}, "'trait0'"),
+            (
+                EventKind.NEW_AGENT,
+                {"agent": {"id": "rx", "traits": {}, "start": [5.0, 5.0], "speed": "fast"}},
+                "'speed'",
+            ),
+            (EventKind.NEW_AGENT, {"agent": "rx"}, "'agent'"),
+            (EventKind.REQUIREMENTS_REDUCED, {"task": "t0", "requires": [0.5]}, "'requires'"),
+            (EventKind.AGENT_LOST, "r0", "payload"),
+        ],
+        ids=["unknown-task", "unknown-task-duration", "no-agent", "duration-not-a-number",
+             "trait-not-a-number", "speed-not-a-number", "spec-not-an-object",
+             "row-not-a-mapping", "payload-not-an-object"],
+    )
+    def test_malformed_payload_rejected(self, desk_domain, kind, payload, field):
+        """Refused as an ``EventError`` that names the field, never a
+        ``KeyError`` or ``ValueError`` from deep inside the model."""
+        with pytest.raises(EventError, match=field):
+            apply_event(desk_domain, DynamicEvent(0.0, kind, payload))
+
     def test_iteration_counter_advances(self, desk_domain):
         ev = generate_event(desk_domain, EventKind.DURATION_CHANGED, 0)
         assert apply_event(desk_domain, ev).iteration == desk_domain.iteration + 1
@@ -259,6 +287,31 @@ class TestRepair:
         assert heap_violations(state) == []
         assert score_violations(state) == []
 
+    @pytest.mark.parametrize("kind", ROW_KINDS, ids=[k.value for k in ROW_KINDS])
+    def test_row_change_rescans_stale_nodes_only_when_favorable(self, kind):
+        """A risen capability or a fallen requirement can make a closed or
+        pruned allocation viable, so only then are those nodes rescored; the
+        frontier is rescored either way."""
+        domain = generate_problem(1, 3, 4, 3)
+        state = _solved(domain).state
+        ev = generate_event(domain, kind, 9)
+        stale = {
+            id(n): (n, n.apr, n.status) for n in state.nodes.values() if n.status != OPEN
+        }
+        state.domain = apply_event(domain, ev)
+        repair_mod.handle_row_change(state, ev)
+        team, req = state.domain.team, state.domain.requirements
+        fresh = {k: apr_value(n.allocation, team, req) for k, (n, _, _) in stale.items()}
+        assert any(fresh[k] != apr for k, (_, apr, _) in stale.items())
+        favorable = kind in (EventKind.TRAITS_INCREASED, EventKind.REQUIREMENTS_REDUCED)
+        for k, (node, apr, status) in stale.items():
+            if favorable:
+                assert node.apr == fresh[k]
+            else:
+                assert (node.apr, node.status) == (apr, status)
+        assert heap_violations(state) == []
+        assert score_violations(state) == []
+
     def test_new_agent_widens_every_node(self):
         domain = generate_problem(4, 3, 4, 3)
         result = _solved(domain)
@@ -311,8 +364,14 @@ class TestRepair:
                 EventKind.NEW_AGENT,
                 {"agent": {"id": "rx", "traits": {}, "start": [-5.0, 1.0], "speed": 1.0}},
             ),
+            (EventKind.TASK_LOST, {"task": "nope"}),
+            (
+                EventKind.NEW_AGENT,
+                {"agent": {"id": "rx", "traits": {}, "start": [5.0, 5.0], "speed": "fast"}},
+            ),
         ],
-        ids=["infinite-duration", "unknown-agent", "nan-start", "start-out-of-bounds"],
+        ids=["infinite-duration", "unknown-agent", "nan-start", "start-out-of-bounds",
+             "unknown-task", "speed-not-a-number"],
     )
     def test_refused_event_leaves_the_state_untouched(self, kind, payload):
         domain = generate_problem(100, 3, 4, 3)
