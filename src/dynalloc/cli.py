@@ -185,9 +185,6 @@ def cmd_run_scenario(args) -> int:
         return status
     try:
         events = problem_io.load_events(args.scenario)
-    except DomainError as exc:
-        return _refused(exc)
-    try:
         result = runner.run_scenario(
             domain,
             events,

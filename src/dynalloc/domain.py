@@ -1,15 +1,19 @@
 """Core problem model: trait matrices, task network, world, allocations.
 
 All types are immutable after construction; a mutated problem is a new
-``ProblemDomain`` with ``iteration + 1``. Cross-object consistency (matrix
+``ProblemDomain`` with ``iteration + 1``; a repeated robot, task or trait
+id is refused on construction. Cross-object consistency (matrix
 dimensions, DAG-ness of precedence, geometric placement) is checked by
 ``validate_problem`` rather than in constructors so that malformed inputs
-can be loaded and reported instead of crashing the loader.
+can be loaded and reported instead of crashing the loader. Outside input
+is read only through ``read_field``, ``read_number`` and ``read_row``,
+which refuse a field by name with the error class their caller passes.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +29,47 @@ class DomainError(Exception):
 
 class DimensionMismatchError(DomainError):
     pass
+
+
+def read_field(obj: dict, key: str, where: str, error: type[DomainError], kind: type = object):
+    """``obj[key]``, refused as ``error`` when it is absent or not a ``kind``."""
+    if key not in obj:
+        raise error(f"{where} has no {key!r}")
+    value = obj[key]
+    if not isinstance(value, kind):
+        expected = {dict: "an object", list: "a list", str: "a string"}[kind]
+        raise error(f"{key!r} in {where} must be {expected}, got {value!r}")
+    return value
+
+
+def read_number(obj: dict, key: str, where: str, error: type[DomainError], length: int = 0):
+    """``obj[key]`` as a float or, given a ``length``, a point: a list of that
+    many. A number is a JSON int or float, never a bool or a string."""
+    value = read_field(obj, key, where, error)
+    point = isinstance(value, (list, tuple)) and len(value) == length
+    items = value if point else [value]
+    if point != bool(length) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in items
+    ):
+        expected = f"a list of {length} numbers" if length else "a number"
+        raise error(f"{key!r} in {where} must be {expected}, got {value!r}")
+    return tuple(map(float, items)) if length else float(value)
+
+
+def read_row(obj: dict, key: str, names, where: str, error: type[DomainError]) -> np.ndarray:
+    """The trait row ``obj[key]`` maps by name; a trait it leaves out is 0."""
+    mapping = read_field(obj, key, where, error, dict)
+    unknown = set(mapping) - set(names)
+    if unknown:
+        raise error(f"unknown trait names {sorted(unknown)} in {where}")
+    where = f"{where} {key}"
+    return np.array([read_number(mapping, n, where, error) if n in mapping else 0.0 for n in names])
+
+
+def _distinct(ids, what: str) -> None:
+    repeated = [i for i, n in Counter(ids).items() if n > 1]
+    if repeated:
+        raise DomainError(f"{what} must be distinct, repeated: {repeated}")
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -54,6 +99,8 @@ class TeamTraitMatrix:
             raise DimensionMismatchError("robot_ids length must equal row count")
         if len(self.trait_names) != u:
             raise DimensionMismatchError("trait_names length must equal column count")
+        _distinct(self.robot_ids, "robot ids")
+        _distinct(self.trait_names, "trait names")
         if not np.all(np.isfinite(self.entries) & (self.entries >= 0)):
             raise DomainError("trait values must be finite and non-negative")
 
@@ -121,6 +168,7 @@ class TaskNetwork:
             "mutex_edges",
             frozenset(tuple(sorted(e)) for e in self.mutex_edges),
         )
+        _distinct([t.id for t in self.tasks], "task ids")
         for i, j in self.precedence_edges | self.mutex_edges:
             if i == j:
                 raise DomainError(f"self-loop on task index {i}")

@@ -1,8 +1,10 @@
 """JSON serialization for problems and event scenarios.
 
-Strict on input: unknown keys at any object level are rejected so that a
-typo in a hand-written problem file fails loudly instead of silently
-changing the instance.
+Strict on input: every field is read through the readers of ``domain``,
+so a bool or a string is not a number and a point is exactly 2 numbers,
+and unknown keys at any object level are rejected so that a typo in a
+hand-written problem file fails loudly instead of silently changing the
+instance.
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ from .domain import (
     TaskSpec,
     TeamTraitMatrix,
     WorldModel,
+    read_field,
+    read_number,
+    read_row,
 )
 from .geometry import Circle, Rect
 from .repair import DynamicEvent, EventKind
@@ -29,92 +34,74 @@ class ParseError(DomainError):
     pass
 
 
-def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
-    unknown = set(obj) - allowed
+def _object(value, allowed: set[str], where: str) -> dict:
+    """``value``, refused unless it is an object whose keys all lie in ``allowed``."""
+    if not isinstance(value, dict):
+        raise ParseError(f"{where} must be an object, got {value!r}")
+    unknown = set(value) - allowed
     if unknown:
         raise ParseError(f"unknown keys {sorted(unknown)} in {where}")
+    return value
 
 
-def _require(obj: dict, keys: set[str], where: str) -> None:
-    missing = keys - set(obj)
-    if missing:
-        raise ParseError(f"missing keys {sorted(missing)} in {where}")
+# each obstacle type: its shape, and the point length of each field (0: a number)
+SHAPES = {"circle": (Circle, {"c": 2, "r": 0}), "rect": (Rect, {"min": 2, "max": 2})}
 
 
-def _parse_obstacle(ob: dict, where: str):
-    if ob.get("type") == "circle":
-        _check_keys(ob, {"type", "c", "r"}, where)
-        _require(ob, {"c", "r"}, where)
-        return Circle(tuple(ob["c"]), float(ob["r"]))
-    if ob.get("type") == "rect":
-        _check_keys(ob, {"type", "min", "max"}, where)
-        _require(ob, {"min", "max"}, where)
-        return Rect(tuple(ob["min"]), tuple(ob["max"]))
-    raise ParseError(f"obstacle in {where} must have type 'circle' or 'rect'")
+def _parse_obstacle(ob, where: str):
+    _object(ob, {"type", "c", "r", "min", "max"}, where)
+    shape = read_field(ob, "type", where, ParseError, str)
+    if shape not in SHAPES:
+        raise ParseError(f"obstacle in {where} must have type 'circle' or 'rect'")
+    cls, lengths = SHAPES[shape]
+    _object(ob, {"type", *lengths}, where)
+    return cls(*(read_number(ob, key, where, ParseError, n) for key, n in lengths.items()))
 
 
-def domain_from_dict(data: dict) -> ProblemDomain:
-    _check_keys(
-        data, {"robots", "traits", "tasks", "precedence", "mutex", "world"}, "problem"
-    )
-    _require(data, {"robots", "traits", "tasks", "world"}, "problem")
-    trait_names = tuple(data["traits"])
-
-    def row(mapping: dict, where: str) -> list[float]:
-        unknown = set(mapping) - set(trait_names)
-        if unknown:
-            raise ParseError(f"unknown trait names {sorted(unknown)} in {where}")
-        return [float(mapping.get(t, 0.0)) for t in trait_names]
+def domain_from_dict(data) -> ProblemDomain:
+    _object(data, {"robots", "traits", "tasks", "precedence", "mutex", "world"}, "problem")
+    names = read_field(data, "traits", "problem", ParseError, list)
+    if not all(isinstance(n, str) for n in names):
+        raise ParseError(f"'traits' in problem must be a list of strings, got {names!r}")
 
     robot_ids, team_rows, starts, speeds = [], [], {}, {}
-    for r in data["robots"]:
-        _check_keys(r, {"id", "traits", "start", "speed"}, f"robot {r.get('id')}")
-        _require(r, {"id", "traits", "start", "speed"}, f"robot {r.get('id')}")
-        robot_ids.append(r["id"])
-        team_rows.append(row(r["traits"], f"robot {r['id']}"))
-        starts[r["id"]] = tuple(r["start"])
-        speeds[r["id"]] = float(r["speed"])
+    for i, r in enumerate(read_field(data, "robots", "problem", ParseError, list)):
+        where = f"robots[{i}]"
+        _object(r, {"id", "traits", "start", "speed"}, where)
+        rid = read_field(r, "id", where, ParseError, str)
+        robot_ids.append(rid)
+        team_rows.append(read_row(r, "traits", names, where, ParseError))
+        starts[rid] = read_number(r, "start", where, ParseError, 2)
+        speeds[rid] = read_number(r, "speed", where, ParseError)
 
     tasks, req_rows = [], []
-    for t in data["tasks"]:
-        _check_keys(
-            t, {"id", "duration", "requires", "initial", "terminal"}, f"task {t.get('id')}"
-        )
-        _require(t, {"id", "duration", "requires", "initial", "terminal"}, f"task {t.get('id')}")
-        tasks.append(
-            TaskSpec(t["id"], float(t["duration"]), tuple(t["initial"]), tuple(t["terminal"]))
-        )
-        req_rows.append(row(t["requires"], f"task {t['id']}"))
+    for i, t in enumerate(read_field(data, "tasks", "problem", ParseError, list)):
+        where = f"tasks[{i}]"
+        _object(t, {"id", "duration", "requires", "initial", "terminal"}, where)
+        tid = read_field(t, "id", where, ParseError, str)
+        sites = (read_number(t, key, where, ParseError, 2) for key in ("initial", "terminal"))
+        tasks.append(TaskSpec(tid, read_number(t, "duration", where, ParseError), *sites))
+        req_rows.append(read_row(t, "requires", names, where, ParseError))
 
-    task_idx = {t.id: i for i, t in enumerate(tasks)}
+    ids = [t.id for t in tasks]
 
-    def edge(pair, where: str):
-        a, b = pair
-        if a not in task_idx or b not in task_idx:
-            raise ParseError(f"unknown task id in {where} edge {pair}")
-        return task_idx[a], task_idx[b]
+    def edges(key: str) -> list[tuple[int, int]]:
+        pairs = read_field(data, key, "problem", ParseError, list) if key in data else []
+        for pair in pairs:
+            if not (isinstance(pair, list) and len(pair) == 2 and all(p in ids for p in pair)):
+                raise ParseError(f"{key} edge {pair!r} must name two known task ids")
+        return [(ids.index(a), ids.index(b)) for a, b in pairs]
 
-    precedence = frozenset(edge(p, "precedence") for p in data.get("precedence", []))
-    mutex = frozenset(tuple(sorted(edge(p, "mutex"))) for p in data.get("mutex", []))
-
-    w = data["world"]
-    _check_keys(w, {"bounds", "obstacles"}, "world")
-    _require(w, {"bounds"}, "world")
-    world = WorldModel(
-        bounds=tuple(float(v) for v in w["bounds"]),
-        obstacles=tuple(
-            _parse_obstacle(ob, f"world obstacle {i}")
-            for i, ob in enumerate(w.get("obstacles", []))
-        ),
-        robot_start_configs=starts,
-        robot_speeds=speeds,
-    )
+    w = _object(read_field(data, "world", "problem", ParseError), {"bounds", "obstacles"}, "world")
+    bounds = read_number(w, "bounds", "world", ParseError, 4)
+    obstacles = read_field(w, "obstacles", "world", ParseError, list) if "obstacles" in w else []
+    shapes = [_parse_obstacle(ob, f"world obstacles[{i}]") for i, ob in enumerate(obstacles)]
     return ProblemDomain(
         iteration=0,
-        network=TaskNetwork(tuple(tasks), precedence, mutex),
-        team=TeamTraitMatrix(np.array(team_rows), tuple(robot_ids), trait_names),
+        network=TaskNetwork(tasks, edges("precedence"), edges("mutex")),
+        team=TeamTraitMatrix(np.array(team_rows), robot_ids, names),
         requirements=DesiredTraitMatrix(np.array(req_rows)),
-        world=world,
+        world=WorldModel(bounds, shapes, starts, speeds),
     )
 
 
@@ -166,17 +153,20 @@ def domain_to_dict(domain: ProblemDomain) -> dict:
 
 
 def _load(path, from_dict):
-    """``from_dict`` of one JSON file; a malformed file raises ParseError naming it.
+    """``from_dict`` of one JSON file; a file that cannot be read or is not
+    JSON, and a field ``from_dict`` refuses, raise ParseError naming the file.
 
-    Values the model itself refuses (a NaN trait, a negative event time)
-    keep their own ``DomainError``.
+    Values the model itself refuses (a NaN trait, a negative event time, a
+    repeated id) keep their own ``DomainError``.
     """
     try:
-        return from_dict(json.loads(Path(path).read_text()))
+        data = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    try:
+        return from_dict(data)
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from None
-    except (OSError, ValueError, TypeError, KeyError, AttributeError, IndexError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
 
 
 def load_domain(path) -> ProblemDomain:
@@ -187,18 +177,17 @@ def save_domain(domain: ProblemDomain, path) -> None:
     Path(path).write_text(json.dumps(domain_to_dict(domain), indent=2, sort_keys=True))
 
 
-def events_from_dict(data: dict) -> list[DynamicEvent]:
-    _check_keys(data, {"events"}, "scenario")
-    _require(data, {"events"}, "scenario")
+def events_from_dict(data) -> list[DynamicEvent]:
+    _object(data, {"events"}, "scenario")
     out = []
-    for i, e in enumerate(data["events"]):
-        _check_keys(e, {"time", "kind", "payload"}, f"event {i}")
-        _require(e, {"time", "kind", "payload"}, f"event {i}")
-        try:
-            kind = EventKind(e["kind"])
-        except ValueError:
-            raise ParseError(f"unknown event kind {e['kind']!r}") from None
-        out.append(DynamicEvent(float(e["time"]), kind, e["payload"]))
+    for i, e in enumerate(read_field(data, "events", "scenario", ParseError, list)):
+        where = f"events[{i}]"
+        _object(e, {"time", "kind", "payload"}, where)
+        time = read_number(e, "time", where, ParseError)
+        kind = read_field(e, "kind", where, ParseError, str)
+        if kind not in {k.value for k in EventKind}:
+            raise ParseError(f"unknown event kind {kind!r} in {where}")
+        out.append(DynamicEvent(time, EventKind(kind), read_field(e, "payload", where, ParseError)))
     return sorted(out, key=lambda ev: ev.time)
 
 

@@ -1,9 +1,11 @@
 """Targeted repair of a retained search state after a domain mutation.
 
-A payload is read only through ``_index`` (agent and task ids),
-``_trait_row`` and ``_number``, which refuse a missing or malformed field
-by name (``EventError``). The four trait/requirement row changes are one
-shape, declared once in ``ROW_CHANGES``.
+A payload is read only through ``_index`` (agent and task ids) and the
+readers of ``domain`` (``read_field``, ``read_number``, ``read_row``),
+which refuse a missing or malformed field by name as an ``EventError``. A
+new agent's id must be new; ``TeamTraitMatrix`` refuses a repeated one.
+The four trait/requirement row changes are one shape, declared once in
+``ROW_CHANGES``.
 
 Each event kind touches only the node sets it can actually invalidate:
 losses delete nodes that reference the lost agent or task, a row change
@@ -39,6 +41,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -51,6 +54,9 @@ from .domain import (
     TaskSpec,
     TeamTraitMatrix,
     WorldModel,
+    read_field,
+    read_number,
+    read_row,
     stack_allocations,
     start_faults,
     unstack_allocations,
@@ -111,57 +117,28 @@ ROW_CHANGES = {
 }
 
 
-def ids_and_rows(domain: ProblemDomain, id_key: str) -> tuple[tuple, np.ndarray]:
+def ids_and_rows(domain: ProblemDomain, id_key: str) -> tuple[list | tuple, np.ndarray]:
     """The ids an ``agent`` or ``task`` key names, and their trait rows."""
     if id_key == "agent":
         return domain.team.robot_ids, domain.team.entries
-    return tuple(t.id for t in domain.network.tasks), domain.requirements.entries
-
-
-def _field(payload: dict, key: str, kind: type = object):
-    """``payload[key]``, refused by name when it is absent or not a ``kind``."""
-    if key not in payload:
-        raise EventError(f"event payload has no {key!r}")
-    value = payload[key]
-    if not isinstance(value, kind):
-        expected = {dict: "an object", str: "a string"}[kind]
-        raise EventError(f"event field {key!r} must be {expected}, got {value!r}")
-    return value
+    return [t.id for t in domain.network.tasks], domain.requirements.entries
 
 
 def _index(domain: ProblemDomain, payload: dict, id_key: str) -> int:
     """Position of the agent or task that ``payload[id_key]`` names."""
-    ident = _field(payload, id_key)
+    ident = read_field(payload, id_key, "event payload", EventError)
     try:
         return ids_and_rows(domain, id_key)[0].index(ident)
     except ValueError:
         raise EventError(f"unknown {id_key} id {ident!r}") from None
 
 
-def _number(payload: dict, key: str) -> float:
-    """``payload[key]`` as a float, refused by name when it is not a number."""
-    value = _field(payload, key)
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise EventError(f"event field {key!r} must be a number, got {value!r}") from None
-
-
-def _trait_row(domain: ProblemDomain, payload: dict, key: str) -> np.ndarray:
-    """The row ``payload[key]`` maps by trait name; an unnamed trait is 0."""
-    mapping = _field(payload, key, dict)
-    names = domain.team.trait_names
-    unknown = set(mapping) - set(names)
-    if unknown:
-        raise EventError(f"unknown trait names {sorted(unknown)}")
-    return np.array([_number(mapping, n) if n in mapping else 0.0 for n in names])
-
-
 def _row_change(domain: ProblemDomain, event: DynamicEvent) -> tuple[int, np.ndarray, np.ndarray]:
     """(index, old row, new row) of a row-change event, read from its payload."""
     id_key, row_key, _ = ROW_CHANGES[event.kind]
     idx = _index(domain, event.payload, id_key)
-    return idx, ids_and_rows(domain, id_key)[1][idx], _trait_row(domain, event.payload, row_key)
+    new = read_row(event.payload, row_key, domain.team.trait_names, "event payload", EventError)
+    return idx, ids_and_rows(domain, id_key)[1][idx], new
 
 
 def _moves(old: np.ndarray, new: np.ndarray) -> dict[int, bool]:
@@ -217,33 +194,25 @@ def apply_event(domain: ProblemDomain, event: DynamicEvent) -> ProblemDomain:
 
     elif kind == EventKind.DURATION_CHANGED:
         idx = _index(domain, payload, "task")
-        d = _number(payload, "duration")
+        d = read_number(payload, "duration", "event payload", EventError)
         if not 0 <= d < math.inf:
             raise EventError(f"duration must be finite and non-negative, got {d}")
         t = net.tasks[idx]
         tasks = list(net.tasks)
         tasks[idx] = TaskSpec(t.id, d, t.initial_config, t.terminal_config)
-        net = TaskNetwork(tuple(tasks), net.precedence_edges, net.mutex_edges)
+        net = TaskNetwork(tasks, net.precedence_edges, net.mutex_edges)
 
     elif kind == EventKind.NEW_AGENT:
-        spec = _field(payload, "agent", dict)
-        rid = _field(spec, "id", str)
-        if rid in team.robot_ids:
-            raise EventError(f"agent id {rid!r} already exists")
-        speed = _number(spec, "speed")
+        spec = read_field(payload, "agent", "event payload", EventError, dict)
+        rid = read_field(spec, "id", "new agent", EventError, str)
+        speed = read_number(spec, "speed", "new agent", EventError)
         if not 0 < speed < math.inf:
             raise EventError(f"agent speed must be finite and positive, got {speed}")
-        given = _field(spec, "start")
-        try:
-            start = tuple(float(v) for v in given)
-        except (TypeError, ValueError):
-            start = ()
-        if len(start) != 2:
-            raise EventError(f"agent start must be a 2-D point, got {given!r}")
+        start = read_number(spec, "start", "new agent", EventError, 2)
         faults = start_faults(world, start)
         if faults:
             raise EventError(f"agent {rid!r} {faults[0][1]}: start {start}")
-        row = _trait_row(domain, spec, "traits")
+        row = read_row(spec, "traits", team.trait_names, "new agent", EventError)
         team = TeamTraitMatrix(
             np.vstack([team.entries, row]), team.robot_ids + (rid,), team.trait_names
         )
@@ -465,9 +434,7 @@ def repair(state: SearchState, solution, event: DynamicEvent) -> SearchResult:
         if sol_node is None or alloc.entries.shape != (domain.n_tasks, domain.n_robots):
             raise DomainError("the solution's allocation is not in this state's graph")
     steps = decompose_mixed(domain, event)
-    domains = [domain]
-    for step in steps:
-        domains.append(apply_event(domains[-1], step))
+    domains = list(accumulate(steps, apply_event, initial=domain))
     state.repair_reads += 1
 
     if sol_node is not None and sol_node.status != OPEN:

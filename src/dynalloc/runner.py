@@ -1,9 +1,11 @@
 """Scenario driver: solve, apply events, compare repair against recompute.
 
-Wall time is measured around the allocator call only. In ``repair`` mode
-events mutate the retained search state; in ``recompute`` mode each event
-triggers a fresh search on the updated domain and never touches retained
-state (asserted via an instrumentation counter).
+Every event is applied to the domain once, before the first search, so a
+malformed event is refused before any solve. Wall time is measured around
+the allocator call only. In ``repair`` mode events mutate the retained
+search state; in ``recompute`` mode each event triggers a fresh search on
+the updated domain and never touches retained state (asserted via an
+instrumentation counter).
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import json
 import statistics
 import time
 from dataclasses import asdict, dataclass, field, fields
+from functools import reduce
 from pathlib import Path
 
 from .analysis import (
@@ -111,17 +114,17 @@ def run_scenario(
     modes = ["repair", "recompute"] if mode == "both" else [mode]
     out = ScenarioResult()
 
+    ordered = sorted(events, key=lambda e: e.time)
+    domains = [domain]
+    for event in ordered:  # a sign-mixed row change as its pure steps, as repair does
+        domains.append(reduce(apply_event, decompose_mixed(domains[-1], event), domains[-1]))
+
     for run_mode in modes:
-        current = domain
-        result, ms = _timed(lambda: search(current, alpha, prm_samples, prm_k, seed), repetitions)
-        result = _checked(result, current, f"{run_mode} initial solve")
+        result, ms = _timed(lambda: search(domain, alpha, prm_samples, prm_k, seed), repetitions)
+        result = _checked(result, domain, f"{run_mode} initial solve")
         out.records.append(_record(-1, "initial", run_mode, ms, result))
 
-        for idx, event in enumerate(sorted(events, key=lambda e: e.time)):
-            # a sign-mixed row change is applied as its pure steps, as repair does
-            next_domain = current
-            for step in decompose_mixed(current, event):
-                next_domain = apply_event(next_domain, step)
+        for idx, (event, after) in enumerate(zip(ordered, domains[1:])):
             if run_mode == "repair":
                 state, solution = result.state, result.solution
                 pre_reads = state.repair_reads
@@ -137,12 +140,11 @@ def run_scenario(
                 assert result.state.repair_reads > pre_reads
             else:
                 result, ms = _timed(
-                    lambda d=next_domain: search(d, alpha, prm_samples, prm_k, seed), repetitions
+                    lambda d=after: search(d, alpha, prm_samples, prm_k, seed), repetitions
                 )
                 assert result.state.repair_reads == 0  # recompute never reuses state
-            result = _checked(result, next_domain, f"{run_mode} event {idx}")
+            result = _checked(result, after, f"{run_mode} event {idx}")
             out.records.append(_record(idx, event.kind.value, run_mode, ms, result))
-            current = next_domain
     return out
 
 

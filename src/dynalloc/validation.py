@@ -8,7 +8,7 @@ import numpy as np
 
 from .domain import ProblemDomain, is_valid_allocation
 from .geometry import point_in_any
-from .motion import MotionPlan
+from .motion import MotionPlan, PlanCache, plan_provider
 from .scheduler import SchedulingProblem, Schedule, build_scheduling_problem
 from .search import SearchState, Solution
 
@@ -56,16 +56,12 @@ def plan_collision_samples(plan: MotionPlan, obstacles) -> bool:
 def solution_violations(
     domain: ProblemDomain, solution: Solution, state: SearchState
 ) -> list[str]:
-    """Resource sufficiency, temporal feasibility, and plan backing."""
-    from . import motion
-
+    """Resource sufficiency and temporal feasibility, with every trip priced
+    afresh on the state's roadmap: the solver's own plan cache is never read."""
     out = []
     if not is_valid_allocation(solution.allocation, domain.team, domain.requirements):
         out.append("allocation does not meet trait requirements")
-    travel = motion.plan_provider(domain, state.roadmap, state.plan_cache)
+    travel = plan_provider(domain, state.roadmap, PlanCache())
     problem = build_scheduling_problem(domain, solution.allocation, travel)
     out.extend(schedule_violations(problem, solution.schedule))
-    for key, plan in solution.motion_plans.items():
-        if plan is None:
-            out.append(f"missing motion plan for {key}")
     return out

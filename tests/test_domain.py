@@ -51,6 +51,15 @@ class TestMatrices:
         with pytest.raises(DimensionMismatchError):
             TeamTraitMatrix(np.ones((2, 2)), ("r0",), ("a", "b"))
 
+    @pytest.mark.parametrize(
+        "robot_ids, trait_names", [(("r0", "r0"), ("a",)), (("r0", "r1"), ("a", "a"))],
+        ids=["robot", "trait"],
+    )
+    def test_team_rejects_repeated_ids(self, robot_ids, trait_names):
+        """A repeated robot id would pair two trait rows with one start and speed."""
+        with pytest.raises(DomainError, match="must be distinct"):
+            TeamTraitMatrix(np.ones((2, len(trait_names))), robot_ids, trait_names)
+
     def test_requirements_reject_negative(self):
         with pytest.raises(DomainError):
             DesiredTraitMatrix(np.array([[-1.0]]))
@@ -243,6 +252,12 @@ class TestTaskNetwork:
         assert net.mutex_edges == frozenset({(0, 2)})
         with pytest.raises(DomainError):
             TaskNetwork(tasks, frozenset({(1, 1)}), frozenset())
+
+    def test_repeated_task_id_rejected(self):
+        """A repeated task id would send every edge naming it to the later task."""
+        tasks = tuple(TaskSpec("t0", 1.0, (0.0, 0.0), (1.0, 1.0)) for _ in range(2))
+        with pytest.raises(DomainError, match="t0"):
+            TaskNetwork(tasks, frozenset(), frozenset({(0, 1)}))
 
     def test_cycle_detection(self):
         tasks = tuple(TaskSpec(f"t{i}", 1.0, (0.0, 0.0), (1.0, 1.0)) for i in range(3))

@@ -191,9 +191,13 @@ def test_only_fresh_solves_build_roadmaps():
     assert "PlanCache" not in called_names((PACKAGE / "repair.py").read_text())
 
 
-def payload_reads(source: str) -> list[tuple[int, str | None]]:
-    """(line, enclosing function) of every ``payload[...]`` or ``payload.get``,
-    where ``payload`` is a name or an attribute (``event.payload``)."""
+def field_reads(source: str) -> list[tuple[int, str | None]]:
+    """(line, enclosing function) of every read of an input field by hand.
+
+    That is a subscript by a string constant (``data["robots"]``), a
+    ``.get`` with one (``ob.get("type")``), and any subscript or ``.get`` of
+    a ``payload`` name or attribute (``event.payload[key]``).
+    """
     found = []
 
     def is_payload(node) -> bool:
@@ -201,13 +205,23 @@ def payload_reads(source: str) -> list[tuple[int, str | None]]:
             isinstance(node, ast.Attribute) and node.attr == "payload"
         )
 
+    def by_name(key) -> bool:
+        return isinstance(key, ast.Constant) and isinstance(key.value, str)
+
     def visit(node, function):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if (isinstance(child, ast.Subscript) and is_payload(child.value)) or (
-                isinstance(child, ast.Attribute) and child.attr == "get" and is_payload(child.value)
+            if isinstance(child, ast.Subscript) and (
+                is_payload(child.value) or by_name(child.slice)
+            ):
+                found.append((child.lineno, function))
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr == "get"
+                and (is_payload(child.func.value) or any(map(by_name, child.args[:1])))
             ):
                 found.append((child.lineno, function))
             visit(child, function)
@@ -219,23 +233,84 @@ def payload_reads(source: str) -> list[tuple[int, str | None]]:
 def test_the_scan_sees_a_payload_read():
     source = (
         "x = payload['a']\n"
-        "def apply(event, spec):\n"
+        "def apply(event, spec, data, i):\n"
         "    event.payload.get('agent'), spec['id'], payload_of(event), event.payload\n"
+        "    data.get('robots', []), rows[i], data.get(i), {'a': 1}['a']\n"
         "def _field(payload, key):\n"
         "    return payload[key]\n"
     )
-    assert payload_reads(source) == [(1, None), (3, "apply"), (5, "_field")]
+    assert field_reads(source) == [
+        (1, None), (3, "apply"), (3, "apply"), (4, "apply"), (4, "apply"), (6, "_field")
+    ]
+
+
+READERS = {"read_field", "read_number", "read_row"}
 
 
 def test_payload_fields_are_read_only_by_the_readers():
-    """Each field is read, and a malformed one refused by name, in one place."""
-    readers = {"_field", "_index", "_number", "_trait_row"}
-    reads = {
-        (path.name, function)
-        for path in MODULES
-        for _, function in payload_reads(path.read_text())
+    """Each field of a problem file or an event payload is read, and a
+    malformed one refused by name, in one place: the readers of domain.py,
+    which both input modules call and which index by a variable key only."""
+    assert [(p.name, r) for p in MODULES for r in field_reads(p.read_text())] == []
+    defined = {
+        (p.name, node.name)
+        for p in MODULES
+        for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name in READERS
     }
-    assert reads and reads <= {("repair.py", name) for name in readers}
+    assert defined == {("domain.py", name) for name in READERS}
+    for name in ("problem_io.py", "repair.py"):
+        assert READERS <= called_names((PACKAGE / name).read_text())
+
+
+def conversion_calls(source: str) -> list[tuple[int, str | None]]:
+    """(line, outermost enclosing function) of every ``float(...)`` or
+    ``tuple(...)`` call."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, function or child.name)
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Name)
+                and child.func.id in ("float", "tuple")
+            ):
+                found.append((child.lineno, function))
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_the_scan_sees_a_conversion():
+    source = (
+        "def domain_from_dict(data):\n"
+        "    return float(data['x']), tuple(p), np.float64(1), list(q)\n"
+        "def domain_to_dict(d):\n"
+        "    def sparse(row):\n"
+        "        return {n: float(v) for n, v in row}\n"
+        "    return tuple(x)\n"
+        "x = float('1')\n"
+    )
+    assert conversion_calls(source) == [
+        (2, "domain_from_dict"), (2, "domain_from_dict"), (5, "domain_to_dict"),
+        (6, "domain_to_dict"), (7, None),
+    ]
+
+
+def test_no_input_is_converted_outside_the_readers():
+    """A bare ``float(...)`` or ``tuple(...)`` on input would take a bool, a
+    numeric string or a point of any length; only ``domain_to_dict``, which
+    writes output, converts anything in the input modules."""
+    calls = {
+        (name, function)
+        for name in ("problem_io.py", "repair.py")
+        for _, function in conversion_calls((PACKAGE / name).read_text())
+    }
+    assert calls <= {("problem_io.py", "domain_to_dict")}
 
 
 PERFBENCH = PACKAGE.parent.parent / "perfbench"

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from dynalloc import cli, motion
+from dynalloc import cli, motion, runner
 from dynalloc.cli import main
 from dynalloc.generator import generate_event, generate_problem
 from dynalloc.problem_io import (
@@ -20,7 +20,7 @@ from dynalloc.problem_io import (
     save_domain,
     save_events,
 )
-from dynalloc.repair import DynamicEvent, EventKind, decompose_mixed
+from dynalloc.repair import DynamicEvent, EventError, EventKind, decompose_mixed
 from dynalloc.runner import TIMING_COLUMNS, ScenarioError, run_scenario, write_results
 
 
@@ -39,6 +39,14 @@ def _domains_equal(a, b) -> bool:
         and a.world.robot_start_configs == b.world.robot_start_configs
         and a.world.robot_speeds == b.world.robot_speeds
     )
+
+
+def _set(data, dotted: str, value):
+    """Set the field a dotted path names, such as ``robots.0.speed``."""
+    *path, last = dotted.split(".")
+    for key in path:
+        data = data[int(key) if isinstance(data, list) else key]
+    data[int(last) if isinstance(data, list) else last] = value
 
 
 class TestDomainIO:
@@ -82,6 +90,42 @@ class TestDomainIO:
         data["world"]["obstacles"] = [{"type": "triangle"}]
         with pytest.raises(ParseError):
             domain_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "field, value, name",
+        [
+            ("robots.0.start", ["a", "b"], "start"),
+            ("robots.0.start", [1.0, 2.0, 3.0], "start"),
+            ("robots.0.start", [1.0], "start"),
+            ("tasks.0.initial", [1.0, 2.0, 3.0], "initial"),
+            ("tasks.0.initial", ["x", "y"], "initial"),
+            ("tasks.0.terminal", "ab", "terminal"),
+            ("world.bounds", [0.0, 0.0, 10.0], "bounds"),
+            ("world.obstacles.0.c", ["a", "b"], "'c'"),
+            ("robots.0.id", 7, "'id'"),
+            ("precedence", [["t0", "t1", "t2"]], "precedence"),
+            ("robots", {}, "robots"),
+            ("traits", "ab", "traits"),
+            ("world.obstacles.0", {"type": "rect", "min": [1.0, 1.0, 1.0], "max": [2.0, 2.0]},
+             "'min'"),
+        ],
+        ids=["start-strings", "start-3d", "start-1d", "initial-3d", "initial-strings",
+             "terminal-string", "bounds-3", "center-strings", "id-number", "edge-of-3",
+             "robots-object", "traits-string", "rect-corner-3d"],
+    )
+    def test_malformed_field_refused_by_name(self, tmp_path, capsys, field, value, name):
+        """Refused as one parse error naming the field and the file, exit 2."""
+        data = domain_to_dict(generate_problem(0, 3, 4, 3))
+        _set(data, field, value)
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(data))
+        assert main(["solve", str(path), "--out", str(tmp_path / "out")]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "parse"
+        assert str(path) in err["message"]
+        assert name in err["message"]
 
 
 class TestEventIO:
@@ -282,10 +326,25 @@ class TestCLI:
             {"time": 1.0, "kind": "requirements_reduced",
              "payload": {"task": "t0", "requires": [0.5]}},
             {"time": 1.0, "kind": "agent_lost", "payload": "r0"},
+            {"time": 1.0, "kind": "duration_changed", "payload": {"task": "t0", "duration": True}},
+            {"time": 1.0, "kind": "duration_changed",
+             "payload": {"task": "t0", "duration": "3.5"}},
+            {"time": 1.0, "kind": "new_agent",
+             "payload": {"agent": {"id": "rx", "traits": {}, "start": [5.0, 5.0],
+                                   "speed": True}}},
+            {"time": 1.0, "kind": "new_agent",
+             "payload": {"agent": {"id": "rx", "traits": {}, "start": "55", "speed": 1.0}}},
+            {"time": 1.0, "kind": "new_agent",
+             "payload": {"agent": {"id": "rx", "traits": {}, "start": [True, True],
+                                   "speed": 1.0}}},
+            {"time": 1.0, "kind": "traits_reduced",
+             "payload": {"agent": "r0", "traits": {"trait0": False}}},
         ],
         ids=["negative-time", "infinite-duration", "unknown-agent", "unknown-task",
              "no-agent", "duration-not-a-number", "trait-not-a-number", "speed-not-a-number",
-             "spec-not-an-object", "row-not-a-mapping", "payload-not-an-object"],
+             "spec-not-an-object", "row-not-a-mapping", "payload-not-an-object",
+             "duration-bool", "duration-string", "speed-bool", "start-string", "start-bools",
+             "trait-bool"],
     )
     def test_run_scenario_reports_refused_events(self, tmp_path, capsys, event):
         ppath, spath = tmp_path / "p.json", tmp_path / "s.json"
@@ -352,27 +411,37 @@ class TestCLI:
         [
             ("p.json", '{"traits": ['),
             ("p.json", None),
-            ("p.json", "robots"),
-            ("s.json", json.dumps(
-                {"events": [{"time": "x", "kind": "agent_lost", "payload": {"agent": "r0"}}]}
-            )),
+            ("p.json", ("robots", 5)),
+            ("s.json", ("events.0.time", "x")),
+            ("p.json", ("robots.0.speed", True)),
+            ("p.json", ("robots.0.speed", "2.5")),
+            ("p.json", ("tasks.0.duration", True)),
+            ("p.json", ("tasks.0.duration", "3")),
+            ("p.json", ("tasks.0.requires", {"trait0": "1.5"})),
+            ("p.json", ("world.obstacles.0.r", True)),
+            ("s.json", ("events.0.time", True)),
+            ("s.json", ("events.0.time", "3")),
         ],
-        ids=["truncated", "missing-path", "robots-not-a-list", "non-numeric-time"],
+        ids=["truncated", "missing-path", "robots-not-a-list", "non-numeric-time",
+             "speed-bool", "speed-string", "duration-bool", "duration-string",
+             "trait-string", "radius-bool", "time-bool", "time-string"],
     )
     def test_malformed_file_reported_as_parse_error(self, tmp_path, capsys, bad_file, text):
-        ppath, spath = tmp_path / "p.json", tmp_path / "s.json"
-        data = domain_to_dict(generate_problem(0, 3, 4, 3))
-        if text == "robots":
-            data["robots"] = 5
-        ppath.write_text(json.dumps(data))
-        spath.write_text(json.dumps({"events": []}))
+        files = {
+            "p.json": domain_to_dict(generate_problem(0, 3, 4, 3)),
+            "s.json": {"events": [{"time": 1.0, "kind": "agent_lost", "payload": {"agent": "r0"}}]},
+        }
+        if isinstance(text, tuple):
+            _set(files[bad_file], *text)
+        for name, data in files.items():
+            (tmp_path / name).write_text(json.dumps(data))
         bad = tmp_path / bad_file
         if text is None:
             bad.unlink()
-        elif text != "robots":
+        elif isinstance(text, str):
             bad.write_text(text)
         rc = main(
-            ["run-scenario", str(ppath), str(spath), "--reps", "1",
+            ["run-scenario", str(tmp_path / "p.json"), str(tmp_path / "s.json"), "--reps", "1",
              "--out", str(tmp_path / "run")]
         )
         assert rc == 2
@@ -381,6 +450,25 @@ class TestCLI:
         err = json.loads(lines[0])
         assert err["error"] == "parse"
         assert str(bad) in err["message"]
+        if isinstance(text, tuple):
+            assert text[0].split(".")[-1] in err["message"]
+
+    @pytest.mark.parametrize("key, ident", [("robots", "r0"), ("tasks", "t0")])
+    def test_repeated_ids_refused(self, tmp_path, capsys, key, ident):
+        """A repeated robot id would give two trait rows but one start, and a
+        repeated task id would send every edge naming it to the later task."""
+        data = domain_to_dict(generate_problem(0, 3, 4, 3))
+        data[key][1]["id"] = ident
+        data["precedence"] = data["mutex"] = []  # no edge names the renamed task
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(data))
+        assert main(["solve", str(path), "--out", str(tmp_path / "out")]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "input"
+        assert "must be distinct" in err["message"]
+        assert not (tmp_path / "out").exists()
 
     def test_run_scenario_writes_outputs(self, tmp_path):
         domain = generate_problem(0, 3, 4, 3)
@@ -563,6 +651,18 @@ class TestDeterminism:
     def test_run_scenario_refuses_no_repetitions(self, desk_domain):
         with pytest.raises(ScenarioError, match="repetitions"):
             run_scenario(desk_domain, [], "repair", alpha=0.25, repetitions=0)
+
+    def test_a_malformed_later_event_is_refused_before_any_search(self, monkeypatch, desk_domain):
+        def no_search(*args, **kwargs):
+            raise AssertionError("a search ran")
+
+        monkeypatch.setattr(runner, "search", no_search)
+        events = [
+            DynamicEvent(1.0, EventKind.AGENT_LOST, {"agent": "r1"}),
+            DynamicEvent(2.0, EventKind.AGENT_LOST, {}),
+        ]
+        with pytest.raises(EventError, match="'agent'"):
+            run_scenario(desk_domain, events, "both", alpha=0.25, repetitions=1)
 
     def test_gen_output_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

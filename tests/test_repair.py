@@ -1,6 +1,7 @@
 """Event application and targeted repair across all eight event kinds."""
 
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
-from dynalloc import motion, repair as repair_mod
+from dynalloc import motion, repair as repair_mod, runner
 from dynalloc.domain import Allocation, DomainError
 from dynalloc.generator import generate_event, generate_problem
 from dynalloc.geometry import Circle
@@ -34,6 +35,7 @@ from dynalloc.search import (
     materialize,
     search,
 )
+from dynalloc.runner import ScenarioError, run_scenario
 from dynalloc.validation import solution_violations
 
 from conftest import build_domain, heap_violations, score_violations
@@ -185,10 +187,29 @@ class TestApplyEvent:
             (EventKind.NEW_AGENT, {"agent": "rx"}, "'agent'"),
             (EventKind.REQUIREMENTS_REDUCED, {"task": "t0", "requires": [0.5]}, "'requires'"),
             (EventKind.AGENT_LOST, "r0", "payload"),
+            (EventKind.DURATION_CHANGED, {"task": "t0", "duration": True}, "'duration'"),
+            (EventKind.DURATION_CHANGED, {"task": "t0", "duration": "3.5"}, "'duration'"),
+            (
+                EventKind.NEW_AGENT,
+                {"agent": {"id": "rx", "traits": {}, "start": [5.0, 5.0], "speed": True}},
+                "'speed'",
+            ),
+            (
+                EventKind.NEW_AGENT,
+                {"agent": {"id": "rx", "traits": {}, "start": "55", "speed": 1.0}},
+                "'start'",
+            ),
+            (
+                EventKind.NEW_AGENT,
+                {"agent": {"id": "rx", "traits": {}, "start": [True, True], "speed": 1.0}},
+                "'start'",
+            ),
+            (EventKind.TRAITS_REDUCED, {"agent": "r0", "traits": {"trait0": False}}, "'trait0'"),
         ],
         ids=["unknown-task", "unknown-task-duration", "no-agent", "duration-not-a-number",
              "trait-not-a-number", "speed-not-a-number", "spec-not-an-object",
-             "row-not-a-mapping", "payload-not-an-object"],
+             "row-not-a-mapping", "payload-not-an-object", "duration-bool", "duration-string",
+             "speed-bool", "start-string", "start-bools", "trait-bool"],
     )
     def test_malformed_payload_rejected(self, desk_domain, kind, payload, field):
         """Refused as an ``EventError`` that names the field, never a
@@ -369,9 +390,19 @@ class TestRepair:
                 EventKind.NEW_AGENT,
                 {"agent": {"id": "rx", "traits": {}, "start": [5.0, 5.0], "speed": "fast"}},
             ),
+            (EventKind.DURATION_CHANGED, {"task": "t0", "duration": True}),
+            (
+                EventKind.NEW_AGENT,
+                {"agent": {"id": "rx", "traits": {}, "start": "55", "speed": 1.0}},
+            ),
+            (
+                EventKind.NEW_AGENT,
+                {"agent": {"id": "r0", "traits": {}, "start": [5.0, 5.0], "speed": 1.0}},
+            ),
         ],
         ids=["infinite-duration", "unknown-agent", "nan-start", "start-out-of-bounds",
-             "unknown-task", "speed-not-a-number"],
+             "unknown-task", "speed-not-a-number", "duration-bool", "start-string",
+             "repeated-agent-id"],
     )
     def test_refused_event_leaves_the_state_untouched(self, kind, payload):
         domain = generate_problem(100, 3, 4, 3)
@@ -415,6 +446,51 @@ class TestRepair:
         with pytest.raises(DomainError, match="not in this state's graph"):
             repair(state, result.solution, event)
         assert snapshot() == before
+
+
+class TestIndependentValidation:
+    """``solution_violations`` prices every trip afresh, never from the
+    solver's plan cache."""
+
+    def test_a_wrong_cached_plan_is_flagged(self):
+        domain = generate_problem(0, 4, 5, 3)
+        result = _solved(domain)
+        state = copy.deepcopy(result.state)
+        # every cached trip made free: a schedule solved on these prices
+        # ignores travel, which only fresh prices can show
+        cache = state.plan_cache.entries
+        for key, plan in cache.items():
+            cache[key] = dataclasses.replace(plan, duration=0.0)
+        travel = motion.plan_provider(domain, state.roadmap, state.plan_cache)
+        problem = build_scheduling_problem(domain, result.solution.allocation, travel)
+        planted = dataclasses.replace(result.solution, schedule=solve_schedule(problem))
+        assert solution_violations(domain, result.solution, state) == []
+        assert solution_violations(domain, planted, state) != []
+
+    def test_desk_agent_loss_is_refused_or_priced_afresh(self, monkeypatch):
+        """Losing r0 on desk 0 renumbers the capability classes the plan
+        cache is keyed by, so the repair solves on stale prices. The
+        scenario must be refused, or report the fresh optimum of the
+        repaired allocation."""
+        domain = generate_problem(0, 4, 5, 3)
+        event = DynamicEvent(1.0, EventKind.AGENT_LOST, {"agent": "r0"})
+        repaired = []
+
+        def spy(*args):
+            repaired.append(repair(*args))
+            return repaired[-1]
+
+        monkeypatch.setattr(runner, "repair", spy)
+        try:
+            result = run_scenario(domain, [event], "repair", alpha=0.25, repetitions=1)
+        except ScenarioError as exc:
+            assert "violated" in str(exc)
+            return
+        after, last = apply_event(domain, event), repaired[-1]
+        travel = motion.plan_provider(after, last.state.roadmap, motion.PlanCache())
+        problem = build_scheduling_problem(after, last.solution.allocation, travel)
+        fresh = solve_schedule(problem).makespan
+        assert result.records[-1].makespan == pytest.approx(fresh, abs=1e-9)
 
 
 def _eager_rescore_frontier(state):
