@@ -1,7 +1,7 @@
 """Optimality-gap machinery: analytic bounds plus brute-force oracles.
 
-The oracles enumerate every binary allocation (guarded to M*N <= 12) and
-solve each valid one exactly, giving ground truth for the makespan gap and
+The oracles enumerate every valid binary allocation (guarded to M*N <= 12)
+and solve each one exactly, giving ground truth for the makespan gap and
 the minimum-assignment count that the search's guarantees are checked
 against.
 """
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import motion
-from .domain import Allocation, ProblemDomain, is_valid_allocation, resource_count
-from .scheduler import build_scheduling_problem, solve_schedule
+from .domain import GE_TOL, Allocation, ProblemDomain, is_valid_allocation, resource_count
+from .scheduler import PriceMemo, build_scheduling_problem, solve_schedule
 from .search import OPEN, SearchResult, search
 
 
@@ -99,9 +99,23 @@ def check_enumerable(domain: ProblemDomain) -> None:
 
 
 def _enumerate_valid(domain: ProblemDomain):
-    m, n = domain.n_tasks, domain.n_robots
-    for bits in itertools.product((0, 1), repeat=m * n):
-        alloc = Allocation(np.array(bits, dtype=np.int8).reshape(m, n))
+    """Every valid allocation, in the row-major order of all binary matrices.
+
+    Validity is a condition on each task's row alone, so each row ranges
+    over the robot subsets that cover that task's requirement on their own,
+    and the product of those choices holds every valid allocation.
+    ``is_valid_allocation`` still filters the product, so the set is exactly
+    the valid ones among all 2^(M*N) matrices.
+    """
+    n = domain.n_robots
+    subsets = np.array(list(itertools.product((0, 1), repeat=n)), dtype=np.int8).reshape(-1, n)
+    traits = subsets.astype(float) @ domain.team.entries
+    rows = [
+        subsets[np.all(traits >= req - GE_TOL, axis=1)].tolist()
+        for req in domain.requirements.entries
+    ]
+    for choice in itertools.product(*rows):
+        alloc = Allocation(np.array(choice, dtype=np.int8).reshape(domain.n_tasks, n))
         if is_valid_allocation(alloc, domain.team, domain.requirements):
             yield alloc
 
@@ -110,12 +124,13 @@ def brute_force_optimal_makespan(domain: ProblemDomain, travel) -> float:
     """Exact minimum makespan over all valid, schedulable allocations.
 
     ``travel`` should use instantiated plans; math.inf when no valid
-    allocation is schedulable.
+    allocation is schedulable. One price memo serves the whole enumeration.
     """
     check_enumerable(domain)
+    memo = PriceMemo(domain, travel)
     best = math.inf
     for alloc in _enumerate_valid(domain):
-        sched = solve_schedule(build_scheduling_problem(domain, alloc, travel))
+        sched = solve_schedule(build_scheduling_problem(domain, alloc, travel, memo))
         if sched is not None:
             best = min(best, sched.makespan)
     return best
@@ -124,12 +139,13 @@ def brute_force_optimal_makespan(domain: ProblemDomain, travel) -> float:
 def brute_force_min_assignments(domain: ProblemDomain, travel) -> float:
     """Fewest assignments among valid, schedulable allocations; inf if none."""
     check_enumerable(domain)
+    memo = PriceMemo(domain, travel)
     best = math.inf
     for alloc in _enumerate_valid(domain):
         rc = resource_count(alloc)
         if rc >= best:
             continue
-        sched = solve_schedule(build_scheduling_problem(domain, alloc, travel))
+        sched = solve_schedule(build_scheduling_problem(domain, alloc, travel, memo))
         if sched is not None:
             best = rc
     return best

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Point, Shape, point_in_any
+from .geometry import Circle, Point, Shape, point_in_any
 
 GE_TOL = 1e-9  # absolute slack for elementwise >= comparisons
 
@@ -380,14 +380,43 @@ class ValidationReport:
         return {i.code for i in self.issues}
 
 
+def _point_faults(world: WorldModel, p: Point, what: str, verb: str) -> list[tuple[str, str]]:
+    if not all(map(math.isfinite, p)):
+        return [(f"{what}_NOT_FINITE", f"{verb} at a non-finite point")]
+    faults = []
+    if not world.in_bounds(p):
+        faults.append((f"{what}_OUT_OF_BOUNDS", f"{verb} outside bounds"))
+    if point_in_any(p, world.obstacles):
+        faults.append((f"{what}_IN_OBSTACLE", f"{verb} inside an obstacle"))
+    return faults
+
+
 def start_faults(world: WorldModel, start: Point) -> list[tuple[str, str]]:
     """(code, reason) for each rule a robot start breaks; empty when valid."""
-    faults = []
-    if not world.in_bounds(start):
-        faults.append(("START_OUT_OF_BOUNDS", "starts outside bounds"))
-    if point_in_any(start, world.obstacles):
-        faults.append(("START_IN_OBSTACLE", "starts inside an obstacle"))
-    return faults
+    return _point_faults(world, start, "START", "starts")
+
+
+def site_faults(world: WorldModel, site: Point) -> list[tuple[str, str]]:
+    """(code, reason) for each rule a task site breaks; empty when valid."""
+    return _point_faults(world, site, "SITE", "lies")
+
+
+def _obstacle_fault(ob: Shape) -> str | None:
+    """Why an obstacle would silently block nothing or hold no point; None
+    when it is a finite circle of positive radius or a finite rect whose
+    min corner is at or below its max corner."""
+    if isinstance(ob, Circle):
+        if not all(map(math.isfinite, ob.center)):
+            return f"circle centre {ob.center} is not finite"
+        if not 0 < ob.radius < math.inf:
+            return f"circle radius {ob.radius} is not finite and positive"
+        return None
+    corners = ob.min_corner + ob.max_corner
+    if not all(map(math.isfinite, corners)):
+        return f"rect corners {corners} are not finite"
+    if ob.min_corner[0] > ob.max_corner[0] or ob.min_corner[1] > ob.max_corner[1]:
+        return f"rect min corner {ob.min_corner} exceeds max corner {ob.max_corner}"
+    return None
 
 
 def validate_problem(domain: ProblemDomain) -> ValidationReport:
@@ -415,6 +444,17 @@ def validate_problem(domain: ProblemDomain) -> ValidationReport:
     for i, j in net.precedence_edges | net.mutex_edges:
         if not (0 <= i < net.n_tasks and 0 <= j < net.n_tasks):
             report.add("BAD_EDGE_INDEX", f"edge ({i},{j}) out of range")
+    xmin, ymin, xmax, ymax = world.bounds
+    if not (all(map(math.isfinite, world.bounds)) and xmin < xmax and ymin < ymax):
+        report.add("BAD_BOUNDS", f"world bounds {world.bounds} are not finite with min < max")
+    for k, ob in enumerate(world.obstacles):
+        reason = _obstacle_fault(ob)
+        if reason is not None:
+            report.add("BAD_OBSTACLE", f"obstacle {k}: {reason}")
+    for t in net.tasks:
+        for name, site in (("initial", t.initial_config), ("terminal", t.terminal_config)):
+            for code, reason in site_faults(world, site):
+                report.add(code, f"task {t.id} {name} site {reason}")
     for rid in team.robot_ids:
         start = world.robot_start_configs.get(rid)
         if start is None:

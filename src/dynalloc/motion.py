@@ -329,12 +329,17 @@ def euclidean_provider(domain: ProblemDomain):
 
 
 def plan_provider(domain: ProblemDomain, roadmap: Roadmap, cache: PlanCache):
-    """Travel times from instantiated roadmap plans; inf when disconnected."""
+    """Travel times from instantiated roadmap plans; inf when disconnected.
+
+    The capability classes are grouped at the first trip priced, so a
+    provider that a price memo never needs costs nothing."""
 
     speeds = domain.world.robot_speeds
-    classes = capability_classes(domain.team, domain.world)
+    classes: dict[str, int] = {}
 
     def travel(robot_id: str, frm: Point, to: Point) -> float:
+        if not classes:
+            classes.update(capability_classes(domain.team, domain.world))
         p = plan(roadmap, frm, to, classes[robot_id], speeds[robot_id], cache)
         return math.inf if p is None else p.duration
 

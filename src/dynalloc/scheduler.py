@@ -15,9 +15,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-import numpy as np
-
-from .domain import Allocation, ProblemDomain, WorldModel
+from .domain import Allocation, DimensionMismatchError, ProblemDomain, WorldModel
 
 FEAS_TOL = 1e-9
 
@@ -106,17 +104,36 @@ class _Compiled:
         ``mk0`` must be the makespan of s0; it is raised incrementally as
         starts grow. A vertex dequeued more than n times witnesses a
         positive cycle.
+
+        A call with ``extra`` = (u, v, w) must pass ``seeds`` = (u,) and a
+        fixpoint s0 of the current edges. u's own out-edges then change
+        nothing, so the propagation starts at v, as if u had just been
+        dequeued once: the updates, their order and the cycle counts are
+        those of a scan from u. When the edge already holds, s0 and mk0
+        come back as they are.
         """
         n = self.n
-        s = list(s0)
         d = self.durations
-        mk = mk0
         out = self.out
         inq = bytearray(n)
         counts = [0] * n
-        queue = deque(seeds)
-        for u in seeds:
-            inq[u] = 1
+        if extra is None:
+            s = list(s0)
+            mk = mk0
+            queue = deque(seeds)
+            for u in seeds:
+                inq[u] = 1
+        else:
+            u, v, w = extra
+            nv = s0[u] + w
+            if nv <= s0[v] + FEAS_TOL:
+                return s0, mk0
+            s = list(s0)
+            s[v] = nv
+            mk = nv + d[v] if nv + d[v] > mk0 else mk0
+            counts[u] = 1
+            queue = deque((v,))
+            inq[v] = 1
         while queue:
             u = queue.popleft()
             inq[u] = 0
@@ -377,64 +394,126 @@ def _transitive_closure(n: int, edges: frozenset[Pair]) -> set[Pair]:
     return closure
 
 
+class PriceMemo:
+    """Everything assembly reads besides the allocation, for one domain.
+
+    The domain's constants (durations, precedence, the task pairs its
+    precedence closure leaves unordered, the mutexes that stay free) are
+    derived once, and every travel time assembly takes is kept: each
+    arrival by (task, coalition), each transition by (i, j, shared robots).
+    A coalition is an allocation row's bytes read as one little-endian int,
+    one byte per robot, so ``&`` gives the robots two tasks share. A price
+    is the ``max`` over the coalition of the travel source's times, taken
+    once, on the first allocation that needs it, so it is the value every
+    later assembly would compute. The memo is only valid while that source
+    prices every trip the same. ``source`` names it, by identity: the
+    travel function itself, or for a search state its roadmap, since each
+    of the state's calls gets a new provider on that roadmap and plan
+    cache. A state's memo so holds no function, and the state can be
+    pickled and deep-copied.
+    """
+
+    def __init__(self, domain: ProblemDomain, source):
+        net = domain.network
+        n_tasks = net.n_tasks
+        closure = _transitive_closure(n_tasks, net.precedence_edges)
+        self.domain = domain
+        self.source = source
+        self.durations = tuple(t.duration for t in net.tasks)
+        self.precedence = frozenset(net.precedence_edges)
+        self.free_pairs = [
+            (i, j)
+            for i in range(n_tasks)
+            for j in range(i + 1, n_tasks)
+            if (i, j) not in closure and (j, i) not in closure
+        ]
+        self.base_mutex = frozenset(
+            (i, j) for i, j in net.mutex_edges if (i, j) not in closure and (j, i) not in closure
+        )
+        self.arrivals: dict[tuple[int, int], float] = {}
+        self.transitions: dict[tuple[int, int, int], float] = {}
+
+    def arrival(self, task: int, coalition: int, travel) -> float:
+        """Earliest time the whole coalition can reach the task's site."""
+        key = (task, coalition)
+        value = self.arrivals.get(key)
+        if value is None:
+            domain = self.domain
+            ids, starts = domain.team.robot_ids, domain.world.robot_start_configs
+            site = domain.network.tasks[task].initial_config
+            value = self.arrivals[key] = max(
+                travel(ids[r], starts[ids[r]], site) for r in _members(coalition)
+            )
+        return value
+
+    def transition(self, i: int, j: int, shared: int, travel) -> float:
+        """Time the slowest shared robot needs from task i's end to j's site."""
+        if not shared:
+            return 0.0
+        key = (i, j, shared)
+        value = self.transitions.get(key)
+        if value is None:
+            domain = self.domain
+            ids, tasks = domain.team.robot_ids, domain.network.tasks
+            frm, to = tasks[i].terminal_config, tasks[j].initial_config
+            value = self.transitions[key] = max(
+                travel(ids[r], frm, to) for r in _members(shared)
+            )
+        return value
+
+
+def _members(coalition: int) -> list[int]:
+    """Robot indices of a coalition int, ascending."""
+    row = coalition.to_bytes((coalition.bit_length() + 7) // 8, "little")
+    return [r for r, b in enumerate(row) if b]
+
+
 def build_scheduling_problem(
-    domain: ProblemDomain, alloc: Allocation, travel
+    domain: ProblemDomain, alloc: Allocation, travel, memo: PriceMemo | None = None
 ) -> SchedulingProblem:
     """Assemble durations, ordering constraints, and travel times.
 
     Shared-robot task pairs become induced mutexes (single-task robots);
     pairs already ordered by the transitive precedence closure are dropped.
     Transition and arrival times take the max over the relevant robots, so
-    the slowest member of a coalition gates the coalition.
+    the slowest member of a coalition gates the coalition. ``memo`` keeps
+    the domain's constants and the prices across calls; it must have been
+    built for ``domain`` and the same ``travel`` source. Without one, a
+    throwaway memo serves this call.
     """
-    net = domain.network
-    n_tasks = net.n_tasks
-    a = alloc.entries
-    robots_of = [set(np.flatnonzero(a[m]).tolist()) for m in range(n_tasks)]
-
-    closure = _transitive_closure(n_tasks, net.precedence_edges)
-    induced: set[Pair] = set()
-    for i in range(n_tasks):
-        for j in range(i + 1, n_tasks):
-            if robots_of[i] & robots_of[j]:
-                induced.add((i, j))
-    mutex_all = set(net.mutex_edges) | induced
-    mutex_reduced = frozenset(
-        (i, j) for i, j in mutex_all if (i, j) not in closure and (j, i) not in closure
+    if memo is None:
+        memo = PriceMemo(domain, travel)
+    elif memo.domain is not domain:
+        raise ValueError("the price memo was built for another domain")
+    n_robots = domain.n_robots
+    if alloc.entries.shape != (len(memo.durations), n_robots):
+        raise DimensionMismatchError(
+            f"allocation is {alloc.entries.shape}, domain has "
+            f"{len(memo.durations)} tasks and {n_robots} robots"
+        )
+    key = alloc.key()
+    coalitions = [
+        int.from_bytes(key[k : k + n_robots], "little") for k in range(0, len(key), n_robots)
+    ]
+    mutex_reduced = memo.base_mutex.union(
+        (i, j) for i, j in memo.free_pairs if coalitions[i] & coalitions[j]
     )
 
-    ids = domain.team.robot_ids
-    starts = domain.world.robot_start_configs
-
-    def shared_transition(i: int, j: int) -> float:
-        shared = robots_of[i] & robots_of[j]
-        if not shared:
-            return 0.0
-        return max(
-            travel(ids[r], net.tasks[i].terminal_config, net.tasks[j].initial_config)
-            for r in shared
-        )
-
     transition_times: dict[Pair, float] = {}
-    for i, j in net.precedence_edges:
-        transition_times[(i, j)] = shared_transition(i, j)
+    for i, j in memo.precedence:
+        transition_times[(i, j)] = memo.transition(i, j, coalitions[i] & coalitions[j], travel)
     for i, j in mutex_reduced:
-        transition_times[(i, j)] = shared_transition(i, j)
-        transition_times[(j, i)] = shared_transition(j, i)
+        shared = coalitions[i] & coalitions[j]
+        transition_times[(i, j)] = memo.transition(i, j, shared, travel)
+        transition_times[(j, i)] = memo.transition(j, i, shared, travel)
 
-    initial_arrivals: dict[int, float] = {}
-    for m in range(n_tasks):
-        if robots_of[m]:
-            initial_arrivals[m] = max(
-                travel(ids[r], starts[ids[r]], net.tasks[m].initial_config)
-                for r in robots_of[m]
-            )
-        else:
-            initial_arrivals[m] = 0.0
+    initial_arrivals = {
+        m: memo.arrival(m, c, travel) if c else 0.0 for m, c in enumerate(coalitions)
+    }
 
     return SchedulingProblem(
-        durations=tuple(t.duration for t in net.tasks),
-        precedence=frozenset(net.precedence_edges),
+        durations=memo.durations,
+        precedence=memo.precedence,
         mutex_reduced=mutex_reduced,
         transition_times=transition_times,
         initial_arrivals=initial_arrivals,

@@ -8,7 +8,9 @@ priority, and every node transition (lazy, exact, open, demoted) lives
 here. Every schedule is solved against roadmap travel times; the underlying
 plans are computed on demand and memoized in a shared cache, so repeated
 trips cost one shortest-path query across the whole search and an accepted
-solution's schedule is always backed by real plans.
+solution's schedule is always backed by real plans; the state's price memo
+keeps each coalition's arrival and transition time, so assembling a
+problem plans no trip twice.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .domain import (
 )
 from .motion import MotionPlan, PlanCache, Roadmap
 from .scheduler import (
+    PriceMemo,
     Schedule,
     SchedulingProblem,
     build_scheduling_problem,
@@ -158,6 +161,9 @@ class SearchState:
     open_heap: list = field(default_factory=list)
     nodes: dict[bytes, AllocationNode] = field(default_factory=dict)
     schedule_memo: dict = field(default_factory=dict)
+    # assembly's constants and trip prices for the current domain and
+    # roadmap; see ``_price_memo``
+    price_memo: PriceMemo | None = None
     stats: SearchStats = field(default_factory=SearchStats)
     repair_reads: int = 0  # bumped whenever repair reuses this state
     _seq: itertools.count = field(default_factory=itertools.count)
@@ -271,8 +277,18 @@ def evaluate(
     makespan; see ``solve_schedule``.
     """
     travel = motion.plan_provider(state.domain, state.roadmap, state.plan_cache)
-    problem = build_scheduling_problem(state.domain, alloc, travel)
+    problem = build_scheduling_problem(state.domain, alloc, travel, _price_memo(state))
     return solve_with_memo(state, problem, floor, hint)
+
+
+def _price_memo(state: SearchState) -> PriceMemo:
+    """The state's price memo, started afresh once its domain or roadmap
+    has been replaced: a price is a trip through ``state.plan_cache`` on
+    that roadmap for that domain's robots, and only an event replaces them."""
+    memo = state.price_memo
+    if memo is None or memo.domain is not state.domain or memo.source is not state.roadmap:
+        memo = state.price_memo = PriceMemo(state.domain, state.roadmap)
+    return memo
 
 
 def prioritize(state: SearchState, nodes) -> None:

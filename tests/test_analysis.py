@@ -1,10 +1,14 @@
 """Gap bounds, brute-force oracles, and the alpha = 1 resource guarantee."""
 
+import itertools
+
+import numpy as np
 import pytest
 
 from dynalloc import motion
 from dynalloc.analysis import (
     BoundError,
+    _enumerate_valid,
     brute_force_min_assignments,
     brute_force_optimal_makespan,
     min_assignments_certificate,
@@ -14,7 +18,7 @@ from dynalloc.analysis import (
     time_optimality_bound,
     validate_bound,
 )
-from dynalloc.domain import resource_count
+from dynalloc.domain import Allocation, is_valid_allocation, resource_count
 from dynalloc.generator import generate_problem
 from dynalloc.search import search
 
@@ -61,7 +65,39 @@ class TestBoundFormulas:
             posthoc_bound(0.3, 0.0, 10.0, 6.0, [(1.5, 0.0)])
 
 
+def _every_valid(domain):
+    """The valid allocations among all 2^(M*N) binary matrices, in order."""
+    m, n = domain.n_tasks, domain.n_robots
+    for bits in itertools.product((0, 1), repeat=m * n):
+        alloc = Allocation(np.array(bits, dtype=np.int8).reshape(m, n))
+        if is_valid_allocation(alloc, domain.team, domain.requirements):
+            yield alloc
+
+
+DESK_SHAPES = ((3, 4), (2, 4), (3, 3), (2, 3), (3, 2))
+
+
 class TestOracles:
+    @pytest.mark.parametrize(
+        "domains",
+        [
+            lambda: [generate_problem(s, 3, 4, 3) for s in range(20)],
+            lambda: [generate_problem(100 + i, *DESK_SHAPES[i % 5], 3) for i in range(20)],
+            lambda: [
+                build_domain([[1.0], [1.0]], [[0.0], [0.0]]),
+                build_domain([[1.0], [1.0]], [[2.0]]),
+                build_domain([[1.0], [1.0]], [[3.0]]),
+            ],
+        ],
+        ids=["desk-3x4x3", "criterion-2", "hand-built"],
+    )
+    def test_only_valid_allocations_are_enumerated(self, domains):
+        """Row by row, the oracles meet exactly the valid allocations of the
+        full enumeration, in its order."""
+        for domain in domains():
+            got = [a.key() for a in _enumerate_valid(domain)]
+            assert got == [a.key() for a in _every_valid(domain)]
+
     def test_guard_rejects_large_instances(self):
         domain = generate_problem(0, 4, 4, 3)  # 16 cells > 12
         with pytest.raises(BoundError):

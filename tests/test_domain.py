@@ -1,5 +1,6 @@
 """Domain model: matrices, allocations, trait math, and validation codes."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from dynalloc.domain import (
     trait_mismatch,
     validate_problem,
 )
+from dynalloc.geometry import Circle, Rect
 from dynalloc.search import apr_value
 
 from conftest import build_domain
@@ -303,3 +305,62 @@ class TestValidateProblem:
         else:
             domain = build_domain([[1.0]], [[1.0]], speeds={"r0": value})
             assert "BAD_SPEED" in validate_problem(domain).codes()
+
+    @pytest.mark.parametrize(
+        "change, code",
+        [
+            ({"initial": (-50.0, 1.0)}, "SITE_OUT_OF_BOUNDS"),
+            ({"terminal": (1.0, 25.0)}, "SITE_OUT_OF_BOUNDS"),
+            ({"initial": (math.nan, 1.0)}, "SITE_NOT_FINITE"),
+            ({"terminal": (1.0, math.inf)}, "SITE_NOT_FINITE"),
+            ({"obstacles": [Circle((2.0, 5.0), 1.0)]}, "SITE_IN_OBSTACLE"),
+            ({"obstacles": [Rect((1.0, 7.0), (3.0, 9.0))]}, "SITE_IN_OBSTACLE"),
+            ({"obstacles": [Circle((15.0, 15.0), -1.0)]}, "BAD_OBSTACLE"),
+            ({"obstacles": [Circle((15.0, 15.0), 0.0)]}, "BAD_OBSTACLE"),
+            ({"obstacles": [Circle((15.0, 15.0), math.inf)]}, "BAD_OBSTACLE"),
+            ({"obstacles": [Circle((15.0, 15.0), math.nan)]}, "BAD_OBSTACLE"),
+            ({"obstacles": [Circle((math.nan, 15.0), 1.0)]}, "BAD_OBSTACLE"),
+            ({"obstacles": [Rect((16.0, 15.0), (14.0, 17.0))]}, "BAD_OBSTACLE"),
+            ({"obstacles": [Rect((15.0, 15.0), (17.0, math.inf))]}, "BAD_OBSTACLE"),
+            ({"bounds": (0.0, 0.0, 0.0, 20.0)}, "BAD_BOUNDS"),
+            ({"bounds": (0.0, 20.0, 20.0, 0.0)}, "BAD_BOUNDS"),
+            ({"bounds": (0.0, 0.0, math.inf, 20.0)}, "BAD_BOUNDS"),
+            ({"bounds": (math.nan, 0.0, 20.0, 20.0)}, "BAD_BOUNDS"),
+        ],
+        ids=["initial-outside", "terminal-outside", "initial-nan", "terminal-inf",
+             "initial-in-circle", "terminal-in-rect", "radius-negative", "radius-zero",
+             "radius-inf", "radius-nan", "centre-nan", "rect-inverted", "rect-inf",
+             "bounds-flat", "bounds-inverted", "bounds-inf", "bounds-nan"],
+    )
+    def test_sites_obstacles_and_bounds_flagged(self, change, code):
+        """Each would solve on a world the file does not describe: a site
+        off the map or inside an obstacle, an obstacle that blocks nothing,
+        or bounds that hold no point."""
+        domain = build_domain(
+            [[1.0]],
+            [[1.0]],
+            obstacles=change.get("obstacles", ()),
+            bounds=change.get("bounds", (0.0, 0.0, 20.0, 20.0)),
+        )
+        (t,) = domain.network.tasks
+        task = dataclasses.replace(
+            t,
+            initial_config=change.get("initial", t.initial_config),
+            terminal_config=change.get("terminal", t.terminal_config),
+        )
+        domain = dataclasses.replace(
+            domain, network=TaskNetwork((task,), frozenset(), frozenset())
+        )
+        assert code in validate_problem(domain).codes()
+
+    @pytest.mark.parametrize(
+        "obstacle",
+        [
+            Circle((15.0, 15.0), 0.5),
+            Rect((15.0, 15.0), (15.0, 17.0)),
+            Rect((15.0, 15.0), (16.0, 16.0)),
+        ],
+        ids=["circle", "flat-rect", "rect"],
+    )
+    def test_well_formed_obstacles_pass(self, obstacle):
+        assert validate_problem(build_domain([[1.0]], [[1.0]], obstacles=[obstacle])).ok

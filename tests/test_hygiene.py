@@ -419,3 +419,47 @@ def test_every_default_is_passed_by_some_caller():
     callers = [p.read_text() for p in MODULES + sorted(PERFBENCH.glob("*.py"))]
     defined = {p.name: p.read_text() for p in MODULES}
     assert set(unpassed_defaults(defined, callers)) == UNPASSED_ALLOWED
+
+
+def constructions(source: str, name: str) -> list[tuple[int, str | None]]:
+    """(line, outermost enclosing function) of every call of ``name``, as
+    ``name(...)`` or ``module.name(...)``."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, function or child.name)
+                continue
+            if isinstance(child, ast.Call) and (
+                (isinstance(child.func, ast.Name) and child.func.id == name)
+                or (isinstance(child.func, ast.Attribute) and child.func.attr == name)
+            ):
+                found.append((child.lineno, function))
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_the_scan_sees_a_construction():
+    source = (
+        "p = SchedulingProblem(d)\n"
+        "def build(x):\n"
+        "    def inner():\n"
+        "        return scheduler.SchedulingProblem(x)\n"
+        "    return SchedulingProblem, inner()\n"
+    )
+    assert constructions(source, "SchedulingProblem") == [(1, None), (4, "build")]
+
+
+def test_one_assembler_builds_scheduling_problems():
+    """Every scheduling problem the package solves or checks comes out of
+    ``build_scheduling_problem``, so a second assembly path cannot drift
+    from it (its price memo, its reduced mutex set)."""
+    sites = {
+        (p.name, function)
+        for p in MODULES
+        for _, function in constructions(p.read_text(), "SchedulingProblem")
+    }
+    assert sites == {("scheduler.py", "build_scheduling_problem")}

@@ -128,6 +128,34 @@ class TestDomainIO:
         assert name in err["message"]
 
 
+    @pytest.mark.parametrize(
+        "field, value, code",
+        [
+            ("tasks.0.initial", [-50.0, 1.0], "SITE_OUT_OF_BOUNDS"),
+            ("tasks.0.initial", [float("nan"), 1.0], "SITE_NOT_FINITE"),
+            ("tasks.0.terminal", "centre", "SITE_IN_OBSTACLE"),
+            ("world.obstacles.0.r", -1.0, "BAD_OBSTACLE"),
+            ("world.obstacles.0", {"type": "rect", "min": [5.0, 5.0], "max": [4.0, 6.0]},
+             "BAD_OBSTACLE"),
+            ("world.bounds", [0.0, 0.0, 0.0, 50.0], "BAD_BOUNDS"),
+        ],
+        ids=["site-outside", "site-nan", "site-in-obstacle", "radius-negative",
+             "rect-inverted", "bounds-flat"],
+    )
+    def test_invalid_site_obstacle_or_bounds_refused(self, tmp_path, capsys, field, value, code):
+        """Listed as an issue and refused with exit 2, before any search."""
+        data = domain_to_dict(generate_problem(0, 3, 4, 3))
+        if value == "centre":
+            value = data["world"]["obstacles"][0]["c"]
+        _set(data, field, value)
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(data))
+        assert main(["solve", str(path), "--out", str(tmp_path / "out")]) == 2
+        issues = json.loads(capsys.readouterr().err)
+        assert code in [i["code"] for i in issues]
+        assert not (tmp_path / "out").exists()
+
+
 class TestEventIO:
     def test_round_trip_sorted_by_time(self, tmp_path, desk_domain):
         events = [

@@ -3,13 +3,14 @@
 import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
-from dynalloc import motion, repair as repair_mod, runner
+from dynalloc import motion, repair as repair_mod, runner, search as search_mod
 from dynalloc.domain import Allocation, DomainError
 from dynalloc.generator import generate_event, generate_problem
 from dynalloc.geometry import Circle
@@ -865,3 +866,107 @@ class TestReshaping:
         pushed = [n.seq for n in iter(state.pop, None)]
         ranked = sorted(frontier, key=lambda n: (n.tetaq, n.assignments, n.seq))
         assert rebuilt == pushed == [n.seq for n in ranked]
+
+
+def _memo_mismatches(state, reference: motion.PlanCache) -> list[int]:
+    """Seqs of the nodes whose problem, built through the state's price
+    memo, differs from a throwaway build priced through ``reference``."""
+    travel = motion.plan_provider(state.domain, state.roadmap, state.plan_cache)
+    memo = search_mod._price_memo(state)
+    alone = motion.plan_provider(state.domain, state.roadmap, reference)
+    return [
+        node.seq
+        for node in state.nodes.values()
+        if build_scheduling_problem(state.domain, node.allocation, travel, memo).key()
+        != build_scheduling_problem(state.domain, node.allocation, alone).key()
+    ]
+
+
+def _memo_snapshot(state):
+    memo = state.price_memo
+    return (
+        dict(state.plan_cache.entries),
+        memo,
+        dict(memo.arrivals),
+        dict(memo.transitions),
+    )
+
+
+@pytest.fixture(scope="module", params=["desk", "bench500"])
+def memo_case(request):
+    if request.param == "desk":
+        domain = generate_problem(0, 3, 4, 3)
+        return domain, _solved(domain)
+    return request.getfixturevalue("bench_solved")
+
+
+class TestPriceMemo:
+    """The state's price memo gives every node the problem a throwaway
+    assembly gives, however many events the state has been through."""
+
+    def test_after_a_fresh_solve(self, memo_case):
+        _, result = memo_case
+        assert _memo_mismatches(copy.deepcopy(result.state), motion.PlanCache()) == []
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=[k.value for k in ALL_KINDS])
+    def test_after_each_repair_kind(self, memo_case, kind):
+        """After an agent loss the reference is the state's own plans: the
+        plan cache then serves plans priced at another robot's speed (the
+        stale-cache fault, ROADMAP item 2), which the memo keeps exactly."""
+        domain, result = memo_case
+        state = copy.deepcopy(result.state)
+        repair(state, result.solution, generate_event(domain, kind, 11))
+        if kind == EventKind.AGENT_LOST:
+            reference = motion.PlanCache(dict(state.plan_cache.entries))
+        else:
+            reference = motion.PlanCache()
+        assert _memo_mismatches(state, reference) == []
+
+    def test_after_a_new_agent_that_follows_an_agent_loss(self, memo_case):
+        """The new agent's repair drops the mispriced plans, so from then on
+        the memo prices every trip as a fresh cache does."""
+        domain, result = memo_case
+        state = copy.deepcopy(result.state)
+        lost = repair(state, result.solution, generate_event(domain, EventKind.AGENT_LOST, 11))
+        repair(state, lost.solution, generate_event(state.domain, EventKind.NEW_AGENT, 7))
+        assert _memo_mismatches(state, motion.PlanCache()) == []
+
+    def test_an_event_starts_a_new_memo(self, memo_case):
+        domain, result = memo_case
+        state = copy.deepcopy(result.state)
+        before = state.price_memo
+        repaired = repair(
+            state, result.solution, generate_event(domain, EventKind.DURATION_CHANGED, 11)
+        )
+        assert repaired.solution is not None
+        assert state.price_memo is not before
+        assert state.price_memo.domain is state.domain
+        assert state.price_memo.source is state.roadmap
+
+    @pytest.mark.parametrize("how", ["pickle", "deepcopy"])
+    def test_copies_of_solved_and_repaired_states(self, memo_case, how):
+        """A copy carries the plans and prices, and prices and repairs on its
+        own: the original's stay as they were."""
+        domain, result = memo_case
+        dup = {
+            "pickle": lambda st: pickle.loads(pickle.dumps(st)),
+            "deepcopy": copy.deepcopy,
+        }[how]
+        repaired_state = copy.deepcopy(result.state)
+        event = generate_event(domain, EventKind.TRAITS_INCREASED, 11)
+        repaired = repair(repaired_state, result.solution, event)
+        cases = ((result.state, result.solution), (repaired_state, repaired.solution))
+        for state, solution in cases:
+            before = _memo_snapshot(state)
+            copied = dup(state)
+            entries, memo, arrivals, transitions = _memo_snapshot(copied)
+            assert memo is not before[1]
+            assert (entries, arrivals, transitions) == (before[0], before[2], before[3])
+            # every node priced on the copy's own memo, then an event
+            assert _memo_mismatches(copied, motion.PlanCache()) == []
+            event = generate_event(state.domain, EventKind.DURATION_CHANGED, 5)
+            repair(copied, solution, event)
+            assert copied.price_memo is not memo
+            after = _memo_snapshot(state)
+            assert after[1] is before[1]
+            assert (after[0], after[2], after[3]) == (before[0], before[2], before[3])

@@ -14,10 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynalloc import search as search_module
-from dynalloc.domain import Allocation
+from dynalloc.domain import Allocation, DimensionMismatchError
 from dynalloc.generator import generate_problem
 from dynalloc.scheduler import (
     INFEASIBLE,
+    PriceMemo,
     Schedule,
     SchedulingProblem,
     _Compiled,
@@ -476,3 +477,89 @@ class TestProblemAssembly:
     def test_makespan_helper(self):
         assert makespan([0.0, 2.0], [1.0, 3.0]) == 5.0
         assert makespan([], []) == 0.0
+
+    def test_a_shared_memo_builds_what_a_throwaway_one_does(self):
+        """One memo across every allocation of a desk domain: the same
+        problem as a memo made for each call, and no trip priced twice."""
+        from dynalloc.motion import euclidean_provider
+
+        domain = generate_problem(0, 3, 4, 3)
+        priced = []
+
+        def travel(rid, frm, to):
+            priced.append((rid, frm, to))
+            return euclidean_provider(domain)(rid, frm, to)
+
+        memo = PriceMemo(domain, travel)
+        for bits in itertools.product((0, 1), repeat=12):
+            alloc = Allocation(np.array(bits, dtype=np.int8).reshape(4, 3))
+            shared = build_scheduling_problem(domain, alloc, travel, memo)
+            assert shared.key() == build_scheduling_problem(domain, alloc, travel).key()
+        assert len(memo.arrivals) == 4 * 7
+        with pytest.raises(ValueError, match="another domain"):
+            build_scheduling_problem(generate_problem(1, 3, 4, 3), alloc, travel, memo)
+        with pytest.raises(DimensionMismatchError):
+            build_scheduling_problem(domain, Allocation(np.ones((4, 2), np.int8)), travel, memo)
+
+
+def _full_scan_relax(comp: _Compiled, s0, seeds, mk0, extra=None):
+    """The worklist relaxation that pops the seeds first and scans every
+    out-edge of each popped vertex, the one-off edge with its tail's."""
+    n, d, out = comp.n, comp.durations, comp.out
+    s, mk = list(s0), mk0
+    inq, counts = bytearray(n), [0] * n
+    queue = list(seeds)
+    for u in seeds:
+        inq[u] = 1
+    while queue:
+        u = queue.pop(0)
+        inq[u] = 0
+        counts[u] += 1
+        if counts[u] > n:
+            return None
+        edges = list(out[u])
+        if extra is not None and extra[0] == u:
+            edges.append((extra[1], extra[2]))
+        for v, w in edges:
+            nv = s[u] + w
+            if nv > s[v] + 1e-9:
+                s[v] = nv
+                mk = max(mk, nv + d[v])
+                if not inq[v]:
+                    inq[v] = 1
+                    queue.append(v)
+    return s, mk
+
+
+class TestRelax:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_an_edge_relaxes_as_a_full_scan_does(self, data):
+        """Bit for bit, including None on a positive cycle, along a chain of
+        one-off edges each committed once relaxed, as the branch-and-bound
+        does. Half-unit weights, some off by less than the tolerance, make
+        ties at and within it common."""
+        n = data.draw(st.integers(2, 7))
+        half = st.builds(
+            lambda k, e: k / 2 + e, st.integers(0, 12), st.sampled_from([0.0, 5e-10])
+        )
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        precedence = data.draw(st.sets(st.sampled_from([p for p in pairs if p[0] < p[1]])))
+        problem = SchedulingProblem(
+            durations=tuple(data.draw(st.lists(half, min_size=n, max_size=n))),
+            precedence=frozenset(precedence),
+            mutex_reduced=frozenset(),
+            transition_times={p: data.draw(half) for p in sorted(precedence)},
+            initial_arrivals={i: data.draw(half) for i in range(n)},
+        )
+        comp = _Compiled(problem)
+        s, mk = comp.relax(comp.arrivals, range(n), makespan(comp.arrivals, comp.durations))
+        for _ in range(data.draw(st.integers(1, 6))):
+            u, v = data.draw(st.sampled_from(pairs))
+            edge = (u, v, comp.durations[u] + data.draw(half))
+            got = comp.relax(s, (u,), mk, extra=edge)
+            assert got == _full_scan_relax(comp, s, (u,), mk, extra=edge)
+            if got is None:
+                return
+            comp.add_edge(edge)
+            s, mk = got
