@@ -7,26 +7,26 @@ new agent's id must be new; ``TeamTraitMatrix`` refuses a repeated one.
 The four trait/requirement row changes are one shape, declared once in
 ``ROW_CHANGES``.
 
-Each event kind touches only the node sets it can actually invalidate:
-losses delete nodes that reference the lost agent or task, a row change
-rescores the open frontier's apr (and, when favorable, rescans
-closed/pruned nodes for newly viable allocations), duration
-changes and task loss lower every node's makespan floor to a sound value
-and demote the frontier to those floors, and a new agent widens every
-allocation, links its start into the kept roadmap by edges out of it
-only, and seeds fresh root children. Everything else is conserved (a new
-agent leaves every path, plan, schedule and floor valid, unless an earlier
-loss renumbered the plan cache's classes), and the search is then simply
+Every handler is two parts. First the surgery for its event, which
+touches only the node sets the event can invalidate: losses delete nodes
+that reference the lost agent or task, a row change rescores the open
+frontier's apr (and, when favorable, rescans closed/pruned nodes for newly
+viable allocations), duration changes and task loss lower every node's
+makespan floor to a sound value and demote the frontier to those floors,
+and a new agent widens every allocation and links its start into the kept
+roadmap by edges out of it only. The surgery only reshapes allocations and
+sets apr (``_rescore``) and floors (``_demote_frontier``). Then one shared
+re-key, ``_rekey``: the bounds are refreshed, every open node is
+``prioritize``d, the heap is rebuilt once, and the nodes the event revived
+are ``requeue``d. Only a new agent does more, seeding fresh root children
+after it. Everything else is conserved, and the search is then simply
 resumed.
 
-Repair only reshapes allocations and sets apr and floors; every priority
-and every node transition goes through the search's own primitives
-(``prioritize``, ``demote``, ``requeue``, ``accept_goal``). No frontier
-schedule is re-solved by the surgery itself: a demoted node keeps a lower
-bound on its new priority and is re-solved only when the resumed pop loop
-reaches it (the lazy reuse of Lifelong Planning A*), so the exact pops, and
-hence the expansions and the solution, are those an eager re-solve would
-give.
+No frontier schedule is re-solved by the repair itself: a demoted node
+keeps a lower bound on its new priority and is re-solved only when the
+resumed pop loop reaches it (the lazy reuse of Lifelong Planning A*), so
+the exact pops, and hence the expansions and the solution, are those an
+eager re-solve would give.
 
 The surgery handles nodes in whole arrays, not one numpy call per node:
 the allocations it rescores are stacked into one (K, M, N) array and
@@ -232,24 +232,12 @@ def _stack(nodes, shape: tuple[int, int]) -> np.ndarray:
     return stack_allocations([node.allocation for node in nodes], shape)
 
 
-def _aprs(state: SearchState, nodes) -> list[float]:
-    """The nodes' apr in the current domain, from one ``apr_values`` call."""
+def _rescore(state: SearchState, nodes) -> None:
+    """Set the nodes' apr in the current domain, from one ``apr_values`` call."""
     domain = state.domain
     stack = _stack(nodes, (domain.n_tasks, domain.n_robots))
-    return apr_values(stack, domain.team, domain.requirements).tolist()
-
-
-def _rekey_open(state: SearchState) -> None:
-    """Re-prioritize every open node from its current scores; one heapify."""
-    prioritize(state, state.open_nodes())
-    state.rebuild_heap()
-
-
-def _rescore_open_apr(state: SearchState) -> None:
-    nodes = state.open_nodes()
-    for node, apr in zip(nodes, _aprs(state, nodes)):
+    for node, apr in zip(nodes, apr_values(stack, domain.team, domain.requirements).tolist()):
         node.apr = apr
-    _rekey_open(state)
 
 
 def _reshape(state: SearchState, nodes, stack: np.ndarray) -> None:
@@ -260,30 +248,39 @@ def _reshape(state: SearchState, nodes, stack: np.ndarray) -> None:
         state.nodes[alloc.key()] = node
 
 
-def _lower_floors(state: SearchState, slack: float) -> None:
-    """Lower every node's floor by ``slack``, whatever its status.
+def _demote_frontier(state: SearchState, slack: float) -> None:
+    """Lower every node's floor by ``slack``, then demote the frontier.
 
     ``slack`` bounds how far any allocation's optimal makespan can have
     fallen (``math.inf`` when nothing is known, which zeroes every floor),
     so each floor stays sound. Closed and pruned nodes matter too: a revived
-    node, and every lazy child, hands its floor to the scheduler.
+    node, and every lazy child, hands its floor to the scheduler. No
+    schedule is solved: the pop loop re-solves a node only if it reaches
+    the top.
     """
     for node in state.nodes.values():
         node.floor = max(0.0, node.floor - slack)
+    demote(state.open_nodes())
 
 
-def _rescore_frontier(state: SearchState) -> None:
-    """Demote every open node to its (already lowered) floor; solve nothing.
-
-    Needed whenever the schedules under the frontier changed; the pop loop
-    re-solves a node only if it reaches the top.
-    """
-    demote(state, state.open_nodes())
+def _rekey(state: SearchState, revived=()) -> None:
+    """The step every handler ends in: bounds from the new domain and
+    roadmap, every open priority from its apr and floor, one heapify, then
+    the nodes the event revived solved and pushed."""
+    refresh_bounds(state)
+    prioritize(state, state.open_nodes())
     state.rebuild_heap()
+    for node in revived:
+        requeue(state, node)
 
 
 def handle_agent_or_task_loss(state: SearchState, event: DynamicEvent, old_domain: ProblemDomain) -> None:
-    """Drop every node referencing the lost agent or task, reindex the rest."""
+    """Drop every node referencing the lost agent or task, reindex the rest.
+
+    Survivors of an agent loss never assigned the agent, so their apr,
+    schedules and floors hold. A task loss changes requirement mass and
+    schedule indexing: every survivor is rescored, no sound shift of a
+    floor exists, and each closed node left viable is revived."""
     agent_loss = event.kind == EventKind.AGENT_LOST
     idx = _index(old_domain, event.payload, "agent" if agent_loss else "task")
     axis = 1 if agent_loss else 0
@@ -298,28 +295,14 @@ def handle_agent_or_task_loss(state: SearchState, event: DynamicEvent, old_domai
         else:
             survivors.append(node)
     _reshape(state, survivors, np.delete(stack[~uses], idx, axis=axis + 1))
-
     if agent_loss:
-        # survivors never assigned the agent: schedules and floors hold, and
-        # the deleted nodes are PRUNED, so their heap entries are dead; only
-        # ub can move (it divides by the slowest remaining speed)
-        bounds = (state.lb, state.ub)
-        refresh_bounds(state)
-        if (state.lb, state.ub) != bounds:
-            _rekey_open(state)
+        _rekey(state)
         return
 
-    # task loss: requirement mass and schedule indexing both changed
-    refresh_bounds(state)
     state.schedule_memo.clear()
-    for node, apr in zip(survivors, _aprs(state, survivors)):
-        node.apr = apr
-    # no sound shift of a floor exists when a task disappears
-    _lower_floors(state, math.inf)
-    _rescore_frontier(state)
-    for node in state.with_status(CLOSED):
-        if node.apr <= APR_TOL:
-            requeue(state, node)
+    _rescore(state, survivors)
+    _demote_frontier(state, math.inf)
+    _rekey(state, [node for node in state.with_status(CLOSED) if node.apr <= APR_TOL])
 
 
 def handle_row_change(state: SearchState, event: DynamicEvent) -> None:
@@ -327,17 +310,12 @@ def handle_row_change(state: SearchState, event: DynamicEvent) -> None:
 
     The frontier is rescored. Only a favorable change (a capability rose or
     a requirement fell) can make a closed or pruned node viable, so only
-    then are those rescanned, and each viable one is requeued."""
-    _rescore_open_apr(state)
+    then are those rescanned, and each viable one is revived."""
     id_key, _, direction = ROW_CHANGES[event.kind]
     favorable = direction > 0 if id_key == "agent" else direction < 0
-    if not favorable:
-        return
-    stale = state.with_status(CLOSED) + state.with_status(PRUNED)
-    for node, apr in zip(stale, _aprs(state, stale)):
-        node.apr = apr
-        if apr <= APR_TOL:
-            requeue(state, node)
+    stale = state.with_status(CLOSED) + state.with_status(PRUNED) if favorable else []
+    _rescore(state, state.open_nodes() + stale)
+    _rekey(state, [node for node in stale if node.apr <= APR_TOL])
 
 
 def handle_duration_change(
@@ -352,9 +330,8 @@ def handle_duration_change(
     idx = _index(old_domain, event.payload, "task")
     d_old = old_domain.network.tasks[idx].duration
     d_new = state.domain.network.tasks[idx].duration
-    refresh_bounds(state)
-    _lower_floors(state, max(0.0, d_old - d_new))
-    _rescore_frontier(state)
+    _demote_frontier(state, max(0.0, d_old - d_new))
+    _rekey(state)
 
 
 def handle_new_agent(state: SearchState, event: DynamicEvent) -> None:
@@ -362,11 +339,11 @@ def handle_new_agent(state: SearchState, event: DynamicEvent) -> None:
 
     The start joins the retained roadmap by edges out of it only
     (``motion.link_start``), so no older path changes and every plan,
-    schedule and floor stays exact; only the bounds move, so the frontier
-    is re-keyed once. The exception is a cache whose class ids an earlier
-    agent loss or trait change renumbered: its mispriced plans are dropped,
-    and as schedules solved since may have read them, the floors are zeroed
-    and the frontier demoted."""
+    schedule and floor stays exact; only the bounds move. The exception is
+    a cache whose class ids an earlier agent loss or trait change
+    renumbered: its mispriced plans are dropped, and as schedules solved
+    since may have read them, the floors are zeroed and the frontier
+    demoted. The root's children are seeded after the re-key."""
     nodes = list(state.nodes.values())
     n_tasks = state.domain.n_tasks
     stack = _stack(nodes, (n_tasks, state.domain.n_robots - 1))
@@ -378,12 +355,9 @@ def handle_new_agent(state: SearchState, event: DynamicEvent) -> None:
     world = state.domain.world
     start = world.robot_start_configs[state.domain.team.robot_ids[-1]]
     state.roadmap = motion.link_start(state.roadmap, world, start, state.prm_k)
-    refresh_bounds(state)
     if motion.drop_mispriced_plans(state.plan_cache, state.domain):
-        _lower_floors(state, math.inf)
-        _rescore_frontier(state)
-    else:
-        _rekey_open(state)
+        _demote_frontier(state, math.inf)
+    _rekey(state)
 
     new_col = state.domain.n_robots - 1
     add_children(state, root.allocation, root, [(m, new_col) for m in range(n_tasks)])
@@ -437,9 +411,8 @@ def repair(state: SearchState, solution, event: DynamicEvent) -> SearchResult:
     domains = list(accumulate(steps, apply_event, initial=domain))
     state.repair_reads += 1
 
-    if sol_node is not None and sol_node.status != OPEN:
-        sol_node.status = OPEN
-        state.push(sol_node)
+    if sol_node is not None:
+        sol_node.status = OPEN  # every handler's re-key pushes it
 
     for step, old_domain, new_domain in zip(steps, domains, domains[1:]):
         state.domain = new_domain

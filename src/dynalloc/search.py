@@ -178,7 +178,7 @@ class SearchState:
     def _entry(node: AllocationNode) -> tuple:
         """A fresh heap entry for the node; its older entries go stale."""
         node.version += 1
-        return (node.tetaq, node.assignments, node.seq, node.version, id(node), node)
+        return (node.tetaq, node.assignments, node.seq, node.version, node)
 
     def push(self, node: AllocationNode) -> None:
         heapq.heappush(self.open_heap, self._entry(node))
@@ -187,7 +187,7 @@ class SearchState:
         """Drop stale entries off the heap top; the first live entry, if any."""
         while self.open_heap:
             entry = self.open_heap[0]
-            if entry[5].status == OPEN and entry[5].version == entry[3]:
+            if entry[4].status == OPEN and entry[4].version == entry[3]:
                 return entry
             heapq.heappop(self.open_heap)
         return None
@@ -195,7 +195,7 @@ class SearchState:
     def pop(self) -> AllocationNode | None:
         if self._live_top() is None:
             return None
-        return heapq.heappop(self.open_heap)[5]
+        return heapq.heappop(self.open_heap)[4]
 
     def best_priority(self) -> float:
         """Lowest tetaq on the frontier; inf when it is empty."""
@@ -354,16 +354,16 @@ def requeue(state: SearchState, node: AllocationNode) -> bool:
     return is_open
 
 
-def demote(state: SearchState, nodes) -> None:
-    """Forget the nodes' schedules; each priority falls to its floor's bound.
+def demote(nodes) -> None:
+    """Forget the nodes' schedules, so each is re-solved when it is popped.
 
     Each floor must already be a sound lower bound on its node's optimal
-    makespan in the current domain, so the node stays correctly ordered and
-    is re-solved when it is popped. Re-keying the heap is left to the caller.
+    makespan in the current domain; the caller then ``prioritize``s the
+    nodes, whose priorities fall to their floors' bounds, and re-keys the
+    heap.
     """
     for node in nodes:
         node.schedule = None
-    prioritize(state, nodes)
 
 
 def add_children(
@@ -407,10 +407,9 @@ def expand(state: SearchState, node: AllocationNode) -> list[AllocationNode]:
 
 
 def required_transitions(
-    state: SearchState, alloc: Allocation, schedule: Schedule
+    domain: ProblemDomain, alloc: Allocation, schedule: Schedule
 ) -> list[tuple[str, tuple, tuple]]:
     """(robot_id, from, to) trips the schedule's travel times rely on."""
-    domain = state.domain
     net = domain.network
     a = alloc.entries
     ids = domain.team.robot_ids
@@ -437,7 +436,7 @@ def instantiate_plans(
     classes = motion.capability_classes(state.domain.team, state.domain.world)
     speeds = state.domain.world.robot_speeds
     plans: dict[tuple[int, tuple, tuple], MotionPlan] = {}
-    for rid, frm, to in required_transitions(state, alloc, schedule):
+    for rid, frm, to in required_transitions(state.domain, alloc, schedule):
         cid = classes[rid]
         p = motion.plan(state.roadmap, frm, to, cid, speeds[rid], state.plan_cache)
         if p is None:

@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 
 from .domain import ProblemDomain, is_valid_allocation
 from .geometry import point_in_any
-from .motion import MotionPlan, PlanCache, plan_provider
+from .motion import MotionPlan, PlanCache, Roadmap, plan, plan_provider
 from .scheduler import SchedulingProblem, Schedule, build_scheduling_problem
-from .search import SearchState, Solution
+from .search import SearchState, Solution, required_transitions
 
 CHECK_TOL = 1e-9
 COLLISION_SAMPLE_STEP = 0.01  # world units between the oracle's samples
@@ -53,15 +54,49 @@ def plan_collision_samples(plan: MotionPlan, obstacles) -> bool:
     return True
 
 
+def plan_violations(domain: ProblemDomain, solution: Solution, roadmap: Roadmap) -> list[str]:
+    """Each plan runs from its key's ``from`` point to its ``to`` point along
+    roadmap edges, as long as a fresh shortest path, and every trip the
+    schedule relies on has one. Durations are not compared."""
+    out = []
+    index = {v: i for i, v in enumerate(roadmap.vertices)}
+    for key, p in solution.motion_plans.items():
+        frm, to = key[-2:]
+        trip = f"plan {frm}->{to}"
+        if (p.waypoints[0], p.waypoints[-1]) != (frm, to):
+            out.append(f"{trip} runs {p.waypoints[0]}->{p.waypoints[-1]}")
+        walked = 0.0
+        for a, b in zip(p.waypoints, p.waypoints[1:]):
+            edge = dict(roadmap.adjacency.get(index.get(a), ())).get(index.get(b))
+            if edge is None:
+                out.append(f"{trip} step {a}->{b} is not a roadmap edge")
+            else:
+                walked += edge
+        # class and speed set the duration only, which is not compared
+        fresh = plan(roadmap, frm, to, 0, 1.0) if frm in index and to in index else None
+        if fresh is None or any(abs(x - fresh.length) > CHECK_TOL for x in (walked, p.length)):
+            out.append(f"{trip} is not a shortest roadmap path")
+    planned = {key[-2:] for key in solution.motion_plans}
+    out.extend(
+        f"no plan for {rid}'s trip {frm}->{to}"
+        for rid, frm, to in required_transitions(domain, solution.allocation, solution.schedule)
+        if (tuple(frm), tuple(to)) not in planned
+    )
+    return out
+
+
 def solution_violations(
     domain: ProblemDomain, solution: Solution, state: SearchState
 ) -> list[str]:
-    """Resource sufficiency and temporal feasibility, with every trip priced
-    afresh on the state's roadmap: the solver's own plan cache is never read."""
+    """Resource sufficiency, temporal feasibility and the solution's plans,
+    with every trip priced and planned afresh on the state's roadmap: neither
+    the solver's plan cache nor its shortest-path trees are read."""
     out = []
     if not is_valid_allocation(solution.allocation, domain.team, domain.requirements):
         out.append("allocation does not meet trait requirements")
-    travel = plan_provider(domain, state.roadmap, PlanCache())
+    roadmap = dataclasses.replace(state.roadmap, trees={})
+    travel = plan_provider(domain, roadmap, PlanCache())
     problem = build_scheduling_problem(domain, solution.allocation, travel)
     out.extend(schedule_violations(problem, solution.schedule))
+    out.extend(plan_violations(domain, solution, roadmap))
     return out

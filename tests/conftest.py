@@ -68,7 +68,7 @@ def heap_violations(state):
     """
     live = {}
     problems = []
-    for tetaq, _, _, version, _, node in state.open_heap:
+    for tetaq, _, _, version, node in state.open_heap:
         if node.status == OPEN and node.version == version:
             live[id(node)] = live.get(id(node), 0) + 1
             if tetaq != node.tetaq:

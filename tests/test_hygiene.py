@@ -191,6 +191,57 @@ def test_only_fresh_solves_build_roadmaps():
     assert "PlanCache" not in called_names((PACKAGE / "repair.py").read_text())
 
 
+def name_uses(source: str, names: set[str]) -> set[tuple[str, str | None]]:
+    """(name, enclosing function) of every read of one of ``names``, as a
+    bare name (``f()``, ``map(f, xs)``) or an attribute (``state.f()``).
+    Imports and strings do not count."""
+    found = set()
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                name = child.id
+            else:
+                name = child.attr if isinstance(child, ast.Attribute) else None
+            if name in names:
+                found.add((name, function))
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_the_scan_sees_a_name_use():
+    source = (
+        "from .search import prioritize, requeue\n"
+        "'prioritize'\n"
+        "def _rekey(state):\n"
+        "    prioritize(state, [])\n"
+        "    state.rebuild_heap()\n"
+        "def handle(state, nodes):\n"
+        "    list(map(requeue, nodes))\n"
+        "    def inner():\n"
+        "        return search.prioritize\n"
+    )
+    assert name_uses(source, {"prioritize", "rebuild_heap", "requeue"}) == {
+        ("prioritize", "_rekey"),
+        ("rebuild_heap", "_rekey"),
+        ("requeue", "handle"),
+        ("prioritize", "inner"),
+    }
+
+
+def test_repair_rekeys_in_one_place():
+    """Every handler ends in ``_rekey``; no second re-key path grows back.
+    ``repair`` itself requeues only the old solution on its fast path."""
+    rekeying = {"refresh_bounds", "prioritize", "rebuild_heap", "requeue"}
+    uses = name_uses((PACKAGE / "repair.py").read_text(), rekeying)
+    assert uses == {(name, "_rekey") for name in rekeying} | {("requeue", "repair")}
+
+
 def field_reads(source: str) -> list[tuple[int, str | None]]:
     """(line, enclosing function) of every read of an input field by hand.
 

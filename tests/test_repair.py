@@ -24,6 +24,7 @@ from dynalloc.repair import (
 )
 from dynalloc.scheduler import (
     build_scheduling_problem,
+    schedule_lower_bound,
     schedule_upper_bound,
     solve_schedule,
 )
@@ -449,6 +450,12 @@ class TestRepair:
         assert snapshot() == before
 
 
+@pytest.fixture(scope="module")
+def desk_solved():
+    """Desk 0 at 4 robots and 5 tasks, solved once; tests copy before mutating."""
+    return _solved(generate_problem(0, 4, 5, 3))
+
+
 class TestIndependentValidation:
     """``solution_violations`` prices every trip afresh, never from the
     solver's plan cache."""
@@ -467,6 +474,42 @@ class TestIndependentValidation:
         planted = dataclasses.replace(result.solution, schedule=solve_schedule(problem))
         assert solution_violations(domain, result.solution, state) == []
         assert solution_violations(domain, planted, state) != []
+
+    @staticmethod
+    def _planted(result, plant):
+        """The solution with ``plant`` applied to a copy of its plans; the
+        untouched solution must pass."""
+        assert solution_violations(result.state.domain, result.solution, result.state) == []
+        plans = dict(result.solution.motion_plans)
+        plant(plans)
+        solution = dataclasses.replace(result.solution, motion_plans=plans)
+        return solution_violations(result.state.domain, solution, result.state)
+
+    def test_a_shortcut_off_the_roadmap_is_flagged(self, desk_solved):
+        def plant(plans):
+            key, p = next((k, p) for k, p in plans.items() if len(p.waypoints) > 2)
+            frm, to = key[-2:]
+            plans[key] = dataclasses.replace(p, waypoints=(frm, to), length=math.dist(frm, to))
+
+        found = self._planted(desk_solved, plant)
+        assert any("is not a roadmap edge" in v for v in found), found
+
+    def test_a_wrong_endpoint_is_flagged(self, desk_solved):
+        def plant(plans):
+            keys = list(plans)
+            other = next(k for k in keys if k[-1] != keys[0][-1])
+            plans[keys[0]] = plans[other]
+
+        found = self._planted(desk_solved, plant)
+        assert any(" runs " in v for v in found), found
+
+    def test_a_dropped_trip_is_flagged(self, desk_solved):
+        def plant(plans):
+            trips = [key[-2:] for key in plans]
+            del plans[next(k for k in plans if trips.count(k[-2:]) == 1)]
+
+        found = self._planted(desk_solved, plant)
+        assert any(v.startswith("no plan for") for v in found), found
 
     def test_desk_agent_loss_is_refused_or_priced_afresh(self, monkeypatch):
         """Losing r0 on desk 0 renumbers the capability classes the plan
@@ -494,19 +537,22 @@ class TestIndependentValidation:
         assert result.records[-1].makespan == pytest.approx(fresh, abs=1e-9)
 
 
-def _eager_rescore_frontier(state):
+def _eager_demote_frontier(state, slack):
     """Reference: the eager rescore that lazy demotion replaced.
 
-    Every exact open node is re-solved on the spot and every lazy one falls
-    to the trivial floor.
+    Every floor is lowered by ``slack`` as the lazy path does; then every
+    exact open node is re-solved on the spot and every lazy one falls to
+    the trivial floor. The handler's re-key follows, as it does the lazy
+    demotion.
     """
+    for node in state.nodes.values():
+        node.floor = max(0.0, node.floor - slack)
     for node in state.open_nodes():
         if node.exact:
             materialize(state, node)
         else:
             node.floor = 0.0
-            demote(state, [node])
-    state.rebuild_heap()
+            demote([node])
 
 
 def _scaled_duration(domain, task, factor):
@@ -656,7 +702,7 @@ class TestLazyFrontier:
                 solution = result.solution if keep_solution else None
                 with monkeypatch.context() as m:
                     if eager:
-                        m.setattr(repair_mod, "_rescore_frontier", _eager_rescore_frontier)
+                        m.setattr(repair_mod, "_demote_frontier", _eager_demote_frontier)
                     for ev in events:
                         out = repair(state, solution, ev)
                         state, solution = out.state, out.solution
@@ -684,6 +730,60 @@ class TestLazyFrontier:
         assert repaired.solution.allocation.key() == result.solution.allocation.key()
         assert stats.scheduler_calls - calls <= 1
         assert stats.expansions == expansions
+
+
+def _handle(state, event, old_domain):
+    """Run one pure event's handler on a state whose domain is already set."""
+    if event.kind in (EventKind.AGENT_LOST, EventKind.TASK_LOST):
+        repair_mod.handle_agent_or_task_loss(state, event, old_domain)
+    elif event.kind in repair_mod.ROW_CHANGES:
+        repair_mod.handle_row_change(state, event)
+    elif event.kind == EventKind.DURATION_CHANGED:
+        repair_mod.handle_duration_change(state, event, old_domain)
+    else:
+        repair_mod.handle_new_agent(state, event)
+
+
+class TestHandlerContract:
+    """Every handler ends in the shared re-key: the heap and every open
+    node's scores are current, and the bounds are those of the new domain
+    and roadmap."""
+
+    @staticmethod
+    def _apply(state, event):
+        old = state.domain
+        state.domain = apply_event(old, event)
+        _handle(state, event, old)
+        assert heap_violations(state) == []
+        assert score_violations(state) == []
+        durations = [t.duration for t in state.domain.network.tasks]
+        ub = schedule_upper_bound(state.domain.world, durations, state.roadmap.total_edge_length)
+        assert (state.lb, state.ub) == (schedule_lower_bound(durations), ub)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=[k.value for k in ALL_KINDS])
+    def test_each_kind(self, kind, desk_solved):
+        state = copy.deepcopy(desk_solved.state)
+        event = generate_event(state.domain, kind, 11)
+        if kind == EventKind.AGENT_LOST:  # the slowest robot, so that ub moves
+            speeds = state.domain.world.robot_speeds
+            event = DynamicEvent(1.0, kind, {"agent": min(speeds, key=speeds.get)})
+        self._apply(state, event)
+
+    def test_a_new_agent_after_an_agent_loss(self, desk_solved, monkeypatch):
+        """The loss renumbers the capability classes, so the new agent's
+        handler drops mispriced plans and demotes the frontier."""
+        state = copy.deepcopy(desk_solved.state)
+        self._apply(state, DynamicEvent(1.0, EventKind.AGENT_LOST, {"agent": "r0"}))
+        dropped = []
+        real = motion.drop_mispriced_plans
+
+        def spy(*args):
+            dropped.append(real(*args))
+            return dropped[-1]
+
+        monkeypatch.setattr(motion, "drop_mispriced_plans", spy)
+        self._apply(state, generate_event(state.domain, EventKind.NEW_AGENT, 7))
+        assert dropped and dropped[0] > 0
 
 
 def _distances_from(roadmap, src):
