@@ -173,6 +173,8 @@ def cmd_solve(args) -> int:
         "start_times": list(result.solution.schedule.start_times),
         "allocation": result.solution.allocation.entries.tolist(),
         "expansions": result.state.stats.expansions,
+        "bnb_nodes": result.state.stats.bnb_nodes,
+        "relaxations": result.state.stats.relaxations,
     }
     (args.out / "solution.json").write_text(json.dumps(summary, indent=2))
     print(json.dumps(summary, indent=2))

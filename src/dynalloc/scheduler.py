@@ -6,7 +6,11 @@ set of mutex orderings is infeasible exactly when that graph has a
 positive cycle. The full problem (free mutex directions) is solved by
 branch-and-bound over the orderings; the bound at a partial assignment is
 the relaxation that drops every undecided mutex pair, which can only
-shorten the makespan, so pruning is safe and the optimum is exact.
+shorten the makespan, so pruning is safe and the optimum is exact. Each
+branch-and-bound node also keeps the all-pairs longest paths over its
+committed edges, so probing one more ordering (does it close a positive
+cycle, how far does it push the makespan) is a lookup; only committed
+orderings are relaxed.
 """
 
 from __future__ import annotations
@@ -67,10 +71,13 @@ class _Compiled:
     Relaxations warm-start from a known subsolution: start times are the
     least fixpoint of the difference constraints, so iterating from any
     componentwise-smaller vector converges to it, and a parent node's
-    starts are always componentwise below any child's.
+    starts are always componentwise below any child's. ``bnb_nodes`` and
+    ``relaxations`` count the work of one solve.
     """
 
-    __slots__ = ("n", "durations", "arrivals", "out", "dir_edge", "finite")
+    __slots__ = (
+        "n", "durations", "arrivals", "out", "orders", "finite", "bnb_nodes", "relaxations"
+    )
 
     def __init__(self, problem: SchedulingProblem):
         self.n = len(problem.durations)
@@ -79,13 +86,19 @@ class _Compiled:
         self.out: list[list[tuple[int, float]]] = [[] for _ in range(self.n)]
         for i, j in sorted(problem.precedence):
             self.out[i].append((j, problem.durations[i] + problem.transition(i, j)))
-        self.dir_edge = {}
-        for i, j in problem.mutex_reduced:
-            self.dir_edge[(i, j)] = (i, j, problem.durations[i] + problem.transition(i, j))
-            self.dir_edge[(j, i)] = (j, i, problem.durations[j] + problem.transition(j, i))
+        # mutex pair (i, j) -> (edge for i first, edge for j first)
+        self.orders = {
+            (i, j): (
+                (i, j, problem.durations[i] + problem.transition(i, j)),
+                (j, i, problem.durations[j] + problem.transition(j, i)),
+            )
+            for i, j in problem.mutex_reduced
+        }
         self.finite = all(
             math.isfinite(v) for v in problem.transition_times.values()
         ) and all(math.isfinite(v) for v in problem.initial_arrivals.values())
+        self.bnb_nodes = 0
+        self.relaxations = 0
 
     def add_edge(self, edge) -> None:
         i, j, w = edge
@@ -95,45 +108,36 @@ class _Compiled:
         i, j, w = edge
         assert self.out[i].pop() == (j, w)
 
-    def relax(self, s0, seeds, mk0: float, extra=None):
+    def commit(self, edge, s, mk: float):
+        """Add ``edge`` and relax from its tail, at a fixpoint (s, mk) of the
+        other edges; on a positive cycle the edge is popped again and None
+        comes back."""
+        self.add_edge(edge)
+        res = self.relax(s, (edge[0],), mk)
+        if res is None:
+            self.pop_edge(edge)
+        return res
+
+    def relax(self, s0, seeds, mk0: float):
         """Least fixpoint at or above s0 and its makespan; None on a positive cycle.
 
-        Worklist propagation: only vertices reachable from ``seeds`` (plus
-        the optional one-off ``extra`` edge) are touched, so a warm start
-        from an already-consistent vector costs only the affected region.
-        ``mk0`` must be the makespan of s0; it is raised incrementally as
-        starts grow. A vertex dequeued more than n times witnesses a
-        positive cycle.
-
-        A call with ``extra`` = (u, v, w) must pass ``seeds`` = (u,) and a
-        fixpoint s0 of the current edges. u's own out-edges then change
-        nothing, so the propagation starts at v, as if u had just been
-        dequeued once: the updates, their order and the cycle counts are
-        those of a scan from u. When the edge already holds, s0 and mk0
-        come back as they are.
+        Worklist propagation: only vertices reachable from ``seeds`` are
+        touched, so a warm start from an already-consistent vector costs
+        only the affected region. ``mk0`` must be the makespan of s0; it is
+        raised incrementally as starts grow. A vertex dequeued more than n
+        times witnesses a positive cycle.
         """
+        self.relaxations += 1
         n = self.n
         d = self.durations
         out = self.out
+        s = list(s0)
+        mk = mk0
         inq = bytearray(n)
         counts = [0] * n
-        if extra is None:
-            s = list(s0)
-            mk = mk0
-            queue = deque(seeds)
-            for u in seeds:
-                inq[u] = 1
-        else:
-            u, v, w = extra
-            nv = s0[u] + w
-            if nv <= s0[v] + FEAS_TOL:
-                return s0, mk0
-            s = list(s0)
-            s[v] = nv
-            mk = nv + d[v] if nv + d[v] > mk0 else mk0
-            counts[u] = 1
-            queue = deque((v,))
-            inq[v] = 1
+        queue = deque(seeds)
+        for u in seeds:
+            inq[u] = 1
         while queue:
             u = queue.popleft()
             inq[u] = 0
@@ -150,17 +154,66 @@ class _Compiled:
                     if not inq[v]:
                         inq[v] = 1
                         queue.append(v)
-            if extra is not None and extra[0] == u:
-                _, v, w = extra
-                nv = su + w
-                if nv > s[v] + FEAS_TOL:
-                    s[v] = nv
-                    if nv + d[v] > mk:
-                        mk = nv + d[v]
-                    if not inq[v]:
-                        inq[v] = 1
-                        queue.append(v)
         return s, mk
+
+
+# A longest-path matrix over a set of committed edges: row a holds, for each
+# task b, the longest path from a to b (NO_PATH where there is none, 0 from a
+# to itself), and in a last column a's tail, the longest path from a through
+# any task x and on over x's duration: an edge of weight d[x] from every task
+# to one virtual finish vertex (Dechter, Meiri & Pearl, AIJ 1991).
+NO_PATH = -math.inf
+
+
+def _longest_paths(comp: _Compiled) -> list[list[float]]:
+    """The matrix over ``comp``'s current edges, which close no positive cycle."""
+    n, d = comp.n, comp.durations
+    rows = [[NO_PATH] * n + [d[a]] for a in range(n)]
+    for a in range(n):
+        rows[a][a] = 0.0
+    # tails in descending order: edges mostly run from lower to higher
+    # index, so each commit then finds few rows reaching its tail
+    for u in reversed(range(n)):
+        for v, w in comp.out[u]:
+            rows = _with_edge(rows, (u, v, w))
+    return rows
+
+
+def _with_edge(rows, edge) -> list[list[float]]:
+    """The matrix with ``edge`` committed, where it closes no positive cycle.
+
+    A new longest path uses the edge at most once, so only the rows that
+    reach its tail u change: row_a' = max(row_a, L[a][u] + w + row_v), the
+    tail column included. Where L[a][u] + w <= L[a][v], the row already
+    holds every such path (L[a][x] >= L[a][v] + L[v][x]) and stays.
+    Copy-on-write: ``rows`` and its lists are left as they are, and
+    unchanged rows are shared.
+    """
+    u, v, w = edge
+    rv = rows[v]
+    new = list(rows)
+    for a, ra in enumerate(rows):
+        c = ra[u] + w
+        if c > ra[v]:
+            new[a] = [x if x >= c + y else c + y for x, y in zip(ra, rv)]
+    return new
+
+
+def _probe(s, mk: float, rows, edge) -> float:
+    """Makespan of the node (s, mk) with ``edge`` committed; inf on a positive cycle.
+
+    ``rows`` is the node's matrix and s its relaxation. When the edge
+    already holds nothing moves; otherwise the edge's head v starts at
+    s[u] + w, and every start it pushes ends by that plus v's tail.
+    """
+    u, v, w = edge
+    start = s[u] + w
+    if start <= s[v] + FEAS_TOL:
+        return mk
+    if w + rows[v][u] > FEAS_TOL:
+        return math.inf
+    end = start + rows[v][-1]
+    return end if end > mk else mk
 
 
 def makespan(start_times, durations) -> float:
@@ -208,7 +261,7 @@ def _warm_incumbent(
         if o is None:
             o = (j, i) if starts[j] < starts[i] else (i, j)
         orderings[(i, j)] = o
-    edges = [comp.dir_edge[o] for o in orderings.values()]
+    edges = [comp.orders[p][o != p] for p, o in orderings.items()]
     for edge in edges:
         comp.add_edge(edge)
     res = comp.relax(root_s, sorted({edge[0] for edge in edges}), root_mk)
@@ -220,7 +273,10 @@ def _warm_incumbent(
 
 
 def solve_schedule(
-    problem: SchedulingProblem, floor: float = 0.0, hint: Schedule | None = None
+    problem: SchedulingProblem,
+    floor: float = 0.0,
+    hint: Schedule | None = None,
+    stats=None,
 ) -> Schedule | None:
     """Exact minimum makespan over all mutex ordering assignments.
 
@@ -235,16 +291,31 @@ def solve_schedule(
     instead. The search ends as soon as the incumbent meets the caller's
     ``floor``, the only static bound.
 
+    A probe is a lookup: each node keeps the longest-path matrix of its
+    committed edges (see ``_with_edge``), which tells whether an ordering
+    closes a positive cycle and how far it pushes the makespan
+    (``_probe``). Only a committed ordering, forced or branched, is
+    relaxed, and that relaxation gives the child's start times.
+
     ``floor`` must be a sound lower bound on the optimum: one above it can
     end the search on a suboptimal schedule. ``hint`` is a related
     schedule, normally the parent allocation's; the orientation it implies
     (see ``_warm_incumbent``) is the first incumbent when feasible. Both
     only prune, so the optimum is unchanged; the defaults solve cold.
+    ``stats``, when given, gains the solve's B&B nodes and relaxations in
+    its ``bnb_nodes`` and ``relaxations`` counters.
     """
     comp = _Compiled(problem)
-    if not comp.finite:
-        return INFEASIBLE
-    pairs = sorted(problem.mutex_reduced)
+    best = _branch_and_bound(comp, floor, hint) if comp.finite else INFEASIBLE
+    if stats is not None:
+        stats.bnb_nodes += comp.bnb_nodes
+        stats.relaxations += comp.relaxations
+    return best
+
+
+def _branch_and_bound(comp: _Compiled, floor: float, hint: Schedule | None) -> Schedule | None:
+    """``solve_schedule``'s search on a compiled problem with finite prices."""
+    pairs = sorted(comp.orders)
     root = comp.relax(comp.arrivals, range(comp.n), makespan(comp.arrivals, comp.durations))
     if root is None:
         return INFEASIBLE
@@ -260,20 +331,14 @@ def solve_schedule(
             best_mk = best.makespan
             if best_mk <= floor + FEAS_TOL:
                 return best
-    dir_edge = comp.dir_edge
+    orders = comp.orders
 
-    def probe(s, mk, p):
-        """Lookahead entry of pair ``p`` at the node (s, mk), and its children.
-
-        The entry is (makespan if forward, makespan if reverse), inf where
-        the ordering closes a positive cycle; the children are
-        (makespan, edge, relaxation) in the same order.
-        """
-        kids = []
-        for edge in (dir_edge[p], dir_edge[(p[1], p[0])]):
-            res = comp.relax(s, (edge[0],), mk, extra=edge)
-            kids.append((math.inf if res is None else res[1], edge, res))
-        return (kids[0][0], kids[1][0]), kids
+    def probe(s, mk, rows, p):
+        """Lookahead entry of pair ``p`` at the node (s, mk) with matrix ``rows``:
+        (makespan if forward, makespan if reverse), inf where the ordering
+        closes a positive cycle."""
+        forward, reverse = orders[p]
+        return _probe(s, mk, rows, forward), _probe(s, mk, rows, reverse)
 
     # Lookahead table: pair -> probe entry at the node where it was made.
     # Starts only grow as orderings are fixed, so every entry stays a valid
@@ -283,8 +348,9 @@ def solve_schedule(
     # with a dead direction, and otherwise branches on the pair whose weaker
     # child bound is the largest (max-min strong branching).
 
-    def recurse(s_cur, mk_cur: float, undecided, la, orderings) -> None:
+    def recurse(s_cur, mk_cur: float, rows, undecided, la, orderings) -> None:
         nonlocal best, best_mk
+        comp.bnb_nodes += 1
         forced: list = []  # edges committed by unit propagation, undone on exit
         try:
             while True:
@@ -295,7 +361,6 @@ def solve_schedule(
                     best = Schedule(tuple(s_cur), mk_cur, dict(orderings))
                     return
                 cut = best_mk - FEAS_TOL
-                fresh = None  # the children of p when its entry was just probed
                 scored = []
                 for p in undecided:
                     mk_f, mk_r = la[p]
@@ -308,38 +373,40 @@ def solve_schedule(
                     la = dict(la)
                     best_min = -1.0
                     for _, p in scored:
-                        la[p], kids = probe(s_cur, mk_cur, p)
-                        mk_f, mk_r = la[p]
+                        la[p] = mk_f, mk_r = probe(s_cur, mk_cur, rows, p)
                         if mk_f >= cut or mk_r >= cut:
-                            fresh = kids
                             break
                         if min(mk_f, mk_r) > best_min:
                             best_min = min(mk_f, mk_r)
-                            branch, children = p, kids
+                            branch = p
                     else:
                         break  # every refreshed pair is open both ways: branch
                 # settle p, reached by a break above: its entry has a dead direction
                 r_live = mk_f >= cut
                 if r_live and mk_r >= cut:
                     return  # no completion of this node can improve
-                if fresh is None:  # stale entry: relax the live edge from here
-                    edge = dir_edge[(p[1], p[0]) if r_live else p]
-                    res = comp.relax(s_cur, (edge[0],), mk_cur, extra=edge)
-                    if res is None or res[1] >= cut:
-                        return
-                else:  # fresh entry: its live direction is finite and below the cut
-                    _, edge, res = fresh[r_live]
-                comp.add_edge(edge)
+                edge = orders[p][r_live]
+                res = comp.commit(edge, s_cur, mk_cur)
+                if res is None:
+                    return
                 forced.append(edge)
-                orderings = {**orderings, p: (edge[0], edge[1])}
                 s_cur, mk_cur = res
+                if mk_cur >= cut:
+                    return
+                rows = _with_edge(rows, edge)
+                orderings = {**orderings, p: (edge[0], edge[1])}
                 undecided = [q for q in undecided if q != p]
             rest = [q for q in undecided if q != branch]
-            for mk, edge, res in sorted(children, key=lambda c: c[0]):
+            for mk, edge in sorted(zip(la[branch], orders[branch]), key=lambda c: c[0]):
                 if mk >= best_mk - FEAS_TOL:
                     continue
-                comp.add_edge(edge)
-                recurse(res[0], mk, rest, la, {**orderings, branch: (edge[0], edge[1])})
+                res = comp.commit(edge, s_cur, mk_cur)
+                if res is None:
+                    continue
+                recurse(
+                    res[0], res[1], _with_edge(rows, edge), rest, la,
+                    {**orderings, branch: (edge[0], edge[1])},
+                )
                 comp.pop_edge(edge)
                 if best_mk <= floor + FEAS_TOL:
                     return  # incumbent meets the floor: provably optimal
@@ -347,7 +414,10 @@ def solve_schedule(
             for edge in reversed(forced):
                 comp.pop_edge(edge)
 
-    recurse(root_s, root_mk, pairs, {p: probe(root_s, root_mk, p)[0] for p in pairs}, {})
+    rows = _longest_paths(comp)
+    recurse(
+        root_s, root_mk, rows, pairs, {p: probe(root_s, root_mk, rows, p) for p in pairs}, {}
+    )
     return best
 
 

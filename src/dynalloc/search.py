@@ -145,6 +145,8 @@ class SearchStats:
     scheduler_calls: int = 0
     nodes_touched: int = 0
     tied_pops: int = 0  # exact pops with an open rival of equal priority
+    bnb_nodes: int = 0  # scheduler branch-and-bound nodes, over every solve
+    relaxations: int = 0  # scheduler relaxations, over every solve
 
 
 @dataclass
@@ -256,12 +258,12 @@ def solve_with_memo(
     """Solve through the memo; ``floor`` and ``hint`` go to ``solve_schedule``.
 
     Both only prune, so the optimum and hence the memo key do not depend
-    on them.
+    on them. Each solve adds its work to the state's counters.
     """
     key = problem.key()
     if key not in state.schedule_memo:
         state.stats.scheduler_calls += 1
-        state.schedule_memo[key] = solve_schedule(problem, floor, hint)
+        state.schedule_memo[key] = solve_schedule(problem, floor, hint, state.stats)
     return state.schedule_memo[key]
 
 

@@ -26,6 +26,14 @@ def _dense_hits(a, b, shape, step=0.002):
     return False
 
 
+def _points(limit):
+    """Points with coordinates in [-limit, limit], never subnormal: in that
+    range the oracle's interpolation ``a + t * (b - a)`` rounds onto the
+    shape's edge, where the exact checks rightly see no hit."""
+    coordinate = st.floats(-limit, limit, allow_subnormal=False)
+    return st.tuples(coordinate, coordinate)
+
+
 class TestContainment:
     def test_circle_boundary_is_inside(self):
         c = Circle((0.0, 0.0), 1.0)
@@ -57,9 +65,9 @@ class TestSegments:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        st.tuples(st.floats(-5, 5), st.floats(-5, 5)),
-        st.tuples(st.floats(-5, 5), st.floats(-5, 5)),
-        st.tuples(st.floats(-3, 3), st.floats(-3, 3)),
+        _points(5),
+        _points(5),
+        _points(3),
         st.floats(0.2, 2.0),
     )
     def test_circle_check_matches_dense_oracle(self, a, b, center, radius):
@@ -75,9 +83,9 @@ class TestSegments:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        st.tuples(st.floats(-5, 5), st.floats(-5, 5)),
-        st.tuples(st.floats(-5, 5), st.floats(-5, 5)),
-        st.tuples(st.floats(-3, 3), st.floats(-3, 3)),
+        _points(5),
+        _points(5),
+        _points(3),
         st.floats(0.2, 2.0),
         st.floats(0.2, 2.0),
     )
@@ -92,6 +100,12 @@ class TestSegments:
                 (corner[0] + w + 1e-3, corner[1] + h + 1e-3),
             )
             assert _dense_hits(a, b, grown)
+
+    def test_subnormal_graze_is_not_a_hit(self):
+        """The segment reaches x = 5e-324, the rect's left edge, only at its
+        end, where y = 2 is above the rect."""
+        rect = Rect((5e-324, 0.0), (1.0, 1.0))
+        assert not segment_hits_rect((0.0, -1.0), (5e-324, 2.0), rect)
 
     def test_segment_collides_checks_all_obstacles(self):
         obstacles = (Circle((0.0, 0.0), 0.5), Rect((3.0, -0.5), (4.0, 0.5)))

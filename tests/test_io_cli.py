@@ -195,6 +195,8 @@ class TestCLI:
         assert rc == 0
         summary = json.loads((out / "solution.json").read_text())
         assert summary["makespan"] > 0
+        # the scheduler's own work counters, summed over the search's solves
+        assert summary["relaxations"] >= summary["bnb_nodes"] >= 1
 
     def test_solve_reports_exhaustion(self, tmp_path, capsys):
         # a requirement no coalition can meet

@@ -5,6 +5,7 @@ and solves each resulting fixed network with an independent full-sweep
 longest-path fixpoint (no code shared with the module under test).
 """
 
+import hashlib
 import itertools
 import math
 
@@ -17,11 +18,16 @@ from dynalloc import search as search_module
 from dynalloc.domain import Allocation, DimensionMismatchError
 from dynalloc.generator import generate_problem
 from dynalloc.scheduler import (
+    FEAS_TOL,
     INFEASIBLE,
+    NO_PATH,
     PriceMemo,
     Schedule,
     SchedulingProblem,
     _Compiled,
+    _longest_paths,
+    _probe,
+    _with_edge,
     build_scheduling_problem,
     makespan,
     schedule_lower_bound,
@@ -379,30 +385,89 @@ def _milp_optimum(problem: SchedulingProblem, optimize):
     return res.mip_dual_bound, orientation
 
 
+# bench seed -> makespan, expansions, nodes, scheduler calls and the sha256 of
+# the start times and orderings (``_schedule_digest``) of ``search`` at alpha
+# 0.25, as the scheduler that probed by relaxation returned them
+BENCH_PINS = {
+    500: (266.21688631783076, 20, 2211, 28,
+          "63777e9fc866492cfc3b7be353e0c8cb5c7871631ff2c724d9ab18a1ab0b45a8"),
+    501: (299.8430883052373, 17, 1905, 22,
+          "4fbd2ae67368d045cd10d20c53b8fef99c4d0c591919c8cec89746549c04abe4"),
+    502: (135.47344114254813, 20, 2211, 27,
+          "47f23e04eb36d0ac184b14f5aafe08029253c870a6471401df5851e556b8401f"),
+    503: (190.7422849719188, 24, 2605, 26,
+          "7c5524e8a1985af5dfb81e0626e958f85ac1a0c03bf777a65914be3dcf93f437"),
+    504: (161.4318085414917, 19, 2110, 20,
+          "a6867ec8fc319ce4215647af9ec0e75b93c79fa050cad3d535a0928eafa6ea29"),
+    505: (335.2877606269341, 21, 2311, 27,
+          "d634a0c2ba9e6e4f169759229687ae423828f0b900aa1898a6c84565f50ce57c"),
+    506: (117.89599163100655, 23, 2508, 42,
+          "a3e56c68f769f3a1f879ccb6c05fc17b108881c67c2c0c1454a7f592120bce9c"),
+    507: (309.3581801120604, 23, 2508, 29,
+          "fd9218dd8e8211c2f635a027b3cc1de83697bd258ccd87f4c178028dc3f1f1b2"),
+    508: (205.4178196063214, 25, 2701, 32,
+          "728259fabb463f21ccdcc78c2924d5586a09572910326107f86b3ad000296e30"),
+    509: (223.63815955145768, 19, 2110, 22,
+          "20401c914206f3aa5e41c2a8183d73931eb7b8d4d2a7e3adc66e46a539dacbac"),
+}
+
+
+def _schedule_digest(schedule: Schedule) -> str:
+    key = (schedule.start_times, sorted(schedule.fixed_orderings.items()))
+    return hashlib.sha256(repr(key).encode()).hexdigest()
+
+
 class TestBenchScale:
     """Warm solves of ``search`` on the 8-robot, 15-task, 4-trait bench domains."""
 
-    def test_relax_budget_on_seed_503(self, relax_calls):
-        """Seed 503 holds the heaviest solves; max-min branching makes about
-        68k relaxations there, where branching on the widest gap made 247k."""
-        search(generate_problem(503, 8, 15, 4), 0.25)
-        assert len(relax_calls) <= 100_000
+    @pytest.fixture(scope="class")
+    def bench_searches(self):
+        """The ten searches, and every (problem, schedule) their solves gave."""
+        solves = []
 
-    def test_warm_solves_match_a_milp_oracle(self, monkeypatch):
+        def capture(problem, floor=0.0, hint=None, stats=None):
+            sched = solve_schedule(problem, floor, hint, stats)
+            solves.append((problem, sched))
+            return sched
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(search_module, "solve_schedule", capture)
+            results = {
+                seed: search(generate_problem(seed, 8, 15, 4), 0.25) for seed in BENCH_PINS
+            }
+        return results, solves
+
+    def test_search_outputs_are_pinned(self, bench_searches):
+        """The branching decisions, hence every output, are those of the
+        scheduler that probed each ordering by relaxing it."""
+        results, _ = bench_searches
+        for seed, result in results.items():
+            stats = result.state.stats
+            got = (
+                result.solution.makespan,
+                stats.expansions,
+                len(result.state.nodes),
+                stats.scheduler_calls,
+                _schedule_digest(result.solution.schedule),
+            )
+            assert got == BENCH_PINS[seed], seed
+
+    def test_relax_budget_on_seed_503(self, relax_calls):
+        """Seed 503 holds the heaviest solves. Probing by lookup leaves about
+        7k relaxations there, where relaxing every probe made 68k; the
+        branch-and-bound visits the same 1,102 nodes, and the search's
+        counters agree with a count made from outside."""
+        stats = search(generate_problem(503, 8, 15, 4), 0.25).state.stats
+        assert len(relax_calls) <= 10_000
+        assert stats.relaxations == len(relax_calls)
+        assert stats.bnb_nodes == 1102
+
+    def test_warm_solves_match_a_milp_oracle(self, bench_searches):
         """Every solve with at least 45 mutex pairs, and every 25th of the rest,
         lies between HiGHS's dual bound and the makespan of HiGHS's orientation
         re-solved by ``stn_solve``. HiGHS's bound can sit up to 1e-6 low."""
         optimize = pytest.importorskip("scipy.optimize")
-        solves = []
-
-        def capture(problem, floor=0.0, hint=None):
-            sched = solve_schedule(problem, floor, hint)
-            solves.append((problem, sched))
-            return sched
-
-        monkeypatch.setattr(search_module, "solve_schedule", capture)
-        for seed in range(500, 510):
-            search(generate_problem(seed, 8, 15, 4), 0.25)
+        _, solves = bench_searches
         heavy = [c for c in solves if len(c[0].mutex_reduced) >= 45]
         rest = [c for c in solves if len(c[0].mutex_reduced) < 45]
         assert len(heavy) >= 10
@@ -502,9 +567,9 @@ class TestProblemAssembly:
             build_scheduling_problem(domain, Allocation(np.ones((4, 2), np.int8)), travel, memo)
 
 
-def _full_scan_relax(comp: _Compiled, s0, seeds, mk0, extra=None):
+def _full_scan_relax(comp: _Compiled, s0, seeds, mk0):
     """The worklist relaxation that pops the seeds first and scans every
-    out-edge of each popped vertex, the one-off edge with its tail's."""
+    out-edge of each popped vertex."""
     n, d, out = comp.n, comp.durations, comp.out
     s, mk = list(s0), mk0
     inq, counts = bytearray(n), [0] * n
@@ -517,10 +582,7 @@ def _full_scan_relax(comp: _Compiled, s0, seeds, mk0, extra=None):
         counts[u] += 1
         if counts[u] > n:
             return None
-        edges = list(out[u])
-        if extra is not None and extra[0] == u:
-            edges.append((extra[1], extra[2]))
-        for v, w in edges:
+        for v, w in out[u]:
             nv = s[u] + w
             if nv > s[v] + 1e-9:
                 s[v] = nv
@@ -531,35 +593,95 @@ def _full_scan_relax(comp: _Compiled, s0, seeds, mk0, extra=None):
     return s, mk
 
 
+def _drawn_problem(data, n, duration, gap, arrival):
+    """A problem of n tasks with no mutex pair: drawn durations, precedence
+    edges i -> j with i < j and their transition gaps, and arrivals; and
+    every ordered task pair, for drawing orderings."""
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    precedence = data.draw(st.sets(st.sampled_from([p for p in pairs if p[0] < p[1]])))
+    problem = SchedulingProblem(
+        durations=tuple(data.draw(st.lists(duration, min_size=n, max_size=n))),
+        precedence=frozenset(precedence),
+        mutex_reduced=frozenset(),
+        transition_times={p: data.draw(gap) for p in sorted(precedence)},
+        initial_arrivals={i: data.draw(arrival) for i in range(n)},
+    )
+    return problem, pairs
+
+
 class TestRelax:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_an_edge_relaxes_as_a_full_scan_does(self, data):
         """Bit for bit, including None on a positive cycle, along a chain of
-        one-off edges each committed once relaxed, as the branch-and-bound
-        does. Half-unit weights, some off by less than the tolerance, make
-        ties at and within it common."""
+        edges each committed and then relaxed from its tail, as the
+        branch-and-bound does. Half-unit weights, some off by less than the
+        tolerance, make ties at and within it common."""
         n = data.draw(st.integers(2, 7))
         half = st.builds(
             lambda k, e: k / 2 + e, st.integers(0, 12), st.sampled_from([0.0, 5e-10])
         )
-        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-        precedence = data.draw(st.sets(st.sampled_from([p for p in pairs if p[0] < p[1]])))
-        problem = SchedulingProblem(
-            durations=tuple(data.draw(st.lists(half, min_size=n, max_size=n))),
-            precedence=frozenset(precedence),
-            mutex_reduced=frozenset(),
-            transition_times={p: data.draw(half) for p in sorted(precedence)},
-            initial_arrivals={i: data.draw(half) for i in range(n)},
-        )
+        problem, pairs = _drawn_problem(data, n, half, half, half)
         comp = _Compiled(problem)
         s, mk = comp.relax(comp.arrivals, range(n), makespan(comp.arrivals, comp.durations))
         for _ in range(data.draw(st.integers(1, 6))):
             u, v = data.draw(st.sampled_from(pairs))
             edge = (u, v, comp.durations[u] + data.draw(half))
-            got = comp.relax(s, (u,), mk, extra=edge)
-            assert got == _full_scan_relax(comp, s, (u,), mk, extra=edge)
+            comp.add_edge(edge)
+            got = comp.relax(s, (u,), mk)
+            assert got == _full_scan_relax(comp, s, (u,), mk)
             if got is None:
                 return
-            comp.add_edge(edge)
             s, mk = got
+
+
+def _reference_longest_paths(comp: _Compiled):
+    """Longest paths over ``comp``'s edges by Floyd-Warshall, with the tail
+    (longest path plus the last task's duration) as the last column."""
+    n, d = comp.n, comp.durations
+    dist = [[0.0 if a == b else NO_PATH for b in range(n)] for a in range(n)]
+    for u in range(n):
+        for v, w in comp.out[u]:
+            dist[u][v] = max(dist[u][v], w)
+    for k in range(n):
+        for a in range(n):
+            for b in range(n):
+                dist[a][b] = max(dist[a][b], dist[a][k] + dist[k][b])
+    return [row + [max(x + d[b] for b, x in enumerate(row))] for row in dist]
+
+
+class TestProbe:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_a_lookup_probe_matches_a_relaxation(self, data):
+        """Along a chain of random orderings: the matrix probe and add_edge +
+        relax + pop_edge agree on whether the ordering closes a positive
+        cycle, and on the makespan within n * FEAS_TOL; some orderings are
+        then committed. Every duration is at least 0.5, so every cycle is
+        clearly positive or absent. The matrix stays the longest paths of
+        the committed edges throughout."""
+        n = data.draw(st.integers(2, 8))
+        gap = st.floats(0.0, 5.0)
+        problem, pairs = _drawn_problem(data, n, st.floats(0.5, 10.0), gap, st.floats(0.0, 4.0))
+        comp = _Compiled(problem)
+        s, mk = comp.relax(comp.arrivals, range(n), makespan(comp.arrivals, comp.durations))
+        rows = _longest_paths(comp)
+        for _ in range(data.draw(st.integers(1, 12))):
+            u, v = data.draw(st.sampled_from(pairs))
+            edge = (u, v, comp.durations[u] + data.draw(gap))
+            probed = _probe(s, mk, rows, edge)
+            comp.add_edge(edge)
+            res = comp.relax(s, (u,), mk)
+            comp.pop_edge(edge)
+            assert (probed == math.inf) == (res is None)
+            if res is None:
+                continue
+            assert abs(probed - res[1]) <= n * FEAS_TOL
+            if data.draw(st.booleans()):
+                comp.add_edge(edge)
+                s, mk = res
+                rows = _with_edge(rows, edge)
+        reference = _reference_longest_paths(comp)
+        for row, ref in zip(rows, reference):
+            for x, y in zip(row, ref):
+                assert x == y == NO_PATH or abs(x - y) <= n * FEAS_TOL

@@ -319,7 +319,7 @@ class TestWarmStartedSchedules:
                 m.setattr(
                     search_mod,
                     "solve_schedule",
-                    lambda problem, floor=0.0, hint=None: cold_solve(problem),
+                    lambda problem, floor=0.0, hint=None, stats=None: cold_solve(problem),
                 )
                 cold = search(domain, alpha)
             assert warm.reason == cold.reason == "solved", i
