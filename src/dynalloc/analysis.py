@@ -22,8 +22,16 @@ from .search import OPEN, SearchResult, search
 
 
 def open_frontier(state) -> list[tuple[float, float]]:
-    """(apr, makespan floor) for every open node; input to posthoc_bound."""
-    return [(n.apr, n.floor) for n in state.nodes.values() if n.status == OPEN]
+    """(apr, makespan floor) for every open node; input to posthoc_bound.
+
+    A pending batch gives one pair, its largest apr with its members'
+    shared floor: ``posthoc_bound``'s term rises with apr, so no other
+    member can raise the bound.
+    """
+    pairs = [(n.apr, n.floor) for n in state.nodes.values() if n.status == OPEN]
+    pairs += [(max(b.aprs[b.next :]), b.floor) for b in state.batches]
+    return pairs
+
 
 BRUTE_FORCE_CELL_LIMIT = 12
 BOUND_TOL = 1e-9

@@ -257,6 +257,15 @@ class Allocation:
         i = task * cols + robot
         return self._key[:i] + b"\x01" + self._key[i + 1 :]
 
+    def child_keys(self, cells) -> list[bytes]:
+        """``child_key`` of each cell of ``cells`` not yet assigned, in order.
+
+        Cells are flat, row-major indices into the matrix, as an expansion
+        enumerates them; one slice-and-join per child, no per-cell call.
+        """
+        key = self._key
+        return [key[:i] + b"\x01" + key[i + 1 :] for i in cells if not key[i]]
+
     def with_assignment(self, task: int, robot: int) -> "Allocation":
         return Allocation._trusted(
             self.child_key(task, robot),
@@ -280,13 +289,13 @@ class Allocation:
         return alloc
 
 
-def stack_allocations(allocs, shape: tuple[int, int]) -> np.ndarray:
-    """The allocations' matrices, all of ``shape``, as one (K, M, N) int8 array.
+def stack_keys(keys, shape: tuple[int, int]) -> np.ndarray:
+    """The matrices whose keys are given, all of ``shape``, as one
+    (K, M, N) int8 array.
 
-    Read-only: a view of the allocations' keys joined into one buffer.
+    Read-only: a view of the keys joined into one buffer.
     """
-    buf = b"".join(a.key() for a in allocs)
-    return np.frombuffer(buf, dtype=np.int8).reshape(len(allocs), *shape)
+    return np.frombuffer(b"".join(keys), dtype=np.int8).reshape(len(keys), *shape)
 
 
 def unstack_allocations(stack: np.ndarray) -> list[Allocation]:

@@ -14,9 +14,12 @@ frontier's apr (and, when favorable, rescans closed/pruned nodes for newly
 viable allocations), duration changes and task loss lower every node's
 makespan floor to a sound value and demote the frontier to those floors,
 and a new agent widens every allocation and links its start into the kept
-roadmap by edges out of it only. The surgery only reshapes allocations and
-sets apr (``_rescore``) and floors (``_demote_frontier``). Then one shared
-re-key, ``_rekey``: the bounds are refreshed, every open node is
+roadmap by edges out of it only. The children no pop has reached are
+part of the frontier: the surgery treats each pending batch
+(``search.PendingBatch``) as its members, with one floor for all of them.
+The surgery only reshapes allocations and sets apr (``_rescore``) and
+floors (``_demote_frontier``). Then one shared re-key, ``_rekey``: the
+bounds are refreshed, every open node and pending batch is
 ``prioritize``d, the heap is rebuilt once, and the nodes the event revived
 are ``requeue``d. Only a new agent does more, seeding fresh root children
 after it. Everything else is conserved, and the search is then simply
@@ -29,11 +32,13 @@ the exact pops, and hence the expansions and the solution, are those an
 eager re-solve would give.
 
 The surgery handles nodes in whole arrays, not one numpy call per node:
-the allocations it rescores are stacked into one (K, M, N) array and
-scored by one ``apr_values`` call, a loss is cut out of every allocation
-with one ``np.delete`` over that stack and a new agent adds one zero
-column to it, and each reshaped allocation is then a read-only view of its
-own key bytes, trusted rather than re-validated.
+the allocations it rescores (nodes, then pending members) are stacked into
+one (K, M, N) array and scored by one ``apr_values`` call, a loss is cut
+out of every allocation with one ``np.delete`` over that stack and a new
+agent adds one zero column to it, and each reshaped allocation is then a
+read-only view of its own key bytes, trusted rather than re-validated; a
+pending member keeps only its key bytes. A batch's members are handled by
+whole-list operations (slices, ``compress``), not as node objects.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, compress
 
 import numpy as np
 
@@ -57,7 +62,7 @@ from .domain import (
     read_field,
     read_number,
     read_row,
-    stack_allocations,
+    stack_keys,
     start_faults,
     unstack_allocations,
 )
@@ -228,65 +233,92 @@ def apply_event(domain: ProblemDomain, event: DynamicEvent) -> ProblemDomain:
     return ProblemDomain(domain.iteration + 1, net, team, req, world)
 
 
-def _stack(nodes, shape: tuple[int, int]) -> np.ndarray:
-    return stack_allocations([node.allocation for node in nodes], shape)
+def _stack(nodes, batches, shape: tuple[int, int]) -> np.ndarray:
+    """The nodes' allocations, then each batch's members in order, as one
+    read-only (K, M, N) stack of ``shape`` matrices."""
+    keys = [node.allocation.key() for node in nodes]
+    for batch in batches:
+        keys += batch.keys
+    return stack_keys(keys, shape)
 
 
-def _rescore(state: SearchState, nodes) -> None:
-    """Set the nodes' apr in the current domain, from one ``apr_values`` call."""
+def _rescore(state: SearchState, nodes, batches) -> None:
+    """Set the nodes' and the batches' members' apr in the current domain,
+    from one ``apr_values`` call."""
     domain = state.domain
-    stack = _stack(nodes, (domain.n_tasks, domain.n_robots))
-    for node, apr in zip(nodes, apr_values(stack, domain.team, domain.requirements).tolist()):
+    stack = _stack(nodes, batches, (domain.n_tasks, domain.n_robots))
+    aprs = apr_values(stack, domain.team, domain.requirements).tolist()
+    for node, apr in zip(nodes, aprs):
         node.apr = apr
+    pos = len(nodes)
+    for batch in batches:
+        batch.aprs = aprs[pos : pos + len(batch.keys)]
+        pos += len(batch.keys)
 
 
-def _reshape(state: SearchState, nodes, stack: np.ndarray) -> None:
-    """Give each node the allocation of its slice of ``stack``; re-register all."""
+def _reshape(state: SearchState, nodes, batches, stack: np.ndarray) -> None:
+    """Give each node, then each batch member, its slice of ``stack`` (laid
+    out as ``_stack`` lays it out); re-register all."""
     state.nodes = {}
-    for node, alloc in zip(nodes, unstack_allocations(stack)):
+    for node, alloc in zip(nodes, unstack_allocations(stack[: len(nodes)])):
         node.allocation = alloc
         state.nodes[alloc.key()] = node
+    size = math.prod(stack.shape[1:])
+    buf = stack[len(nodes) :].tobytes()
+    pos = 0
+    for batch in batches:
+        batch.keys = [buf[i : i + size] for i in range(pos, pos + len(batch.keys) * size, size)]
+        pos += len(batch.keys) * size
+    state.pending_keys = {key for batch in batches for key in batch.keys}
 
 
 def _demote_frontier(state: SearchState, slack: float) -> None:
-    """Lower every node's floor by ``slack``, then demote the frontier.
+    """Lower every node's and batch's floor by ``slack``, then demote the
+    frontier.
 
     ``slack`` bounds how far any allocation's optimal makespan can have
     fallen (``math.inf`` when nothing is known, which zeroes every floor),
     so each floor stays sound. Closed and pruned nodes matter too: a revived
-    node, and every lazy child, hands its floor to the scheduler. No
+    node, and every pending child, hands its floor to the scheduler. No
     schedule is solved: the pop loop re-solves a node only if it reaches
     the top.
     """
     for node in state.nodes.values():
         node.floor = max(0.0, node.floor - slack)
+    for batch in state.settle():
+        batch.floor = max(0.0, batch.floor - slack)
     demote(state.open_nodes())
 
 
 def _rekey(state: SearchState, revived=()) -> None:
     """The step every handler ends in: bounds from the new domain and
-    roadmap, every open priority from its apr and floor, one heapify, then
-    the nodes the event revived solved and pushed."""
+    roadmap, every open node's and batch's priority from its apr and
+    floor, one heapify, then the nodes the event revived solved and
+    pushed."""
     refresh_bounds(state)
-    prioritize(state, state.open_nodes())
+    prioritize(state, state.open_nodes(), state.batches)
     state.rebuild_heap()
     for node in revived:
         requeue(state, node)
 
 
 def handle_agent_or_task_loss(state: SearchState, event: DynamicEvent, old_domain: ProblemDomain) -> None:
-    """Drop every node referencing the lost agent or task, reindex the rest.
+    """Drop every node and pending child referencing the lost agent or
+    task, reindex the rest.
 
     Survivors of an agent loss never assigned the agent, so their apr,
     schedules and floors hold. A task loss changes requirement mass and
     schedule indexing: every survivor is rescored, no sound shift of a
-    floor exists, and each closed node left viable is revived."""
+    floor exists, and each closed node left viable is revived. A child
+    uses whatever its parent uses, so a batch whose parent is dropped is
+    dropped whole."""
     agent_loss = event.kind == EventKind.AGENT_LOST
     idx = _index(old_domain, event.payload, "agent" if agent_loss else "task")
     axis = 1 if agent_loss else 0
 
     nodes = list(state.nodes.values())
-    stack = _stack(nodes, (old_domain.n_tasks, old_domain.n_robots))
+    batches = state.settle()
+    stack = _stack(nodes, batches, (old_domain.n_tasks, old_domain.n_robots))
     uses = stack.take(idx, axis=axis + 1).any(axis=1)
     survivors = []
     for node, used in zip(nodes, uses.tolist()):
@@ -294,13 +326,22 @@ def handle_agent_or_task_loss(state: SearchState, event: DynamicEvent, old_domai
             node.status = PRUNED  # detached; not re-registered below
         else:
             survivors.append(node)
-    _reshape(state, survivors, np.delete(stack[~uses], idx, axis=axis + 1))
+    kept = (~uses).tolist()
+    pos = len(nodes)
+    for batch in batches:
+        keep = kept[pos : pos + len(batch.keys)]
+        pos += len(batch.keys)
+        batch.keys = list(compress(batch.keys, keep))
+        batch.aprs = list(compress(batch.aprs, keep))
+        batch.seqs = list(compress(batch.seqs, keep))
+    state.batches = [batch for batch in batches if batch.keys]
+    _reshape(state, survivors, state.batches, np.delete(stack[~uses], idx, axis=axis + 1))
     if agent_loss:
         _rekey(state)
         return
 
     state.schedule_memo.clear()
-    _rescore(state, survivors)
+    _rescore(state, survivors, state.batches)
     _demote_frontier(state, math.inf)
     _rekey(state, [node for node in state.with_status(CLOSED) if node.apr <= APR_TOL])
 
@@ -314,7 +355,7 @@ def handle_row_change(state: SearchState, event: DynamicEvent) -> None:
     id_key, _, direction = ROW_CHANGES[event.kind]
     favorable = direction > 0 if id_key == "agent" else direction < 0
     stale = state.with_status(CLOSED) + state.with_status(PRUNED) if favorable else []
-    _rescore(state, state.open_nodes() + stale)
+    _rescore(state, state.open_nodes() + stale, state.settle())
     _rekey(state, [node for node in stale if node.apr <= APR_TOL])
 
 
@@ -345,10 +386,11 @@ def handle_new_agent(state: SearchState, event: DynamicEvent) -> None:
     since may have read them, the floors are zeroed and the frontier
     demoted. The root's children are seeded after the re-key."""
     nodes = list(state.nodes.values())
+    batches = state.settle()
     n_tasks = state.domain.n_tasks
-    stack = _stack(nodes, (n_tasks, state.domain.n_robots - 1))
-    zeros = np.zeros((len(nodes), n_tasks, 1), dtype=np.int8)
-    _reshape(state, nodes, np.concatenate([stack, zeros], axis=2))
+    stack = _stack(nodes, batches, (n_tasks, state.domain.n_robots - 1))
+    zeros = np.zeros((len(stack), n_tasks, 1), dtype=np.int8)
+    _reshape(state, nodes, batches, np.concatenate([stack, zeros], axis=2))
     # the root's allocation is all zeros, so no loss has deleted it
     root = next(node for node in nodes if node.parent is None)
 
@@ -359,8 +401,8 @@ def handle_new_agent(state: SearchState, event: DynamicEvent) -> None:
         _demote_frontier(state, math.inf)
     _rekey(state)
 
-    new_col = state.domain.n_robots - 1
-    add_children(state, root.allocation, root, [(m, new_col) for m in range(n_tasks)])
+    n_robots = state.domain.n_robots  # the new robot's cells: the last column
+    add_children(state, root, range(n_robots - 1, n_tasks * n_robots, n_robots))
 
 
 def decompose_mixed(domain: ProblemDomain, event: DynamicEvent) -> list[DynamicEvent]:

@@ -46,6 +46,8 @@ class EventRecord:
     nodes_touched: int
     planner_calls: int
     scheduler_calls: int
+    bnb_nodes: int
+    relaxations: int
 
 
 # the fields, in declaration order, are the results.csv columns
@@ -94,6 +96,8 @@ def _record(idx: int, kind: str, mode: str, ms: float, result: SearchResult) -> 
         nodes_touched=state.stats.nodes_touched,
         planner_calls=state.plan_cache.planner_calls,
         scheduler_calls=state.stats.scheduler_calls,
+        bnb_nodes=state.stats.bnb_nodes,
+        relaxations=state.stats.relaxations,
     )
 
 

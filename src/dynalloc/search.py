@@ -4,19 +4,22 @@ Nodes are allocation matrices; each edge adds one robot-task assignment.
 Priority is a convex mix of two normalized scores: the unmet-requirement
 fraction (apr) and the schedule quality relative to analytic makespan
 bounds (nsq). ``prioritize`` is the only code that writes nsq and the
-priority, and every node transition (lazy, exact, open, demoted) lives
-here. Every schedule is solved against roadmap travel times; the underlying
-plans are computed on demand and memoized in a shared cache, so repeated
-trips cost one shortest-path query across the whole search and an accepted
-solution's schedule is always backed by real plans; the state's price memo
-keeps each coalition's arrival and transition time, so assembling a
-problem plans no trip twice.
+priority, and every node transition (pending, lazy, exact, open, demoted)
+lives here. An expansion's children are not nodes yet: they are kept as
+one ``PendingBatch`` (keys, aprs and reserved seqs, one shared floor) with
+one heap entry for its best member, and a child becomes an
+``AllocationNode`` only when a pop reaches it (partial expansion:
+Yoshizumi, Miura & Ishida, AAAI 2000). Every schedule is solved against
+roadmap travel times; the underlying plans are computed on demand and
+memoized in a shared cache, so repeated trips cost one shortest-path query
+across the whole search and an accepted solution's schedule is always
+backed by real plans; the state's price memo keeps each coalition's
+arrival and transition time, so assembling a problem plans no trip twice.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -30,7 +33,7 @@ from .domain import (
     DimensionMismatchError,
     ProblemDomain,
     TeamTraitMatrix,
-    stack_allocations,
+    stack_keys,
 )
 from .motion import MotionPlan, PlanCache, Roadmap
 from .scheduler import (
@@ -128,6 +131,33 @@ class AllocationNode:
         return self.allocation.count
 
 
+@dataclass(eq=False)
+class PendingBatch:
+    """The children of one expansion that no pop has reached yet.
+
+    Members are kept as parallel lists (key, apr, reserved seq), in pop
+    order, by (tetaq, seq), from ``next`` on; those before ``next`` have
+    been built as nodes. All share the parent (the hint of their solves),
+    its assignment count plus one, and one floor, so one nsq; like a lazy
+    node's, the floor is sound and repair lowers it. ``prioritize`` alone
+    writes nsq and tetaq, and sorts the members; repair surgery works on
+    batches ``SearchState.settle`` rebuilt, which have no scores until the
+    re-key that follows it.
+    """
+
+    parent: AllocationNode
+    assignments: int
+    floor: float
+    keys: list[bytes]
+    aprs: list[float]
+    seqs: list[int]
+    nsq: float = math.nan
+    tetaq: list[float] = field(default_factory=list)
+    next: int = 0
+    status: str = OPEN  # CLOSED once its last member is built, as a node's
+    version: int = 0  # bumped on every push; stale heap entries skipped
+
+
 @dataclass
 class Solution:
     allocation: Allocation
@@ -151,7 +181,13 @@ class SearchStats:
 
 @dataclass
 class SearchState:
-    """Everything the search owns, retained afterwards for targeted repair."""
+    """Everything the search owns, retained afterwards for targeted repair.
+
+    ``nodes`` holds every allocation built as a node; the children no pop
+    has reached are in ``batches`` (each with a pending member: a batch
+    leaves once its last member is built), and ``pending_keys`` holds
+    their keys, so deduplication sees the whole graph.
+    """
 
     domain: ProblemDomain
     alpha: float
@@ -162,13 +198,15 @@ class SearchState:
     prm_k: int = 8
     open_heap: list = field(default_factory=list)
     nodes: dict[bytes, AllocationNode] = field(default_factory=dict)
+    batches: list[PendingBatch] = field(default_factory=list)
+    pending_keys: set[bytes] = field(default_factory=set)
     schedule_memo: dict = field(default_factory=dict)
     # assembly's constants and trip prices for the current domain and
     # roadmap; see ``_price_memo``
     price_memo: PriceMemo | None = None
     stats: SearchStats = field(default_factory=SearchStats)
     repair_reads: int = 0  # bumped whenever repair reuses this state
-    _seq: itertools.count = field(default_factory=itertools.count)
+    next_seq: int = 0  # the seq the next registered child takes
 
     def with_status(self, status: str) -> list[AllocationNode]:
         return [n for n in self.nodes.values() if n.status == status]
@@ -176,14 +214,33 @@ class SearchState:
     def open_nodes(self):
         return self.with_status(OPEN)
 
-    @staticmethod
-    def _entry(node: AllocationNode) -> tuple:
-        """A fresh heap entry for the node; its older entries go stale."""
-        node.version += 1
-        return (node.tetaq, node.assignments, node.seq, node.version, node)
+    def settle(self) -> list[PendingBatch]:
+        """Rebuild each batch from its pending members.
 
-    def push(self, node: AllocationNode) -> None:
-        heapq.heappush(self.open_heap, self._entry(node))
+        The rebuilt batches have no scores: the caller is repair surgery,
+        whose re-key ``prioritize``s them and rebuilds the heap.
+        """
+        self.batches = [
+            PendingBatch(
+                b.parent, b.assignments, b.floor,
+                b.keys[b.next :], b.aprs[b.next :], b.seqs[b.next :],
+            )
+            for b in self.batches
+        ]
+        return self.batches
+
+    @staticmethod
+    def _entry(item: AllocationNode | PendingBatch) -> tuple:
+        """A fresh heap entry for a node or a batch's head member; the
+        item's older entries go stale."""
+        item.version += 1
+        if isinstance(item, PendingBatch):
+            i = item.next
+            return (item.tetaq[i], item.assignments, item.seqs[i], item.version, item)
+        return (item.tetaq, item.assignments, item.seq, item.version, item)
+
+    def push(self, item: AllocationNode | PendingBatch) -> None:
+        heapq.heappush(self.open_heap, self._entry(item))
 
     def _live_top(self) -> tuple | None:
         """Drop stale entries off the heap top; the first live entry, if any."""
@@ -195,9 +252,20 @@ class SearchState:
         return None
 
     def pop(self) -> AllocationNode | None:
-        if self._live_top() is None:
+        """The best open node; a batch's head is built as a node first,
+        and the batch re-keyed by its next head."""
+        entry = self._live_top()
+        if entry is None:
             return None
-        return heapq.heappop(self.open_heap)[4]
+        item = entry[4]
+        if not isinstance(item, PendingBatch):
+            return heapq.heappop(self.open_heap)[4]
+        node = take_head(self, item)
+        if item.status == OPEN:
+            heapq.heapreplace(self.open_heap, self._entry(item))
+        else:
+            heapq.heappop(self.open_heap)
+        return node
 
     def best_priority(self) -> float:
         """Lowest tetaq on the frontier; inf when it is empty."""
@@ -205,12 +273,13 @@ class SearchState:
         return math.inf if entry is None else entry[0]
 
     def rebuild_heap(self) -> None:
-        """Re-key every open node after bulk priority updates.
+        """Re-key every open node and batch after bulk priority updates.
 
         One ``heapify`` over the fresh entries. ``seq`` is unique, so the
         entries are totally ordered and pop in the order pushes would give.
         """
-        self.open_heap = [self._entry(node) for node in self.open_nodes()]
+        items = self.open_nodes() + self.batches
+        self.open_heap = [self._entry(item) for item in items]
         heapq.heapify(self.open_heap)
 
 
@@ -232,11 +301,12 @@ def new_state(
         roadmap=roadmap,
         plan_cache=PlanCache(),
         prm_k=prm_k,
+        next_seq=1,  # the root takes seq 0
     )
     refresh_bounds(state)
     root_alloc = Allocation(np.zeros((domain.n_tasks, domain.n_robots), dtype=np.int8))
     apr = apr_value(root_alloc, domain.team, domain.requirements)
-    requeue(state, make_node(state, root_alloc, None, apr))
+    requeue(state, make_node(state, root_alloc, None, apr, 0.0, 0))
     return state
 
 
@@ -293,37 +363,76 @@ def _price_memo(state: SearchState) -> PriceMemo:
     return memo
 
 
-def prioritize(state: SearchState, nodes) -> None:
-    """Write each node's nsq and tetaq from its apr and floor.
+def prioritize(state: SearchState, nodes, batches=()) -> None:
+    """Write each node's and each batch's nsq and tetaq from apr and floor.
 
     nsq is the floor normalized between the state's makespan bounds and
     clamped to [0, 1] (0 when the bounds meet); tetaq mixes apr and nsq by
     alpha. An exact node's floor is its makespan, any other's a lower bound
-    on it, so a lazy priority never exceeds the exact one. The only writer
-    of nsq and tetaq; re-keying the heap is left to the caller.
+    on it, so a lazy priority never exceeds the exact one. A batch's
+    members share one floor, hence one nsq; their tetaqs are the same
+    formula taken elementwise, so each equals what a node of that apr and
+    floor would get, and the members are sorted by (tetaq, seq), the order
+    in which the heap would pop them as nodes; each batch must have a
+    pending member. The only writer of nsq and tetaq; re-keying the heap is
+    left to the caller.
     """
     lb, ub, alpha = state.lb, state.ub, state.alpha
     for node in nodes:
         nsq = 0.0 if ub <= lb else min(1.0, max(0.0, (node.floor - lb) / (ub - lb)))
         node.nsq = nsq
         node.tetaq = alpha * node.apr + (1.0 - alpha) * nsq
+    for batch in batches:
+        lo = batch.next
+        nsq = 0.0 if ub <= lb else min(1.0, max(0.0, (batch.floor - lb) / (ub - lb)))
+        mix = (1.0 - alpha) * nsq
+        aprs = batch.aprs[lo:]
+        tetaq = [alpha * apr + mix for apr in aprs]
+        members = sorted(zip(tetaq, batch.seqs[lo:], batch.keys[lo:], aprs))
+        batch.tetaq, batch.seqs, batch.keys, batch.aprs = map(list, zip(*members))
+        batch.nsq = nsq
+        batch.next = 0
 
 
 def make_node(
-    state: SearchState, alloc: Allocation, parent: AllocationNode | None, apr: float
+    state: SearchState,
+    alloc: Allocation,
+    parent: AllocationNode | None,
+    apr: float,
+    floor: float,
+    seq: int,
 ) -> AllocationNode:
-    """Register an allocation as a lazy, unscored node.
+    """Register an allocation as a lazy, unscored node: the only place
+    an ``AllocationNode`` is built.
 
-    ``apr`` is the allocation's ``apr_values`` score, which callers take in
-    one call for a batch of new nodes. A child's feasible region is a
-    subset of its parent's, so it starts from the parent's floor, a sound
-    bound on its makespan; the caller ``prioritize``s the batch, and
-    ``materialize`` solves a child once it reaches the top of the frontier.
+    ``apr`` is the allocation's ``apr_values`` score and ``floor`` a sound
+    bound on its makespan (the root's is 0); a child takes both, and the
+    seq reserved for it, from its batch when a pop reaches it. The caller
+    ``prioritize``s the node, and ``materialize`` solves it.
     """
-    floor = parent.floor if parent is not None else 0.0
-    node = AllocationNode(alloc, parent, None, apr, OPEN, next(state._seq), floor)
+    node = AllocationNode(alloc, parent, None, apr, OPEN, seq, floor)
     state.nodes[alloc.key()] = node
     return node
+
+
+def take_head(state: SearchState, batch: PendingBatch) -> AllocationNode:
+    """Build a batch's head member as a lazy node; the next member becomes
+    the head, and a spent batch leaves the state.
+
+    The node gets the member's apr, reserved seq and the batch's floor, so
+    it is the lazy child an eager expansion would have registered; the
+    caller ``requeue``s it, which scores it, and re-keys the batch.
+    """
+    i = batch.next
+    batch.next += 1
+    if batch.next == len(batch.keys):
+        batch.status = CLOSED
+        state.batches.remove(batch)
+    key = batch.keys[i]
+    state.pending_keys.discard(key)
+    parent = batch.parent
+    alloc = Allocation._trusted(key, parent.allocation.entries.shape, batch.assignments)
+    return make_node(state, alloc, parent, batch.aprs[i], batch.floor, batch.seqs[i])
 
 
 def materialize(state: SearchState, node: AllocationNode) -> bool:
@@ -369,43 +478,49 @@ def demote(nodes) -> None:
 
 
 def add_children(
-    state: SearchState,
-    base: Allocation,
-    parent: AllocationNode,
-    cells,
-) -> list[AllocationNode]:
-    """Register ``base`` plus one assignment at each new cell, as nodes.
+    state: SearchState, parent: AllocationNode, cells
+) -> PendingBatch | None:
+    """Register the parent's allocation plus one assignment at each new
+    cell (a flat, row-major index) as one pending batch; None when no
+    child is new.
 
-    A cell already assigned in ``base``, or whose child is already in the
-    graph, is skipped: its key is looked up before the child is built, so a
-    duplicate costs one ``bytes`` lookup and no numpy work. The new children
-    are scored in one ``apr_values`` and one ``prioritize`` call, then pushed.
+    A cell already assigned, or whose child is already in the graph (a
+    node or a pending member), is skipped by a ``bytes`` lookup; no
+    allocation is built. The new children are scored in one ``apr_values``
+    call, take consecutive seqs in cell order and the parent's floor, and
+    the batch is ``prioritize``d and pushed once.
     """
-    key, cols = base.key(), base.entries.shape[1]
-    allocs = [
-        base.with_assignment(m, n)
-        for m, n in cells
-        if not key[m * cols + n] and base.child_key(m, n) not in state.nodes
+    base = parent.allocation
+    nodes, pending = state.nodes, state.pending_keys
+    keys = [
+        child
+        for child in base.child_keys(cells)
+        if child not in nodes and child not in pending
     ]
-    if not allocs:  # common at desk scale: no numpy call for an empty batch
-        return []
-    stack = stack_allocations(allocs, base.entries.shape)
+    if not keys:  # common at desk scale: no numpy call for an empty batch
+        return None
+    stack = stack_keys(keys, base.entries.shape)
     aprs = apr_values(stack, state.domain.team, state.domain.requirements).tolist()
-    children = [make_node(state, alloc, parent, apr) for alloc, apr in zip(allocs, aprs)]
-    prioritize(state, children)
-    for child in children:
-        state.push(child)
-    return children
+    seq = state.next_seq
+    state.next_seq += len(keys)
+    batch = PendingBatch(
+        parent, base.count + 1, parent.floor, keys, aprs, list(range(seq, state.next_seq))
+    )
+    pending.update(keys)
+    state.batches.append(batch)
+    prioritize(state, (), [batch])
+    state.push(batch)
+    return batch
 
 
-def expand(state: SearchState, node: AllocationNode) -> list[AllocationNode]:
-    """Generate all one-assignment children; dedup against the whole graph."""
+def expand(state: SearchState, node: AllocationNode) -> PendingBatch | None:
+    """Register every new one-assignment child as one pending batch and
+    close the node; dedup is against the whole graph. None when no child
+    is new."""
     state.stats.expansions += 1
-    rows, cols = node.allocation.entries.shape
-    cells = [(m, n) for m in range(rows) for n in range(cols)]
-    children = add_children(state, node.allocation, node, cells)
+    batch = add_children(state, node, range(node.allocation.entries.size))
     node.status = CLOSED
-    return children
+    return batch
 
 
 def required_transitions(
@@ -457,6 +572,7 @@ class SearchResult:
 
 def min_open_apr(state: SearchState) -> float:
     values = [n.apr for n in state.nodes.values() if n.status == OPEN]
+    values += [min(b.aprs[b.next :]) for b in state.batches]
     return min(values, default=1.0)
 
 

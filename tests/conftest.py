@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from dynalloc.domain import (
+    Allocation,
     DesiredTraitMatrix,
     ProblemDomain,
     TaskNetwork,
@@ -15,7 +18,7 @@ from dynalloc.domain import (
 )
 from dynalloc.generator import generate_problem
 from dynalloc.geometry import Circle
-from dynalloc.search import OPEN, apr_value
+from dynalloc.search import OPEN, PendingBatch, SearchState, apr_value
 
 
 def build_domain(
@@ -59,48 +62,97 @@ def build_domain(
     )
 
 
+def pending_members(state):
+    """(batch, position, key, apr, seq) of every member no pop has reached."""
+    for batch in state.batches:
+        for i in range(batch.next, len(batch.keys)):
+            yield batch, i, batch.keys[i], batch.aprs[i], batch.seqs[i]
+
+
+def member_allocation(batch, key):
+    """A pending member's allocation, built and validated from its key."""
+    shape = batch.parent.allocation.entries.shape
+    return Allocation(np.frombuffer(key, dtype=np.int8).reshape(shape))
+
+
+def graph_size(state):
+    """Nodes built plus children pending: the number of nodes the graph
+    would hold if every child were registered as a node."""
+    return len(state.nodes) + sum(len(b.keys) - b.next for b in state.batches)
+
+
 def heap_violations(state):
     """Breaches of the frontier invariant that peeking the heap relies on.
 
-    An entry is live when ``pop`` would return it: its version is the node's
-    and the node is OPEN. Every OPEN node of the graph must have exactly one
-    live entry, keyed by its current tetaq, and no other node may have one.
+    An entry is current when its version is its item's, and live when it
+    is current and its item OPEN (a node on the frontier, or a batch with a
+    pending member): ``pop`` would return it. Every OPEN node of the graph
+    and every batch with a pending member must have exactly one live entry,
+    keyed by its current (tetaq, assignments, seq), the batch's by its
+    head member's; a spent batch must have no current entry, and no other
+    item a live one. The pending keys must be exactly the pending members'
+    keys, none of them a node's.
     """
     live = {}
     problems = []
-    for tetaq, _, _, version, node in state.open_heap:
-        if node.status == OPEN and node.version == version:
-            live[id(node)] = live.get(id(node), 0) + 1
-            if tetaq != node.tetaq:
-                problems.append(f"node {node.seq} keyed {tetaq}, tetaq {node.tetaq}")
+    for tetaq, assignments, seq, version, item in state.open_heap:
+        if item.version != version:
+            continue
+        if isinstance(item, PendingBatch):
+            if item.status != OPEN:
+                problems.append(f"spent batch of seq {item.seqs[-1]} has a current entry")
+                continue
+            want = (item.tetaq[item.next], item.assignments, item.seqs[item.next])
+        elif item.status == OPEN:
+            want = (item.tetaq, item.assignments, item.seq)
+        else:
+            continue
+        live[id(item)] = live.get(id(item), 0) + 1
+        if (tetaq, assignments, seq) != want:
+            problems.append(f"item of seq {want[2]} keyed {(tetaq, assignments, seq)}, not {want}")
     frontier = {id(n): n for n in state.nodes.values() if n.status == OPEN}
-    for key, node in frontier.items():
+    frontier.update((id(b), b) for b in state.batches)
+    if any(b.status != OPEN for b in state.batches):
+        problems.append("a spent batch is still in the state")
+    for key, item in frontier.items():
         if live.get(key, 0) != 1:
-            problems.append(f"open node {node.seq} has {live.get(key, 0)} live entries")
+            label = item.seqs[item.next] if isinstance(item, PendingBatch) else item.seq
+            problems.append(f"open item of seq {label} has {live.get(key, 0)} live entries")
     problems.extend(
-        f"live entry for a node outside the frontier ({count})"
+        f"live entry for an item outside the frontier ({count})"
         for key, count in live.items()
         if key not in frontier
     )
+    keys = [key for _, _, key, _, _ in pending_members(state)]
+    if len(set(keys)) != len(keys) or set(keys) != state.pending_keys:
+        problems.append("pending keys are not the pending members' keys")
+    if state.pending_keys & state.nodes.keys():
+        problems.append("a pending key is also a node's")
     return problems
 
 
 def score_violations(state):
-    """OPEN nodes whose scores are not current, compared with ``==``.
+    """OPEN nodes and pending members whose scores are not current,
+    compared with ``==``.
 
     Each OPEN node's apr must be its allocation's ``apr_value`` on the
     state's domain, its nsq and tetaq the priority formula on (apr, floor,
     lb, ub, alpha), and an exact node's floor its schedule's makespan. This
     is the rule that lets the search materialize a node without re-deriving
-    its apr.
+    its apr. A pending member is held to the same rule, with its batch's
+    floor and nsq, and each batch's members must be in (tetaq, seq) order.
     """
     domain, lb, ub, alpha = state.domain, state.lb, state.ub, state.alpha
+
+    def nsq_of(floor):
+        return 0.0 if ub <= lb else min(1.0, max(0.0, (floor - lb) / (ub - lb)))
+
     problems = []
     for node in state.nodes.values():
         if node.status != OPEN:
             continue
         apr = apr_value(node.allocation, domain.team, domain.requirements)
-        nsq = 0.0 if ub <= lb else min(1.0, max(0.0, (node.floor - lb) / (ub - lb)))
+        nsq = nsq_of(node.floor)
         expected = {"apr": apr, "nsq": nsq, "tetaq": alpha * node.apr + (1.0 - alpha) * nsq}
         if node.exact:
             expected["floor"] = node.schedule.makespan
@@ -109,7 +161,44 @@ def score_violations(state):
             for name, value in expected.items()
             if getattr(node, name) != value
         )
+    for batch, i, key, apr, seq in pending_members(state):
+        nsq = nsq_of(batch.floor)
+        got = (apr, batch.nsq, batch.tetaq[i])
+        want = (
+            apr_value(member_allocation(batch, key), domain.team, domain.requirements),
+            nsq,
+            alpha * apr + (1.0 - alpha) * nsq,
+        )
+        if got != want:
+            problems.append(f"pending {seq}: (apr, nsq, tetaq) {got!r}, expected {want!r}")
+    for batch in state.batches:
+        order = list(zip(batch.tetaq, batch.seqs))[batch.next :]
+        if order != sorted(order):
+            problems.append(f"batch of parent {batch.parent.seq} is not in (tetaq, seq) order")
     return problems
+
+
+def lazy_pops(run):
+    """``run()``'s result, and (count, digest) of the seq and key of every
+    lazy node a pop returned, in pop order: the order in which the search
+    built and solved nodes."""
+    digest = hashlib.sha256()
+    count = 0
+    real = SearchState.pop
+
+    def pop(state):
+        nonlocal count
+        node = real(state)
+        if node is not None and not node.exact:
+            count += 1
+            key = node.allocation.key()
+            digest.update(node.seq.to_bytes(8, "little") + len(key).to_bytes(4, "little") + key)
+        return node
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(SearchState, "pop", pop)
+        result = run()
+    return result, (count, digest.hexdigest()[:16])
 
 
 @pytest.fixture

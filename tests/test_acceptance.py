@@ -35,6 +35,7 @@ from dynalloc.scheduler import solve_schedule
 from dynalloc.search import apr_value, search
 from dynalloc.validation import plan_collision_samples, solution_violations
 
+from conftest import pending_members
 from test_scheduler import oracle_min_makespan, random_problem
 
 MK_TOL = 1e-9
@@ -331,6 +332,8 @@ def test_criterion_4_score_monotonicity():
         states += [state for _, _, _, state, _ in resource_runs()]
         checked = 0
         for state in states:
+            for batch, _, _, apr, _ in pending_members(state):
+                assert apr <= batch.parent.apr + 1e-12
             for node in state.nodes.values():
                 if node.parent is None:
                     continue

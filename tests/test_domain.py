@@ -125,7 +125,8 @@ class TestAllocation:
     @given(st.data())
     def test_derived_children_match_fresh_construction(self, data):
         """A chain of ``with_assignment`` calls carries the same key, count and
-        apr as the same matrix validated from scratch, compared exactly."""
+        apr as the same matrix validated from scratch, compared exactly, and
+        ``child_keys`` gives each free cell's ``child_key`` along it."""
         n_tasks = data.draw(st.integers(1, 4))
         n_robots = data.draw(st.integers(1, 4))
         n_traits = data.draw(st.integers(1, 3))
@@ -135,6 +136,10 @@ class TestAllocation:
         child = Allocation(np.zeros((n_tasks, n_robots), dtype=np.int8))
         for task, robot in data.draw(st.lists(cells, max_size=2 * n_tasks * n_robots)):
             expected_key = child.child_key(task, robot)
+            free = np.flatnonzero(child.entries == 0).tolist()
+            assert child.child_keys(range(child.entries.size)) == [
+                child.child_key(*divmod(i, n_robots)) for i in free
+            ]
             child = child.with_assignment(task, robot)
             fresh = Allocation(np.array(child.entries))
             assert child.key() == expected_key == fresh.key()

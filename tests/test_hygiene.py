@@ -96,9 +96,23 @@ def private_reads(source: str) -> list[str]:
     return [f"line {line}: {name}" for line, name in sorted(found)]
 
 
+SCORES = ("nsq", "tetaq")
+# methods that change a list or an array in place
+MUTATORS = {
+    "append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse",
+    "fill", "put", "__setitem__", "__delitem__",
+}
+
+
 def score_writers(source: str) -> list[tuple[int, str | None]]:
-    """(line, enclosing function) of every store to an ``.nsq`` or ``.tetaq``."""
+    """(line, enclosing function) of every write to an ``.nsq`` or
+    ``.tetaq``: a store to the attribute (a node's score, or a batch's
+    whole list), a store into or a deletion from a subscript of it (one
+    member's score), or a call of a method that changes it in place."""
     found = []
+
+    def is_score(node) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr in SCORES
 
     def visit(node, function):
         for child in ast.iter_child_nodes(node):
@@ -106,9 +120,18 @@ def score_writers(source: str) -> list[tuple[int, str | None]]:
                 visit(child, child.name)
                 continue
             if (
-                isinstance(child, ast.Attribute)
-                and child.attr in ("nsq", "tetaq")
-                and isinstance(child.ctx, ast.Store)
+                (is_score(child) and isinstance(child.ctx, ast.Store))
+                or (
+                    isinstance(child, ast.Subscript)
+                    and isinstance(child.ctx, (ast.Store, ast.Del))
+                    and is_score(child.value)
+                )
+                or (
+                    isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Attribute)
+                    and child.func.attr in MUTATORS
+                    and is_score(child.func.value)
+                )
             ):
                 found.append((child.lineno, function))
             visit(child, function)
@@ -151,9 +174,16 @@ def test_the_scan_sees_a_score_write():
         "def demote(node):\n"
         "    node.tetaq += 1.0\n"
         "    return node.nsq\n"
+        "def take(batch, i):\n"
+        "    batch.tetaq[i] = 0.0\n"
+        "    batch.tetaq[i:] += 1.0\n"
+        "    del batch.tetaq[0]\n"
+        "    batch.tetaq.pop(), batch.tetaq.sort(), batch.tetaq.index(0.0)\n"
+        "    return batch.tetaq[i], sorted(batch.tetaq), batch.keys.pop()\n"
     )
     assert score_writers(source) == [
-        (1, None), (4, "prioritize"), (4, "prioritize"), (6, "demote")
+        (1, None), (4, "prioritize"), (4, "prioritize"), (6, "demote"),
+        (9, "take"), (10, "take"), (11, "take"), (12, "take"), (12, "take"),
     ]
 
 
@@ -502,6 +532,29 @@ def test_the_scan_sees_a_construction():
         "    return SchedulingProblem, inner()\n"
     )
     assert constructions(source, "SchedulingProblem") == [(1, None), (4, "build")]
+
+
+def test_the_scan_sees_a_node_construction():
+    source = (
+        "from .search import AllocationNode\n"
+        "def make_node(state, alloc):\n"
+        "    return AllocationNode(alloc, None)\n"
+        "def take_head(state, batch):\n"
+        "    node = search.AllocationNode(batch.keys[0], batch.parent)\n"
+        "    return AllocationNode, isinstance(node, AllocationNode)\n"
+    )
+    assert constructions(source, "AllocationNode") == [(3, "make_node"), (5, "take_head")]
+
+
+def test_only_make_node_builds_nodes():
+    """Every node of the graph, the root and each child a pop takes from a
+    pending batch, is registered by ``search.make_node``."""
+    sites = {
+        (p.name, function)
+        for p in MODULES
+        for _, function in constructions(p.read_text(), "AllocationNode")
+    }
+    assert sites == {("search.py", "make_node")}
 
 
 def test_one_assembler_builds_scheduling_problems():

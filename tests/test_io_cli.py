@@ -21,6 +21,7 @@ from dynalloc.problem_io import (
     save_events,
 )
 from dynalloc.repair import DynamicEvent, EventError, EventKind, decompose_mixed
+from dynalloc.search import search
 from dynalloc.runner import TIMING_COLUMNS, ScenarioError, run_scenario, write_results
 
 
@@ -511,7 +512,19 @@ class TestCLI:
              "--out", str(out)]
         )
         assert rc == 0
-        assert (out / "results.csv").exists()
+        with open(out / "results.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert list(rows[0]) == [
+            "scenario", "event_index", "event_kind", "mode", "wall_time_ms", "makespan",
+            "resource_count", "nodes_touched", "planner_calls", "scheduler_calls",
+            "bnb_nodes", "relaxations",
+        ]
+        # the state's own scheduler counters, so a fresh search's on its initial solve
+        stats = search(domain, 0.25).state.stats
+        assert (rows[0]["bnb_nodes"], rows[0]["relaxations"]) == (
+            str(stats.bnb_nodes), str(stats.relaxations)
+        )
+        assert all(int(r["bnb_nodes"]) > 0 and int(r["relaxations"]) > 0 for r in rows)
         assert (out / "results.json").exists()
         assert (out / "summary.txt").exists()
 

@@ -40,7 +40,16 @@ from dynalloc.search import (
 from dynalloc.runner import ScenarioError, run_scenario
 from dynalloc.validation import solution_violations
 
-from conftest import build_domain, heap_violations, score_violations
+from test_acceptance import _bench_groups
+from conftest import (
+    build_domain,
+    graph_size,
+    heap_violations,
+    lazy_pops,
+    member_allocation,
+    pending_members,
+    score_violations,
+)
 
 ALL_KINDS = list(EventKind)
 ROW_KINDS = list(repair_mod.ROW_CHANGES)
@@ -290,6 +299,8 @@ class TestRepair:
         repaired = repair(result.state, result.solution, ev)
         for node in repaired.state.nodes.values():
             assert node.allocation.entries.shape[1] == domain.n_robots - 1
+        for batch, _, key, _, _ in pending_members(repaired.state):
+            assert member_allocation(batch, key).entries.shape[1] == domain.n_robots - 1
         if repaired.solution is not None:
             new_domain = apply_event(domain, ev)
             assert solution_violations(new_domain, repaired.solution, repaired.state) == []
@@ -342,6 +353,10 @@ class TestRepair:
         repaired = repair(result.state, result.solution, ev)
         for node in repaired.state.nodes.values():
             assert node.allocation.entries.shape[1] == domain.n_robots + 1
+        members = list(pending_members(repaired.state))
+        assert members
+        for batch, _, key, _, _ in members:
+            assert member_allocation(batch, key).entries.shape[1] == domain.n_robots + 1
 
     def test_repair_on_copied_state_matches_original(self):
         """Timing harnesses deepcopy the state; repair must accept the copy."""
@@ -411,24 +426,11 @@ class TestRepair:
         result = _solved(domain)
         state = result.state
         node = state.nodes[result.solution.allocation.key()]
-        before = (
-            node.status,
-            len(state.open_heap),
-            state.repair_reads,
-            state.domain,
-            dict(state.nodes),
-        )
-        assert before[0] == CLOSED
+        before = _untouched(state)
+        assert node.status == CLOSED
         with pytest.raises(DomainError):
             repair(state, result.solution, DynamicEvent(0.0, kind, payload))
-        after = (
-            node.status,
-            len(state.open_heap),
-            state.repair_reads,
-            state.domain,
-            dict(state.nodes),
-        )
-        assert after == before
+        assert _untouched(state) == before
 
     def test_solution_outside_the_graph_is_refused(self):
         # after r1 is lost the graph holds 4x2 allocations; the pre-loss
@@ -541,12 +543,14 @@ def _eager_demote_frontier(state, slack):
     """Reference: the eager rescore that lazy demotion replaced.
 
     Every floor is lowered by ``slack`` as the lazy path does; then every
-    exact open node is re-solved on the spot and every lazy one falls to
-    the trivial floor. The handler's re-key follows, as it does the lazy
-    demotion.
+    exact open node is re-solved on the spot and every lazy one, and every
+    pending child, falls to the trivial floor. The handler's re-key
+    follows, as it does the lazy demotion.
     """
     for node in state.nodes.values():
         node.floor = max(0.0, node.floor - slack)
+    for batch in state.settle():
+        batch.floor = 0.0
     for node in state.open_nodes():
         if node.exact:
             materialize(state, node)
@@ -654,12 +658,13 @@ class TestLazyFrontier:
         ev = generate_event(domain, kind, event_seed)
         repaired = repair(result.state, result.solution, ev)
         state = repaired.state
-        frontier = [n for n in state.nodes.values() if n.status == OPEN]
+        frontier = [(n.allocation, n.floor) for n in state.nodes.values() if n.status == OPEN]
+        frontier += [(member_allocation(b, key), b.floor) for b, _, key, _, _ in pending_members(state)]
         assert frontier
-        for node in frontier:
-            sched = evaluate(state, node.allocation)
+        for alloc, floor in frontier:
+            sched = evaluate(state, alloc)
             if sched is not None:
-                assert node.floor <= sched.makespan + 1e-9
+                assert floor <= sched.makespan + 1e-9
 
     @pytest.mark.parametrize("case", ["duration_up", "duration_down", "task_lost"])
     def test_every_floor_stays_below_the_optimum(self, case, solved_desks):
@@ -671,13 +676,18 @@ class TestLazyFrontier:
             state = repair(state, result.solution, ev).state
             travel = motion.plan_provider(state.domain, state.roadmap, state.plan_cache)
             statuses = set()
-            for node in state.nodes.values():
-                statuses.add(node.status)
-                problem = build_scheduling_problem(state.domain, node.allocation, travel)
+            floors = [(node.allocation, node.floor, node.status) for node in state.nodes.values()]
+            floors += [
+                (member_allocation(batch, key), batch.floor, "pending")
+                for batch, _, key, _, _ in pending_members(state)
+            ]
+            for alloc, floor, status in floors:
+                statuses.add(status)
+                problem = build_scheduling_problem(state.domain, alloc, travel)
                 sched = solve_schedule(problem)
                 if sched is not None:
-                    assert node.floor <= sched.makespan + 1e-9, (i, node.status)
-            assert {OPEN, CLOSED} <= statuses, i
+                    assert floor <= sched.makespan + 1e-9, (i, status)
+            assert {CLOSED, "pending"} <= statuses, i
 
     @pytest.mark.parametrize(
         "case", ["duration_up", "duration_down", "task_lost", "traits_then_duration"]
@@ -908,6 +918,11 @@ class TestReshaping:
         domain = generate_problem(0, 3, 4, 3)
         state = _solved(domain).state
         before = {id(n): (n, np.array(n.allocation.entries)) for n in state.nodes.values()}
+        pending = {
+            seq: member_allocation(batch, key).entries
+            for batch, _, key, _, seq in pending_members(state)
+        }
+        size = graph_size(state)
         idx = 1  # neither the first nor the last robot or task
         if case == "agent_lost":
             ev = DynamicEvent(1.0, EventKind.AGENT_LOST, {"agent": domain.team.robot_ids[idx]})
@@ -921,19 +936,24 @@ class TestReshaping:
         else:
             repair_mod.handle_agent_or_task_loss(state, ev, domain)
 
+        def rebuilt(old):
+            """The validated rebuild of ``old``; None when the event drops it."""
+            if case == "new_agent":
+                column = np.zeros((old.shape[0], 1), dtype=np.int8)
+                return Allocation(np.hstack([old, column]))
+            axis = 1 if case == "agent_lost" else 0
+            if old.take(idx, axis=axis).any():
+                return None
+            return Allocation(np.delete(old, idx, axis=axis))
+
         after = {id(n): n for n in state.nodes.values()}
         deleted = 0
         for key, (node, old) in before.items():
-            if case == "new_agent":
-                column = np.zeros((old.shape[0], 1), dtype=np.int8)
-                expected = Allocation(np.hstack([old, column]))
-            else:
-                axis = 1 if case == "agent_lost" else 0
-                if old.take(idx, axis=axis).any():
-                    assert key not in after
-                    deleted += 1
-                    continue
-                expected = Allocation(np.delete(old, idx, axis=axis))
+            expected = rebuilt(old)
+            if expected is None:
+                assert key not in after
+                deleted += 1
+                continue
             got = after[key].allocation
             assert got.key() == expected.key()
             assert got.count == expected.count
@@ -941,31 +961,52 @@ class TestReshaping:
             assert np.array_equal(got.entries, expected.entries)
             assert not got.entries.flags.writeable
             assert state.nodes[expected.key()] is node
+        members = {seq: (batch, key) for batch, _, key, _, seq in pending_members(state)}
+        for seq, old in pending.items():
+            expected = rebuilt(old)
+            if expected is None:
+                assert seq not in members
+                deleted += 1
+                continue
+            batch, key = members.pop(seq)
+            assert key == expected.key()
+            assert batch.assignments == expected.count
+        new_members = len(members)  # the new agent's root children
         assert (deleted > 0) == (case != "new_agent")
-        assert len(after) == len(before) - deleted + (
-            new.n_tasks if case == "new_agent" else 0
-        )
+        assert new_members == (new.n_tasks if case == "new_agent" else 0)
+        assert graph_size(state) == size - deleted + new_members
         if case != "agent_lost":  # task loss and new agent rescore or score apr
             for node in state.nodes.values():
                 assert node.apr == apr_value(node.allocation, new.team, new.requirements)
+            for batch, _, key, apr, _ in pending_members(state):
+                alloc = member_allocation(batch, key)
+                assert apr == apr_value(alloc, new.team, new.requirements)
         assert heap_violations(state) == []
 
     def test_rebuild_heap_pops_as_pushes_would(self):
-        state = _solved(generate_problem(0, 3, 4, 3)).state
+        """Over open nodes and pending children alike: a batch pops its
+        members in (tetaq, seq) order, each where a node of its key would."""
+        state = _solved(generate_problem(0, 3, 4, 3), alpha=0.0).state
         frontier = state.open_nodes()
         for node in frontier:
             node.tetaq = round(node.tetaq, 1)  # ties, broken by assignments then seq
         assert len({n.tetaq for n in frontier}) < len(frontier)
         assert len({(n.tetaq, n.assignments) for n in frontier}) < len(frontier)
+        ranked = sorted(
+            [(n.tetaq, n.assignments, n.seq) for n in frontier]
+            + [(b.tetaq[i], b.assignments, seq) for b, i, _, _, seq in pending_members(state)]
+        )
+        assert len(ranked) > len(frontier)
+        copied = copy.deepcopy(state)
         state.rebuild_heap()
         assert heap_violations(state) == []
         rebuilt = [n.seq for n in iter(state.pop, None)]
-        state.open_heap = []
-        for node in reversed(frontier):
-            state.push(node)
-        pushed = [n.seq for n in iter(state.pop, None)]
-        ranked = sorted(frontier, key=lambda n: (n.tetaq, n.assignments, n.seq))
-        assert rebuilt == pushed == [n.seq for n in ranked]
+        copied.open_heap = []
+        items = copied.open_nodes() + [b for b in copied.batches if b.status == OPEN]
+        for item in reversed(items):
+            copied.push(item)
+        pushed = [n.seq for n in iter(copied.pop, None)]
+        assert rebuilt == pushed == [seq for _, _, seq in ranked]
 
 
 def _memo_mismatches(state, reference: motion.PlanCache) -> list[int]:
@@ -974,11 +1015,13 @@ def _memo_mismatches(state, reference: motion.PlanCache) -> list[int]:
     travel = motion.plan_provider(state.domain, state.roadmap, state.plan_cache)
     memo = search_mod._price_memo(state)
     alone = motion.plan_provider(state.domain, state.roadmap, reference)
+    allocs = [(node.seq, node.allocation) for node in state.nodes.values()]
+    allocs += [(seq, member_allocation(b, key)) for b, _, key, _, seq in pending_members(state)]
     return [
-        node.seq
-        for node in state.nodes.values()
-        if build_scheduling_problem(state.domain, node.allocation, travel, memo).key()
-        != build_scheduling_problem(state.domain, node.allocation, alone).key()
+        seq
+        for seq, alloc in allocs
+        if build_scheduling_problem(state.domain, alloc, travel, memo).key()
+        != build_scheduling_problem(state.domain, alloc, alone).key()
     ]
 
 
@@ -1070,3 +1113,91 @@ class TestPriceMemo:
             after = _memo_snapshot(state)
             assert after[1] is before[1]
             assert (after[0], after[2], after[3]) == (before[0], before[2], before[3])
+
+
+def _untouched(state) -> str:
+    """What a refused event, or a repair of a copy, must leave as it was:
+    every node, pending batch and heap entry, and the state's counters, by
+    value and by identity."""
+    nodes = {
+        key: (
+            id(n), n.status, n.apr, n.floor, n.nsq, n.tetaq, n.version, n.seq,
+            id(n.schedule), id(n.parent), n.allocation.key(),
+        )
+        for key, n in state.nodes.items()
+    }
+    batches = [
+        (id(b), id(b.parent), b.keys, b.aprs, b.seqs, b.tetaq, b.nsq, b.floor, b.next, b.version)
+        for b in state.batches
+    ]
+    heap = [(*entry[:4], id(entry[4])) for entry in state.open_heap]
+    cache = state.plan_cache
+    counters = (
+        dataclasses.astuple(state.stats), state.next_seq, state.repair_reads,
+        cache.planner_calls, cache.hits, len(cache.entries), len(state.schedule_memo),
+        sorted(state.pending_keys), id(state.domain), id(state.roadmap), state.lb, state.ub,
+    )
+    return repr((nodes, batches, heap, counters))
+
+
+GROUPS = [k.value for k in EventKind] + ["mixed", "multi"]
+# (count, digest) of the lazy pops of each group's repair chain on bench seed
+# 500, measured when every child was registered as a node at its parent's
+# expansion; several groups end on the fast path, with no lazy pop
+GROUP_POPS = {
+    "agent_lost": (32, "f94a9a67ce859a54"),
+    "task_lost": (18, "4c0069e960c18d4a"),
+    "traits_reduced": (9, "4ba795f3091f96bc"),
+    "requirements_increased": (3, "356a04baee1ad2ac"),
+    "traits_increased": (0, "e3b0c44298fc1c14"),
+    "requirements_reduced": (0, "e3b0c44298fc1c14"),
+    "duration_changed": (0, "e3b0c44298fc1c14"),
+    "new_agent": (0, "e3b0c44298fc1c14"),
+    "mixed": (5, "5701ee68ba390451"),
+    "multi": (9, "4ba795f3091f96bc"),
+}
+
+
+def _repair_chain(state, solution, events):
+    for ev in events:
+        out = repair(state, solution, ev)
+        state, solution = out.state, out.solution
+    return out
+
+
+@pytest.mark.parametrize("group", GROUPS)
+class TestBenchRepairChains:
+    """Each repair group of the acceptance suite on bench seed 500, from a
+    deep copy of the solved state."""
+
+    def test_pop_order_is_pinned(self, group, bench_solved):
+        domain, result = bench_solved
+        events = _bench_groups()[group](domain, 9000)
+        state = copy.deepcopy(result.state)
+        _, pops = lazy_pops(lambda: _repair_chain(state, result.solution, events))
+        assert pops == GROUP_POPS[group]
+
+    def test_a_copy_repairs_as_its_original_and_apart_from_it(self, group, bench_solved):
+        """Repairing ``copy.deepcopy(state)`` gives the outputs, counters and
+        graph size that repairing ``state`` gives, and leaves ``state`` as
+        it was."""
+        domain, result = bench_solved
+        events = _bench_groups()[group](domain, 9000)
+        original = copy.deepcopy(result.state)
+        before = _untouched(original)
+        repaired_copy = _repair_chain(copy.deepcopy(original), result.solution, events)
+        assert _untouched(original) == before
+        repaired = _repair_chain(original, result.solution, events)
+
+        def outputs(out):
+            assert heap_violations(out.state) == []
+            return (
+                out.reason,
+                out.solution.makespan,
+                out.solution.allocation.key(),
+                dataclasses.astuple(out.state.stats),
+                len(out.state.nodes),
+                graph_size(out.state),
+            )
+
+        assert outputs(repaired_copy) == outputs(repaired)

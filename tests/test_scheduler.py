@@ -38,7 +38,7 @@ from dynalloc.scheduler import (
 from dynalloc.search import search
 from dynalloc.validation import schedule_violations
 
-from conftest import build_domain
+from conftest import build_domain, graph_size
 
 MK_TOL = 1e-9
 
@@ -446,7 +446,7 @@ class TestBenchScale:
             got = (
                 result.solution.makespan,
                 stats.expansions,
-                len(result.state.nodes),
+                graph_size(result.state),
                 stats.scheduler_calls,
                 _schedule_digest(result.solution.schedule),
             )

@@ -15,7 +15,7 @@ from dynalloc.domain import (
     DimensionMismatchError,
     TeamTraitMatrix,
     resource_count,
-    stack_allocations,
+    stack_keys,
 )
 from dynalloc.generator import generate_problem
 from dynalloc import motion, search as search_mod
@@ -30,10 +30,11 @@ from dynalloc.search import (
     new_state,
     prioritize,
     search,
+    take_head,
 )
 from dynalloc.validation import solution_violations
 
-from conftest import build_domain, heap_violations
+from conftest import build_domain, graph_size, heap_violations, lazy_pops, pending_members
 
 
 def _acceptance_desks():
@@ -156,17 +157,25 @@ class TestAprKernel:
                 apr_values(bad, team, req)
 
     def test_expanded_children_carry_the_kernel_values(self):
+        """An expansion's batch holds one member per free cell, in cell
+        order by seq, each with the kernel's apr of its allocation."""
         domain = generate_problem(500, 8, 15, 4)
         state = new_state(domain, 0.25)
         node = state.pop()
         for _ in range(2):
-            children = expand(state, node)
-            assert len(children) == node.allocation.entries.size - node.assignments
-            stack = stack_allocations([c.allocation for c in children], (15, 8))
-            expected = _reference_aprs(stack, domain.team, domain.requirements)
-            assert [c.apr for c in children] == expected
-            assert all(type(c.apr) is float for c in children)
-            node = children[-1]
+            seq = state.next_seq
+            batch = expand(state, node)
+            cells = np.argwhere(node.allocation.entries == 0).tolist()
+            assert len(batch.keys) == len(cells) == node.allocation.entries.size - node.assignments
+            seqs, keys, aprs = zip(*sorted(zip(batch.seqs, batch.keys, batch.aprs)))
+            assert list(seqs) == list(range(seq, state.next_seq))
+            children = [node.allocation.with_assignment(m, n) for m, n in cells]
+            assert list(keys) == [c.key() for c in children]
+            stack = stack_keys([c.key() for c in children], (15, 8))
+            assert list(aprs) == _reference_aprs(stack, domain.team, domain.requirements)
+            assert all(type(a) is float for a in aprs)
+            node = state.pop()  # the batch's best member, built as a node
+            assert node.seq == batch.seqs[0] and node.parent is not None
 
 
 class TestTrivialGoals:
@@ -204,34 +213,44 @@ class TestLaziness:
     @pytest.fixture(scope="class")
     def desk_searches(self):
         """Searches on the acceptance desk domains at alpha 0 and 0.25, with
-        each child ``expand`` returned as it stood at creation: (exact,
-        schedule, floor, the parent's floor)."""
-        created = []
-        real_expand = search_mod.expand
+        (its floor, the parent's floor) of each batch ``expand`` returned,
+        and (exact, schedule, floor, its batch's floor) of each node a pop
+        built from a batch, as each stood at creation."""
+        created, built = [], []
+        real_expand, real_take = search_mod.expand, search_mod.take_head
 
         def recording_expand(state, node):
-            children = real_expand(state, node)
-            created.extend((c.exact, c.schedule, c.floor, node.floor) for c in children)
-            return children
+            batch = real_expand(state, node)
+            if batch is not None:
+                created.append((batch.floor, node.floor))
+            return batch
+
+        def recording_take(state, batch):
+            node = real_take(state, batch)
+            built.append((node.exact, node.schedule, node.floor, batch.floor))
+            return node
 
         with pytest.MonkeyPatch.context() as m:
             m.setattr(search_mod, "expand", recording_expand)
+            m.setattr(search_mod, "take_head", recording_take)
             results = [
                 search(domain, alpha)
                 for domain in _acceptance_desks()
                 for alpha in (0.0, 0.25)
             ]
-        return results, created
+        return results, created, built
 
     def test_every_child_enters_the_frontier_lazy(self, desk_searches):
         """Only ``materialize`` makes a node exact; a child starts from its
-        parent's floor."""
-        _, created = desk_searches
-        assert created
-        for exact, schedule, floor, parent_floor in created:
+        parent's floor, kept by its batch until a pop builds it."""
+        _, created, built = desk_searches
+        assert created and built
+        for floor, parent_floor in created:
+            assert floor == parent_floor
+        for exact, schedule, floor, batch_floor in built:
             assert not exact
             assert schedule is None
-            assert floor == parent_floor
+            assert floor == batch_floor
 
     def test_unhindered_new_robot_keeps_the_parent_schedule(self, desk_searches):
         """A new robot assigned nowhere else in the parent adds no mutex pair;
@@ -270,11 +289,11 @@ class TestLaziness:
     def test_lazy_children_materialize_on_pop(self, desk_domain):
         state = new_state(desk_domain, 0.25, prm_samples=100, prm_k=6)
         root = state.pop()
-        children = expand(state, root)
-        lazy = [c for c in children if not c.exact]
-        assert lazy, "expansion should defer scheduling"
-        node = lazy[0]
-        bound = node.tetaq
+        batch = expand(state, root)
+        assert len(state.nodes) == 1, "expansion should build no node"
+        bound = batch.tetaq[0]
+        node = state.pop()
+        assert node.seq == batch.seqs[0] and not node.exact
         assert materialize(state, node)
         assert node.exact and node.schedule is not None
         # the bound never overestimates the exact priority
@@ -295,11 +314,11 @@ class TestLaziness:
                     continue
                 if node.apr <= 1e-12:
                     break
-                for child in expand(eager_state, node):
-                    # eager: solve every child right away and re-key it
-                    if child.status == OPEN and not child.exact:
-                        if materialize(eager_state, child):
-                            eager_state.push(child)
+                batch = expand(eager_state, node)
+                while batch is not None and batch.status == OPEN:
+                    # eager: build and solve every child right away
+                    materialize(eager_state, take_head(eager_state, batch))
+                eager_state.rebuild_heap()  # the children in, the spent batch out
             assert lazy_result.reason == "solved"
             assert node.allocation.key() == lazy_result.solution.allocation.key()
             assert node.schedule.makespan == pytest.approx(
@@ -327,6 +346,7 @@ class TestWarmStartedSchedules:
             assert warm.solution.makespan == pytest.approx(cold.solution.makespan, abs=1e-9), i
             assert warm.state.stats.expansions == cold.state.stats.expansions, i
             assert len(warm.state.nodes) == len(cold.state.nodes), i
+            assert graph_size(warm.state) == graph_size(cold.state), i
 
 
 class TestMonotonicity:
@@ -335,6 +355,10 @@ class TestMonotonicity:
             domain = generate_problem(seed, 3, 4, 3)
             result = search(domain, 0.3, seed=0)
             assert result.reason == "solved"
+            members = list(pending_members(result.state))
+            assert members
+            for batch, _, _, apr, _ in members:
+                assert apr <= batch.parent.apr + 1e-12
             for node in result.state.nodes.values():
                 if node.parent is None:
                     continue
@@ -375,19 +399,24 @@ class TestStateBookkeeping:
         assert len(keys) == len(set(keys))
 
     def test_only_registered_children_are_built(self, desk_domain, monkeypatch):
-        """Duplicates are dropped by key before any child allocation exists."""
+        """Duplicates are dropped by key, and a child's allocation is built
+        only when a pop makes it a node: once per node but the root."""
         builds = []
-        original = Allocation.with_assignment
+        original = Allocation._trusted
 
-        def counting(alloc, task, robot):
-            builds.append((task, robot))
-            return original(alloc, task, robot)
+        def counting(cls, key, shape, count):
+            builds.append(key)
+            return original(key, shape, count)
 
-        monkeypatch.setattr(Allocation, "with_assignment", counting)
+        monkeypatch.setattr(Allocation, "_trusted", classmethod(counting))
         result = search(desk_domain, 0.0)
+        state = result.state
         assert result.reason == "solved"
-        assert result.state.stats.expansions > 1
-        assert len(builds) == len(result.state.nodes) - 1  # every node but the root
+        assert state.stats.expansions > 1
+        assert state.batches and graph_size(state) > len(state.nodes)
+        children = sorted(key for key, node in state.nodes.items() if node.parent is not None)
+        assert sorted(builds) == children
+        assert len(builds) == len(state.nodes) - 1  # every node but the root
 
     def test_stale_heap_entries_skipped(self, desk_domain):
         state = new_state(desk_domain, 0.25)
@@ -410,6 +439,7 @@ class TestStateBookkeeping:
         state = new_state(desk_domain, 0.25, prm_samples=100, prm_k=6)
         expand(state, state.pop())
         open_tetaq = [n.tetaq for n in state.nodes.values() if n.status == OPEN]
+        open_tetaq += [batch.tetaq[i] for batch, i, *_ in pending_members(state)]
         assert state.best_priority() == min(open_tetaq)
         while state.pop() is not None:
             pass
@@ -424,3 +454,49 @@ class TestStateBookkeeping:
                 desk_domain.requirements,
             )
         )
+
+
+# (count, digest) of the lazy pops, measured when every child was registered
+# as a node at its parent's expansion
+DESK_POPS = {
+    (0, 0.0): (3832, "80771fe564cba6e1"),
+    (0, 0.25): (6, "b7dc2ddc443a49ba"),
+    (0, 1.0): (6, "b7dc2ddc443a49ba"),
+    (1, 0.0): (3862, "fae515f48f0dcde6"),
+    (1, 0.25): (7, "8777a0434d4c89e1"),
+    (1, 1.0): (7, "8777a0434d4c89e1"),
+    (2, 0.0): (1435, "b9926b0ecab4c08d"),
+    (2, 0.25): (7, "b094a5a2bc57b8c5"),
+    (2, 1.0): (6, "ed5cbdee8cc3cd31"),
+    (3, 0.0): (3493, "ed7d299941dd3215"),
+    (3, 0.25): (7, "08382b28b50260a0"),
+    (3, 1.0): (6, "b4c03058a64f38a2"),
+}
+BENCH_POPS = {
+    500: (28, "de35ca3e06c06062"),
+    501: (21, "a9fa4831238658dd"),
+    502: (28, "d96dacb1cc49099e"),
+    503: (25, "c1398fb1b17bf158"),
+    504: (20, "29a7ee7298ab586d"),
+    505: (26, "7f881fd5f2ec1918"),
+    506: (41, "9cac66d4ebe0219b"),
+    507: (29, "6feae2acd1da6eeb"),
+    508: (32, "bd6a78136af2b44b"),
+    509: (21, "c1ca5119ffc9b057"),
+}
+
+
+class TestPopOrder:
+    """Nodes are built and solved in the order of eager registration."""
+
+    @pytest.mark.parametrize("seed, alpha", sorted(DESK_POPS))
+    def test_desk_searches(self, seed, alpha):
+        _, pops = lazy_pops(lambda: search(generate_problem(seed, 3, 4, 3), alpha, seed=0))
+        assert pops == DESK_POPS[seed, alpha]
+
+    def test_bench_searches(self):
+        got = {
+            seed: lazy_pops(lambda: search(generate_problem(seed, 8, 15, 4), 0.25))[1]
+            for seed in BENCH_POPS
+        }
+        assert got == BENCH_POPS
