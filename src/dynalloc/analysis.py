@@ -138,7 +138,7 @@ def brute_force_optimal_makespan(domain: ProblemDomain, travel) -> float:
     memo = PriceMemo(domain, travel)
     best = math.inf
     for alloc in _enumerate_valid(domain):
-        sched = solve_schedule(build_scheduling_problem(domain, alloc, travel, memo))
+        sched = solve_schedule(build_scheduling_problem(alloc, memo))
         if sched is not None:
             best = min(best, sched.makespan)
     return best
@@ -153,14 +153,14 @@ def brute_force_min_assignments(domain: ProblemDomain, travel) -> float:
         rc = resource_count(alloc)
         if rc >= best:
             continue
-        sched = solve_schedule(build_scheduling_problem(domain, alloc, travel, memo))
+        sched = solve_schedule(build_scheduling_problem(alloc, memo))
         if sched is not None:
             best = rc
     return best
 
 
 def oracle_travel(domain: ProblemDomain, prm_samples: int = 200, prm_k: int = 8, seed: int = 0):
-    """Plan-backed travel provider outside any search state.
+    """A ``motion.Planner`` outside any search state.
 
     It gets the roadmap a search with the same (world, samples, k, seed)
     uses, the same immutable object within a process, so it prices trips
@@ -170,7 +170,7 @@ def oracle_travel(domain: ProblemDomain, prm_samples: int = 200, prm_k: int = 8,
     roadmap = motion.build_roadmap(
         domain.world, motion.mandatory_vertices(domain), prm_samples, prm_k, seed
     )
-    return motion.plan_provider(domain, roadmap, motion.PlanCache())
+    return motion.Planner(domain, roadmap, motion.PlanCache())
 
 
 def validate_bound(
@@ -179,21 +179,17 @@ def validate_bound(
     prm_samples: int = 200,
     prm_k: int = 8,
     seed: int = 0,
-    optimal: float | None = None,
+    *,
+    optimal: float,
 ) -> BoundReport:
-    """Run the search, compute the true optimum, and check both gap bounds.
-
-    ``optimal`` may be passed in when sweeping several alphas over one
-    domain (the oracle value does not depend on alpha).
-    """
+    """Run the search and check both gap bounds against ``optimal``, the
+    domain's true optimum (``brute_force_optimal_makespan``), which does
+    not depend on alpha."""
     check_enumerable(domain)
     result: SearchResult = search(domain, alpha, prm_samples, prm_k, seed)
     if result.solution is None:
         raise BoundError(f"search did not find a solution ({result.reason})")
     state = result.state
-    if optimal is None:
-        travel = oracle_travel(domain, prm_samples, prm_k, seed)
-        optimal = brute_force_optimal_makespan(domain, travel)
     if not math.isfinite(optimal):
         raise BoundError("oracle found no schedulable valid allocation")
 

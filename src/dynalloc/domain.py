@@ -222,11 +222,13 @@ class Allocation:
 
     A matrix handed in by a caller is validated here, once: it must be 2-D
     and every entry must equal 0 or 1 before the int8 cast, so 0.5, 257 or
-    -255 are refused rather than truncated. ``with_assignment`` derives a
-    child without re-checking it, since setting one cell of a valid matrix
-    to 1 keeps it valid; ``unstack_allocations`` likewise trusts a stack cut
-    or widened from valid matrices. Every allocation carries its assignment
-    ``count`` and its ``key``, so neither is recomputed from the matrix.
+    -255 are refused rather than truncated. ``child_keys`` derives the keys
+    of its children without building them, and ``_trusted`` builds a child
+    from its key without re-checking it, since setting one cell of a valid
+    matrix to 1 keeps it valid; ``unstack_allocations`` likewise trusts a
+    stack cut or widened from valid matrices. Every allocation carries its
+    assignment ``count`` and its ``key``, so neither is recomputed from the
+    matrix.
     """
 
     entries: np.ndarray
@@ -249,29 +251,15 @@ class Allocation:
         """Canonical hashable form (shape is fixed per domain)."""
         return self._key
 
-    def child_key(self, task: int, robot: int) -> bytes:
-        """``with_assignment(task, robot).key()``, without building the child."""
-        rows, cols = self.entries.shape
-        if not (0 <= task < rows and 0 <= robot < cols):
-            raise IndexError(f"cell ({task}, {robot}) outside a {rows}x{cols} allocation")
-        i = task * cols + robot
-        return self._key[:i] + b"\x01" + self._key[i + 1 :]
-
     def child_keys(self, cells) -> list[bytes]:
-        """``child_key`` of each cell of ``cells`` not yet assigned, in order.
+        """The key of the allocation with one more assignment at each cell of
+        ``cells`` not yet assigned, in order, without building the child.
 
         Cells are flat, row-major indices into the matrix, as an expansion
         enumerates them; one slice-and-join per child, no per-cell call.
         """
         key = self._key
         return [key[:i] + b"\x01" + key[i + 1 :] for i in cells if not key[i]]
-
-    def with_assignment(self, task: int, robot: int) -> "Allocation":
-        return Allocation._trusted(
-            self.child_key(task, robot),
-            self.entries.shape,
-            self.count + 1 - int(self.entries[task, robot]),
-        )
 
     @classmethod
     def _trusted(cls, key: bytes, shape: tuple[int, ...], count: int) -> "Allocation":

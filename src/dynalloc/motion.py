@@ -1,4 +1,4 @@
-"""Probabilistic roadmap planning with memoized, capability-shared plans.
+"""Probabilistic roadmap planning, and one planner that plans and prices trips.
 
 A roadmap is built with every task site and robot start forced in as a
 vertex, so path queries never need on-the-fly sampling. It depends only on
@@ -6,9 +6,10 @@ the world, those vertices, the sample count, k and the seed, so a process
 builds it once per set of these inputs and hands every caller the same
 immutable ``Roadmap``; a robot that joins later is linked in by
 ``link_start``. Each roadmap keeps one shortest-path tree per source vertex
-it was queried from; a path query only reads its path off the tree.
-Plans are cached per capability class, per search state: robots with
-identical trait rows and speed reuse each other's plans.
+it was queried from; ``plan`` only reads its path off the tree. A
+``Planner`` serves every robot trip of one domain on one roadmap, through
+a plan cache: robots with identical trait rows and speed (a capability
+class) reuse each other's plans, and class ids stay inside this module.
 """
 
 from __future__ import annotations
@@ -279,35 +280,17 @@ def _dijkstra(roadmap: Roadmap, src: int, dst: int) -> tuple[list[int], float] |
     return path[::-1], dist[dst]
 
 
-def plan(
-    roadmap: Roadmap,
-    frm: Point,
-    to: Point,
-    class_id: int,
-    speed: float,
-    cache: PlanCache | None = None,
-) -> MotionPlan | None:
-    """Shortest roadmap path as a motion plan; None when disconnected."""
+def plan(roadmap: Roadmap, frm: Point, to: Point, speed: float) -> MotionPlan | None:
+    """Shortest roadmap path as a motion plan at ``speed``; None when
+    disconnected."""
     frm, to = tuple(frm), tuple(to)
-    if cache is not None:
-        found, cached = cache.lookup(class_id, frm, to)
-        if found:
-            return cached
     if frm == to:
-        result: MotionPlan | None = MotionPlan((frm,), 0.0, 0.0)
-    else:
-        hit = _dijkstra(roadmap, roadmap.vertex_index(frm), roadmap.vertex_index(to))
-        if hit is None:
-            result = None
-        else:
-            path, length = hit
-            result = MotionPlan(
-                tuple(roadmap.vertices[i] for i in path), length, length / speed
-            )
-    if cache is not None:
-        cache.planner_calls += 1
-        cache.store(class_id, frm, to, result)
-    return result
+        return MotionPlan((frm,), 0.0, 0.0)
+    hit = _dijkstra(roadmap, roadmap.vertex_index(frm), roadmap.vertex_index(to))
+    if hit is None:
+        return None
+    path, length = hit
+    return MotionPlan(tuple(roadmap.vertices[i] for i in path), length, length / speed)
 
 
 def estimate_travel_time(frm: Point, to: Point, speed: float) -> float:
@@ -328,19 +311,34 @@ def euclidean_provider(domain: ProblemDomain):
     return travel
 
 
-def plan_provider(domain: ProblemDomain, roadmap: Roadmap, cache: PlanCache):
-    """Travel times from instantiated roadmap plans; inf when disconnected.
+class Planner:
+    """Every robot trip of one domain on one roadmap, planned through ``cache``.
 
-    The capability classes are grouped at the first trip priced, so a
-    provider that a price memo never needs costs nothing."""
+    Called as ``planner(robot_id, frm, to)`` it gives the trip's travel
+    time, inf when disconnected; ``plan`` gives the plan itself. A trip is
+    looked up in the cache by its robot's capability class and planned on
+    a miss, so robots of one class share plans. The classes are grouped at
+    the first trip, so a planner that prices nothing costs nothing. It
+    holds no function, so it pickles and deep-copies with its owner.
+    """
 
-    speeds = domain.world.robot_speeds
-    classes: dict[str, int] = {}
+    def __init__(self, domain: ProblemDomain, roadmap: Roadmap, cache: PlanCache):
+        self.domain = domain
+        self.roadmap = roadmap
+        self.cache = cache
+        self._classes: dict[str, int] = {}
 
-    def travel(robot_id: str, frm: Point, to: Point) -> float:
-        if not classes:
-            classes.update(capability_classes(domain.team, domain.world))
-        p = plan(roadmap, frm, to, classes[robot_id], speeds[robot_id], cache)
+    def plan(self, robot_id: str, frm: Point, to: Point) -> MotionPlan | None:
+        if not self._classes:
+            self._classes = capability_classes(self.domain.team, self.domain.world)
+        class_id = self._classes[robot_id]
+        found, p = self.cache.lookup(class_id, frm, to)
+        if not found:
+            p = plan(self.roadmap, frm, to, self.domain.world.robot_speeds[robot_id])
+            self.cache.planner_calls += 1
+            self.cache.store(class_id, frm, to, p)
+        return p
+
+    def __call__(self, robot_id: str, frm: Point, to: Point) -> float:
+        p = self.plan(robot_id, frm, to)
         return math.inf if p is None else p.duration
-
-    return travel

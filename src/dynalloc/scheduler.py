@@ -473,22 +473,19 @@ class PriceMemo:
     arrival by (task, coalition), each transition by (i, j, shared robots).
     A coalition is an allocation row's bytes read as one little-endian int,
     one byte per robot, so ``&`` gives the robots two tasks share. A price
-    is the ``max`` over the coalition of the travel source's times, taken
-    once, on the first allocation that needs it, so it is the value every
-    later assembly would compute. The memo is only valid while that source
-    prices every trip the same. ``source`` names it, by identity: the
-    travel function itself, or for a search state its roadmap, since each
-    of the state's calls gets a new provider on that roadmap and plan
-    cache. A state's memo so holds no function, and the state can be
-    pickled and deep-copied.
+    is the ``max`` over the coalition of ``travel``'s times, taken once, on
+    the first allocation that needs it, so it is the value every later
+    assembly would compute; the memo is only valid while ``travel`` prices
+    every trip the same. A search state's memo holds the state's
+    ``motion.Planner``, so the state can be pickled and deep-copied.
     """
 
-    def __init__(self, domain: ProblemDomain, source):
+    def __init__(self, domain: ProblemDomain, travel):
         net = domain.network
         n_tasks = net.n_tasks
         closure = _transitive_closure(n_tasks, net.precedence_edges)
         self.domain = domain
-        self.source = source
+        self.travel = travel
         self.durations = tuple(t.duration for t in net.tasks)
         self.precedence = frozenset(net.precedence_edges)
         self.free_pairs = [
@@ -503,7 +500,7 @@ class PriceMemo:
         self.arrivals: dict[tuple[int, int], float] = {}
         self.transitions: dict[tuple[int, int, int], float] = {}
 
-    def arrival(self, task: int, coalition: int, travel) -> float:
+    def arrival(self, task: int, coalition: int) -> float:
         """Earliest time the whole coalition can reach the task's site."""
         key = (task, coalition)
         value = self.arrivals.get(key)
@@ -512,11 +509,11 @@ class PriceMemo:
             ids, starts = domain.team.robot_ids, domain.world.robot_start_configs
             site = domain.network.tasks[task].initial_config
             value = self.arrivals[key] = max(
-                travel(ids[r], starts[ids[r]], site) for r in _members(coalition)
+                self.travel(ids[r], starts[ids[r]], site) for r in _members(coalition)
             )
         return value
 
-    def transition(self, i: int, j: int, shared: int, travel) -> float:
+    def transition(self, i: int, j: int, shared: int) -> float:
         """Time the slowest shared robot needs from task i's end to j's site."""
         if not shared:
             return 0.0
@@ -527,7 +524,7 @@ class PriceMemo:
             ids, tasks = domain.team.robot_ids, domain.network.tasks
             frm, to = tasks[i].terminal_config, tasks[j].initial_config
             value = self.transitions[key] = max(
-                travel(ids[r], frm, to) for r in _members(shared)
+                self.travel(ids[r], frm, to) for r in _members(shared)
             )
         return value
 
@@ -538,24 +535,16 @@ def _members(coalition: int) -> list[int]:
     return [r for r, b in enumerate(row) if b]
 
 
-def build_scheduling_problem(
-    domain: ProblemDomain, alloc: Allocation, travel, memo: PriceMemo | None = None
-) -> SchedulingProblem:
+def build_scheduling_problem(alloc: Allocation, memo: PriceMemo) -> SchedulingProblem:
     """Assemble durations, ordering constraints, and travel times.
 
     Shared-robot task pairs become induced mutexes (single-task robots);
     pairs already ordered by the transitive precedence closure are dropped.
     Transition and arrival times take the max over the relevant robots, so
-    the slowest member of a coalition gates the coalition. ``memo`` keeps
-    the domain's constants and the prices across calls; it must have been
-    built for ``domain`` and the same ``travel`` source. Without one, a
-    throwaway memo serves this call.
+    the slowest member of a coalition gates the coalition. ``memo`` holds
+    the domain's constants, its travel function and the prices it gave.
     """
-    if memo is None:
-        memo = PriceMemo(domain, travel)
-    elif memo.domain is not domain:
-        raise ValueError("the price memo was built for another domain")
-    n_robots = domain.n_robots
+    n_robots = memo.domain.n_robots
     if alloc.entries.shape != (len(memo.durations), n_robots):
         raise DimensionMismatchError(
             f"allocation is {alloc.entries.shape}, domain has "
@@ -571,14 +560,14 @@ def build_scheduling_problem(
 
     transition_times: dict[Pair, float] = {}
     for i, j in memo.precedence:
-        transition_times[(i, j)] = memo.transition(i, j, coalitions[i] & coalitions[j], travel)
+        transition_times[(i, j)] = memo.transition(i, j, coalitions[i] & coalitions[j])
     for i, j in mutex_reduced:
         shared = coalitions[i] & coalitions[j]
-        transition_times[(i, j)] = memo.transition(i, j, shared, travel)
-        transition_times[(j, i)] = memo.transition(j, i, shared, travel)
+        transition_times[(i, j)] = memo.transition(i, j, shared)
+        transition_times[(j, i)] = memo.transition(j, i, shared)
 
     initial_arrivals = {
-        m: memo.arrival(m, c, travel) if c else 0.0 for m, c in enumerate(coalitions)
+        m: memo.arrival(m, c) if c else 0.0 for m, c in enumerate(coalitions)
     }
 
     return SchedulingProblem(

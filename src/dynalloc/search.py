@@ -10,11 +10,12 @@ one ``PendingBatch`` (keys, aprs and reserved seqs, one shared floor) with
 one heap entry for its best member, and a child becomes an
 ``AllocationNode`` only when a pop reaches it (partial expansion:
 Yoshizumi, Miura & Ishida, AAAI 2000). Every schedule is solved against
-roadmap travel times; the underlying plans are computed on demand and
-memoized in a shared cache, so repeated trips cost one shortest-path query
-across the whole search and an accepted solution's schedule is always
-backed by real plans; the state's price memo keeps each coalition's
-arrival and transition time, so assembling a problem plans no trip twice.
+roadmap travel times from one ``motion.Planner`` per state, held by the
+state's price memo: it plans each trip on demand through the state's plan
+cache, so a repeated trip costs one shortest-path query across the whole
+search, and the memo keeps each coalition's arrival and transition time,
+so assembling a problem prices no trip twice. The same planner plans an
+accepted solution's trips, so its schedule is backed by real plans.
 """
 
 from __future__ import annotations
@@ -162,7 +163,7 @@ class PendingBatch:
 class Solution:
     allocation: Allocation
     schedule: Schedule
-    motion_plans: dict[tuple[int, tuple, tuple], MotionPlan]
+    motion_plans: dict[tuple[str, tuple, tuple], MotionPlan]  # by (robot_id, from, to)
 
     @property
     def makespan(self) -> float:
@@ -348,18 +349,19 @@ def evaluate(
     ``floor`` must be a sound lower bound on the allocation's optimal
     makespan; see ``solve_schedule``.
     """
-    travel = motion.plan_provider(state.domain, state.roadmap, state.plan_cache)
-    problem = build_scheduling_problem(state.domain, alloc, travel, _price_memo(state))
+    problem = build_scheduling_problem(alloc, _price_memo(state))
     return solve_with_memo(state, problem, floor, hint)
 
 
 def _price_memo(state: SearchState) -> PriceMemo:
-    """The state's price memo, started afresh once its domain or roadmap
-    has been replaced: a price is a trip through ``state.plan_cache`` on
-    that roadmap for that domain's robots, and only an event replaces them."""
+    """The state's price memo, started afresh, around a new planner, once
+    its domain or roadmap has been replaced: a price is a trip through
+    ``state.plan_cache`` on that roadmap for that domain's robots, and only
+    an event replaces them."""
     memo = state.price_memo
-    if memo is None or memo.domain is not state.domain or memo.source is not state.roadmap:
-        memo = state.price_memo = PriceMemo(state.domain, state.roadmap)
+    if memo is None or memo.domain is not state.domain or memo.travel.roadmap is not state.roadmap:
+        planner = motion.Planner(state.domain, state.roadmap, state.plan_cache)
+        memo = state.price_memo = PriceMemo(state.domain, planner)
     return memo
 
 
@@ -548,17 +550,16 @@ def required_transitions(
 
 def instantiate_plans(
     state: SearchState, alloc: Allocation, schedule: Schedule
-) -> dict[tuple[int, tuple, tuple], MotionPlan] | None:
-    """Plan every required trip; None when any trip is disconnected."""
-    classes = motion.capability_classes(state.domain.team, state.domain.world)
-    speeds = state.domain.world.robot_speeds
-    plans: dict[tuple[int, tuple, tuple], MotionPlan] = {}
+) -> dict[tuple[str, tuple, tuple], MotionPlan] | None:
+    """Plan every required trip with the state's planner; None when any
+    trip is disconnected."""
+    planner = _price_memo(state).travel
+    plans: dict[tuple[str, tuple, tuple], MotionPlan] = {}
     for rid, frm, to in required_transitions(state.domain, alloc, schedule):
-        cid = classes[rid]
-        p = motion.plan(state.roadmap, frm, to, cid, speeds[rid], state.plan_cache)
+        p = planner.plan(rid, frm, to)
         if p is None:
             return None
-        plans[(cid, tuple(frm), tuple(to))] = p
+        plans[(rid, tuple(frm), tuple(to))] = p
     return plans
 
 

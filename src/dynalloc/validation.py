@@ -9,8 +9,8 @@ import numpy as np
 
 from .domain import ProblemDomain, is_valid_allocation
 from .geometry import point_in_any
-from .motion import MotionPlan, PlanCache, Roadmap, plan, plan_provider
-from .scheduler import SchedulingProblem, Schedule, build_scheduling_problem
+from .motion import MotionPlan, PlanCache, Planner, Roadmap, plan
+from .scheduler import PriceMemo, SchedulingProblem, Schedule, build_scheduling_problem
 from .search import SearchState, Solution, required_transitions
 
 CHECK_TOL = 1e-9
@@ -72,8 +72,8 @@ def plan_violations(domain: ProblemDomain, solution: Solution, roadmap: Roadmap)
                 out.append(f"{trip} step {a}->{b} is not a roadmap edge")
             else:
                 walked += edge
-        # class and speed set the duration only, which is not compared
-        fresh = plan(roadmap, frm, to, 0, 1.0) if frm in index and to in index else None
+        # the speed sets the duration only, which is not compared
+        fresh = plan(roadmap, frm, to, 1.0) if frm in index and to in index else None
         if fresh is None or any(abs(x - fresh.length) > CHECK_TOL for x in (walked, p.length)):
             out.append(f"{trip} is not a shortest roadmap path")
     planned = {key[-2:] for key in solution.motion_plans}
@@ -95,8 +95,8 @@ def solution_violations(
     if not is_valid_allocation(solution.allocation, domain.team, domain.requirements):
         out.append("allocation does not meet trait requirements")
     roadmap = dataclasses.replace(state.roadmap, trees={})
-    travel = plan_provider(domain, roadmap, PlanCache())
-    problem = build_scheduling_problem(domain, solution.allocation, travel)
+    memo = PriceMemo(domain, Planner(domain, roadmap, PlanCache()))
+    problem = build_scheduling_problem(solution.allocation, memo)
     out.extend(schedule_violations(problem, solution.schedule))
     out.extend(plan_violations(domain, solution, roadmap))
     return out

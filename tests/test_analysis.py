@@ -5,7 +5,6 @@ import itertools
 import numpy as np
 import pytest
 
-from dynalloc import motion
 from dynalloc.analysis import (
     BoundError,
     _enumerate_valid,
@@ -125,28 +124,18 @@ class TestOracles:
         t0 = domain.network.tasks[0]
         rid = domain.team.robot_ids[0]
         frm = domain.world.robot_start_configs[rid]
-        from dynalloc.motion import plan_provider
-
-        search_travel = plan_provider(domain, result.state.roadmap, result.state.plan_cache)
+        search_travel = result.state.price_memo.travel
         assert travel(rid, frm, t0.initial_config) == pytest.approx(
             search_travel(rid, frm, t0.initial_config), abs=1e-12
         )
 
-    def test_searches_and_oracle_share_one_roadmap_not_one_cache(self, monkeypatch):
+    def test_searches_and_oracle_share_one_roadmap_not_one_cache(self):
         """One roadmap per set of build inputs; each caller keeps its own PlanCache."""
         domain = generate_problem(7, 3, 4, 3)
         states = [search(domain, alpha).state for alpha in (0.0, 0.25)]
         calls = [st.plan_cache.planner_calls for st in states]
-        provided = []
-        real = motion.plan_provider
-
-        def record(domain, roadmap, cache):
-            provided.append((roadmap, cache))
-            return real(domain, roadmap, cache)
-
-        monkeypatch.setattr(motion, "plan_provider", record)
         travel = oracle_travel(domain)
-        (roadmap, cache), = provided
+        roadmap, cache = travel.roadmap, travel.cache
         brute_force_optimal_makespan(domain, travel)
         assert cache.planner_calls > 0
         assert roadmap is states[0].roadmap is states[1].roadmap
@@ -156,11 +145,15 @@ class TestOracles:
 
 class TestValidateBound:
     def test_alpha_zero_gap_is_zero(self):
-        report = validate_bound(generate_problem(0, 3, 4, 3), 0.0)
+        domain = generate_problem(0, 3, 4, 3)
+        optimal = brute_force_optimal_makespan(domain, oracle_travel(domain))
+        report = validate_bound(domain, 0.0, optimal=optimal)
         assert report.normalized_gap == pytest.approx(0.0, abs=1e-9)
 
     def test_report_fields_consistent(self):
-        report = validate_bound(generate_problem(1, 3, 4, 3), 0.3)
+        domain = generate_problem(1, 3, 4, 3)
+        optimal = brute_force_optimal_makespan(domain, oracle_travel(domain))
+        report = validate_bound(domain, 0.3, optimal=optimal)
         assert report.lb < report.ub
         assert report.optimal_makespan <= report.achieved_makespan + 1e-9
         assert report.posthoc_bound <= report.apriori_bound + 1e-12

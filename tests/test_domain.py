@@ -39,6 +39,13 @@ def _team(rows):
     )
 
 
+def _assigned(alloc, cell):
+    """A fresh allocation: ``alloc`` plus one assignment at a flat cell."""
+    entries = np.array(alloc.entries)
+    entries.flat[cell] = 1
+    return Allocation(entries)
+
+
 def _draw_rows(data, n_rows, n_cols):
     row = st.lists(st.floats(0, 3, allow_nan=False), min_size=n_cols, max_size=n_cols)
     return data.draw(st.lists(row, min_size=n_rows, max_size=n_rows))
@@ -112,21 +119,17 @@ class TestAllocation:
         assert a.entries[0, 0] == 0
         with pytest.raises(ValueError):
             a.entries[0, 0] = 1
+        child = Allocation._trusted(a.child_keys([1])[0], a.entries.shape, 1)
         with pytest.raises(ValueError):
-            a.with_assignment(0, 1).entries[0, 0] = 1
-
-    def test_with_assignment_rejects_cells_outside(self):
-        a = Allocation(np.zeros((2, 3), dtype=np.int8))
-        for task, robot in ((2, 0), (0, 3), (-1, 0)):
-            with pytest.raises(IndexError):
-                a.with_assignment(task, robot)
+            child.entries[0, 0] = 1
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_derived_children_match_fresh_construction(self, data):
-        """A chain of ``with_assignment`` calls carries the same key, count and
-        apr as the same matrix validated from scratch, compared exactly, and
-        ``child_keys`` gives each free cell's ``child_key`` along it."""
+        """A chain of children built by ``_trusted`` from ``child_keys``, as a
+        pop builds a pending member, carries the same key, count and apr as
+        the same matrix validated from scratch, compared exactly; along it,
+        ``child_keys`` gives each free cell's child key, in cell order."""
         n_tasks = data.draw(st.integers(1, 4))
         n_robots = data.draw(st.integers(1, 4))
         n_traits = data.draw(st.integers(1, 3))
@@ -135,22 +138,26 @@ class TestAllocation:
         cells = st.tuples(st.integers(0, n_tasks - 1), st.integers(0, n_robots - 1))
         child = Allocation(np.zeros((n_tasks, n_robots), dtype=np.int8))
         for task, robot in data.draw(st.lists(cells, max_size=2 * n_tasks * n_robots)):
-            expected_key = child.child_key(task, robot)
-            free = np.flatnonzero(child.entries == 0).tolist()
             assert child.child_keys(range(child.entries.size)) == [
-                child.child_key(*divmod(i, n_robots)) for i in free
+                _assigned(child, i).key() for i in np.flatnonzero(child.entries == 0)
             ]
-            child = child.with_assignment(task, robot)
-            fresh = Allocation(np.array(child.entries))
-            assert child.key() == expected_key == fresh.key()
+            keys = child.child_keys([task * n_robots + robot])
+            if child.entries[task, robot]:
+                assert keys == []
+                continue
+            fresh = _assigned(child, task * n_robots + robot)
+            child = Allocation._trusted(keys[0], child.entries.shape, child.count + 1)
+            assert child.key() == fresh.key()
+            assert child.entries.tolist() == fresh.entries.tolist()
             assert resource_count(child) == resource_count(fresh) == int(fresh.entries.sum())
             assert apr_value(child, team, req) == apr_value(fresh, team, req)
 
-    def test_with_assignment_is_a_copy(self):
+    def test_child_keys_leave_the_parent_unchanged(self):
         a = Allocation(np.zeros((2, 2), dtype=np.int8))
-        b = a.with_assignment(1, 0)
+        (key,) = a.child_keys([2])  # cell (1, 0)
+        b = Allocation._trusted(key, (2, 2), 1)
         assert a.entries[1, 0] == 0 and b.entries[1, 0] == 1
-        assert a.key() != b.key()
+        assert a.key() != b.key() == key
 
     def test_key_identifies_matrix_content(self):
         a = Allocation(np.array([[1, 0], [0, 1]], dtype=np.int8))
@@ -244,7 +251,7 @@ class TestTraitMath:
         for m in range(n_tasks):
             for n in range(n_robots):
                 if not alloc.entries[m, n]:
-                    child = alloc.with_assignment(m, n)
+                    child = _assigned(alloc, m * n_robots + n)
                     assert apr_value(child, team, req) <= apr + 1e-12
         # validity is exactly "no cell is unmet beyond tolerance"
         assert is_valid_allocation(alloc, team, req) == (

@@ -10,6 +10,7 @@ from dynalloc.generator import generate_problem
 from dynalloc.geometry import Circle, segment_collides
 from dynalloc.motion import (
     PlanCache,
+    Planner,
     Roadmap,
     RoadmapError,
     build_roadmap,
@@ -20,7 +21,6 @@ from dynalloc.motion import (
     link_start,
     mandatory_vertices,
     plan,
-    plan_provider,
 )
 from dynalloc.validation import plan_collision_samples
 
@@ -165,10 +165,9 @@ class TestPlans:
     def test_plan_matches_bellman_ford(self, world_and_mandatory):
         world, mandatory = world_and_mandatory
         rm = build_roadmap(world, mandatory, 60, 5, seed=2)
-        cache = PlanCache()
         for frm in mandatory[:3]:
             for to in mandatory[3:]:
-                p = plan(rm, frm, to, class_id=0, speed=2.0, cache=cache)
+                p = plan(rm, frm, to, speed=2.0)
                 oracle = _bellman_ford_shortest(
                     rm, rm.vertex_index(frm), rm.vertex_index(to)
                 )
@@ -190,26 +189,33 @@ class TestPlans:
                 comp_of[v] = ci
         for frm in mandatory:
             for to in mandatory:
-                p = plan(rm, frm, to, class_id=0, speed=1.0)
+                p = plan(rm, frm, to, speed=1.0)
                 connected = comp_of[vi[frm]] == comp_of[vi[to]]
                 assert (p is not None) == connected
 
     def test_same_point_plan_is_free(self, world_and_mandatory):
         world, mandatory = world_and_mandatory
         rm = build_roadmap(world, mandatory, 20, 4, seed=0)
-        p = plan(rm, mandatory[0], mandatory[0], class_id=0, speed=1.0)
+        p = plan(rm, mandatory[0], mandatory[0], speed=1.0)
         assert p.length == 0.0 and p.duration == 0.0
 
-    def test_cache_shares_across_capability_class(self, world_and_mandatory):
-        world, mandatory = world_and_mandatory
-        rm = build_roadmap(world, mandatory, 40, 5, seed=0)
+    def test_cache_shares_across_capability_class(self):
+        domain = build_domain(
+            [[1.0], [1.0], [1.0]], [[1.0]], speeds={"r0": 1.0, "r1": 1.0, "r2": 2.0}
+        )
+        mandatory = mandatory_vertices(domain)
+        rm = build_roadmap(domain.world, mandatory, 40, 5, seed=0)
         cache = PlanCache()
-        plan(rm, mandatory[0], mandatory[1], class_id=0, speed=1.0, cache=cache)
-        assert cache.planner_calls == 1
-        plan(rm, mandatory[0], mandatory[1], class_id=0, speed=1.0, cache=cache)
+        planner = Planner(domain, rm, cache)
+        frm, to = mandatory[0], mandatory[1]
+        first = planner.plan("r0", frm, to)
+        assert first is not None and cache.planner_calls == 1
+        assert planner.plan("r1", frm, to) is first  # same traits and speed
         assert cache.planner_calls == 1 and cache.hits == 1
-        plan(rm, mandatory[0], mandatory[1], class_id=1, speed=1.0, cache=cache)
-        assert cache.planner_calls == 2  # other class: separate entry
+        faster = planner.plan("r2", frm, to)
+        assert cache.planner_calls == 2  # other speed: separate entry
+        assert faster.duration == first.length / 2.0
+        assert planner("r2", frm, to) == faster.duration
 
     def test_plans_pass_collision_oracle(self, obstacle_domain):
         world = obstacle_domain.world
@@ -217,7 +223,7 @@ class TestPlans:
         rm = build_roadmap(world, mandatory, 120, 8, seed=0)
         for frm in mandatory:
             for to in mandatory:
-                p = plan(rm, frm, to, class_id=0, speed=1.0)
+                p = plan(rm, frm, to, speed=1.0)
                 if p is not None:
                     assert plan_collision_samples(p, world.obstacles)
 
@@ -273,7 +279,7 @@ class TestShortestPathTrees:
                 assert prev[t] == (-1 if want is None or t == s else want[0][-2])
             for t, want in wants.items():
                 assert motion._dijkstra(rm, s, t) == want
-                p = plan(rm, rm.vertices[s], rm.vertices[t], class_id=0, speed=1.0)
+                p = plan(rm, rm.vertices[s], rm.vertices[t], speed=1.0)
                 if want is None:
                     unreachable += 1
                     assert p is None
@@ -290,8 +296,8 @@ class TestShortestPathTrees:
         dist, prev = tree
         assert list(dist) == [0.0, 1.0, 1.0, 2.0, 4.0]
         assert list(prev) == [-1, 0, 0, 1, 3]  # the tie at 3 keeps the first route
-        plan(rm, vertices[0], vertices[4], class_id=0, speed=1.0)
-        plan(rm, vertices[0], vertices[3], class_id=0, speed=1.0)
+        plan(rm, vertices[0], vertices[4], speed=1.0)
+        plan(rm, vertices[0], vertices[3], speed=1.0)
         assert list(rm.trees) == [0] and rm.trees[0] is tree
 
 
@@ -303,7 +309,7 @@ class TestLinkStart:
     def test_start_gets_edges_out_of_it_only(self, world_and_mandatory):
         world, mandatory = world_and_mandatory
         rm = build_roadmap(world, mandatory, 60, 5, seed=3)
-        plan(rm, mandatory[0], mandatory[1], class_id=0, speed=1.0)  # grows a tree
+        plan(rm, mandatory[0], mandatory[1], speed=1.0)  # grows a tree
         snapshot = (rm.vertices, dict(rm.adjacency), rm.total_edge_length, dict(rm.trees))
         linked = link_start(rm, world, self.START, 5)
         assert (rm.vertices, rm.adjacency, rm.total_edge_length, rm.trees) == snapshot
@@ -331,12 +337,12 @@ class TestLinkStart:
         linked = link_start(rm, world, self.START, 5)
         src = linked.vertex_index(self.START)
         for to in mandatory:
-            p = plan(linked, self.START, to, class_id=0, speed=2.0)
+            p = plan(linked, self.START, to, speed=2.0)
             oracle = _bellman_ford_shortest(linked, src, linked.vertex_index(to))
             assert p.length == pytest.approx(oracle, abs=1e-9)
             assert p.waypoints[0] == self.START
             # nothing routes back through the start
-            assert plan(linked, to, self.START, class_id=0, speed=2.0) is None
+            assert plan(linked, to, self.START, speed=2.0) is None
 
     def test_a_start_already_on_the_roadmap_changes_nothing(self, world_and_mandatory):
         world, mandatory = world_and_mandatory
@@ -359,14 +365,14 @@ class TestProviders:
         mandatory = mandatory_vertices(obstacle_domain)
         rm = build_roadmap(obstacle_domain.world, mandatory, 120, 8, seed=0)
         cache = PlanCache()
-        travel = plan_provider(obstacle_domain, rm, cache)
+        travel = Planner(obstacle_domain, rm, cache)
         for to in mandatory:
             travel("r0", mandatory[0], to)
         kept = dict(cache.entries)
         assert drop_mispriced_plans(cache, obstacle_domain) == 0
         assert cache.entries == kept
         # a plan priced at another speed, and one under an id no class holds
-        wrong = plan(rm, mandatory[1], mandatory[2], 0, 123.0)
+        wrong = plan(rm, mandatory[1], mandatory[2], 123.0)
         cache.store(0, mandatory[1], mandatory[2], wrong)
         cache.store(99, mandatory[1], mandatory[2], None)
         assert drop_mispriced_plans(cache, obstacle_domain) == 2
@@ -376,12 +382,22 @@ class TestProviders:
         mandatory = mandatory_vertices(obstacle_domain)
         rm = build_roadmap(obstacle_domain.world, mandatory, 120, 8, seed=0)
         euclid = euclidean_provider(obstacle_domain)
-        planned = plan_provider(obstacle_domain, rm, PlanCache())
+        planned = Planner(obstacle_domain, rm, PlanCache())
         for frm in mandatory:
             for to in mandatory:
                 t = planned("r0", frm, to)
                 if math.isfinite(t):
                     assert euclid("r0", frm, to) <= t + 1e-9
+
+    def test_a_disconnected_trip_costs_inf(self, obstacle_domain):
+        mandatory = mandatory_vertices(obstacle_domain)
+        rm = build_roadmap(obstacle_domain.world, mandatory, 3, 1, seed=0)
+        planner = Planner(obstacle_domain, rm, PlanCache())
+        trips = [(frm, to) for frm in mandatory for to in mandatory]
+        cut = [t for t in trips if plan(rm, *t, 1.0) is None]
+        assert cut
+        for frm, to in trips:
+            assert math.isinf(planner("r0", frm, to)) == ((frm, to) in cut)
 
     def test_estimate_rejects_bad_speed(self):
         with pytest.raises(ValueError):

@@ -23,6 +23,7 @@ from dynalloc.repair import (
     repair,
 )
 from dynalloc.scheduler import (
+    PriceMemo,
     build_scheduling_problem,
     schedule_lower_bound,
     schedule_upper_bound,
@@ -471,8 +472,8 @@ class TestIndependentValidation:
         cache = state.plan_cache.entries
         for key, plan in cache.items():
             cache[key] = dataclasses.replace(plan, duration=0.0)
-        travel = motion.plan_provider(domain, state.roadmap, state.plan_cache)
-        problem = build_scheduling_problem(domain, result.solution.allocation, travel)
+        memo = _memo(domain, state.roadmap, state.plan_cache)
+        problem = build_scheduling_problem(result.solution.allocation, memo)
         planted = dataclasses.replace(result.solution, schedule=solve_schedule(problem))
         assert solution_violations(domain, result.solution, state) == []
         assert solution_violations(domain, planted, state) != []
@@ -533,10 +534,15 @@ class TestIndependentValidation:
             assert "violated" in str(exc)
             return
         after, last = apply_event(domain, event), repaired[-1]
-        travel = motion.plan_provider(after, last.state.roadmap, motion.PlanCache())
-        problem = build_scheduling_problem(after, last.solution.allocation, travel)
+        memo = _memo(after, last.state.roadmap, motion.PlanCache())
+        problem = build_scheduling_problem(last.solution.allocation, memo)
         fresh = solve_schedule(problem).makespan
         assert result.records[-1].makespan == pytest.approx(fresh, abs=1e-9)
+
+
+def _memo(domain, roadmap, cache: motion.PlanCache) -> PriceMemo:
+    """A price memo whose own planner plans through ``cache``."""
+    return PriceMemo(domain, motion.Planner(domain, roadmap, cache))
 
 
 def _eager_demote_frontier(state, slack):
@@ -674,7 +680,7 @@ class TestLazyFrontier:
             state = copy.deepcopy(result.state)
             (ev,) = _event_chain(domain, case, 2000 + i)
             state = repair(state, result.solution, ev).state
-            travel = motion.plan_provider(state.domain, state.roadmap, state.plan_cache)
+            memo = _memo(state.domain, state.roadmap, state.plan_cache)
             statuses = set()
             floors = [(node.allocation, node.floor, node.status) for node in state.nodes.values()]
             floors += [
@@ -683,8 +689,7 @@ class TestLazyFrontier:
             ]
             for alloc, floor, status in floors:
                 statuses.add(status)
-                problem = build_scheduling_problem(state.domain, alloc, travel)
-                sched = solve_schedule(problem)
+                sched = solve_schedule(build_scheduling_problem(alloc, memo))
                 if sched is not None:
                     assert floor <= sched.makespan + 1e-9, (i, status)
             assert {CLOSED, "pending"} <= statuses, i
@@ -828,8 +833,8 @@ class TestNewAgent:
         assert len(mandatory) ** 2 > 1000
         for frm in mandatory:
             for to in mandatory:
-                want = motion.plan(old, frm, to, class_id=0, speed=1.0)
-                assert motion.plan(new, frm, to, class_id=0, speed=1.0) == want
+                want = motion.plan(old, frm, to, speed=1.0)
+                assert motion.plan(new, frm, to, speed=1.0) == want
 
     def test_repair_keeps_the_roadmap_plans_schedules_and_floors(self, monkeypatch):
         domain = generate_problem(4, 3, 4, 3)
@@ -879,8 +884,8 @@ class TestNewAgent:
         lost = repair(state, result.solution, ev)
         repaired = repair(state, lost.solution, generate_event(state.domain, EventKind.NEW_AGENT, 7))
         alloc = repaired.solution.allocation
-        travel = motion.plan_provider(state.domain, state.roadmap, motion.PlanCache())
-        fresh = solve_schedule(build_scheduling_problem(state.domain, alloc, travel))
+        memo = _memo(state.domain, state.roadmap, motion.PlanCache())
+        fresh = solve_schedule(build_scheduling_problem(alloc, memo))
         assert repaired.solution.makespan == pytest.approx(fresh.makespan, abs=1e-9)
         assert heap_violations(state) == []
         assert score_violations(state) == []
@@ -1011,25 +1016,27 @@ class TestReshaping:
 
 def _memo_mismatches(state, reference: motion.PlanCache) -> list[int]:
     """Seqs of the nodes whose problem, built through the state's price
-    memo, differs from a throwaway build priced through ``reference``."""
-    travel = motion.plan_provider(state.domain, state.roadmap, state.plan_cache)
+    memo, differs from one built through a throwaway memo whose planner
+    plans through ``reference``."""
     memo = search_mod._price_memo(state)
-    alone = motion.plan_provider(state.domain, state.roadmap, reference)
     allocs = [(node.seq, node.allocation) for node in state.nodes.values()]
     allocs += [(seq, member_allocation(b, key)) for b, _, key, _, seq in pending_members(state)]
     return [
         seq
         for seq, alloc in allocs
-        if build_scheduling_problem(state.domain, alloc, travel, memo).key()
-        != build_scheduling_problem(state.domain, alloc, alone).key()
+        if build_scheduling_problem(alloc, memo).key()
+        != build_scheduling_problem(alloc, _memo(state.domain, state.roadmap, reference)).key()
     ]
 
 
 def _memo_snapshot(state):
-    memo = state.price_memo
-    return (
-        dict(state.plan_cache.entries),
-        memo,
+    """The state's price memo, and by value its prices and its plan cache's
+    entries and counters."""
+    memo, cache = state.price_memo, state.plan_cache
+    return memo, (
+        dict(cache.entries),
+        cache.planner_calls,
+        cache.hits,
         dict(memo.arrivals),
         dict(memo.transitions),
     )
@@ -1083,13 +1090,17 @@ class TestPriceMemo:
         )
         assert repaired.solution is not None
         assert state.price_memo is not before
-        assert state.price_memo.domain is state.domain
-        assert state.price_memo.source is state.roadmap
+        planner = state.price_memo.travel
+        assert state.price_memo.domain is planner.domain is state.domain
+        assert planner.roadmap is state.roadmap
+        assert planner.cache is state.plan_cache
 
     @pytest.mark.parametrize("how", ["pickle", "deepcopy"])
     def test_copies_of_solved_and_repaired_states(self, memo_case, how):
-        """A copy carries the plans and prices, and prices and repairs on its
-        own: the original's stay as they were."""
+        """A copy carries the plans and prices, and its memo's planner plans
+        on the copy's own domain, roadmap and plan cache, so the copy prices
+        and repairs on its own: the original's stay as they were, its plan
+        counters included."""
         domain, result = memo_case
         dup = {
             "pickle": lambda st: pickle.loads(pickle.dumps(st)),
@@ -1100,19 +1111,24 @@ class TestPriceMemo:
         repaired = repair(repaired_state, result.solution, event)
         cases = ((result.state, result.solution), (repaired_state, repaired.solution))
         for state, solution in cases:
-            before = _memo_snapshot(state)
+            memo, before = _memo_snapshot(state)
             copied = dup(state)
-            entries, memo, arrivals, transitions = _memo_snapshot(copied)
-            assert memo is not before[1]
-            assert (entries, arrivals, transitions) == (before[0], before[2], before[3])
+            copied_memo, copied_values = _memo_snapshot(copied)
+            assert copied_memo is not memo and copied_values == before
+            planner = copied_memo.travel
+            assert planner is not memo.travel
+            assert planner.domain is copied_memo.domain is copied.domain
+            assert planner.roadmap is copied.roadmap
+            assert planner.cache is copied.plan_cache is not state.plan_cache
             # every node priced on the copy's own memo, then an event
             assert _memo_mismatches(copied, motion.PlanCache()) == []
+            lookups = copied.plan_cache.planner_calls + copied.plan_cache.hits
             event = generate_event(state.domain, EventKind.DURATION_CHANGED, 5)
             repair(copied, solution, event)
-            assert copied.price_memo is not memo
-            after = _memo_snapshot(state)
-            assert after[1] is before[1]
-            assert (after[0], after[2], after[3]) == (before[0], before[2], before[3])
+            assert copied.price_memo is not copied_memo
+            assert copied.plan_cache.planner_calls + copied.plan_cache.hits > lookups
+            after_memo, after = _memo_snapshot(state)
+            assert after_memo is memo and after == before
 
 
 def _untouched(state) -> str:

@@ -385,29 +385,30 @@ def _milp_optimum(problem: SchedulingProblem, optimize):
     return res.mip_dual_bound, orientation
 
 
-# bench seed -> makespan, expansions, nodes, scheduler calls and the sha256 of
-# the start times and orderings (``_schedule_digest``) of ``search`` at alpha
-# 0.25, as the scheduler that probed by relaxation returned them
+# bench seed -> makespan, expansions, nodes, scheduler calls, the plan cache's
+# planner calls and hits, and the sha256 of the start times and orderings
+# (``_schedule_digest``) of ``search`` at alpha 0.25, as the scheduler that
+# probed by relaxation returned them
 BENCH_PINS = {
-    500: (266.21688631783076, 20, 2211, 28,
+    500: (266.21688631783076, 20, 2211, 28, 177, 70,
           "63777e9fc866492cfc3b7be353e0c8cb5c7871631ff2c724d9ab18a1ab0b45a8"),
-    501: (299.8430883052373, 17, 1905, 22,
+    501: (299.8430883052373, 17, 1905, 22, 100, 55,
           "4fbd2ae67368d045cd10d20c53b8fef99c4d0c591919c8cec89746549c04abe4"),
-    502: (135.47344114254813, 20, 2211, 27,
+    502: (135.47344114254813, 20, 2211, 27, 163, 59,
           "47f23e04eb36d0ac184b14f5aafe08029253c870a6471401df5851e556b8401f"),
-    503: (190.7422849719188, 24, 2605, 26,
+    503: (190.7422849719188, 24, 2605, 26, 177, 117,
           "7c5524e8a1985af5dfb81e0626e958f85ac1a0c03bf777a65914be3dcf93f437"),
-    504: (161.4318085414917, 19, 2110, 20,
+    504: (161.4318085414917, 19, 2110, 20, 74, 41,
           "a6867ec8fc319ce4215647af9ec0e75b93c79fa050cad3d535a0928eafa6ea29"),
-    505: (335.2877606269341, 21, 2311, 27,
+    505: (335.2877606269341, 21, 2311, 27, 134, 70,
           "d634a0c2ba9e6e4f169759229687ae423828f0b900aa1898a6c84565f50ce57c"),
-    506: (117.89599163100655, 23, 2508, 42,
+    506: (117.89599163100655, 23, 2508, 42, 211, 94,
           "a3e56c68f769f3a1f879ccb6c05fc17b108881c67c2c0c1454a7f592120bce9c"),
-    507: (309.3581801120604, 23, 2508, 29,
+    507: (309.3581801120604, 23, 2508, 29, 169, 95,
           "fd9218dd8e8211c2f635a027b3cc1de83697bd258ccd87f4c178028dc3f1f1b2"),
-    508: (205.4178196063214, 25, 2701, 32,
+    508: (205.4178196063214, 25, 2701, 32, 185, 102,
           "728259fabb463f21ccdcc78c2924d5586a09572910326107f86b3ad000296e30"),
-    509: (223.63815955145768, 19, 2110, 22,
+    509: (223.63815955145768, 19, 2110, 22, 104, 62,
           "20401c914206f3aa5e41c2a8183d73931eb7b8d4d2a7e3adc66e46a539dacbac"),
 }
 
@@ -448,6 +449,8 @@ class TestBenchScale:
                 stats.expansions,
                 graph_size(result.state),
                 stats.scheduler_calls,
+                result.state.plan_cache.planner_calls,
+                result.state.plan_cache.hits,
                 _schedule_digest(result.solution.schedule),
             )
             assert got == BENCH_PINS[seed], seed
@@ -489,7 +492,7 @@ class TestBounds:
 
         travel = euclidean_provider(domain)
         alloc = Allocation(np.array([[1, 0], [0, 1], [1, 1]], dtype=np.int8))
-        p = build_scheduling_problem(domain, alloc, travel)
+        p = build_scheduling_problem(alloc, PriceMemo(domain, travel))
         sched = solve_schedule(p)
         lb = schedule_lower_bound(p.durations)
         # the roadmap's total edge length far exceeds any straight-line
@@ -510,7 +513,7 @@ class TestProblemAssembly:
         alloc = Allocation(np.array([[1], [1]], dtype=np.int8))
         from dynalloc.motion import euclidean_provider
 
-        p = build_scheduling_problem(domain, alloc, euclidean_provider(domain))
+        p = build_scheduling_problem(alloc, PriceMemo(domain, euclidean_provider(domain)))
         assert (0, 1) in p.mutex_reduced
 
     def test_precedence_closure_drops_induced_mutex(self):
@@ -518,7 +521,7 @@ class TestProblemAssembly:
         alloc = Allocation(np.array([[1], [1], [1]], dtype=np.int8))
         from dynalloc.motion import euclidean_provider
 
-        p = build_scheduling_problem(domain, alloc, euclidean_provider(domain))
+        p = build_scheduling_problem(alloc, PriceMemo(domain, euclidean_provider(domain)))
         # (0,2) is ordered through the closure, so no mutex pair survives
         assert p.mutex_reduced == frozenset()
 
@@ -532,7 +535,7 @@ class TestProblemAssembly:
         from dynalloc.motion import euclidean_provider
 
         travel = euclidean_provider(domain)
-        p = build_scheduling_problem(domain, alloc, travel)
+        p = build_scheduling_problem(alloc, PriceMemo(domain, travel))
         expected = max(
             travel("r0", domain.world.robot_start_configs["r0"], domain.network.tasks[0].initial_config),
             travel("r1", domain.world.robot_start_configs["r1"], domain.network.tasks[0].initial_config),
@@ -545,7 +548,7 @@ class TestProblemAssembly:
 
     def test_a_shared_memo_builds_what_a_throwaway_one_does(self):
         """One memo across every allocation of a desk domain: the same
-        problem as a memo made for each call, and no trip priced twice."""
+        problem as a memo made for each call, and no price taken twice."""
         from dynalloc.motion import euclidean_provider
 
         domain = generate_problem(0, 3, 4, 3)
@@ -558,13 +561,15 @@ class TestProblemAssembly:
         memo = PriceMemo(domain, travel)
         for bits in itertools.product((0, 1), repeat=12):
             alloc = Allocation(np.array(bits, dtype=np.int8).reshape(4, 3))
-            shared = build_scheduling_problem(domain, alloc, travel, memo)
-            assert shared.key() == build_scheduling_problem(domain, alloc, travel).key()
+            shared = build_scheduling_problem(alloc, memo)
+            throwaway = PriceMemo(domain, euclidean_provider(domain))
+            assert shared.key() == build_scheduling_problem(alloc, throwaway).key()
         assert len(memo.arrivals) == 4 * 7
-        with pytest.raises(ValueError, match="another domain"):
-            build_scheduling_problem(generate_problem(1, 3, 4, 3), alloc, travel, memo)
+        # each price taken once: one trip per member of its coalition
+        coalitions = [c for _, c in memo.arrivals] + [c for _, _, c in memo.transitions]
+        assert len(priced) == sum(bin(c).count("1") for c in coalitions)
         with pytest.raises(DimensionMismatchError):
-            build_scheduling_problem(domain, Allocation(np.ones((4, 2), np.int8)), travel, memo)
+            build_scheduling_problem(Allocation(np.ones((4, 2), np.int8)), memo)
 
 
 def _full_scan_relax(comp: _Compiled, s0, seeds, mk0):

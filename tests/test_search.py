@@ -18,7 +18,7 @@ from dynalloc.domain import (
     stack_keys,
 )
 from dynalloc.generator import generate_problem
-from dynalloc import motion, search as search_mod
+from dynalloc import search as search_mod
 from dynalloc.search import (
     APR_SLICE,
     OPEN,
@@ -29,6 +29,7 @@ from dynalloc.search import (
     min_open_apr,
     new_state,
     prioritize,
+    required_transitions,
     search,
     take_head,
 )
@@ -169,7 +170,11 @@ class TestAprKernel:
             assert len(batch.keys) == len(cells) == node.allocation.entries.size - node.assignments
             seqs, keys, aprs = zip(*sorted(zip(batch.seqs, batch.keys, batch.aprs)))
             assert list(seqs) == list(range(seq, state.next_seq))
-            children = [node.allocation.with_assignment(m, n) for m, n in cells]
+            children = []
+            for m, n in cells:
+                entries = node.allocation.entries.copy()
+                entries[m, n] = 1
+                children.append(Allocation(entries))
             assert list(keys) == [c.key() for c in children]
             stack = stack_keys([c.key() for c in children], (15, 8))
             assert list(aprs) == _reference_aprs(stack, domain.team, domain.requirements)
@@ -261,7 +266,7 @@ class TestLaziness:
             assert result.reason == "solved"
             state = result.state
             domain = state.domain
-            classes = motion.capability_classes(domain.team, domain.world)
+            travel = state.price_memo.travel
             for node in state.nodes.values():
                 parent = node.parent
                 if parent is None or not node.exact:
@@ -271,15 +276,9 @@ class TestLaziness:
                 if old[:, n].any():
                     continue
                 rid = domain.team.robot_ids[n]
-                trip = motion.plan(
-                    state.roadmap,
-                    domain.world.robot_start_configs[rid],
-                    domain.network.tasks[m].initial_config,
-                    classes[rid],
-                    domain.world.robot_speeds[rid],
-                    state.plan_cache,
-                )
-                if trip is None or trip.duration > parent.schedule.start_times[m] + 1e-12:
+                start = domain.world.robot_start_configs[rid]
+                arrival = travel(rid, start, domain.network.tasks[m].initial_config)
+                if arrival > parent.schedule.start_times[m] + 1e-12:
                     continue
                 checked += 1
                 assert node.schedule.start_times == parent.schedule.start_times
@@ -390,6 +389,22 @@ class TestOptimality:
         assert result.solution.motion_plans
         for plan in result.solution.motion_plans.values():
             assert plan is not None
+
+    @pytest.mark.parametrize("shape", [(0, 3, 4, 3), (500, 8, 15, 4)], ids=["desk", "bench-500"])
+    def test_plans_are_keyed_by_robot_and_priced_at_its_speed(self, shape):
+        """On a fresh solve, the plans are exactly the schedule's required
+        trips, keyed (robot_id, from, to), each at its own robot's speed.
+        After an agent loss the cache's class ids go stale (ROADMAP item 1),
+        so only fresh solves are checked."""
+        domain = generate_problem(*shape)
+        solution = search(domain, 0.25).solution
+        required = required_transitions(domain, solution.allocation, solution.schedule)
+        assert set(solution.motion_plans) == {
+            (rid, tuple(frm), tuple(to)) for rid, frm, to in required
+        }
+        speeds = domain.world.robot_speeds
+        for (rid, _, _), plan in solution.motion_plans.items():
+            assert plan.duration == plan.length / speeds[rid]
 
 
 class TestStateBookkeeping:
