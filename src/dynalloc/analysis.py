@@ -29,7 +29,7 @@ def open_frontier(state) -> list[tuple[float, float]]:
     member can raise the bound.
     """
     pairs = [(n.apr, n.floor) for n in state.nodes.values() if n.status == OPEN]
-    pairs += [(max(b.aprs[b.next :]), b.floor) for b in state.batches]
+    pairs += [(max(b.aprs), b.floor) for b in state.batches]
     return pairs
 
 

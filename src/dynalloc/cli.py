@@ -226,9 +226,13 @@ def cmd_bounds(args) -> int:
             check_enumerable(domain)
         except BoundError as exc:
             return _refused(exc)
-    reports = runner.run_bounds_sweep(
-        domains, list(args.alphas), args.prm_samples, args.prm_k, args.seed
-    )
+    try:
+        reports = runner.run_bounds_sweep(
+            domains, list(args.alphas), args.prm_samples, args.prm_k, args.seed
+        )
+    except BoundError as exc:  # e.g. a search that found no solution
+        print(json.dumps({"error": "bounds", "message": str(exc)}), file=sys.stderr)
+        return 1
     path = runner.write_bounds_csv(reports, Path(args.out) / "bounds.csv")
     print(f"wrote {path} ({len(reports)} rows, all bound-respecting)")
     return 0

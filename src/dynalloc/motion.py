@@ -138,8 +138,9 @@ def build_roadmap(
 ) -> Roadmap:
     """Sample free space, force mandatory vertices, connect k nearest.
 
-    Deterministic for a fixed seed, and memoized on these inputs: asking
-    again for the same roadmap returns the same object. Raises when
+    Deterministic for a fixed seed, and memoized on these inputs for the
+    life of the process: asking again for any roadmap already built returns
+    the same object, however many others were built since. Raises when
     ``n_samples`` or ``k_neighbors`` is below 1, or when rejection sampling
     cannot find a single free sample within the cap; an error is not
     memoized.
@@ -154,7 +155,7 @@ def build_roadmap(
     )
 
 
-@functools.lru_cache(maxsize=8)
+@functools.cache
 def _build_roadmap(
     bounds: tuple[float, float, float, float],
     obstacles: tuple[Shape, ...],

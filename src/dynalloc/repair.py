@@ -285,7 +285,7 @@ def _demote_frontier(state: SearchState, slack: float) -> None:
     """
     for node in state.nodes.values():
         node.floor = max(0.0, node.floor - slack)
-    for batch in state.settle():
+    for batch in state.batches:
         batch.floor = max(0.0, batch.floor - slack)
     demote(state.open_nodes())
 
@@ -317,7 +317,7 @@ def handle_agent_or_task_loss(state: SearchState, event: DynamicEvent, old_domai
     axis = 1 if agent_loss else 0
 
     nodes = list(state.nodes.values())
-    batches = state.settle()
+    batches = state.batches
     stack = _stack(nodes, batches, (old_domain.n_tasks, old_domain.n_robots))
     uses = stack.take(idx, axis=axis + 1).any(axis=1)
     survivors = []
@@ -355,7 +355,7 @@ def handle_row_change(state: SearchState, event: DynamicEvent) -> None:
     id_key, _, direction = ROW_CHANGES[event.kind]
     favorable = direction > 0 if id_key == "agent" else direction < 0
     stale = state.with_status(CLOSED) + state.with_status(PRUNED) if favorable else []
-    _rescore(state, state.open_nodes() + stale, state.settle())
+    _rescore(state, state.open_nodes() + stale, state.batches)
     _rekey(state, [node for node in stale if node.apr <= APR_TOL])
 
 
@@ -386,11 +386,10 @@ def handle_new_agent(state: SearchState, event: DynamicEvent) -> None:
     since may have read them, the floors are zeroed and the frontier
     demoted. The root's children are seeded after the re-key."""
     nodes = list(state.nodes.values())
-    batches = state.settle()
     n_tasks = state.domain.n_tasks
-    stack = _stack(nodes, batches, (n_tasks, state.domain.n_robots - 1))
+    stack = _stack(nodes, state.batches, (n_tasks, state.domain.n_robots - 1))
     zeros = np.zeros((len(stack), n_tasks, 1), dtype=np.int8)
-    _reshape(state, nodes, batches, np.concatenate([stack, zeros], axis=2))
+    _reshape(state, nodes, state.batches, np.concatenate([stack, zeros], axis=2))
     # the root's allocation is all zeros, so no loss has deleted it
     root = next(node for node in nodes if node.parent is None)
 
@@ -451,7 +450,6 @@ def repair(state: SearchState, solution, event: DynamicEvent) -> SearchResult:
             raise DomainError("the solution's allocation is not in this state's graph")
     steps = decompose_mixed(domain, event)
     domains = list(accumulate(steps, apply_event, initial=domain))
-    state.repair_reads += 1
 
     if sol_node is not None:
         sol_node.status = OPEN  # every handler's re-key pushes it

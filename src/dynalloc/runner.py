@@ -4,8 +4,11 @@ Every event is applied to the domain once, before the first search, so a
 malformed event is refused before any solve. Wall time is measured around
 the allocator call only. In ``repair`` mode events mutate the retained
 search state; in ``recompute`` mode each event triggers a fresh search on
-the updated domain and never touches retained state (asserted via an
-instrumentation counter).
+the updated domain, which builds a new state and shares only the
+process's roadmap memo (``motion.build_roadmap``): a recompute reuses the
+roadmap already built for the same inputs, and pays a build only when the
+event changes the mandatory vertices (``agent_lost``, ``task_lost``,
+``new_agent``).
 """
 
 from __future__ import annotations
@@ -131,7 +134,6 @@ def run_scenario(
         for idx, (event, after) in enumerate(zip(ordered, domains[1:])):
             if run_mode == "repair":
                 state, solution = result.state, result.solution
-                pre_reads = state.repair_reads
                 times = []
                 for rep in range(repetitions):
                     # every run but the last repairs a copy, so each starts
@@ -141,12 +143,10 @@ def run_scenario(
                     result = repair(target, solution, event)
                     times.append((time.perf_counter() - t0) * 1000.0)
                 ms = statistics.median(times)
-                assert result.state.repair_reads > pre_reads
             else:
                 result, ms = _timed(
                     lambda d=after: search(d, alpha, prm_samples, prm_k, seed), repetitions
                 )
-                assert result.state.repair_reads == 0  # recompute never reuses state
             result = _checked(result, after, f"{run_mode} event {idx}")
             out.records.append(_record(idx, event.kind.value, run_mode, ms, result))
     return out

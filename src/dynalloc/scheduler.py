@@ -381,7 +381,7 @@ def _branch_and_bound(comp: _Compiled, floor: float, hint: Schedule | None) -> S
                             branch = p
                     else:
                         break  # every refreshed pair is open both ways: branch
-                # settle p, reached by a break above: its entry has a dead direction
+                # commit p, reached by a break above: its entry has a dead direction
                 r_live = mk_f >= cut
                 if r_live and mk_r >= cut:
                     return  # no completion of this node can improve

@@ -7,14 +7,14 @@ bounds (nsq). ``prioritize`` is the only code that writes nsq and the
 priority, and every node transition (pending, lazy, exact, open, demoted)
 lives here. An expansion's children are not nodes yet: they are kept as
 one ``PendingBatch`` (keys, aprs and reserved seqs, one shared floor) with
-one heap entry for its best member, and a child becomes an
-``AllocationNode`` only when a pop reaches it (partial expansion:
-Yoshizumi, Miura & Ishida, AAAI 2000). Every schedule is solved against
-roadmap travel times from one ``motion.Planner`` per state, held by the
-state's price memo: it plans each trip on demand through the state's plan
-cache, so a repeated trip costs one shortest-path query across the whole
-search, and the memo keeps each coalition's arrival and transition time,
-so assembling a problem prices no trip twice. The same planner plans an
+one heap entry for its best member, and a child leaves its batch to
+become an ``AllocationNode`` only when a pop reaches it (partial
+expansion: Yoshizumi, Miura & Ishida, AAAI 2000). Every schedule is solved
+against roadmap travel times from one ``motion.Planner`` per state, held
+by the state's price memo: it plans each trip on demand through the
+state's plan cache, so a repeated trip costs one shortest-path query
+across the whole search, and the memo keeps each coalition's arrival and
+transition time, so assembling a problem prices no trip twice. The same planner plans an
 accepted solution's trips, so its schedule is backed by real plans.
 """
 
@@ -136,14 +136,14 @@ class AllocationNode:
 class PendingBatch:
     """The children of one expansion that no pop has reached yet.
 
-    Members are kept as parallel lists (key, apr, reserved seq), in pop
-    order, by (tetaq, seq), from ``next`` on; those before ``next`` have
-    been built as nodes. All share the parent (the hint of their solves),
-    its assignment count plus one, and one floor, so one nsq; like a lazy
-    node's, the floor is sound and repair lowers it. ``prioritize`` alone
-    writes nsq and tetaq, and sorts the members; repair surgery works on
-    batches ``SearchState.settle`` rebuilt, which have no scores until the
-    re-key that follows it.
+    Members are kept as parallel lists (key, apr, reserved seq, tetaq) in
+    reverse pop order, by (tetaq, seq) descending, so the head, the member
+    the next pop builds, is the last and leaves with ``list.pop()``. All
+    share the parent (the hint of their solves), its assignment count plus
+    one, and one floor, so one nsq; like a lazy node's, the floor is sound
+    and repair lowers it. ``prioritize`` alone writes nsq and tetaq, and
+    sorts the members; repair surgery may leave a batch's scores stale,
+    because the re-key that ends it ``prioritize``s every batch.
     """
 
     parent: AllocationNode
@@ -154,7 +154,6 @@ class PendingBatch:
     seqs: list[int]
     nsq: float = math.nan
     tetaq: list[float] = field(default_factory=list)
-    next: int = 0
     status: str = OPEN  # CLOSED once its last member is built, as a node's
     version: int = 0  # bumped on every push; stale heap entries skipped
 
@@ -206,7 +205,6 @@ class SearchState:
     # roadmap; see ``_price_memo``
     price_memo: PriceMemo | None = None
     stats: SearchStats = field(default_factory=SearchStats)
-    repair_reads: int = 0  # bumped whenever repair reuses this state
     next_seq: int = 0  # the seq the next registered child takes
 
     def with_status(self, status: str) -> list[AllocationNode]:
@@ -215,29 +213,13 @@ class SearchState:
     def open_nodes(self):
         return self.with_status(OPEN)
 
-    def settle(self) -> list[PendingBatch]:
-        """Rebuild each batch from its pending members.
-
-        The rebuilt batches have no scores: the caller is repair surgery,
-        whose re-key ``prioritize``s them and rebuilds the heap.
-        """
-        self.batches = [
-            PendingBatch(
-                b.parent, b.assignments, b.floor,
-                b.keys[b.next :], b.aprs[b.next :], b.seqs[b.next :],
-            )
-            for b in self.batches
-        ]
-        return self.batches
-
     @staticmethod
     def _entry(item: AllocationNode | PendingBatch) -> tuple:
         """A fresh heap entry for a node or a batch's head member; the
         item's older entries go stale."""
         item.version += 1
         if isinstance(item, PendingBatch):
-            i = item.next
-            return (item.tetaq[i], item.assignments, item.seqs[i], item.version, item)
+            return (item.tetaq[-1], item.assignments, item.seqs[-1], item.version, item)
         return (item.tetaq, item.assignments, item.seq, item.version, item)
 
     def push(self, item: AllocationNode | PendingBatch) -> None:
@@ -374,10 +356,10 @@ def prioritize(state: SearchState, nodes, batches=()) -> None:
     on it, so a lazy priority never exceeds the exact one. A batch's
     members share one floor, hence one nsq; their tetaqs are the same
     formula taken elementwise, so each equals what a node of that apr and
-    floor would get, and the members are sorted by (tetaq, seq), the order
-    in which the heap would pop them as nodes; each batch must have a
-    pending member. The only writer of nsq and tetaq; re-keying the heap is
-    left to the caller.
+    floor would get, and the members are sorted by (tetaq, seq) descending,
+    the reverse of the order in which the heap would pop them as nodes;
+    each batch must have a member. The only writer of nsq and tetaq;
+    re-keying the heap is left to the caller.
     """
     lb, ub, alpha = state.lb, state.ub, state.alpha
     for node in nodes:
@@ -385,15 +367,12 @@ def prioritize(state: SearchState, nodes, batches=()) -> None:
         node.nsq = nsq
         node.tetaq = alpha * node.apr + (1.0 - alpha) * nsq
     for batch in batches:
-        lo = batch.next
         nsq = 0.0 if ub <= lb else min(1.0, max(0.0, (batch.floor - lb) / (ub - lb)))
         mix = (1.0 - alpha) * nsq
-        aprs = batch.aprs[lo:]
-        tetaq = [alpha * apr + mix for apr in aprs]
-        members = sorted(zip(tetaq, batch.seqs[lo:], batch.keys[lo:], aprs))
+        tetaq = [alpha * apr + mix for apr in batch.aprs]
+        members = sorted(zip(tetaq, batch.seqs, batch.keys, batch.aprs), reverse=True)
         batch.tetaq, batch.seqs, batch.keys, batch.aprs = map(list, zip(*members))
         batch.nsq = nsq
-        batch.next = 0
 
 
 def make_node(
@@ -418,23 +397,22 @@ def make_node(
 
 
 def take_head(state: SearchState, batch: PendingBatch) -> AllocationNode:
-    """Build a batch's head member as a lazy node; the next member becomes
-    the head, and a spent batch leaves the state.
+    """Take a batch's head member out and build it as a lazy node; the next
+    member becomes the head, and a spent batch leaves the state.
 
     The node gets the member's apr, reserved seq and the batch's floor, so
     it is the lazy child an eager expansion would have registered; the
     caller ``requeue``s it, which scores it, and re-keys the batch.
     """
-    i = batch.next
-    batch.next += 1
-    if batch.next == len(batch.keys):
+    key, apr, seq = batch.keys.pop(), batch.aprs.pop(), batch.seqs.pop()
+    batch.tetaq.pop()
+    if not batch.keys:
         batch.status = CLOSED
         state.batches.remove(batch)
-    key = batch.keys[i]
     state.pending_keys.discard(key)
     parent = batch.parent
     alloc = Allocation._trusted(key, parent.allocation.entries.shape, batch.assignments)
-    return make_node(state, alloc, parent, batch.aprs[i], batch.floor, batch.seqs[i])
+    return make_node(state, alloc, parent, apr, batch.floor, seq)
 
 
 def materialize(state: SearchState, node: AllocationNode) -> bool:
@@ -573,7 +551,7 @@ class SearchResult:
 
 def min_open_apr(state: SearchState) -> float:
     values = [n.apr for n in state.nodes.values() if n.status == OPEN]
-    values += [min(b.aprs[b.next :]) for b in state.batches]
+    values += [min(b.aprs) for b in state.batches]
     return min(values, default=1.0)
 
 

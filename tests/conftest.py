@@ -65,7 +65,7 @@ def build_domain(
 def pending_members(state):
     """(batch, position, key, apr, seq) of every member no pop has reached."""
     for batch in state.batches:
-        for i in range(batch.next, len(batch.keys)):
+        for i in range(len(batch.keys)):
             yield batch, i, batch.keys[i], batch.aprs[i], batch.seqs[i]
 
 
@@ -78,7 +78,7 @@ def member_allocation(batch, key):
 def graph_size(state):
     """Nodes built plus children pending: the number of nodes the graph
     would hold if every child were registered as a node."""
-    return len(state.nodes) + sum(len(b.keys) - b.next for b in state.batches)
+    return len(state.nodes) + sum(len(b.keys) for b in state.batches)
 
 
 def heap_violations(state):
@@ -100,9 +100,9 @@ def heap_violations(state):
             continue
         if isinstance(item, PendingBatch):
             if item.status != OPEN:
-                problems.append(f"spent batch of seq {item.seqs[-1]} has a current entry")
+                problems.append(f"spent batch of parent {item.parent.seq} has a current entry")
                 continue
-            want = (item.tetaq[item.next], item.assignments, item.seqs[item.next])
+            want = (item.tetaq[-1], item.assignments, item.seqs[-1])
         elif item.status == OPEN:
             want = (item.tetaq, item.assignments, item.seq)
         else:
@@ -116,7 +116,7 @@ def heap_violations(state):
         problems.append("a spent batch is still in the state")
     for key, item in frontier.items():
         if live.get(key, 0) != 1:
-            label = item.seqs[item.next] if isinstance(item, PendingBatch) else item.seq
+            label = item.seqs[-1] if isinstance(item, PendingBatch) else item.seq
             problems.append(f"open item of seq {label} has {live.get(key, 0)} live entries")
     problems.extend(
         f"live entry for an item outside the frontier ({count})"
@@ -140,7 +140,8 @@ def score_violations(state):
     lb, ub, alpha), and an exact node's floor its schedule's makespan. This
     is the rule that lets the search materialize a node without re-deriving
     its apr. A pending member is held to the same rule, with its batch's
-    floor and nsq, and each batch's members must be in (tetaq, seq) order.
+    floor and nsq, and each batch's members must be in descending (tetaq,
+    seq) order, its head last.
     """
     domain, lb, ub, alpha = state.domain, state.lb, state.ub, state.alpha
 
@@ -172,9 +173,11 @@ def score_violations(state):
         if got != want:
             problems.append(f"pending {seq}: (apr, nsq, tetaq) {got!r}, expected {want!r}")
     for batch in state.batches:
-        order = list(zip(batch.tetaq, batch.seqs))[batch.next :]
-        if order != sorted(order):
-            problems.append(f"batch of parent {batch.parent.seq} is not in (tetaq, seq) order")
+        order = list(zip(batch.tetaq, batch.seqs))
+        if order != sorted(order, reverse=True):
+            problems.append(
+                f"batch of parent {batch.parent.seq} is not in descending (tetaq, seq) order"
+            )
     return problems
 
 

@@ -104,11 +104,11 @@ MUTATORS = {
 }
 
 
-def score_writers(source: str) -> list[tuple[int, str | None]]:
-    """(line, enclosing function) of every write to an ``.nsq`` or
-    ``.tetaq``: a store to the attribute (a node's score, or a batch's
-    whole list), a store into or a deletion from a subscript of it (one
-    member's score), or a call of a method that changes it in place."""
+def score_writers(source: str) -> list[tuple[int, str | None, str]]:
+    """(line, enclosing function, source text) of every write to an
+    ``.nsq`` or ``.tetaq``: a store to the attribute (a node's score, or a
+    batch's whole list), a store into or a deletion from a subscript of it
+    (one member's score), or a call of a method that changes it in place."""
     found = []
 
     def is_score(node) -> bool:
@@ -133,7 +133,7 @@ def score_writers(source: str) -> list[tuple[int, str | None]]:
                     and is_score(child.func.value)
                 )
             ):
-                found.append((child.lineno, function))
+                found.append((child.lineno, function, ast.unparse(child)))
             visit(child, function)
 
     visit(ast.parse(source), None)
@@ -165,6 +165,21 @@ def test_no_private_read_across_modules(path):
     assert private_reads(path.read_text()) == []
 
 
+# the one score write allowed outside ``prioritize``: a batch's head score
+# leaving with its key, apr and seq
+HEAD_POP = ("take_head", "batch.tetaq.pop()")
+
+
+def stray_score_writes(name: str, source: str) -> list[tuple[int, str | None, str]]:
+    """The score writes of module ``name`` outside ``search.prioritize``,
+    but for ``take_head``'s bare pop of its batch's head score."""
+    return [
+        (line, function, text)
+        for line, function, text in score_writers(source)
+        if name != "search.py" or (function != "prioritize" and (function, text) != HEAD_POP)
+    ]
+
+
 def test_the_scan_sees_a_score_write():
     source = (
         "node.nsq = 0.0\n"
@@ -180,20 +195,53 @@ def test_the_scan_sees_a_score_write():
         "    del batch.tetaq[0]\n"
         "    batch.tetaq.pop(), batch.tetaq.sort(), batch.tetaq.index(0.0)\n"
         "    return batch.tetaq[i], sorted(batch.tetaq), batch.keys.pop()\n"
+        "def take_head(batch, item):\n"
+        "    batch.keys.pop(), batch.tetaq.pop()\n"
+        "    batch.tetaq.pop(0), batch.tetaq.pop(-1), item.tetaq.pop()\n"
+        "    batch.tetaq[-1] = 0.0\n"
+        "    del batch.tetaq[-1]\n"
+        "    batch.tetaq.sort(reverse=True)\n"
+        "    batch.tetaq, batch.nsq = [], 0.0\n"
     )
-    assert score_writers(source) == [
-        (1, None), (4, "prioritize"), (4, "prioritize"), (6, "demote"),
-        (9, "take"), (10, "take"), (11, "take"), (12, "take"), (12, "take"),
+    stray = [
+        (1, None, "node.nsq"),
+        (6, "demote", "node.tetaq"),
+        (9, "take", "batch.tetaq[i]"),
+        (10, "take", "batch.tetaq[i:]"),
+        (11, "take", "batch.tetaq[0]"),
+        (12, "take", "batch.tetaq.pop()"),
+        (12, "take", "batch.tetaq.sort()"),
+        (16, "take_head", "batch.tetaq.pop(0)"),
+        (16, "take_head", "batch.tetaq.pop(-1)"),
+        (16, "take_head", "item.tetaq.pop()"),
+        (17, "take_head", "batch.tetaq[-1]"),
+        (18, "take_head", "batch.tetaq[-1]"),
+        (19, "take_head", "batch.tetaq.sort(reverse=True)"),
+        (20, "take_head", "batch.tetaq"),
+        (20, "take_head", "batch.nsq"),
     ]
+    allowed = [
+        (4, "prioritize", "n.nsq"),
+        (4, "prioritize", "n.tetaq"),
+        (15, "take_head", "batch.tetaq.pop()"),
+    ]
+    assert sorted(score_writers(source)) == sorted(stray + allowed)
+    # only search.py's prioritize writes and take_head's bare head pop pass
+    assert sorted(stray_score_writes("search.py", source)) == sorted(stray)
+    assert stray_score_writes("repair.py", source) == score_writers(source)
 
 
 def test_only_prioritize_writes_scores():
+    """``prioritize`` alone writes scores; ``take_head`` only pops the
+    head's score off its batch, with the head's key, apr and seq."""
     writers = {
         (path.name, function)
         for path in MODULES
-        for _, function in score_writers(path.read_text())
+        for _, function, _ in score_writers(path.read_text())
     }
-    assert writers == {("search.py", "prioritize")}
+    assert writers == {("search.py", "prioritize"), ("search.py", "take_head")}
+    for path in MODULES:
+        assert stray_score_writes(path.name, path.read_text()) == []
 
 
 def called_names(source: str) -> set[str]:

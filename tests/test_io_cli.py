@@ -437,6 +437,21 @@ class TestCLI:
         assert "16 allocation cells" in err["message"]
         assert not (tmp_path / "out").exists()
 
+    def test_bounds_reports_an_unsatisfiable_problem(self, tmp_path, capsys):
+        """A valid file whose task needs more than the whole team holds."""
+        data = domain_to_dict(generate_problem(1, 2, 2, 2))
+        data["tasks"][0]["requires"]["trait0"] = 1000
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(data))
+        rc = main(["bounds", "--problem", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "bounds"
+        assert "exhausted" in err["message"]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "bad_file, text",
         [

@@ -105,6 +105,14 @@ class TestRoadmap:
         assert a.adjacency == b.adjacency
         assert a.total_edge_length == b.total_edge_length
 
+    def test_memo_keeps_every_roadmap_built(self, world_and_mandatory):
+        # a sweep cycles through more domains than a small LRU would hold
+        world, mandatory = world_and_mandatory
+        first = build_roadmap(world, mandatory, 20, 4, seed=1000)
+        for seed in range(1001, 1011):
+            build_roadmap(world, mandatory, 20, 4, seed=seed)
+        assert build_roadmap(world, mandatory, 20, 4, seed=1000) is first
+
     def test_mandatory_points_are_vertices(self, world_and_mandatory):
         world, mandatory = world_and_mandatory
         rm = build_roadmap(world, mandatory, 40, 5, seed=0)

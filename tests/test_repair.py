@@ -273,14 +273,6 @@ class TestRepair:
         else:
             assert solution_violations(new_domain, repaired.solution, repaired.state) == []
 
-    def test_repair_counts_as_state_reuse(self):
-        domain = generate_problem(0, 3, 4, 3)
-        result = _solved(domain)
-        ev = generate_event(domain, EventKind.DURATION_CHANGED, 5)
-        assert result.state.repair_reads == 0
-        repair(result.state, result.solution, ev)
-        assert result.state.repair_reads == 1
-
     def test_requirements_reduced_keeps_old_allocation(self):
         """A strictly easier problem re-certifies the old solution directly."""
         domain = generate_problem(1, 3, 4, 3)
@@ -444,7 +436,7 @@ class TestRepair:
 
         def snapshot():
             statuses = {key: node.status for key, node in state.nodes.items()}
-            return statuses, len(state.open_heap), state.repair_reads, state.domain
+            return statuses, len(state.open_heap), state.domain
 
         before = snapshot()
         event = DynamicEvent(0.0, EventKind.DURATION_CHANGED, {"task": "t1", "duration": 3.0})
@@ -555,7 +547,7 @@ def _eager_demote_frontier(state, slack):
     """
     for node in state.nodes.values():
         node.floor = max(0.0, node.floor - slack)
-    for batch in state.settle():
+    for batch in state.batches:
         batch.floor = 0.0
     for node in state.open_nodes():
         if node.exact:
@@ -1143,13 +1135,13 @@ def _untouched(state) -> str:
         for key, n in state.nodes.items()
     }
     batches = [
-        (id(b), id(b.parent), b.keys, b.aprs, b.seqs, b.tetaq, b.nsq, b.floor, b.next, b.version)
+        (id(b), id(b.parent), b.keys, b.aprs, b.seqs, b.tetaq, b.nsq, b.floor, b.version)
         for b in state.batches
     ]
     heap = [(*entry[:4], id(entry[4])) for entry in state.open_heap]
     cache = state.plan_cache
     counters = (
-        dataclasses.astuple(state.stats), state.next_seq, state.repair_reads,
+        dataclasses.astuple(state.stats), state.next_seq,
         cache.planner_calls, cache.hits, len(cache.entries), len(state.schedule_memo),
         sorted(state.pending_keys), id(state.domain), id(state.roadmap), state.lb, state.ub,
     )

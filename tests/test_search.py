@@ -179,8 +179,9 @@ class TestAprKernel:
             stack = stack_keys([c.key() for c in children], (15, 8))
             assert list(aprs) == _reference_aprs(stack, domain.team, domain.requirements)
             assert all(type(a) is float for a in aprs)
+            head = batch.seqs[-1]
             node = state.pop()  # the batch's best member, built as a node
-            assert node.seq == batch.seqs[0] and node.parent is not None
+            assert node.seq == head and node.parent is not None
 
 
 class TestTrivialGoals:
@@ -290,9 +291,9 @@ class TestLaziness:
         root = state.pop()
         batch = expand(state, root)
         assert len(state.nodes) == 1, "expansion should build no node"
-        bound = batch.tetaq[0]
+        bound, head = batch.tetaq[-1], batch.seqs[-1]
         node = state.pop()
-        assert node.seq == batch.seqs[0] and not node.exact
+        assert node.seq == head and not node.exact
         assert materialize(state, node)
         assert node.exact and node.schedule is not None
         # the bound never overestimates the exact priority
