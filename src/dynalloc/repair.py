@@ -9,7 +9,9 @@ The four trait/requirement row changes are one shape, declared once in
 
 Every handler is two parts. First the surgery for its event, which
 touches only the node sets the event can invalidate: losses delete nodes
-that reference the lost agent or task, a row change rescores the open
+that reference the lost agent or task, and revive the old solution minus
+the lost column or row as one node (plan repair as reuse: van der Krogt &
+de Weerdt, ICAPS 2005), a row change rescores the open
 frontier's apr (and, when favorable, rescans closed/pruned nodes for newly
 viable allocations), duration changes and task loss lower every node's
 makespan floor to a sound value and demote the frontier to those floors,
@@ -71,16 +73,20 @@ from .search import (
     CLOSED,
     OPEN,
     PRUNED,
+    AllocationNode,
     SearchResult,
     SearchState,
     accept_goal,
     add_children,
+    apr_value,
     apr_values,
     demote,
+    make_node,
     prioritize,
     refresh_bounds,
     requeue,
     run_search,
+    take_member,
 )
 
 
@@ -302,16 +308,31 @@ def _rekey(state: SearchState, revived=()) -> None:
         requeue(state, node)
 
 
-def handle_agent_or_task_loss(state: SearchState, event: DynamicEvent, old_domain: ProblemDomain) -> None:
+def handle_agent_or_task_loss(
+    state: SearchState,
+    event: DynamicEvent,
+    old_domain: ProblemDomain,
+    incumbent: AllocationNode | None = None,
+) -> AllocationNode | None:
     """Drop every node and pending child referencing the lost agent or
-    task, reindex the rest.
+    task, reindex the rest, and keep the incumbent minus the loss.
 
     Survivors of an agent loss never assigned the agent, so their apr,
     schedules and floors hold. A task loss changes requirement mass and
     schedule indexing: every survivor is rescored, no sound shift of a
     floor exists, and each closed node left viable is revived. A child
     uses whatever its parent uses, so a batch whose parent is dropped is
-    dropped whole."""
+    dropped whole.
+
+    ``incumbent`` is the node of the solution being repaired, or None. When
+    the loss drops it, its projection (its allocation with the lost column
+    or row cut out) is revived in its place: the node of that key if the
+    graph has one (a pending member is built as a node first), else a new
+    node whose parent is the incumbent's nearest ancestor that never used
+    the lost index. That ancestor's allocation is a subset of the
+    projection, so its floor is sound for it and its schedule is the warm
+    hint. Returns the node that stands for the incumbent, or None.
+    """
     agent_loss = event.kind == EventKind.AGENT_LOST
     idx = _index(old_domain, event.payload, "agent" if agent_loss else "task")
     axis = 1 if agent_loss else 0
@@ -320,6 +341,15 @@ def handle_agent_or_task_loss(state: SearchState, event: DynamicEvent, old_domai
     batches = state.batches
     stack = _stack(nodes, batches, (old_domain.n_tasks, old_domain.n_robots))
     uses = stack.take(idx, axis=axis + 1).any(axis=1)
+
+    def uses_lost(node) -> bool:
+        return bool(node.allocation.entries.take(idx, axis=axis).any())
+
+    anchor = None  # a dropped incumbent's nearest ancestor that never used idx
+    if incumbent is not None and uses_lost(incumbent):
+        anchor = incumbent.parent
+        while uses_lost(anchor):
+            anchor = anchor.parent
     survivors = []
     for node, used in zip(nodes, uses.tolist()):
         if used:
@@ -336,14 +366,39 @@ def handle_agent_or_task_loss(state: SearchState, event: DynamicEvent, old_domai
         batch.seqs = list(compress(batch.seqs, keep))
     state.batches = [batch for batch in batches if batch.keys]
     _reshape(state, survivors, state.batches, np.delete(stack[~uses], idx, axis=axis + 1))
-    if agent_loss:
-        _rekey(state)
-        return
 
-    state.schedule_memo.clear()
-    _rescore(state, survivors, state.batches)
-    _demote_frontier(state, math.inf)
-    _rekey(state, [node for node in state.with_status(CLOSED) if node.apr <= APR_TOL])
+    revived = []
+    if not agent_loss:
+        state.schedule_memo.clear()
+        _rescore(state, survivors, state.batches)
+        _demote_frontier(state, math.inf)
+        revived = [node for node in state.with_status(CLOSED) if node.apr <= APR_TOL]
+    if anchor is not None:
+        projection = np.delete(incumbent.allocation.entries, idx, axis=axis)
+        incumbent = _projection(state, projection[None], anchor)
+        revived = [node for node in revived if node is not incumbent] + [incumbent]
+    _rekey(state, revived)
+    return incumbent
+
+
+def _projection(
+    state: SearchState, entries: np.ndarray, anchor: AllocationNode
+) -> AllocationNode:
+    """The node for the one allocation of ``entries`` (a (1, M, N) stack in
+    the current domain): the node of its key, the pending member of its key
+    built as a node, or a new node under ``anchor`` with the anchor's floor
+    and a fresh seq."""
+    alloc = unstack_allocations(entries)[0]
+    key = alloc.key()
+    if key in state.nodes:
+        return state.nodes[key]
+    if key in state.pending_keys:
+        batch = next(batch for batch in state.batches if key in batch.keys)
+        return take_member(state, batch, batch.keys.index(key))
+    seq = state.next_seq
+    state.next_seq += 1
+    apr = apr_value(alloc, state.domain.team, state.domain.requirements)
+    return make_node(state, alloc, anchor, apr, anchor.floor, seq)
 
 
 def handle_row_change(state: SearchState, event: DynamicEvent) -> None:
@@ -431,9 +486,12 @@ def repair(state: SearchState, solution, event: DynamicEvent) -> SearchResult:
 
     ``solution`` is the one the last solve or repair of this state
     returned, None when that found none. Its node is first returned to the
-    frontier; after the kind-specific surgery it is re-certified under the
-    new domain and, when it is still a goal, returned without any further
-    expansion.
+    frontier; a loss that deletes it revives its projection in its place.
+    After the kind-specific surgery that node is re-certified under the new
+    domain and, when it is still a goal and no open node or pending child
+    has a lower priority, returned without any further expansion: what a
+    pop would have returned, so both gap bounds hold for it as for any
+    pop. Otherwise the search resumes.
 
     A solution whose allocation is not in the state's graph is refused, and
     every step is applied to the domain before the state is touched, so a
@@ -460,7 +518,7 @@ def repair(state: SearchState, solution, event: DynamicEvent) -> SearchResult:
         # wrappers bound to the module attributes see every call
         kind = step.kind
         if kind in (EventKind.AGENT_LOST, EventKind.TASK_LOST):
-            handle_agent_or_task_loss(state, step, old_domain)
+            sol_node = handle_agent_or_task_loss(state, step, old_domain, sol_node)
         elif kind in ROW_CHANGES:
             handle_row_change(state, step)
         elif kind == EventKind.DURATION_CHANGED:
@@ -468,13 +526,15 @@ def repair(state: SearchState, solution, event: DynamicEvent) -> SearchResult:
         else:
             handle_new_agent(state, step)
 
-    # fast path: the old solution may still be a goal under the new domain
+    # fast path: the old solution, or its projection, may still be the best
+    # goal on the frontier under the new domain
     if (
         sol_node is not None
         and sol_node.status == OPEN
         and sol_node.allocation.key() in state.nodes
         and requeue(state, sol_node)
         and sol_node.apr <= APR_TOL
+        and state.best_priority() >= sol_node.tetaq
     ):
         result = accept_goal(state, sol_node)
         if result is not None:

@@ -46,6 +46,7 @@ class EventRecord:
     wall_time_ms: float
     makespan: float
     resource_count: int
+    expansions: int
     nodes_touched: int
     planner_calls: int
     scheduler_calls: int
@@ -96,6 +97,7 @@ def _record(idx: int, kind: str, mode: str, ms: float, result: SearchResult) -> 
         wall_time_ms=ms,
         makespan=result.solution.makespan,
         resource_count=resource_count(result.solution.allocation),
+        expansions=state.stats.expansions,
         nodes_touched=state.stats.nodes_touched,
         planner_calls=state.plan_cache.planner_calls,
         scheduler_calls=state.stats.scheduler_calls,

@@ -404,8 +404,14 @@ def take_head(state: SearchState, batch: PendingBatch) -> AllocationNode:
     it is the lazy child an eager expansion would have registered; the
     caller ``requeue``s it, which scores it, and re-keys the batch.
     """
-    key, apr, seq = batch.keys.pop(), batch.aprs.pop(), batch.seqs.pop()
     batch.tetaq.pop()
+    return take_member(state, batch, len(batch.keys) - 1)
+
+
+def take_member(state: SearchState, batch: PendingBatch, i: int) -> AllocationNode:
+    """``take_head`` of the batch's member at position ``i``, except that
+    the batch's tetaq is left for the caller to ``prioritize``."""
+    key, apr, seq = batch.keys.pop(i), batch.aprs.pop(i), batch.seqs.pop(i)
     if not batch.keys:
         batch.status = CLOSED
         state.batches.remove(batch)

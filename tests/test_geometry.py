@@ -14,6 +14,8 @@ from dynalloc.geometry import (
     segment_hits_circle,
     segment_hits_rect,
 )
+from dynalloc.motion import MotionPlan
+from dynalloc.validation import COLLISION_SAMPLE_STEP, plan_collision_samples
 
 
 def _dense_hits(a, b, shape, step=0.002):
@@ -111,3 +113,84 @@ class TestSegments:
         obstacles = (Circle((0.0, 0.0), 0.5), Rect((3.0, -0.5), (4.0, 0.5)))
         assert segment_collides((-2.0, 0.0), (5.0, 0.0), obstacles)
         assert not segment_collides((-2.0, 2.0), (5.0, 2.0), obstacles)
+
+
+def _per_point_clear(plan, obstacles):
+    """The sampling oracle one point at a time: True when no sample of the
+    plan lies in an obstacle."""
+    for a, b in zip(plan.waypoints, plan.waypoints[1:]):
+        n = max(2, int(math.dist(a, b) / COLLISION_SAMPLE_STEP) + 1)
+        xs = np.linspace(a[0], b[0], n).tolist()
+        ys = np.linspace(a[1], b[1], n).tolist()
+        if any(point_in_any(p, obstacles) for p in zip(xs, ys)):
+            return False
+    return True
+
+
+# ordinary coordinates, and zero, subnormal and smallest-normal ones
+_COORDINATE = st.one_of(
+    st.floats(-5.0, 5.0),
+    st.floats(-1e-300, 1e-300),
+    st.sampled_from([0.0, 5e-324, -5e-324, 2.2250738585072014e-308]),
+)
+_POINT = st.tuples(_COORDINATE, _COORDINATE)
+_OBSTACLE = st.one_of(
+    st.builds(Circle, _POINT, st.floats(0.01, 3.0)),
+    st.builds(
+        lambda corner, w, h: Rect(corner, (corner[0] + w, corner[1] + h)),
+        _POINT,
+        st.floats(0.0, 3.0),
+        st.floats(0.0, 3.0),
+    ),
+)
+
+
+def _on_edge(ob, t):
+    """A point on the obstacle's boundary, up to rounding: at angle ``t``
+    on a circle, or at fraction ``t / 2pi`` of the way round a rect."""
+    if isinstance(ob, Circle):
+        return (ob.center[0] + ob.radius * math.cos(t), ob.center[1] + ob.radius * math.sin(t))
+    (x0, y0), (x1, y1) = ob.min_corner, ob.max_corner
+    side, f = divmod(4.0 * t / (2.0 * math.pi), 1.0)
+    return [
+        (x0 + f * (x1 - x0), y0),
+        (x1, y0 + f * (y1 - y0)),
+        (x1 - f * (x1 - x0), y1),
+        (x0, y1 - f * (y1 - y0)),
+    ][min(int(side), 3)]
+
+
+@st.composite
+def _plans(draw):
+    """Obstacles and a plan whose waypoints are drawn points or points on
+    an obstacle's boundary, so that samples graze the edges."""
+    obstacles = tuple(draw(st.lists(_OBSTACLE, min_size=1, max_size=3)))
+    edge = st.builds(_on_edge, st.sampled_from(obstacles), st.floats(0.0, 2.0 * math.pi))
+    waypoints = draw(st.lists(st.one_of(_POINT, edge), min_size=2, max_size=4))
+    return MotionPlan(tuple(waypoints), 0.0, 0.0), obstacles
+
+
+class TestSampleOracle:
+    """``validation.plan_collision_samples`` tests samples as arrays; its
+    verdicts are those of testing each sample on its own."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(_plans())
+    def test_array_verdicts_match_per_point_verdicts(self, case):
+        plan, obstacles = case
+        assert plan_collision_samples(plan, obstacles) == _per_point_clear(plan, obstacles)
+
+    def test_a_sample_on_a_circle_edge_is_a_hit(self):
+        """The middle sample is (0, 1), at distance exactly 1 from the
+        centre; the circle's edge counts as inside."""
+        circle = Circle((0.0, 0.0), 1.0)
+        plan = MotionPlan(((-1.0, 1.0), (1.0, 1.0)), 2.0, 2.0)
+        assert not plan_collision_samples(plan, (circle,))
+        assert plan_collision_samples(plan, (Circle((0.0, 0.0), 1.0 - 1e-12),))
+
+    def test_a_sample_on_a_subnormal_rect_edge_is_a_hit(self):
+        rect = Rect((5e-324, 0.0), (1.0, 1.0))
+        on_edge = MotionPlan(((5e-324, 2.0), (5e-324, -1.0)), 3.0, 3.0)
+        beside = MotionPlan(((0.0, 2.0), (0.0, -1.0)), 3.0, 3.0)
+        assert not plan_collision_samples(on_edge, (rect,))
+        assert plan_collision_samples(beside, (rect,))

@@ -531,7 +531,7 @@ class TestCLI:
             rows = list(csv.DictReader(f))
         assert list(rows[0]) == [
             "scenario", "event_index", "event_kind", "mode", "wall_time_ms", "makespan",
-            "resource_count", "nodes_touched", "planner_calls", "scheduler_calls",
+            "resource_count", "expansions", "nodes_touched", "planner_calls", "scheduler_calls",
             "bnb_nodes", "relaxations",
         ]
         # the state's own scheduler counters, so a fresh search's on its initial solve
