@@ -5,11 +5,16 @@ vertex, so path queries never need on-the-fly sampling. It depends only on
 the world, those vertices, the sample count, k and the seed, so a process
 builds it once per set of these inputs and hands every caller the same
 immutable ``Roadmap``; a robot that joins later is linked in by
-``link_start``. Each roadmap keeps one shortest-path tree per source vertex
-it was queried from; ``plan`` only reads its path off the tree. A
-``Planner`` serves every robot trip of one domain on one roadmap, through
-a plan cache: robots with identical trait rows and speed (a capability
-class) reuse each other's plans, and class ids stay inside this module.
+``link_start``. The build samples, finds neighbours and tests edges for
+collision on whole arrays, and gives the roadmap a per-vertex loop would.
+Each roadmap keeps one shortest-path tree per source vertex it was queried
+from, grown on demand: a query pops the tree's Dijkstra heap only until its
+target is settled, and the tree keeps its heap, so the next query from that
+source resumes where the last stopped. ``plan`` reads its path off the
+tree. A ``Planner`` serves every robot trip of one domain on one roadmap,
+through a plan cache: robots with identical trait rows and speed (a
+capability class) reuse each other's plans, and class ids stay inside this
+module.
 """
 
 from __future__ import annotations
@@ -23,11 +28,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import ProblemDomain, TeamTraitMatrix, WorldModel
-from .geometry import Point, Shape, point_in_any, segment_collides
+from .geometry import Point, Shape, points_in_any, segment_collides, segments_collide
 
 
 # rejection sampling gives up after this many draws per requested sample
 REJECTION_CAP_FACTOR = 50
+# distances computed per block of rows when finding nearest neighbours, so
+# the build's temporaries stay small however many vertices a roadmap has
+KNN_BLOCK = 1 << 14
 
 
 class RoadmapError(Exception):
@@ -38,22 +46,38 @@ class RoadmapError(Exception):
 class Roadmap:
     """Vertices and adjacency by index. Built edges run both ways; a start
     linked in by ``link_start`` has edges out of it only, so a path can
-    begin there but never pass through it."""
+    begin there but never pass through it.
+
+    A roadmap is immutable but for ``trees``, a cache that queries grow
+    deterministically: whatever was queried before, a path read off it is
+    the one a fresh full Dijkstra gives. So a deep copy shares the roadmap,
+    trees and all, rather than copying it.
+    """
 
     vertices: tuple[Point, ...]
     adjacency: dict[int, tuple[tuple[int, float], ...]]
     total_edge_length: float
-    # source vertex -> (dist, prev) by vertex index, filled by the first query
-    # from that source; prev is -1 at the source and at unreachable vertices
-    trees: dict[int, tuple[array, array]] = field(
+    # source vertex -> (dist, prev, settled, heap): a Dijkstra from that
+    # source paused where its last query stopped. dist and prev are by
+    # vertex index (prev is -1 at the source and wherever no edge has
+    # reached yet); dist and prev of a settled vertex are final
+    trees: dict[int, tuple[array, array, bytearray, list]] = field(
         default_factory=dict, compare=False, repr=False
     )
+    _index: dict[Point, int] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        # vertices are distinct, and mandatory ones are inserted exactly,
+        # so lookup is by equality
+        object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.vertices)})
+
+    def __deepcopy__(self, memo):
+        return self
 
     def vertex_index(self, p: Point) -> int:
-        # mandatory vertices are inserted exactly, so lookup is by equality
         try:
-            return self.vertices.index(tuple(p))
-        except ValueError:
+            return self._index[tuple(p)]
+        except KeyError:
             raise RoadmapError(f"point {p} is not a roadmap vertex") from None
 
 
@@ -174,13 +198,15 @@ def _build_roadmap(
 
     rng = np.random.default_rng(seed)
     free: list[Point] = []
-    attempts = 0
+    drawn = 0
     cap = REJECTION_CAP_FACTOR * n_samples
-    while len(free) < n_samples and attempts < cap:
-        attempts += 1
-        p = (float(rng.uniform(xmin, xmax)), float(rng.uniform(ymin, ymax)))
-        if not point_in_any(p, obstacles):
-            free.append(p)
+    while len(free) < n_samples and drawn < cap:
+        # block row r is the (x, y) that attempt drawn + r would draw alone
+        need = n_samples - len(free)
+        block = rng.uniform((xmin, ymin), (xmax, ymax), size=(min(2 * need + 16, cap - drawn), 2))
+        drawn += len(block)
+        clear = block[~points_in_any(block[:, 0], block[:, 1], obstacles)]
+        free += map(tuple, clear[:need].tolist())
     if not free:
         raise RoadmapError(f"no free sample found in {cap} attempts")
 
@@ -188,31 +214,62 @@ def _build_roadmap(
     pts = np.array(vertices)
     n = len(vertices)
     k = min(k_neighbors, n - 1)
+    nbr, dist = _nearest(pts, k)
 
-    edges: set[tuple[int, int]] = set()
-    lengths: dict[tuple[int, int], float] = {}
-    for i in range(n):
-        d = np.hypot(pts[:, 0] - pts[i, 0], pts[:, 1] - pts[i, 1])
-        d[i] = np.inf
-        for j in np.argsort(d, kind="stable")[:k]:
-            j = int(j)
-            e = (min(i, j), max(i, j))
-            if e in edges:
-                continue
-            if segment_collides(vertices[i], vertices[j], obstacles):
-                continue
-            edges.add(e)
-            lengths[e] = float(d[j])
+    # every candidate (i, nbr[i, r]) in row-major order, tested from i
+    src = np.repeat(np.arange(n), k)
+    dst = nbr.ravel()
+    free_edge = ~segments_collide(pts[src, 0], pts[src, 1], pts[dst, 0], pts[dst, 1], obstacles)
+    src, dst, dist = src[free_edge], dst[free_edge], dist.ravel()[free_edge]
+    # an edge is kept at its first clear candidate; the reverse candidate
+    # has the same length, since hypot ignores signs
+    keys, first = np.unique(np.minimum(src, dst) * n + np.maximum(src, dst), return_index=True)
+    total = float(sum(dist[np.sort(first)].tolist()))
 
-    adjacency: dict[int, list[tuple[int, float]]] = {i: [] for i in range(n)}
-    for (i, j), ln in sorted(lengths.items()):
-        adjacency[i].append((j, ln))
-        adjacency[j].append((i, ln))
+    # adjacency lists every neighbour of a vertex in index order
+    lo, hi, ln = keys // n, keys % n, dist[first]
+    frm, to, ln = np.concatenate((lo, hi)), np.concatenate((hi, lo)), np.concatenate((ln, ln))
+    order = np.argsort(frm * n + to)
+    cuts = np.searchsorted(frm[order], np.arange(n + 1)).tolist()
+    links = list(zip(to[order].tolist(), ln[order].tolist()))
     return Roadmap(
         vertices=tuple(vertices),
-        adjacency={i: tuple(v) for i, v in adjacency.items()},
-        total_edge_length=float(sum(lengths.values())),
+        adjacency={i: tuple(links[cuts[i] : cuts[i + 1]]) for i in range(n)},
+        total_edge_length=total,
     )
+
+
+def _nearest(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each vertex's k nearest others and their distances, (n, k) each.
+
+    Row i is what ``np.argsort(d, kind="stable")[:k]`` picks from i's
+    distance row d (its own entry inf): the k smallest by distance, then
+    by index, in that order. A row is partitioned, and only a row with a
+    tie at its k-th distance is sorted whole.
+    """
+    n = len(pts)
+    nbr = np.empty((n, k), dtype=np.intp)
+    dist = np.empty((n, k))
+    if k == 0:
+        return nbr, dist
+    x, y = pts[:, 0], pts[:, 1]
+    step = max(1, KNN_BLOCK // n)
+    for lo in range(0, n, step):
+        rows = np.arange(lo, min(lo + step, n))
+        d = np.hypot(x - x[rows, None], y - y[rows, None])
+        d[np.arange(len(rows)), rows] = np.inf
+        picked = d <= np.partition(d, k - 1, axis=1)[:, k - 1 : k]
+        tied = picked.sum(axis=1) != k
+        # untied rows: their k picks in index order, then stably by distance
+        cols = np.nonzero(picked[~tied])[1].reshape(-1, k)
+        near = np.take_along_axis(d[~tied], cols, axis=1)
+        order = np.argsort(near, axis=1, kind="stable")
+        nbr[rows[~tied]] = np.take_along_axis(cols, order, axis=1)
+        dist[rows[~tied]] = np.take_along_axis(near, order, axis=1)
+        for r in np.flatnonzero(tied).tolist():
+            nbr[lo + r] = np.argsort(d[r], kind="stable")[:k]
+            dist[lo + r] = d[r, nbr[lo + r]]
+    return nbr, dist
 
 
 def link_start(roadmap: Roadmap, world: WorldModel, start: Point, k_neighbors: int) -> Roadmap:
@@ -241,40 +298,36 @@ def link_start(roadmap: Roadmap, world: WorldModel, start: Point, k_neighbors: i
     )
 
 
-def _shortest_path_tree(roadmap: Roadmap, src: int) -> tuple[array, array]:
-    """Single-source Dijkstra over the whole roadmap: (dist, prev) by vertex.
+def _dijkstra(roadmap: Roadmap, src: int, dst: int) -> tuple[list[int], float] | None:
+    """Shortest path from ``src`` to ``dst`` and its length; None when
+    ``dst`` is unreachable.
 
-    It pops vertices in the order a search stopped at any one of them
-    would, and a popped vertex's dist and prev never change, so a path read
-    off the tree is the one that search returns, bit for bit.
+    It resumes ``src``'s tree and pops until ``dst`` is settled. Across
+    queries the pops are those of one full Dijkstra, in its order, and a
+    settled vertex's dist and prev never change, so the path read off is
+    the one a search stopped at ``dst`` returns, bit for bit.
     """
-    n = len(roadmap.vertices)
-    dist = array("d", [math.inf]) * n
-    prev = array("i", [-1]) * n
-    done = bytearray(n)
-    dist[src] = 0.0
-    heap = [(0.0, src)]
-    while heap:
+    tree = roadmap.trees.get(src)
+    if tree is None:
+        n = len(roadmap.vertices)
+        dist = array("d", [math.inf]) * n
+        dist[src] = 0.0
+        tree = roadmap.trees[src] = (dist, array("i", [-1]) * n, bytearray(n), [(0.0, src)])
+    dist, prev, settled, heap = tree
+    adjacency = roadmap.adjacency
+    while not settled[dst]:
+        if not heap:
+            return None
         d, v = heapq.heappop(heap)
-        if done[v]:
+        if settled[v]:
             continue
-        done[v] = 1
-        for w, ln in roadmap.adjacency.get(v, ()):
+        settled[v] = 1
+        for w, ln in adjacency.get(v, ()):
             nd = d + ln
             if nd < dist[w]:
                 dist[w] = nd
                 prev[w] = v
                 heapq.heappush(heap, (nd, w))
-    return dist, prev
-
-
-def _dijkstra(roadmap: Roadmap, src: int, dst: int) -> tuple[list[int], float] | None:
-    tree = roadmap.trees.get(src)
-    if tree is None:
-        tree = roadmap.trees[src] = _shortest_path_tree(roadmap, src)
-    dist, prev = tree
-    if dist[dst] == math.inf:
-        return None
     path = [dst]
     while path[-1] != src:
         path.append(prev[path[-1]])

@@ -587,8 +587,15 @@ def run_search(
     """Pop-best loop; goal = zero apr with a plan-backed feasible schedule.
 
     An exact pop whose priority some other open node matches (within
-    TIE_TOL) counts in ``stats.tied_pops``.
+    TIE_TOL) counts in ``stats.tied_pops``. When even every robot on every
+    task leaves a requirement unmet, no allocation meets them all (traits
+    are non-negative, so apr only falls as cells are added), and the search
+    reports ``exhausted`` before its first pop, leaving the state as it is.
     """
+    domain = state.domain
+    full = np.ones((1, domain.n_tasks, domain.n_robots), dtype=np.int8)
+    if apr_values(full, domain.team, domain.requirements)[0] > APR_TOL:
+        return SearchResult(None, "exhausted", min_open_apr(state), state)
     t0 = time.monotonic()
     while True:
         if state.stats.expansions >= max_expansions:

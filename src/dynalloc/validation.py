@@ -8,15 +8,13 @@ import math
 import numpy as np
 
 from .domain import ProblemDomain, is_valid_allocation
-from .geometry import Circle
+from .geometry import points_in_any
 from .motion import MotionPlan, PlanCache, Planner, Roadmap, plan
 from .scheduler import PriceMemo, SchedulingProblem, Schedule, build_scheduling_problem
 from .search import SearchState, Solution, required_transitions
 
 CHECK_TOL = 1e-9
 COLLISION_SAMPLE_STEP = 0.01  # world units between the oracle's samples
-# relative band around a circle's radius where the oracle re-tests a sample
-CIRCLE_EDGE_TOL = 1e-9
 
 
 def schedule_violations(problem: SchedulingProblem, schedule: Schedule) -> list[str]:
@@ -46,29 +44,15 @@ def schedule_violations(problem: SchedulingProblem, schedule: Schedule) -> list[
 def plan_collision_samples(plan: MotionPlan, obstacles) -> bool:
     """Dense-sampling oracle: True when every sample is obstacle-free.
 
-    Each segment's ``np.linspace`` samples are tested against each
-    obstacle as arrays, with the verdicts of ``Circle.contains`` and
-    ``Rect.contains``: a rect by the same ``<=`` comparisons elementwise, a
-    circle by the array distance, except that a sample within a relative
-    ``CIRCLE_EDGE_TOL`` of the radius, where that distance and
-    ``math.dist`` may round apart, is re-tested by ``Circle.contains``.
+    Each segment's ``np.linspace`` samples are tested as arrays by
+    ``geometry.points_in_any``, with the verdicts of ``point_in_any``.
     """
     for a, b in zip(plan.waypoints, plan.waypoints[1:]):
         n = max(2, int(math.dist(a, b) / COLLISION_SAMPLE_STEP) + 1)
         xs = np.linspace(a[0], b[0], n)
         ys = np.linspace(a[1], b[1], n)
-        for ob in obstacles:
-            if isinstance(ob, Circle):
-                dist = np.hypot(xs - ob.center[0], ys - ob.center[1])
-                edge = np.abs(dist - ob.radius) <= CIRCLE_EDGE_TOL * ob.radius
-                if np.any((dist <= ob.radius) & ~edge) or any(
-                    ob.contains((x, y)) for x, y in zip(xs[edge].tolist(), ys[edge].tolist())
-                ):
-                    return False
-            else:
-                (x0, y0), (x1, y1) = ob.min_corner, ob.max_corner
-                if np.any((x0 <= xs) & (xs <= x1) & (y0 <= ys) & (ys <= y1)):
-                    return False
+        if points_in_any(xs, ys, obstacles).any():
+            return False
     return True
 
 

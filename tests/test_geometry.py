@@ -10,9 +10,11 @@ from dynalloc.geometry import (
     Circle,
     Rect,
     point_in_any,
+    points_in_any,
     segment_collides,
     segment_hits_circle,
     segment_hits_rect,
+    segments_collide,
 )
 from dynalloc.motion import MotionPlan
 from dynalloc.validation import COLLISION_SAMPLE_STEP, plan_collision_samples
@@ -194,3 +196,45 @@ class TestSampleOracle:
         beside = MotionPlan(((0.0, 2.0), (0.0, -1.0)), 3.0, 3.0)
         assert not plan_collision_samples(on_edge, (rect,))
         assert plan_collision_samples(beside, (rect,))
+
+
+@st.composite
+def _segments(draw):
+    """Obstacles and segments whose ends are drawn points or points on an
+    obstacle's boundary, so that segments graze, touch and clip edges."""
+    obstacles = tuple(draw(st.lists(_OBSTACLE, min_size=1, max_size=3)))
+    edge = st.builds(_on_edge, st.sampled_from(obstacles), st.floats(0.0, 2.0 * math.pi))
+    end = st.one_of(_POINT, edge)
+    return draw(st.lists(st.tuples(end, end), min_size=1, max_size=8)), obstacles
+
+
+class TestSegmentArrays:
+    """``segments_collide`` gives ``segment_collides``'s verdict on every
+    segment of an array."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_segments())
+    def test_array_verdicts_match_per_segment_verdicts(self, case):
+        segments, obstacles = case
+        (ax, ay), (bx, by) = (np.array([s[e] for s in segments]).T for e in (0, 1))
+        want = [segment_collides(a, b, obstacles) for a, b in segments]
+        assert segments_collide(ax, ay, bx, by, obstacles).tolist() == want
+
+    def test_tangents_and_points_on_a_circle_edge(self):
+        """A tangent touches the circle, as does a zero-length segment on
+        its edge; moved 1e-9 outward, neither does."""
+        circle = (Circle((0.0, 0.0), 1.0),)
+        ax, ay = np.array([-2.0, -2.0, 1.0, 1.0 + 1e-9]), np.array([1.0, 1.0 + 1e-9, 0.0, 0.0])
+        bx, by = np.array([2.0, 2.0, 1.0, 1.0 + 1e-9]), ay
+        assert segments_collide(ax, ay, bx, by, circle).tolist() == [True, False, True, False]
+
+    def test_a_point_where_hypot_and_dist_round_apart(self):
+        """``np.hypot`` puts this point one ulp outside a circle whose radius
+        is its ``math.dist`` from the centre; the circle contains it, and
+        both array tests say so."""
+        x, y = -5.549862681074551, 9.547166560662529
+        circle = Circle((0.0, 0.0), math.dist((x, y), (0.0, 0.0)))
+        assert np.hypot(x, y) > circle.radius and circle.contains((x, y))
+        xs, ys = np.array([x]), np.array([y])
+        assert points_in_any(xs, ys, (circle,)).tolist() == [True]
+        assert segments_collide(xs, ys, xs, ys, (circle,)).tolist() == [True]

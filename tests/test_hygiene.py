@@ -1,6 +1,9 @@
 """Source hygiene checks on the package itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -646,3 +649,31 @@ def test_class_ids_stay_inside_motion():
     a ``motion.Planner``, so no class id reaches it."""
     callers = {p.name for p in MODULES if motion_only_calls(p.read_text())}
     assert callers == {"motion.py"}
+
+
+def test_the_runtime_loads_no_scipy():
+    """``import dynalloc`` and one search load no ``scipy`` module.
+
+    scipy is a test dependency only. Importing ``scipy.sparse.csgraph``
+    after a desk search took that process's peak RSS from about 37 to 64 MB,
+    far past the benchmark's 10 % bound on ``peak_rss_mb``, so its C
+    Dijkstra, which would give the same trees, is no option for
+    ``motion``: numpy is the one runtime dependency."""
+    code = (
+        "import sys\n"
+        "import dynalloc\n"
+        "from dynalloc.generator import generate_problem\n"
+        "from dynalloc.search import search\n"
+        "assert search(generate_problem(0, 4, 5, 3), 0.25).reason == 'solved'\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

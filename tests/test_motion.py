@@ -1,13 +1,19 @@
 """Roadmap construction and plan queries against independent oracles."""
 
+import copy
 import heapq
 import math
+import pickle
+from array import array
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynalloc import motion
 from dynalloc.generator import generate_problem
-from dynalloc.geometry import Circle, segment_collides
+from dynalloc.geometry import Circle, Rect, point_in_any, segment_collides
 from dynalloc.motion import (
     PlanCache,
     Planner,
@@ -22,6 +28,7 @@ from dynalloc.motion import (
     mandatory_vertices,
     plan,
 )
+from dynalloc.search import search
 from dynalloc.validation import plan_collision_samples
 
 from conftest import build_domain
@@ -67,6 +74,106 @@ def _early_exit_dijkstra(roadmap, src, dst):
                 prev[w] = v
                 heapq.heappush(heap, (nd, w))
     return None
+
+
+def _full_tree(roadmap, src):
+    """Reference single-source Dijkstra run to exhaustion: (dist, prev)."""
+    n = len(roadmap.vertices)
+    dist = array("d", [math.inf]) * n
+    prev = array("i", [-1]) * n
+    done = bytearray(n)
+    dist[src] = 0.0
+    heap = [(0.0, src)]
+    while heap:
+        d, v = heapq.heappop(heap)
+        if done[v]:
+            continue
+        done[v] = 1
+        for w, ln in roadmap.adjacency.get(v, ()):
+            nd = d + ln
+            if nd < dist[w]:
+                dist[w] = nd
+                prev[w] = v
+                heapq.heappush(heap, (nd, w))
+    return dist, prev
+
+
+def _reference_build(bounds, obstacles, mandatory, n_samples, k_neighbors, seed):
+    """``motion._build_roadmap`` one sample and one vertex row at a time:
+    the reference the array build must equal."""
+    if n_samples < 1:
+        raise RoadmapError("n_samples must be >= 1")
+    if k_neighbors < 1:
+        raise RoadmapError("k_neighbors must be >= 1")
+    xmin, ymin, xmax, ymax = bounds
+    if xmax <= xmin or ymax <= ymin:
+        raise RoadmapError("world bounds are degenerate")
+
+    rng = np.random.default_rng(seed)
+    free = []
+    attempts = 0
+    cap = motion.REJECTION_CAP_FACTOR * n_samples
+    while len(free) < n_samples and attempts < cap:
+        attempts += 1
+        p = (float(rng.uniform(xmin, xmax)), float(rng.uniform(ymin, ymax)))
+        if not point_in_any(p, obstacles):
+            free.append(p)
+    if not free:
+        raise RoadmapError(f"no free sample found in {cap} attempts")
+
+    vertices = list(dict.fromkeys(list(mandatory) + free))
+    pts = np.array(vertices)
+    n = len(vertices)
+    k = min(k_neighbors, n - 1)
+
+    edges = set()
+    lengths = {}
+    for i in range(n):
+        d = np.hypot(pts[:, 0] - pts[i, 0], pts[:, 1] - pts[i, 1])
+        d[i] = np.inf
+        for j in np.argsort(d, kind="stable")[:k]:
+            j = int(j)
+            e = (min(i, j), max(i, j))
+            if e in edges:
+                continue
+            if segment_collides(vertices[i], vertices[j], obstacles):
+                continue
+            edges.add(e)
+            lengths[e] = float(d[j])
+
+    adjacency = {i: [] for i in range(n)}
+    for (i, j), ln in sorted(lengths.items()):
+        adjacency[i].append((j, ln))
+        adjacency[j].append((i, ln))
+    return Roadmap(
+        vertices=tuple(vertices),
+        adjacency={i: tuple(v) for i, v in adjacency.items()},
+        total_edge_length=float(sum(lengths.values())),
+    )
+
+
+def _build_both(bounds, obstacles, mandatory, n_samples, k, seed):
+    """(array build, reference build) of one input, or of each the
+    ``RoadmapError`` message; the array build bypasses the memo."""
+    out = []
+    for build in (motion._build_roadmap.__wrapped__, _reference_build):
+        try:
+            out.append(build(bounds, obstacles, mandatory, n_samples, k, seed))
+        except RoadmapError as err:
+            out.append(str(err))
+    return out
+
+
+def _assert_same_roadmap(got, want):
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert got.vertices == want.vertices
+    assert got.adjacency == want.adjacency
+    assert got.total_edge_length == want.total_edge_length
+    links = [link for nbrs in got.adjacency.values() for link in nbrs]
+    assert all(type(j) is int and type(ln) is float for j, ln in links)
+    assert type(got.total_edge_length) is float
 
 
 def _components(roadmap):
@@ -167,6 +274,117 @@ class TestRoadmap:
         for _ in range(2):
             with pytest.raises(RoadmapError):
                 build_roadmap(world, mandatory, n_samples=0)
+
+
+DESK_SHAPES = ((3, 4), (2, 4), (3, 3), (2, 3), (3, 2))
+# every domain the searches of the benchmark and the acceptance suite build
+# a roadmap for, and more of both sizes
+BUILD_DOMAINS = {
+    "bench-500-509": [(s, 8, 15, 4) for s in range(500, 510)],
+    "desk-100-119": [(100 + i, *DESK_SHAPES[i % 5], 3) for i in range(20)],
+    "small-0-49": [(s, 4, 5, 3) for s in range(50)],
+    "bench-600-639": [(s, 8, 15, 4) for s in range(600, 640)],
+}
+
+
+def _circle(draw, bounds):
+    xmin, ymin, xmax, ymax = bounds
+    centre = (draw(st.floats(xmin, xmax)), draw(st.floats(ymin, ymax)))
+    return Circle(centre, draw(st.floats(0.05, 0.6 * (xmax - xmin))))
+
+
+def _rect(draw, bounds):
+    xmin, ymin, xmax, ymax = bounds
+    x0, y0 = draw(st.floats(xmin, xmax)), draw(st.floats(ymin, ymax))
+    return Rect((x0, y0), (x0 + draw(st.floats(0.0, 4.0)), y0 + draw(st.floats(0.0, 4.0))))
+
+
+def _grazing_pair(draw, ob):
+    """Two points whose segment touches ``ob`` only at its boundary, up to
+    rounding: tangent to a circle, or along a rect's side or through its
+    corner."""
+    s, u = draw(st.floats(0.1, 5.0)), draw(st.floats(0.1, 5.0))
+    if isinstance(ob, Circle):
+        t = draw(st.floats(0.0, 2.0 * math.pi))
+        (cx, cy), r = ob.center, ob.radius
+        px, py = cx + r * math.cos(t), cy + r * math.sin(t)
+        dx, dy = -math.sin(t), math.cos(t)
+        return (px - s * dx, py - s * dy), (px + u * dx, py + u * dy)
+    (x0, y0), (x1, y1) = ob.min_corner, ob.max_corner
+    return draw(
+        st.sampled_from(
+            [
+                ((x0 - s, y0), (x1 + u, y0)),  # along the bottom side
+                ((x1, y0 - s), (x1, y1 + u)),  # along the right side
+                ((x0 - s, y1 + s), (x0 + u, y1 - u)),  # through the top-left corner
+            ]
+        )
+    )
+
+
+@st.composite
+def _worlds(draw):
+    """Build inputs over circles and rects, with mandatory points that
+    graze obstacles, duplicate each other or the first free sample, and
+    sample and neighbour counts down to 1 and past the vertex count."""
+    xmin, ymin = draw(st.floats(-5.0, 5.0)), draw(st.floats(-5.0, 5.0))
+    bounds = (xmin, ymin, xmin + draw(st.floats(1.0, 10.0)), ymin + draw(st.floats(1.0, 10.0)))
+    shapes = draw(st.lists(st.sampled_from([_circle, _rect]), max_size=4))
+    obstacles = tuple(make(draw, bounds) for make in shapes)
+    grazed = draw(st.lists(st.sampled_from(obstacles), max_size=3)) if obstacles else []
+    mandatory = [p for ob in grazed for p in _grazing_pair(draw, ob)]
+    coordinate = st.tuples(st.floats(bounds[0], bounds[2]), st.floats(bounds[1], bounds[3]))
+    mandatory += draw(st.lists(coordinate, max_size=4))
+    if mandatory and draw(st.booleans()):
+        mandatory.append(mandatory[0])
+    seed = draw(st.integers(0, 2**16))
+    if draw(st.booleans()):
+        # the first draw, forced in: a free first sample duplicates it
+        first = np.random.default_rng(seed).uniform(bounds[:2], bounds[2:], size=(1, 2))
+        mandatory.append(tuple(first[0].tolist()))
+    n_samples = draw(st.integers(1, 40))
+    n = len(set(mandatory)) + n_samples
+    k = draw(st.one_of(st.integers(1, 10), st.integers(max(1, n - 1), n + 3)))
+    return bounds, obstacles, tuple(mandatory), n_samples, k, seed
+
+
+class TestArrayBuild:
+    """The array build gives exactly the roadmap a per-sample, per-row
+    loop gives: vertices, adjacency and the summed edge length, ``==``."""
+
+    @pytest.mark.parametrize("group", list(BUILD_DOMAINS))
+    def test_equals_the_loop_on_generated_domains(self, group):
+        for args in BUILD_DOMAINS[group]:
+            domain = generate_problem(*args)
+            mandatory = tuple(mandatory_vertices(domain))
+            world = domain.world
+            got, want = _build_both(tuple(world.bounds), world.obstacles, mandatory, 200, 8, 0)
+            _assert_same_roadmap(got, want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_worlds())
+    def test_equals_the_loop_on_any_world(self, case):
+        _assert_same_roadmap(*_build_both(*case))
+
+    def test_a_world_that_hits_the_rejection_cap(self):
+        """A circle leaves only the corners free: the cap stops sampling
+        with fewer samples than asked for, or with none."""
+        bounds = (-1.0, -1.0, 1.0, 1.0)
+        got, want = _build_both(bounds, (Circle((0.0, 0.0), 1.35),), ((0.0, 0.0),), 30, 3, 7)
+        _assert_same_roadmap(got, want)
+        assert len(got.vertices) == 7  # the origin and six of 30 samples
+        got, want = _build_both(bounds, (Circle((0.0, 0.0), 1.4),), ((0.0, 0.0),), 30, 3, 7)
+        assert got == want == "no free sample found in 1500 attempts"
+
+    def test_a_tie_at_the_kth_distance_keeps_the_lower_index(self):
+        """Four points at distance 1 from the origin and a nearer one after
+        them: with k = 2 the origin takes the nearer one, then the tied
+        point of lowest index."""
+        points = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (0.5, 0.0))
+        nbr, dist = motion._nearest(np.array(points), 2)
+        assert nbr[0].tolist() == [5, 1] and dist[0].tolist() == [0.5, 1.0]
+        got, want = _build_both((-9.0, -9.0, -8.0, -8.0), (), points, 1, 2, 0)
+        _assert_same_roadmap(got, want)
 
 
 class TestPlans:
@@ -278,13 +496,8 @@ class TestShortestPathTrees:
         index = [rm.vertex_index(p) for p in mandatory]
         unreachable = 0
         for s in index:
-            assert motion._dijkstra(rm, s, s) == ([s], 0.0)  # grows the tree from s
-            dist, prev = rm.trees[s]
+            assert motion._dijkstra(rm, s, s) == ([s], 0.0)  # starts the tree from s
             wants = {t: _early_exit_dijkstra(rm, s, t) for t in index}
-            # read the tree before walking it: a corrupted prev can loop
-            for t, want in wants.items():
-                assert dist[t] == (math.inf if want is None else want[1])
-                assert prev[t] == (-1 if want is None or t == s else want[0][-2])
             for t, want in wants.items():
                 assert motion._dijkstra(rm, s, t) == want
                 p = plan(rm, rm.vertices[s], rm.vertices[t], speed=1.0)
@@ -294,6 +507,11 @@ class TestShortestPathTrees:
                 elif s != t:
                     assert p.waypoints == tuple(rm.vertices[i] for i in want[0])
                     assert p.length == want[1]
+            dist, prev, settled, _ = rm.trees[s]
+            for t, want in wants.items():
+                assert settled[t] == (want is not None)
+                assert dist[t] == (math.inf if want is None else want[1])
+                assert prev[t] == (-1 if want is None or t == s else want[0][-2])
         assert unreachable == unreachable_pairs
 
     def test_one_tree_per_queried_source(self):
@@ -301,12 +519,77 @@ class TestShortestPathTrees:
         assert rm.trees == {}
         assert motion._dijkstra(rm, 0, 0) == ([0], 0.0)
         tree = rm.trees[0]
-        dist, prev = tree
+        dist, prev, settled, heap = tree
+        assert list(settled) == [1, 0, 0, 0, 0]  # only the source was popped
+        assert list(dist) == [0.0, 1.0, 1.0, math.inf, math.inf]
+        plan(rm, vertices[0], vertices[4], speed=1.0)
         assert list(dist) == [0.0, 1.0, 1.0, 2.0, 4.0]
         assert list(prev) == [-1, 0, 0, 1, 3]  # the tie at 3 keeps the first route
-        plan(rm, vertices[0], vertices[4], speed=1.0)
+        assert list(settled) == [1] * 5 and heap == []
         plan(rm, vertices[0], vertices[3], speed=1.0)
         assert list(rm.trees) == [0] and rm.trees[0] is tree
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_any_query_order_settles_what_a_full_search_does(self, data):
+        """After every query, in any order and from any sources, each
+        settled vertex has the dist and prev of a full Dijkstra from its
+        tree's source, and each path is the early-exit search's."""
+        rm, _ = data.draw(st.sampled_from(TREE_ROADMAPS))()
+        rm = Roadmap(rm.vertices, rm.adjacency, rm.total_edge_length)  # no trees yet
+        n = len(rm.vertices)
+        vertex = st.integers(0, n - 1)
+        full = {}
+        for s, t in data.draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=30)):
+            assert motion._dijkstra(rm, s, t) == _early_exit_dijkstra(rm, s, t)
+            full.setdefault(s, _full_tree(rm, s))
+            dist, prev, settled, heap = rm.trees[s]
+            for v in range(n):
+                if settled[v]:
+                    assert (dist[v], prev[v]) == (full[s][0][v], full[s][1][v])
+            assert settled[t] or heap == []
+
+    def test_a_copy_made_mid_growth_resumes_to_the_same_paths(self):
+        """A solved state's trees are partly grown. Its copy, pickled (its
+        own roadmap) or deep-copied (the same roadmap), resumes them to the
+        paths a roadmap with no trees gives, settling what a full Dijkstra
+        settles."""
+        # a roadmap seed no other test builds, so no other test grew its trees
+        state = search(generate_problem(0, 4, 5, 3), 0.25, seed=25).state
+        pickled = pickle.loads(pickle.dumps(state))
+        for copied, shared in ((pickled, False), (copy.deepcopy(state), True)):
+            rm = copied.roadmap
+            assert (rm is state.roadmap) == shared
+            assert any(heap for _, _, _, heap in rm.trees.values())  # mid-growth
+            fresh = Roadmap(rm.vertices, rm.adjacency, rm.total_edge_length)
+            points = mandatory_vertices(copied.domain)
+            for frm in points:
+                for to in points:
+                    assert plan(rm, frm, to, 1.0) == plan(fresh, frm, to, 1.0)
+            for s, (dist, prev, settled, _) in rm.trees.items():
+                full_dist, full_prev = _full_tree(rm, s)
+                for v in range(len(rm.vertices)):
+                    if settled[v]:
+                        assert (dist[v], prev[v]) == (full_dist[v], full_prev[v])
+
+    def test_an_unreachable_query_empties_the_heap(self):
+        rm, mandatory = _roadmap_of(_obstacle_domain(), 3, 1)
+        index = [rm.vertex_index(p) for p in mandatory]
+        s, t = next(
+            (s, t) for s in index for t in index if _early_exit_dijkstra(rm, s, t) is None
+        )
+        assert motion._dijkstra(rm, s, t) is None
+        dist, prev, settled, heap = rm.trees[s]
+        assert heap == [] and not settled[t] and dist[t] == math.inf
+        assert (dist, prev) == _full_tree(rm, s)
+
+
+TREE_ROADMAPS = [
+    lambda: _roadmap_of(generate_problem(100, 3, 4, 3)),
+    lambda: _roadmap_of(_obstacle_domain(), 120, 8),
+    lambda: _roadmap_of(_obstacle_domain(), 3, 1),
+    _diamond_roadmap,
+]
 
 
 class TestLinkStart:

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import time
 
 import numpy as np
 import pytest
@@ -370,6 +371,43 @@ class TestRepair:
         if a.solution is not None:
             assert a.solution.allocation.key() == b.solution.allocation.key()
             assert a.solution.makespan == pytest.approx(b.solution.makespan, abs=1e-9)
+
+    def test_a_deep_copy_shares_the_roadmap(self):
+        """A deep copy shares the roadmap, whose only mutable part is its
+        deterministic tree cache: repairing the copy grows the shared trees,
+        and the original's next repair is still that of a pickled twin,
+        which has a roadmap of its own."""
+        # a roadmap seed no other test builds, so no other test grew its trees
+        solved = _solved(generate_problem(0, 4, 5, 3), seed=31)
+        original = solved.state
+        twin = pickle.loads(pickle.dumps(original))
+        copied = copy.deepcopy(original)
+        assert copied.roadmap is original.roadmap
+        assert twin.roadmap is not original.roadmap
+        trees = original.roadmap.trees
+
+        def settled():
+            return sum(sum(tree[2]) for tree in trees.values())
+
+        before = settled()
+        lost = DynamicEvent(1.0, EventKind.AGENT_LOST, {"agent": "r0"})
+        assert repair(copied, solved.solution, lost).reason == "solved"
+        assert settled() > before
+
+        def outputs(state):
+            event = generate_event(state.domain, EventKind.TRAITS_REDUCED, 3)
+            out = repair(state, solved.solution, event)
+            cache = state.plan_cache
+            return (
+                out.reason,
+                out.solution.makespan,
+                out.solution.schedule.start_times,
+                out.solution.allocation.key(),
+                dataclasses.astuple(state.stats),
+                (cache.planner_calls, cache.hits),
+            )
+
+        assert outputs(original) == outputs(twin)
 
     def test_noop_duration_change_is_idempotent(self):
         domain = generate_problem(6, 3, 4, 3)
@@ -1192,6 +1230,40 @@ class TestNewAgent:
         assert from_start
         for p in from_start:
             assert p.length == pytest.approx(dist[rm.vertex_index(p.waypoints[-1])], abs=1e-9)
+
+
+class TestUnmeetable:
+    """Desk 0 without ``r1``: even every robot on every task leaves a
+    requirement unmet, so no allocation is valid."""
+
+    LOST = DynamicEvent(1.0, EventKind.AGENT_LOST, {"agent": "r1"})
+
+    def test_search_and_repair_report_it_before_any_pop(self, desk_solved):
+        state = copy.deepcopy(desk_solved.state)
+        expansions = state.stats.expansions
+        start = time.monotonic()
+        lost = repair(state, desk_solved.solution, self.LOST)
+        assert (lost.reason, lost.solution) == ("exhausted", None)
+        assert state.stats.expansions == expansions
+        fresh = search(apply_event(desk_solved.state.domain, self.LOST), 0.25)
+        assert fresh.reason == "exhausted" and fresh.state.stats.expansions == 0
+        assert time.monotonic() - start < 1.0
+
+    def test_a_new_agent_with_the_lost_traits_repairs_the_kept_state(self, desk_solved):
+        domain = desk_solved.state.domain
+        state = copy.deepcopy(desk_solved.state)
+        assert repair(state, desk_solved.solution, self.LOST).reason == "exhausted"
+        r1 = domain.team.robot_ids.index("r1")
+        agent = {
+            "id": "rx",
+            "traits": dict(zip(domain.team.trait_names, domain.team.entries[r1].tolist())),
+            "start": list(domain.world.robot_start_configs["r1"]),
+            "speed": domain.world.robot_speeds["r1"],
+        }
+        repaired = repair(state, None, DynamicEvent(2.0, EventKind.NEW_AGENT, {"agent": agent}))
+        assert repaired.reason == "solved"
+        assert solution_violations(state.domain, repaired.solution, state) == []
+        assert heap_violations(state) == [] and score_violations(state) == []
 
 
 class TestReshaping:

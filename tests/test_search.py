@@ -207,8 +207,9 @@ class TestTrivialGoals:
         result = search(domain, 0.25, prm_samples=50, prm_k=5)
         assert result.solution is None
         assert result.reason == "exhausted"
-        # the frontier emptied, so min_open_apr reports the default
+        # nothing was expanded, so min_open_apr is the root's
         assert result.min_open_apr == 1.0
+        assert result.state.stats.expansions == 0
 
     def test_expansion_limit_reported(self, desk_domain):
         result = search(desk_domain, 0.25, max_expansions=0)
