@@ -83,9 +83,14 @@ class Roadmap:
 
 @dataclass(frozen=True)
 class MotionPlan:
+    """One robot trip; immutable, so a deep copy shares it."""
+
     waypoints: tuple[Point, ...]
     length: float
     duration: float
+
+    def __deepcopy__(self, memo):
+        return self
 
 
 @dataclass
@@ -345,24 +350,6 @@ def plan(roadmap: Roadmap, frm: Point, to: Point, speed: float) -> MotionPlan | 
         return None
     path, length = hit
     return MotionPlan(tuple(roadmap.vertices[i] for i in path), length, length / speed)
-
-
-def estimate_travel_time(frm: Point, to: Point, speed: float) -> float:
-    """Straight-line time; a lower bound on any plan's duration."""
-    if speed <= 0:
-        raise ValueError("speed must be positive")
-    return math.dist(frm, to) / speed
-
-
-def euclidean_provider(domain: ProblemDomain):
-    """Travel times from straight-line distance, ignoring obstacles."""
-
-    speeds = domain.world.robot_speeds
-
-    def travel(robot_id: str, frm: Point, to: Point) -> float:
-        return estimate_travel_time(frm, to, speeds[robot_id])
-
-    return travel
 
 
 class Planner:

@@ -10,7 +10,8 @@ shorten the makespan, so pruning is safe and the optimum is exact. Each
 branch-and-bound node also keeps the all-pairs longest paths over its
 committed edges, so probing one more ordering (does it close a positive
 cycle, how far does it push the makespan) is a lookup; only committed
-orderings are relaxed.
+orderings are relaxed, and a node reads each inherited lookahead entry
+once, since its cutoff holds until it branches.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ Pair = tuple[int, int]
 
 @dataclass(frozen=True)
 class SchedulingProblem:
+    """Never written once built, its dicts included: a deep copy shares it."""
+
     durations: tuple[float, ...]
     precedence: frozenset[Pair]
     mutex_reduced: frozenset[Pair]  # stored with i < j
@@ -54,12 +57,20 @@ class SchedulingProblem:
     def transition(self, i: int, j: int) -> float:
         return self.transition_times.get((i, j), 0.0)
 
+    def __deepcopy__(self, memo):
+        return self
+
 
 @dataclass(frozen=True)
 class Schedule:
+    """Never written once built, its dict included: a deep copy shares it."""
+
     start_times: tuple[float, ...]
     makespan: float
     fixed_orderings: dict[Pair, Pair]  # mutex pair (i<j) -> chosen ordered pair
+
+    def __deepcopy__(self, memo):
+        return self
 
 
 INFEASIBLE = None  # sentinel return for unschedulable instances
@@ -223,25 +234,6 @@ def makespan(start_times, durations) -> float:
     return max(s + d for s, d in zip(start_times, durations))
 
 
-def stn_solve(
-    problem: SchedulingProblem, orderings: dict[Pair, Pair]
-) -> Schedule | None:
-    """Solve with every mutex direction fixed; None when infeasible.
-
-    Returned start times are componentwise minimal among feasible ones.
-    """
-    comp = _Compiled(problem)
-    if not comp.finite:
-        return INFEASIBLE
-    for i, j in orderings.values():
-        comp.add_edge((i, j, problem.durations[i] + problem.transition(i, j)))
-    res = comp.relax(comp.arrivals, range(comp.n), makespan(comp.arrivals, comp.durations))
-    if res is None:
-        return INFEASIBLE
-    starts, mk = res
-    return Schedule(tuple(starts), mk, dict(orderings))
-
-
 def _warm_incumbent(
     comp: _Compiled, pairs, root_s, root_mk: float, hint: Schedule
 ) -> Schedule | None:
@@ -291,6 +283,13 @@ def solve_schedule(
     instead. The search ends as soon as the incumbent meets the caller's
     ``floor``, the only static bound.
 
+    A node first forces, in pair order, each pair whose inherited entry
+    (probed at an ancestor, still a sound bound) has a dead direction; its
+    cutoff holds until it branches, so this one scan resumes after each
+    forced pair. It then re-probes the open pairs by gap, forcing at the
+    first dead direction and re-sorting the rest, until every fresh entry
+    is open both ways, and branches.
+
     A probe is a lookup: each node keeps the longest-path matrix of its
     committed edges (see ``_with_edge``), which tells whether an ordering
     closes a positive cycle and how far it pushes the makespan
@@ -331,93 +330,107 @@ def _branch_and_bound(comp: _Compiled, floor: float, hint: Schedule | None) -> S
             best_mk = best.makespan
             if best_mk <= floor + FEAS_TOL:
                 return best
-    orders = comp.orders
+    n = comp.n
+    edges = [comp.orders[p] for p in pairs]  # by pair position: (forward, reverse)
+    stack: list = []  # (pair position, edge) of every committed ordering, root first
 
-    def probe(s, mk, rows, p):
-        """Lookahead entry of pair ``p`` at the node (s, mk) with matrix ``rows``:
-        (makespan if forward, makespan if reverse), inf where the ordering
-        closes a positive cycle."""
-        forward, reverse = orders[p]
-        return _probe(s, mk, rows, forward), _probe(s, mk, rows, reverse)
+    # Lookahead table: pair position -> (makespan if forward, if reverse),
+    # inf where the ordering closes a positive cycle. Starts only grow as
+    # orderings are fixed, so a stale entry is a sound bound in its subtree.
 
-    # Lookahead table: pair -> probe entry at the node where it was made.
-    # Starts only grow as orderings are fixed, so every entry stays a valid
-    # lower bound in the whole subtree; forcing and pruning against stale
-    # entries is sound. When no stale entry forces a pair, the node re-probes
-    # every pair in order of stale gap, stopping at the first fresh entry
-    # with a dead direction, and otherwise branches on the pair whose weaker
-    # child bound is the largest (max-min strong branching).
-
-    def recurse(s_cur, mk_cur: float, rows, undecided, la, orderings) -> None:
+    def recurse(s_cur, mk_cur: float, rows, undecided, la) -> None:
         nonlocal best, best_mk
         comp.bnb_nodes += 1
-        forced: list = []  # edges committed by unit propagation, undone on exit
+        if best_mk <= floor + FEAS_TOL or mk_cur >= best_mk - FEAS_TOL:
+            return
+        # cut holds until the node branches, so an entry found open stays
+        # open: the stale scan resumes after a forced pair, and ends for good
+        cut = best_mk - FEAS_TOL
+        depth = len(stack)
+        la = la.copy()
+        entries = iter(undecided)
+        undecided, scored = [], []  # the pairs found open, and (gap, pair) of each
         try:
             while True:
-                if best_mk <= floor + FEAS_TOL or mk_cur >= best_mk - FEAS_TOL:
-                    return
-                if not undecided:
-                    best_mk = mk_cur
-                    best = Schedule(tuple(s_cur), mk_cur, dict(orderings))
-                    return
-                cut = best_mk - FEAS_TOL
-                scored = []
-                for p in undecided:
-                    mk_f, mk_r = la[p]
+                for k in entries:
+                    mk_f, mk_r = la[k]
                     if mk_f >= cut or mk_r >= cut:
                         break
-                    scored.append((abs(mk_f - mk_r), p))
+                    undecided.append(k)
+                    scored.append((abs(mk_f - mk_r), k))
                 else:
-                    # no stale entry has a dead direction: refresh every pair
+                    if not undecided:
+                        best_mk = mk_cur
+                        best = Schedule(tuple(s_cur), mk_cur, {pairs[q]: e[:2] for q, e in stack})
+                        return
+                    # re-probe the open pairs by gap (stale, or fresh where the
+                    # last refresh reached), stopping at a dead direction
                     scored.sort(reverse=True)
-                    la = dict(la)
                     best_min = -1.0
-                    for _, p in scored:
-                        la[p] = mk_f, mk_r = probe(s_cur, mk_cur, rows, p)
+                    for pos, (_, k) in enumerate(scored):
+                        (i, j, w_f), (_, _, w_r) = edges[k]
+                        s_i, s_j = s_cur[i], s_cur[j]
+                        start = s_i + w_f  # each direction as _probe gives it
+                        if start <= s_j + FEAS_TOL:
+                            mk_f = mk_cur
+                        elif w_f + rows[j][i] > FEAS_TOL:
+                            mk_f = math.inf
+                        else:
+                            mk_f = end if (end := start + rows[j][n]) > mk_cur else mk_cur
+                        start = s_j + w_r
+                        if start <= s_i + FEAS_TOL:
+                            mk_r = mk_cur
+                        elif w_r + rows[i][j] > FEAS_TOL:
+                            mk_r = math.inf
+                        else:
+                            mk_r = end if (end := start + rows[i][n]) > mk_cur else mk_cur
+                        la[k] = mk_f, mk_r
                         if mk_f >= cut or mk_r >= cut:
+                            undecided.remove(k)
+                            del scored[pos]
                             break
-                        if min(mk_f, mk_r) > best_min:
-                            best_min = min(mk_f, mk_r)
-                            branch = p
+                        scored[pos] = (abs(mk_f - mk_r), k)
+                        if (low := mk_r if mk_r < mk_f else mk_f) > best_min:
+                            best_min, branch = low, k  # max-min strong branching
                     else:
                         break  # every refreshed pair is open both ways: branch
-                # commit p, reached by a break above: its entry has a dead direction
+                # commit k, reached by a break above: its entry has a dead direction
                 r_live = mk_f >= cut
                 if r_live and mk_r >= cut:
                     return  # no completion of this node can improve
-                edge = orders[p][r_live]
+                edge = edges[k][r_live]
                 res = comp.commit(edge, s_cur, mk_cur)
                 if res is None:
                     return
-                forced.append(edge)
+                stack.append((k, edge))
                 s_cur, mk_cur = res
                 if mk_cur >= cut:
                     return
                 rows = _with_edge(rows, edge)
-                orderings = {**orderings, p: (edge[0], edge[1])}
-                undecided = [q for q in undecided if q != p]
-            rest = [q for q in undecided if q != branch]
-            for mk, edge in sorted(zip(la[branch], orders[branch]), key=lambda c: c[0]):
-                if mk >= best_mk - FEAS_TOL:
+            rest = undecided.copy()
+            rest.remove(branch)
+            mk_f, mk_r = la[branch]
+            for r_live in (True, False) if mk_r < mk_f else (False, True):
+                if (mk_r if r_live else mk_f) >= best_mk - FEAS_TOL:
                     continue
+                edge = edges[branch][r_live]
                 res = comp.commit(edge, s_cur, mk_cur)
                 if res is None:
                     continue
-                recurse(
-                    res[0], res[1], _with_edge(rows, edge), rest, la,
-                    {**orderings, branch: (edge[0], edge[1])},
-                )
+                stack.append((branch, edge))
+                recurse(res[0], res[1], _with_edge(rows, edge), rest, la)
+                stack.pop()
                 comp.pop_edge(edge)
                 if best_mk <= floor + FEAS_TOL:
                     return  # incumbent meets the floor: provably optimal
         finally:
-            for edge in reversed(forced):
+            for _, edge in reversed(stack[depth:]):
                 comp.pop_edge(edge)
+            del stack[depth:]
 
     rows = _longest_paths(comp)
-    recurse(
-        root_s, root_mk, rows, pairs, {p: probe(root_s, root_mk, rows, p) for p in pairs}, {}
-    )
+    la = [(_probe(root_s, root_mk, rows, f), _probe(root_s, root_mk, rows, r)) for f, r in edges]
+    recurse(root_s, root_mk, rows, list(range(len(pairs))), la)
     return best
 
 

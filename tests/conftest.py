@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from dynalloc.domain import (
 )
 from dynalloc.generator import generate_problem
 from dynalloc.geometry import Circle
+from dynalloc.scheduler import INFEASIBLE, Schedule, _Compiled, makespan
 from dynalloc.search import OPEN, PendingBatch, SearchState, apr_value
 
 
@@ -60,6 +62,39 @@ def build_domain(
         requirements=DesiredTraitMatrix(np.array(req_rows, dtype=float)),
         world=WorldModel(bounds, tuple(obstacles), starts, speeds),
     )
+
+
+def stn_solve(problem, orderings):
+    """The schedule with every mutex direction fixed as ``orderings`` maps
+    it; None when infeasible. Its start times are componentwise minimal
+    among feasible ones."""
+    comp = _Compiled(problem)
+    if not comp.finite:
+        return INFEASIBLE
+    for i, j in orderings.values():
+        comp.add_edge((i, j, problem.durations[i] + problem.transition(i, j)))
+    res = comp.relax(comp.arrivals, range(comp.n), makespan(comp.arrivals, comp.durations))
+    if res is None:
+        return INFEASIBLE
+    starts, mk = res
+    return Schedule(tuple(starts), mk, dict(orderings))
+
+
+def estimate_travel_time(frm, to, speed: float) -> float:
+    """Straight-line time; a lower bound on any plan's duration."""
+    if speed <= 0:
+        raise ValueError("speed must be positive")
+    return math.dist(frm, to) / speed
+
+
+def euclidean_provider(domain):
+    """Travel times from straight-line distance, ignoring obstacles."""
+    speeds = domain.world.robot_speeds
+
+    def travel(robot_id, frm, to):
+        return estimate_travel_time(frm, to, speeds[robot_id])
+
+    return travel
 
 
 def pending_members(state):

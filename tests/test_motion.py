@@ -22,8 +22,6 @@ from dynalloc.motion import (
     build_roadmap,
     capability_classes,
     drop_mispriced_plans,
-    estimate_travel_time,
-    euclidean_provider,
     link_start,
     mandatory_vertices,
     plan,
@@ -31,7 +29,7 @@ from dynalloc.motion import (
 from dynalloc.search import search
 from dynalloc.validation import plan_collision_samples
 
-from conftest import build_domain
+from conftest import build_domain, estimate_travel_time, euclidean_provider
 
 
 def _bellman_ford_shortest(roadmap, src, dst):

@@ -409,6 +409,24 @@ class TestRepair:
 
         assert outputs(original) == outputs(twin)
 
+    def test_a_deep_copy_shares_its_schedules_problems_and_plans(self):
+        """Nothing writes a schedule, a scheduling problem or a motion plan
+        once built, so a deep copy of a solved state shares its nodes'
+        schedules, its schedule memo's and its plan cache's plans."""
+        state = _solved(generate_problem(0, 4, 5, 3)).state
+        copied = copy.deepcopy(state)
+        exact = [key for key, node in state.nodes.items() if node.exact]
+        assert exact
+        for key in exact:
+            assert copied.nodes[key].schedule is state.nodes[key].schedule
+        assert copied.schedule_memo.keys() == state.schedule_memo.keys()
+        assert all(copied.schedule_memo[k] is v for k, v in state.schedule_memo.items())
+        plans = state.plan_cache.entries
+        assert any(p is not None for p in plans.values())
+        assert all(copied.plan_cache.entries[k] is v for k, v in plans.items())
+        problem = build_scheduling_problem(state.nodes[exact[0]].allocation, state.price_memo)
+        assert copy.deepcopy(problem) is problem
+
     def test_noop_duration_change_is_idempotent(self):
         domain = generate_problem(6, 3, 4, 3)
         result = _solved(domain)

@@ -24,21 +24,22 @@ from dynalloc.scheduler import (
     PriceMemo,
     Schedule,
     SchedulingProblem,
+    _branch_and_bound,
     _Compiled,
     _longest_paths,
     _probe,
+    _warm_incumbent,
     _with_edge,
     build_scheduling_problem,
     makespan,
     schedule_lower_bound,
     schedule_upper_bound,
     solve_schedule,
-    stn_solve,
 )
 from dynalloc.search import search
 from dynalloc.validation import schedule_violations
 
-from conftest import build_domain, graph_size
+from conftest import build_domain, euclidean_provider, graph_size, stn_solve
 
 MK_TOL = 1e-9
 
@@ -422,13 +423,14 @@ class TestBenchScale:
     """Warm solves of ``search`` on the 8-robot, 15-task, 4-trait bench domains."""
 
     @pytest.fixture(scope="class")
-    def bench_searches(self):
-        """The ten searches, and every (problem, schedule) their solves gave."""
-        solves = []
+    def bench_calls(self):
+        """The ten searches, and the (problem, floor, hint, schedule) of every
+        solve they made."""
+        calls = []
 
         def capture(problem, floor=0.0, hint=None, stats=None):
             sched = solve_schedule(problem, floor, hint, stats)
-            solves.append((problem, sched))
+            calls.append((problem, floor, hint, sched))
             return sched
 
         with pytest.MonkeyPatch.context() as patch:
@@ -436,7 +438,13 @@ class TestBenchScale:
             results = {
                 seed: search(generate_problem(seed, 8, 15, 4), 0.25) for seed in BENCH_PINS
             }
-        return results, solves
+        return results, calls
+
+    @pytest.fixture(scope="class")
+    def bench_searches(self, bench_calls):
+        """The ten searches, and every (problem, schedule) their solves gave."""
+        results, calls = bench_calls
+        return results, [(problem, sched) for problem, _, _, sched in calls]
 
     def test_search_outputs_are_pinned(self, bench_searches):
         """The branching decisions, hence every output, are those of the
@@ -465,6 +473,15 @@ class TestBenchScale:
         assert stats.relaxations == len(relax_calls)
         assert stats.bnb_nodes == 1102
 
+    def test_every_solve_decides_as_the_reference(self, bench_calls):
+        """Each of the 275 solves, re-run from its floor and hint, makes the
+        decisions of the branch-and-bound that restarts its scan."""
+        _, calls = bench_calls
+        assert len(calls) == sum(pin[3] for pin in BENCH_PINS.values())
+        for problem, floor, hint, _ in calls:
+            got = _decisions(_branch_and_bound, problem, floor, hint)
+            assert got == _decisions(_reference_branch_and_bound, problem, floor, hint)
+
     def test_warm_solves_match_a_milp_oracle(self, bench_searches):
         """Every solve with at least 45 mutex pairs, and every 25th of the rest,
         lies between HiGHS's dual bound and the makespan of HiGHS's orientation
@@ -488,7 +505,7 @@ class TestBounds:
     def test_bounds_bracket_solutions(self):
         rng = np.random.default_rng(11)
         domain = build_domain([[1.0], [1.0]], [[1.0], [1.0], [2.0]])
-        from dynalloc.motion import build_roadmap, euclidean_provider, mandatory_vertices
+        from dynalloc.motion import build_roadmap, mandatory_vertices
 
         travel = euclidean_provider(domain)
         alloc = Allocation(np.array([[1, 0], [0, 1], [1, 1]], dtype=np.int8))
@@ -511,7 +528,6 @@ class TestProblemAssembly:
     def test_shared_robot_induces_mutex(self):
         domain = build_domain([[1.0]], [[1.0], [1.0]])
         alloc = Allocation(np.array([[1], [1]], dtype=np.int8))
-        from dynalloc.motion import euclidean_provider
 
         p = build_scheduling_problem(alloc, PriceMemo(domain, euclidean_provider(domain)))
         assert (0, 1) in p.mutex_reduced
@@ -519,7 +535,6 @@ class TestProblemAssembly:
     def test_precedence_closure_drops_induced_mutex(self):
         domain = build_domain([[1.0]], [[1.0], [1.0], [1.0]], precedence={(0, 1), (1, 2)})
         alloc = Allocation(np.array([[1], [1], [1]], dtype=np.int8))
-        from dynalloc.motion import euclidean_provider
 
         p = build_scheduling_problem(alloc, PriceMemo(domain, euclidean_provider(domain)))
         # (0,2) is ordered through the closure, so no mutex pair survives
@@ -532,7 +547,6 @@ class TestProblemAssembly:
             speeds={"r0": 1.0, "r1": 2.0},
         )
         alloc = Allocation(np.array([[1, 1]], dtype=np.int8))
-        from dynalloc.motion import euclidean_provider
 
         travel = euclidean_provider(domain)
         p = build_scheduling_problem(alloc, PriceMemo(domain, travel))
@@ -549,7 +563,6 @@ class TestProblemAssembly:
     def test_a_shared_memo_builds_what_a_throwaway_one_does(self):
         """One memo across every allocation of a desk domain: the same
         problem as a memo made for each call, and no price taken twice."""
-        from dynalloc.motion import euclidean_provider
 
         domain = generate_problem(0, 3, 4, 3)
         priced = []
@@ -690,3 +703,152 @@ class TestProbe:
         for row, ref in zip(rows, reference):
             for x, y in zip(row, ref):
                 assert x == y == NO_PATH or abs(x - y) <= n * FEAS_TOL
+
+
+def _reference_branch_and_bound(comp: _Compiled, floor: float, hint: Schedule | None):
+    """The branch-and-bound that restarts its stale scan after every forced
+    pair, rebuilds and sorts its refresh list each time, copies the table and
+    the orderings at every step and probes through ``_probe``: the decisions
+    ``_branch_and_bound`` must make, node for node."""
+    pairs = sorted(comp.orders)
+    root = comp.relax(comp.arrivals, range(comp.n), makespan(comp.arrivals, comp.durations))
+    if root is None:
+        return INFEASIBLE
+    root_s, root_mk = root
+    if not pairs:
+        return Schedule(tuple(root_s), root_mk, {})
+
+    best_mk = math.inf
+    best = None
+    if hint is not None:
+        best = _warm_incumbent(comp, pairs, root_s, root_mk, hint)
+        if best is not None:
+            best_mk = best.makespan
+            if best_mk <= floor + FEAS_TOL:
+                return best
+    orders = comp.orders
+
+    def probe(s, mk, rows, p):
+        forward, reverse = orders[p]
+        return _probe(s, mk, rows, forward), _probe(s, mk, rows, reverse)
+
+    def recurse(s_cur, mk_cur, rows, undecided, la, orderings):
+        nonlocal best, best_mk
+        comp.bnb_nodes += 1
+        forced = []
+        try:
+            while True:
+                if best_mk <= floor + FEAS_TOL or mk_cur >= best_mk - FEAS_TOL:
+                    return
+                if not undecided:
+                    best_mk = mk_cur
+                    best = Schedule(tuple(s_cur), mk_cur, dict(orderings))
+                    return
+                cut = best_mk - FEAS_TOL
+                scored = []
+                for p in undecided:
+                    mk_f, mk_r = la[p]
+                    if mk_f >= cut or mk_r >= cut:
+                        break
+                    scored.append((abs(mk_f - mk_r), p))
+                else:
+                    scored.sort(reverse=True)
+                    la = dict(la)
+                    best_min = -1.0
+                    for _, p in scored:
+                        la[p] = mk_f, mk_r = probe(s_cur, mk_cur, rows, p)
+                        if mk_f >= cut or mk_r >= cut:
+                            break
+                        if min(mk_f, mk_r) > best_min:
+                            best_min = min(mk_f, mk_r)
+                            branch = p
+                    else:
+                        break
+                r_live = mk_f >= cut
+                if r_live and mk_r >= cut:
+                    return
+                edge = orders[p][r_live]
+                res = comp.commit(edge, s_cur, mk_cur)
+                if res is None:
+                    return
+                forced.append(edge)
+                s_cur, mk_cur = res
+                if mk_cur >= cut:
+                    return
+                rows = _with_edge(rows, edge)
+                orderings = {**orderings, p: (edge[0], edge[1])}
+                undecided = [q for q in undecided if q != p]
+            rest = [q for q in undecided if q != branch]
+            for mk, edge in sorted(zip(la[branch], orders[branch]), key=lambda c: c[0]):
+                if mk >= best_mk - FEAS_TOL:
+                    continue
+                res = comp.commit(edge, s_cur, mk_cur)
+                if res is None:
+                    continue
+                recurse(
+                    res[0], res[1], _with_edge(rows, edge), rest, la,
+                    {**orderings, branch: (edge[0], edge[1])},
+                )
+                comp.pop_edge(edge)
+                if best_mk <= floor + FEAS_TOL:
+                    return
+        finally:
+            for edge in reversed(forced):
+                comp.pop_edge(edge)
+
+    rows = _longest_paths(comp)
+    recurse(
+        root_s, root_mk, rows, pairs, {p: probe(root_s, root_mk, rows, p) for p in pairs}, {}
+    )
+    return best
+
+
+def _decisions(bnb, problem: SchedulingProblem, floor: float, hint):
+    """What ``bnb`` decides on a fresh compile of ``problem``: the schedule's
+    start times, makespan and fixed orderings in insertion order (None when
+    infeasible), and the solve's B&B nodes and relaxations."""
+    comp = _Compiled(problem)
+    sched = bnb(comp, floor, hint)
+    if sched is not None:
+        sched = (sched.start_times, sched.makespan, list(sched.fixed_orderings.items()))
+    return sched, comp.bnb_nodes, comp.relaxations
+
+
+def _root_cycles(problem: SchedulingProblem) -> int:
+    """The orderings that close a positive cycle at the root of a solve."""
+    comp = _Compiled(problem)
+    s, mk = comp.relax(comp.arrivals, range(comp.n), makespan(comp.arrivals, comp.durations))
+    rows = _longest_paths(comp)
+    return sum(_probe(s, mk, rows, e) == math.inf for pair in comp.orders.values() for e in pair)
+
+
+class TestResumedScan:
+    def test_random_solves_decide_as_the_reference(self):
+        """Floors at zero, inside the optimum and at it; no hint, the cold
+        optimum, a random orientation, or every pair run high index first.
+        Among the solves are warm exits, hints that close a positive cycle,
+        and problems where some ordering closes one at the root."""
+        rng = np.random.default_rng(26)
+        warm_exits = cyclic = branched = 0
+        for _ in range(300):
+            p = random_problem(rng, max_tasks=9, max_mutex=14)
+            cold = solve_schedule(p)
+            pairs = sorted(p.mutex_reduced)
+            hints = [
+                None,
+                cold,
+                Schedule(
+                    tuple(rng.uniform(0.0, 20.0, len(p.durations)).tolist()),
+                    math.inf,
+                    {q: q if rng.random() < 0.5 else q[::-1] for q in pairs if rng.random() < 0.5},
+                ),
+                Schedule((0.0,) * len(p.durations), 0.0, {q: q[::-1] for q in pairs}),
+            ]
+            for floor in (0.0, cold.makespan * rng.uniform(0.5, 1.0), cold.makespan):
+                hint = hints[rng.integers(len(hints))]
+                got = _decisions(_branch_and_bound, p, floor, hint)
+                assert got == _decisions(_reference_branch_and_bound, p, floor, hint)
+                warm_exits += bool(pairs) and got[1] == 0
+                branched += got[1] > 1
+            cyclic += _root_cycles(p) > 0
+        assert min(warm_exits, cyclic, branched) >= 10
