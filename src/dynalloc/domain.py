@@ -53,7 +53,10 @@ def read_number(obj: dict, key: str, where: str, error: type[DomainError], lengt
     ):
         expected = f"a list of {length} numbers" if length else "a number"
         raise error(f"{key!r} in {where} must be {expected}, got {value!r}")
-    return tuple(map(float, items)) if length else float(value)
+    try:
+        return tuple(map(float, items)) if length else float(value)
+    except OverflowError:
+        raise error(f"{key!r} in {where} is too large for a float") from None
 
 
 def read_row(obj: dict, key: str, names, where: str, error: type[DomainError]) -> np.ndarray:

@@ -9,9 +9,10 @@ the relaxation that drops every undecided mutex pair, which can only
 shorten the makespan, so pruning is safe and the optimum is exact. Each
 branch-and-bound node also keeps the all-pairs longest paths over its
 committed edges, so probing one more ordering (does it close a positive
-cycle, how far does it push the makespan) is a lookup; only committed
-orderings are relaxed, and a node reads each inherited lookahead entry
-once, since its cutoff holds until it branches.
+cycle, how far does it push the makespan) is a lookup, and committing it
+reads the child's start times off the same matrix in one pass over the
+tasks. A node reads each inherited lookahead entry once, since its cutoff
+holds until it branches.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from operator import add
 
 from .domain import Allocation, DimensionMismatchError, ProblemDomain, WorldModel
 
@@ -77,13 +79,11 @@ INFEASIBLE = None  # sentinel return for unschedulable instances
 
 
 class _Compiled:
-    """Per-solve working form: arrival floors, base edges, ordering edges.
+    """Per-solve working form: arrival floors, precedence edges, ordering edges.
 
-    Relaxations warm-start from a known subsolution: start times are the
-    least fixpoint of the difference constraints, so iterating from any
-    componentwise-smaller vector converges to it, and a parent node's
-    starts are always componentwise below any child's. ``bnb_nodes`` and
-    ``relaxations`` count the work of one solve.
+    Never written once built but for its counters: ``bnb_nodes`` and
+    ``relaxations`` count the work of one solve, a relaxation being a cold
+    solve (``relax``) or a commit.
     """
 
     __slots__ = (
@@ -111,44 +111,22 @@ class _Compiled:
         self.bnb_nodes = 0
         self.relaxations = 0
 
-    def add_edge(self, edge) -> None:
-        i, j, w = edge
-        self.out[i].append((j, w))
+    def relax(self, extra=()):
+        """Least start times over the precedence edges and the ``extra``
+        edges (u, v, w), and their makespan; None on a positive cycle.
 
-    def pop_edge(self, edge) -> None:
-        i, j, w = edge
-        assert self.out[i].pop() == (j, w)
-
-    def commit(self, edge, s, mk: float):
-        """Add ``edge`` and relax from its tail, at a fixpoint (s, mk) of the
-        other edges; on a positive cycle the edge is popped again and None
-        comes back."""
-        self.add_edge(edge)
-        res = self.relax(s, (edge[0],), mk)
-        if res is None:
-            self.pop_edge(edge)
-        return res
-
-    def relax(self, s0, seeds, mk0: float):
-        """Least fixpoint at or above s0 and its makespan; None on a positive cycle.
-
-        Worklist propagation: only vertices reachable from ``seeds`` are
-        touched, so a warm start from an already-consistent vector costs
-        only the affected region. ``mk0`` must be the makespan of s0; it is
-        raised incrementally as starts grow. A vertex dequeued more than n
-        times witnesses a positive cycle.
+        Worklist propagation from the arrivals, seeded with every task; a
+        task dequeued more than n times witnesses a positive cycle.
         """
         self.relaxations += 1
-        n = self.n
-        d = self.durations
-        out = self.out
-        s = list(s0)
-        mk = mk0
-        inq = bytearray(n)
-        counts = [0] * n
-        queue = deque(seeds)
-        for u in seeds:
-            inq[u] = 1
+        n, d = self.n, self.durations
+        out = [list(o) for o in self.out]
+        for u, v, w in extra:
+            out[u].append((v, w))
+        s = list(self.arrivals)
+        mk = makespan(s, d)
+        inq, counts = bytearray(b"\x01" * n), [0] * n
+        queue = deque(range(n))
         while queue:
             u = queue.popleft()
             inq[u] = 0
@@ -167,6 +145,24 @@ class _Compiled:
                         queue.append(v)
         return s, mk
 
+    def commit(self, edge, s, mk: float, rows):
+        """Start times and makespan of the node (s, mk) with ``edge``
+        committed; None on a positive cycle. ``rows`` is the node's matrix.
+
+        Where the edge (u, v, w) already holds nothing moves; otherwise a
+        new longest path uses it once, so each task x starts at least at
+        s[u] + w + L[v][x].
+        """
+        self.relaxations += 1
+        u, v, w = edge
+        start = s[u] + w
+        if start <= s[v] + FEAS_TOL:
+            return s, mk
+        if w + rows[v][u] > FEAS_TOL:
+            return None
+        s = [y if (y := start + r) > x + FEAS_TOL else x for x, r in zip(s, rows[v])]
+        return s, makespan(s, self.durations)
+
 
 # A longest-path matrix over a set of committed edges: row a holds, for each
 # task b, the longest path from a to b (NO_PATH where there is none, 0 from a
@@ -177,11 +173,9 @@ NO_PATH = -math.inf
 
 
 def _longest_paths(comp: _Compiled) -> list[list[float]]:
-    """The matrix over ``comp``'s current edges, which close no positive cycle."""
+    """The matrix over ``comp``'s precedence edges, which close no positive cycle."""
     n, d = comp.n, comp.durations
-    rows = [[NO_PATH] * n + [d[a]] for a in range(n)]
-    for a in range(n):
-        rows[a][a] = 0.0
+    rows = [[0.0 if b == a else NO_PATH for b in range(n)] + [d[a]] for a in range(n)]
     # tails in descending order: edges mostly run from lower to higher
     # index, so each commit then finds few rows reaching its tail
     for u in reversed(range(n)):
@@ -229,20 +223,16 @@ def _probe(s, mk: float, rows, edge) -> float:
 
 def makespan(start_times, durations) -> float:
     """Completion time of the last task; 0 for no tasks."""
-    if len(durations) == 0:
-        return 0.0
-    return max(s + d for s, d in zip(start_times, durations))
+    return max(map(add, start_times, durations), default=0.0)
 
 
-def _warm_incumbent(
-    comp: _Compiled, pairs, root_s, root_mk: float, hint: Schedule
-) -> Schedule | None:
+def _warm_incumbent(comp: _Compiled, pairs, hint: Schedule) -> Schedule | None:
     """The schedule that orients every mutex pair as ``hint`` does.
 
     A pair the hint fixed keeps its direction; any other goes first by the
-    hint's start times, ties to the lower index. Relaxed once from the root
-    on ``comp`` itself, its edges popped again afterwards. None when the
-    hint has another task count or its orientation closes a positive cycle.
+    hint's start times, ties to the lower index. One cold relaxation on
+    ``comp``. None when the hint has another task count or its orientation
+    closes a positive cycle.
     """
     starts = hint.start_times
     if len(starts) != comp.n:
@@ -253,12 +243,7 @@ def _warm_incumbent(
         if o is None:
             o = (j, i) if starts[j] < starts[i] else (i, j)
         orderings[(i, j)] = o
-    edges = [comp.orders[p][o != p] for p, o in orderings.items()]
-    for edge in edges:
-        comp.add_edge(edge)
-    res = comp.relax(root_s, sorted({edge[0] for edge in edges}), root_mk)
-    for edge in reversed(edges):
-        comp.pop_edge(edge)
+    res = comp.relax([comp.orders[p][o != p] for p, o in orderings.items()])
     if res is None:
         return None
     return Schedule(tuple(res[0]), res[1], orderings)
@@ -290,19 +275,22 @@ def solve_schedule(
     first dead direction and re-sorting the rest, until every fresh entry
     is open both ways, and branches.
 
-    A probe is a lookup: each node keeps the longest-path matrix of its
-    committed edges (see ``_with_edge``), which tells whether an ordering
-    closes a positive cycle and how far it pushes the makespan
-    (``_probe``). Only a committed ordering, forced or branched, is
-    relaxed, and that relaxation gives the child's start times.
+    A node is a value: its start times, makespan, longest-path matrix over
+    its committed edges (see ``_with_edge``), lookahead table and chosen
+    orderings, which no child writes, so nothing is undone on return. A
+    probe is a lookup on the matrix, which tells whether an ordering closes
+    a positive cycle and how far it pushes the makespan (``_probe``);
+    committing an ordering, forced or branched, reads the child's start
+    times off the same matrix (``_Compiled.commit``). Only the root and the
+    hint are relaxed.
 
     ``floor`` must be a sound lower bound on the optimum: one above it can
     end the search on a suboptimal schedule. ``hint`` is a related
     schedule, normally the parent allocation's; the orientation it implies
     (see ``_warm_incumbent``) is the first incumbent when feasible. Both
     only prune, so the optimum is unchanged; the defaults solve cold.
-    ``stats``, when given, gains the solve's B&B nodes and relaxations in
-    its ``bnb_nodes`` and ``relaxations`` counters.
+    ``stats``, when given, gains the solve's B&B nodes and relaxations (cold
+    solves and commits) in its ``bnb_nodes`` and ``relaxations`` counters.
     """
     comp = _Compiled(problem)
     best = _branch_and_bound(comp, floor, hint) if comp.finite else INFEASIBLE
@@ -315,7 +303,7 @@ def solve_schedule(
 def _branch_and_bound(comp: _Compiled, floor: float, hint: Schedule | None) -> Schedule | None:
     """``solve_schedule``'s search on a compiled problem with finite prices."""
     pairs = sorted(comp.orders)
-    root = comp.relax(comp.arrivals, range(comp.n), makespan(comp.arrivals, comp.durations))
+    root = comp.relax()
     if root is None:
         return INFEASIBLE
     root_s, root_mk = root
@@ -325,20 +313,19 @@ def _branch_and_bound(comp: _Compiled, floor: float, hint: Schedule | None) -> S
     best_mk = math.inf
     best: Schedule | None = None
     if hint is not None:
-        best = _warm_incumbent(comp, pairs, root_s, root_mk, hint)
+        best = _warm_incumbent(comp, pairs, hint)
         if best is not None:
             best_mk = best.makespan
             if best_mk <= floor + FEAS_TOL:
                 return best
     n = comp.n
     edges = [comp.orders[p] for p in pairs]  # by pair position: (forward, reverse)
-    stack: list = []  # (pair position, edge) of every committed ordering, root first
 
     # Lookahead table: pair position -> (makespan if forward, if reverse),
     # inf where the ordering closes a positive cycle. Starts only grow as
     # orderings are fixed, so a stale entry is a sound bound in its subtree.
 
-    def recurse(s_cur, mk_cur: float, rows, undecided, la) -> None:
+    def recurse(s_cur, mk_cur: float, rows, undecided, la, chosen) -> None:
         nonlocal best, best_mk
         comp.bnb_nodes += 1
         if best_mk <= floor + FEAS_TOL or mk_cur >= best_mk - FEAS_TOL:
@@ -346,91 +333,82 @@ def _branch_and_bound(comp: _Compiled, floor: float, hint: Schedule | None) -> S
         # cut holds until the node branches, so an entry found open stays
         # open: the stale scan resumes after a forced pair, and ends for good
         cut = best_mk - FEAS_TOL
-        depth = len(stack)
         la = la.copy()
         entries = iter(undecided)
         undecided, scored = [], []  # the pairs found open, and (gap, pair) of each
-        try:
-            while True:
-                for k in entries:
-                    mk_f, mk_r = la[k]
-                    if mk_f >= cut or mk_r >= cut:
-                        break
-                    undecided.append(k)
-                    scored.append((abs(mk_f - mk_r), k))
-                else:
-                    if not undecided:
-                        best_mk = mk_cur
-                        best = Schedule(tuple(s_cur), mk_cur, {pairs[q]: e[:2] for q, e in stack})
-                        return
-                    # re-probe the open pairs by gap (stale, or fresh where the
-                    # last refresh reached), stopping at a dead direction
-                    scored.sort(reverse=True)
-                    best_min = -1.0
-                    for pos, (_, k) in enumerate(scored):
-                        (i, j, w_f), (_, _, w_r) = edges[k]
-                        s_i, s_j = s_cur[i], s_cur[j]
-                        start = s_i + w_f  # each direction as _probe gives it
-                        if start <= s_j + FEAS_TOL:
-                            mk_f = mk_cur
-                        elif w_f + rows[j][i] > FEAS_TOL:
-                            mk_f = math.inf
-                        else:
-                            mk_f = end if (end := start + rows[j][n]) > mk_cur else mk_cur
-                        start = s_j + w_r
-                        if start <= s_i + FEAS_TOL:
-                            mk_r = mk_cur
-                        elif w_r + rows[i][j] > FEAS_TOL:
-                            mk_r = math.inf
-                        else:
-                            mk_r = end if (end := start + rows[i][n]) > mk_cur else mk_cur
-                        la[k] = mk_f, mk_r
-                        if mk_f >= cut or mk_r >= cut:
-                            undecided.remove(k)
-                            del scored[pos]
-                            break
-                        scored[pos] = (abs(mk_f - mk_r), k)
-                        if (low := mk_r if mk_r < mk_f else mk_f) > best_min:
-                            best_min, branch = low, k  # max-min strong branching
+        while True:
+            for k in entries:
+                mk_f, mk_r = la[k]
+                if mk_f >= cut or mk_r >= cut:
+                    break
+                undecided.append(k)
+                scored.append((abs(mk_f - mk_r), k))
+            else:
+                if not undecided:
+                    best_mk = mk_cur
+                    best = Schedule(tuple(s_cur), mk_cur, dict(chosen))
+                    return
+                # re-probe the open pairs by gap (stale, or fresh where the
+                # last refresh reached), stopping at a dead direction
+                scored.sort(reverse=True)
+                best_min = -1.0
+                for pos, (_, k) in enumerate(scored):
+                    (i, j, w_f), (_, _, w_r) = edges[k]
+                    s_i, s_j = s_cur[i], s_cur[j]
+                    start = s_i + w_f  # each direction as _probe gives it
+                    if start <= s_j + FEAS_TOL:
+                        mk_f = mk_cur
+                    elif w_f + rows[j][i] > FEAS_TOL:
+                        mk_f = math.inf
                     else:
-                        break  # every refreshed pair is open both ways: branch
-                # commit k, reached by a break above: its entry has a dead direction
-                r_live = mk_f >= cut
-                if r_live and mk_r >= cut:
-                    return  # no completion of this node can improve
-                edge = edges[k][r_live]
-                res = comp.commit(edge, s_cur, mk_cur)
-                if res is None:
-                    return
-                stack.append((k, edge))
-                s_cur, mk_cur = res
-                if mk_cur >= cut:
-                    return
-                rows = _with_edge(rows, edge)
-            rest = undecided.copy()
-            rest.remove(branch)
-            mk_f, mk_r = la[branch]
-            for r_live in (True, False) if mk_r < mk_f else (False, True):
-                if (mk_r if r_live else mk_f) >= best_mk - FEAS_TOL:
-                    continue
-                edge = edges[branch][r_live]
-                res = comp.commit(edge, s_cur, mk_cur)
-                if res is None:
-                    continue
-                stack.append((branch, edge))
-                recurse(res[0], res[1], _with_edge(rows, edge), rest, la)
-                stack.pop()
-                comp.pop_edge(edge)
-                if best_mk <= floor + FEAS_TOL:
-                    return  # incumbent meets the floor: provably optimal
-        finally:
-            for _, edge in reversed(stack[depth:]):
-                comp.pop_edge(edge)
-            del stack[depth:]
+                        mk_f = end if (end := start + rows[j][n]) > mk_cur else mk_cur
+                    start = s_j + w_r
+                    if start <= s_i + FEAS_TOL:
+                        mk_r = mk_cur
+                    elif w_r + rows[i][j] > FEAS_TOL:
+                        mk_r = math.inf
+                    else:
+                        mk_r = end if (end := start + rows[i][n]) > mk_cur else mk_cur
+                    la[k] = mk_f, mk_r
+                    if mk_f >= cut or mk_r >= cut:
+                        undecided.remove(k)
+                        del scored[pos]
+                        break
+                    scored[pos] = (abs(mk_f - mk_r), k)
+                    if (low := mk_r if mk_r < mk_f else mk_f) > best_min:
+                        best_min, branch = low, k  # max-min strong branching
+                else:
+                    break  # every refreshed pair is open both ways: branch
+            # commit k, reached by a break above: its entry has a dead direction
+            r_live = mk_f >= cut
+            if r_live and mk_r >= cut:
+                return  # no completion of this node can improve
+            edge = edges[k][r_live]
+            res = comp.commit(edge, s_cur, mk_cur, rows)
+            if res is None:
+                return
+            s_cur, mk_cur = res
+            if mk_cur >= cut:
+                return
+            rows = _with_edge(rows, edge)
+            chosen += ((pairs[k], edge[:2]),)
+        rest = undecided.copy()
+        rest.remove(branch)
+        mk_f, mk_r = la[branch]
+        for r_live in (True, False) if mk_r < mk_f else (False, True):
+            if (mk_r if r_live else mk_f) >= best_mk - FEAS_TOL:
+                continue
+            edge = edges[branch][r_live]
+            res = comp.commit(edge, s_cur, mk_cur, rows)
+            if res is None:
+                continue
+            recurse(*res, _with_edge(rows, edge), rest, la, chosen + ((pairs[branch], edge[:2]),))
+            if best_mk <= floor + FEAS_TOL:
+                return  # incumbent meets the floor: provably optimal
 
     rows = _longest_paths(comp)
     la = [(_probe(root_s, root_mk, rows, f), _probe(root_s, root_mk, rows, r)) for f, r in edges]
-    recurse(root_s, root_mk, rows, list(range(len(pairs))), la)
+    recurse(root_s, root_mk, rows, list(range(len(pairs))), la, ())
     return best
 
 

@@ -19,7 +19,7 @@ from dynalloc.domain import (
 )
 from dynalloc.generator import generate_problem
 from dynalloc.geometry import Circle
-from dynalloc.scheduler import INFEASIBLE, Schedule, _Compiled, makespan
+from dynalloc.scheduler import INFEASIBLE, Schedule, _Compiled
 from dynalloc.search import OPEN, PendingBatch, SearchState, apr_value
 
 
@@ -71,9 +71,8 @@ def stn_solve(problem, orderings):
     comp = _Compiled(problem)
     if not comp.finite:
         return INFEASIBLE
-    for i, j in orderings.values():
-        comp.add_edge((i, j, problem.durations[i] + problem.transition(i, j)))
-    res = comp.relax(comp.arrivals, range(comp.n), makespan(comp.arrivals, comp.durations))
+    edges = [(i, j, problem.durations[i] + problem.transition(i, j)) for i, j in orderings.values()]
+    res = comp.relax(edges)
     if res is None:
         return INFEASIBLE
     starts, mk = res

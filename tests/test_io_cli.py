@@ -109,10 +109,13 @@ class TestDomainIO:
             ("traits", "ab", "traits"),
             ("world.obstacles.0", {"type": "rect", "min": [1.0, 1.0, 1.0], "max": [2.0, 2.0]},
              "'min'"),
+            ("robots.0.speed", 10**400, "speed"),
+            ("tasks.0.initial", [1.0, 10**400], "initial"),
         ],
         ids=["start-strings", "start-3d", "start-1d", "initial-3d", "initial-strings",
              "terminal-string", "bounds-3", "center-strings", "id-number", "edge-of-3",
-             "robots-object", "traits-string", "rect-corner-3d"],
+             "robots-object", "traits-string", "rect-corner-3d", "speed-overflow",
+             "initial-overflow"],
     )
     def test_malformed_field_refused_by_name(self, tmp_path, capsys, field, value, name):
         """Refused as one parse error naming the field and the file, exit 2."""
@@ -370,12 +373,14 @@ class TestCLI:
                                    "speed": 1.0}}},
             {"time": 1.0, "kind": "traits_reduced",
              "payload": {"agent": "r0", "traits": {"trait0": False}}},
+            {"time": 1.0, "kind": "duration_changed",
+             "payload": {"task": "t0", "duration": 10**400}},
         ],
         ids=["negative-time", "infinite-duration", "unknown-agent", "unknown-task",
              "no-agent", "duration-not-a-number", "trait-not-a-number", "speed-not-a-number",
              "spec-not-an-object", "row-not-a-mapping", "payload-not-an-object",
              "duration-bool", "duration-string", "speed-bool", "start-string", "start-bools",
-             "trait-bool"],
+             "trait-bool", "duration-overflow"],
     )
     def test_run_scenario_reports_refused_events(self, tmp_path, capsys, event):
         ppath, spath = tmp_path / "p.json", tmp_path / "s.json"

@@ -124,15 +124,18 @@ def random_problem(rng, max_tasks=8, max_mutex=6) -> SchedulingProblem:
 
 @pytest.fixture
 def relax_calls(monkeypatch):
-    """A list that gains one entry per ``_Compiled.relax`` call."""
+    """A list that gains one entry per ``_Compiled.relax`` or ``commit`` call."""
     calls = []
-    relax = _Compiled.relax
 
-    def counted(self, *args, **kwargs):
-        calls.append(None)
-        return relax(self, *args, **kwargs)
+    def counted(method):
+        def call(self, *args):
+            calls.append(method.__name__)
+            return method(self, *args)
 
-    monkeypatch.setattr(_Compiled, "relax", counted)
+        return call
+
+    monkeypatch.setattr(_Compiled, "relax", counted(_Compiled.relax))
+    monkeypatch.setattr(_Compiled, "commit", counted(_Compiled.commit))
     return calls
 
 
@@ -482,6 +485,16 @@ class TestBenchScale:
             got = _decisions(_branch_and_bound, problem, floor, hint)
             assert got == _decisions(_reference_branch_and_bound, problem, floor, hint)
 
+    def test_every_solve_is_its_orderings_relaxed(self, bench_calls):
+        """Each of the 275 solves returns the start times and makespan of a
+        cold relaxation of its fixed orderings, within n * FEAS_TOL."""
+        _, calls = bench_calls
+        for problem, _, _, sched in calls:
+            tol = len(problem.durations) * FEAS_TOL
+            cold = stn_solve(problem, sched.fixed_orderings)
+            assert abs(sched.makespan - cold.makespan) <= tol
+            assert max(abs(x - y) for x, y in zip(sched.start_times, cold.start_times)) <= tol
+
     def test_warm_solves_match_a_milp_oracle(self, bench_searches):
         """Every solve with at least 45 mutex pairs, and every 25th of the rest,
         lies between HiGHS's dual bound and the makespan of HiGHS's orientation
@@ -585,15 +598,18 @@ class TestProblemAssembly:
             build_scheduling_problem(Allocation(np.ones((4, 2), np.int8)), memo)
 
 
-def _full_scan_relax(comp: _Compiled, s0, seeds, mk0):
-    """The worklist relaxation that pops the seeds first and scans every
-    out-edge of each popped vertex."""
-    n, d, out = comp.n, comp.durations, comp.out
-    s, mk = list(s0), mk0
-    inq, counts = bytearray(n), [0] * n
-    queue = list(seeds)
-    for u in seeds:
-        inq[u] = 1
+def _full_scan_relax(comp: _Compiled, extra):
+    """The worklist relaxation from the arrivals over ``comp``'s precedence
+    edges and the ``extra`` edges that pops every task first and scans every
+    out-edge of each popped task."""
+    n, d = comp.n, comp.durations
+    out = [list(o) for o in comp.out]
+    for u, v, w in extra:
+        out[u].append((v, w))
+    s = list(comp.arrivals)
+    mk = max(x + y for x, y in zip(s, d))
+    inq, counts = bytearray(b"\x01" * n), [0] * n
+    queue = list(range(n))
     while queue:
         u = queue.pop(0)
         inq[u] = 0
@@ -627,40 +643,48 @@ def _drawn_problem(data, n, duration, gap, arrival):
     return problem, pairs
 
 
-class TestRelax:
+class TestCommit:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
-    def test_an_edge_relaxes_as_a_full_scan_does(self, data):
-        """Bit for bit, including None on a positive cycle, along a chain of
-        edges each committed and then relaxed from its tail, as the
-        branch-and-bound does. Half-unit weights, some off by less than the
-        tolerance, make ties at and within it common."""
+    def test_a_commit_matches_a_cold_relaxation(self, data):
+        """Along a chain of edges each committed off the node's matrix, as the
+        branch-and-bound does: None exactly where a cold full-scan relaxation
+        of every committed edge finds a positive cycle, and otherwise its
+        start times and makespan within n * FEAS_TOL. Half-unit weights,
+        some off by less than the tolerance, make ties at and within it
+        common."""
         n = data.draw(st.integers(2, 7))
         half = st.builds(
             lambda k, e: k / 2 + e, st.integers(0, 12), st.sampled_from([0.0, 5e-10])
         )
         problem, pairs = _drawn_problem(data, n, half, half, half)
         comp = _Compiled(problem)
-        s, mk = comp.relax(comp.arrivals, range(n), makespan(comp.arrivals, comp.durations))
+        s, mk = comp.relax()
+        rows = _longest_paths(comp)
+        committed = []
         for _ in range(data.draw(st.integers(1, 6))):
             u, v = data.draw(st.sampled_from(pairs))
             edge = (u, v, comp.durations[u] + data.draw(half))
-            comp.add_edge(edge)
-            got = comp.relax(s, (u,), mk)
-            assert got == _full_scan_relax(comp, s, (u,), mk)
+            committed.append(edge)
+            got = comp.commit(edge, s, mk, rows)
+            cold = _full_scan_relax(comp, committed)
+            assert (got is None) == (cold is None)
             if got is None:
                 return
             s, mk = got
+            assert max(abs(x - y) for x, y in zip(s, cold[0])) <= n * FEAS_TOL
+            assert abs(mk - cold[1]) <= n * FEAS_TOL
+            rows = _with_edge(rows, edge)
 
 
-def _reference_longest_paths(comp: _Compiled):
-    """Longest paths over ``comp``'s edges by Floyd-Warshall, with the tail
-    (longest path plus the last task's duration) as the last column."""
+def _reference_longest_paths(comp: _Compiled, extra):
+    """Longest paths over ``comp``'s precedence edges and the ``extra`` edges
+    by Floyd-Warshall, with the tail (longest path plus the last task's
+    duration) as the last column."""
     n, d = comp.n, comp.durations
     dist = [[0.0 if a == b else NO_PATH for b in range(n)] for a in range(n)]
-    for u in range(n):
-        for v, w in comp.out[u]:
-            dist[u][v] = max(dist[u][v], w)
+    for u, v, w in [(u, v, w) for u in range(n) for v, w in comp.out[u]] + extra:
+        dist[u][v] = max(dist[u][v], w)
     for k in range(n):
         for a in range(n):
             for b in range(n):
@@ -672,34 +696,33 @@ class TestProbe:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_a_lookup_probe_matches_a_relaxation(self, data):
-        """Along a chain of random orderings: the matrix probe and add_edge +
-        relax + pop_edge agree on whether the ordering closes a positive
-        cycle, and on the makespan within n * FEAS_TOL; some orderings are
-        then committed. Every duration is at least 0.5, so every cycle is
-        clearly positive or absent. The matrix stays the longest paths of
-        the committed edges throughout."""
+        """Along a chain of random orderings: the probe's lookup of the tail
+        column and the commit's pass over the starts agree on whether the
+        ordering closes a positive cycle, and on the makespan within
+        n * FEAS_TOL; some orderings are then committed. Every duration is
+        at least 0.5, so every cycle is clearly positive or absent. The
+        matrix stays the longest paths of the committed edges throughout."""
         n = data.draw(st.integers(2, 8))
         gap = st.floats(0.0, 5.0)
         problem, pairs = _drawn_problem(data, n, st.floats(0.5, 10.0), gap, st.floats(0.0, 4.0))
         comp = _Compiled(problem)
-        s, mk = comp.relax(comp.arrivals, range(n), makespan(comp.arrivals, comp.durations))
+        s, mk = comp.relax()
         rows = _longest_paths(comp)
+        committed = []
         for _ in range(data.draw(st.integers(1, 12))):
             u, v = data.draw(st.sampled_from(pairs))
             edge = (u, v, comp.durations[u] + data.draw(gap))
             probed = _probe(s, mk, rows, edge)
-            comp.add_edge(edge)
-            res = comp.relax(s, (u,), mk)
-            comp.pop_edge(edge)
+            res = comp.commit(edge, s, mk, rows)
             assert (probed == math.inf) == (res is None)
             if res is None:
                 continue
             assert abs(probed - res[1]) <= n * FEAS_TOL
             if data.draw(st.booleans()):
-                comp.add_edge(edge)
+                committed.append(edge)
                 s, mk = res
                 rows = _with_edge(rows, edge)
-        reference = _reference_longest_paths(comp)
+        reference = _reference_longest_paths(comp, committed)
         for row, ref in zip(rows, reference):
             for x, y in zip(row, ref):
                 assert x == y == NO_PATH or abs(x - y) <= n * FEAS_TOL
@@ -711,7 +734,7 @@ def _reference_branch_and_bound(comp: _Compiled, floor: float, hint: Schedule | 
     the orderings at every step and probes through ``_probe``: the decisions
     ``_branch_and_bound`` must make, node for node."""
     pairs = sorted(comp.orders)
-    root = comp.relax(comp.arrivals, range(comp.n), makespan(comp.arrivals, comp.durations))
+    root = comp.relax()
     if root is None:
         return INFEASIBLE
     root_s, root_mk = root
@@ -721,7 +744,7 @@ def _reference_branch_and_bound(comp: _Compiled, floor: float, hint: Schedule | 
     best_mk = math.inf
     best = None
     if hint is not None:
-        best = _warm_incumbent(comp, pairs, root_s, root_mk, hint)
+        best = _warm_incumbent(comp, pairs, hint)
         if best is not None:
             best_mk = best.makespan
             if best_mk <= floor + FEAS_TOL:
@@ -735,66 +758,59 @@ def _reference_branch_and_bound(comp: _Compiled, floor: float, hint: Schedule | 
     def recurse(s_cur, mk_cur, rows, undecided, la, orderings):
         nonlocal best, best_mk
         comp.bnb_nodes += 1
-        forced = []
-        try:
-            while True:
-                if best_mk <= floor + FEAS_TOL or mk_cur >= best_mk - FEAS_TOL:
-                    return
-                if not undecided:
-                    best_mk = mk_cur
-                    best = Schedule(tuple(s_cur), mk_cur, dict(orderings))
-                    return
-                cut = best_mk - FEAS_TOL
-                scored = []
-                for p in undecided:
-                    mk_f, mk_r = la[p]
+        while True:
+            if best_mk <= floor + FEAS_TOL or mk_cur >= best_mk - FEAS_TOL:
+                return
+            if not undecided:
+                best_mk = mk_cur
+                best = Schedule(tuple(s_cur), mk_cur, dict(orderings))
+                return
+            cut = best_mk - FEAS_TOL
+            scored = []
+            for p in undecided:
+                mk_f, mk_r = la[p]
+                if mk_f >= cut or mk_r >= cut:
+                    break
+                scored.append((abs(mk_f - mk_r), p))
+            else:
+                scored.sort(reverse=True)
+                la = dict(la)
+                best_min = -1.0
+                for _, p in scored:
+                    la[p] = mk_f, mk_r = probe(s_cur, mk_cur, rows, p)
                     if mk_f >= cut or mk_r >= cut:
                         break
-                    scored.append((abs(mk_f - mk_r), p))
+                    if min(mk_f, mk_r) > best_min:
+                        best_min = min(mk_f, mk_r)
+                        branch = p
                 else:
-                    scored.sort(reverse=True)
-                    la = dict(la)
-                    best_min = -1.0
-                    for _, p in scored:
-                        la[p] = mk_f, mk_r = probe(s_cur, mk_cur, rows, p)
-                        if mk_f >= cut or mk_r >= cut:
-                            break
-                        if min(mk_f, mk_r) > best_min:
-                            best_min = min(mk_f, mk_r)
-                            branch = p
-                    else:
-                        break
-                r_live = mk_f >= cut
-                if r_live and mk_r >= cut:
-                    return
-                edge = orders[p][r_live]
-                res = comp.commit(edge, s_cur, mk_cur)
-                if res is None:
-                    return
-                forced.append(edge)
-                s_cur, mk_cur = res
-                if mk_cur >= cut:
-                    return
-                rows = _with_edge(rows, edge)
-                orderings = {**orderings, p: (edge[0], edge[1])}
-                undecided = [q for q in undecided if q != p]
-            rest = [q for q in undecided if q != branch]
-            for mk, edge in sorted(zip(la[branch], orders[branch]), key=lambda c: c[0]):
-                if mk >= best_mk - FEAS_TOL:
-                    continue
-                res = comp.commit(edge, s_cur, mk_cur)
-                if res is None:
-                    continue
-                recurse(
-                    res[0], res[1], _with_edge(rows, edge), rest, la,
-                    {**orderings, branch: (edge[0], edge[1])},
-                )
-                comp.pop_edge(edge)
-                if best_mk <= floor + FEAS_TOL:
-                    return
-        finally:
-            for edge in reversed(forced):
-                comp.pop_edge(edge)
+                    break
+            r_live = mk_f >= cut
+            if r_live and mk_r >= cut:
+                return
+            edge = orders[p][r_live]
+            res = comp.commit(edge, s_cur, mk_cur, rows)
+            if res is None:
+                return
+            s_cur, mk_cur = res
+            if mk_cur >= cut:
+                return
+            rows = _with_edge(rows, edge)
+            orderings = {**orderings, p: (edge[0], edge[1])}
+            undecided = [q for q in undecided if q != p]
+        rest = [q for q in undecided if q != branch]
+        for mk, edge in sorted(zip(la[branch], orders[branch]), key=lambda c: c[0]):
+            if mk >= best_mk - FEAS_TOL:
+                continue
+            res = comp.commit(edge, s_cur, mk_cur, rows)
+            if res is None:
+                continue
+            recurse(
+                res[0], res[1], _with_edge(rows, edge), rest, la,
+                {**orderings, branch: (edge[0], edge[1])},
+            )
+            if best_mk <= floor + FEAS_TOL:
+                return
 
     rows = _longest_paths(comp)
     recurse(
@@ -817,7 +833,7 @@ def _decisions(bnb, problem: SchedulingProblem, floor: float, hint):
 def _root_cycles(problem: SchedulingProblem) -> int:
     """The orderings that close a positive cycle at the root of a solve."""
     comp = _Compiled(problem)
-    s, mk = comp.relax(comp.arrivals, range(comp.n), makespan(comp.arrivals, comp.durations))
+    s, mk = comp.relax()
     rows = _longest_paths(comp)
     return sum(_probe(s, mk, rows, e) == math.inf for pair in comp.orders.values() for e in pair)
 
