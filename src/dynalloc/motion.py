@@ -12,9 +12,8 @@ from, grown on demand: a query pops the tree's Dijkstra heap only until its
 target is settled, and the tree keeps its heap, so the next query from that
 source resumes where the last stopped. ``plan`` reads its path off the
 tree. A ``Planner`` serves every robot trip of one domain on one roadmap,
-through a plan cache: robots with identical trait rows and speed (a
-capability class) reuse each other's plans, and class ids stay inside this
-module.
+through a plan cache keyed by the robot's position in the team; positions
+stay inside this module.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import ProblemDomain, TeamTraitMatrix, WorldModel
+from .domain import ProblemDomain, WorldModel
 from .geometry import Point, Shape, points_in_any, segment_collides, segments_collide
 
 
@@ -99,43 +98,30 @@ class PlanCache:
     hits: int = 0
     planner_calls: int = 0
 
-    def lookup(self, class_id: int, frm: Point, to: Point):
+    def lookup(self, position: int, frm: Point, to: Point):
         """Returns (found, plan). ``plan`` may be None for a cached miss-path."""
-        key = (class_id, tuple(frm), tuple(to))
+        key = (position, tuple(frm), tuple(to))
         if key in self.entries:
             self.hits += 1
             return True, self.entries[key]
         return False, None
 
-    def store(self, class_id: int, frm: Point, to: Point, plan: MotionPlan | None) -> None:
-        self.entries[(class_id, tuple(frm), tuple(to))] = plan
-
-
-def capability_classes(team: TeamTraitMatrix, world: WorldModel) -> dict[str, int]:
-    """Group robots by exact (trait row, speed) equality."""
-    classes: dict[tuple, int] = {}
-    out: dict[str, int] = {}
-    for i, rid in enumerate(team.robot_ids):
-        sig = (tuple(team.entries[i].tolist()), world.robot_speeds[rid])
-        if sig not in classes:
-            classes[sig] = len(classes)
-        out[rid] = classes[sig]
-    return out
+    def store(self, position: int, frm: Point, to: Point, plan: MotionPlan | None) -> None:
+        self.entries[(position, tuple(frm), tuple(to))] = plan
 
 
 def drop_mispriced_plans(cache: PlanCache, domain: ProblemDomain) -> int:
     """Drop the cached plans a fresh plan would not give; return how many.
 
-    Class ids are positions in ``capability_classes``, which an agent loss
-    or a trait change renumbers. A plan depends on its class only through
-    the speed, so an entry stays exactly when its id still names a class
-    and its duration is its length at that class's speed."""
-    classes = capability_classes(domain.team, domain.world)
-    speed = {cid: domain.world.robot_speeds[rid] for rid, cid in classes.items()}
+    Keys hold robot positions in the team, which an agent loss shifts. A
+    plan depends on its robot only through the speed, so an entry stays
+    exactly when a robot holds its position and its duration is its length
+    at that robot's speed."""
+    speeds = [domain.world.robot_speeds[rid] for rid in domain.team.robot_ids]
     kept = {
         key: p
         for key, p in cache.entries.items()
-        if key[0] in speed and (p is None or p.duration == p.length / speed[key[0]])
+        if key[0] < len(speeds) and (p is None or p.duration == p.length / speeds[key[0]])
     }
     dropped = len(cache.entries) - len(kept)
     cache.entries = kept
@@ -357,27 +343,24 @@ class Planner:
 
     Called as ``planner(robot_id, frm, to)`` it gives the trip's travel
     time, inf when disconnected; ``plan`` gives the plan itself. A trip is
-    looked up in the cache by its robot's capability class and planned on
-    a miss, so robots of one class share plans. The classes are grouped at
-    the first trip, so a planner that prices nothing costs nothing. It
-    holds no function, so it pickles and deep-copies with its owner.
+    looked up in the cache by its robot's position in the team and planned
+    on a miss. It holds no function, so it pickles and deep-copies with its
+    owner.
     """
 
     def __init__(self, domain: ProblemDomain, roadmap: Roadmap, cache: PlanCache):
         self.domain = domain
         self.roadmap = roadmap
         self.cache = cache
-        self._classes: dict[str, int] = {}
+        self._positions = {rid: i for i, rid in enumerate(domain.team.robot_ids)}
 
     def plan(self, robot_id: str, frm: Point, to: Point) -> MotionPlan | None:
-        if not self._classes:
-            self._classes = capability_classes(self.domain.team, self.domain.world)
-        class_id = self._classes[robot_id]
-        found, p = self.cache.lookup(class_id, frm, to)
+        position = self._positions[robot_id]
+        found, p = self.cache.lookup(position, frm, to)
         if not found:
             p = plan(self.roadmap, frm, to, self.domain.world.robot_speeds[robot_id])
             self.cache.planner_calls += 1
-            self.cache.store(class_id, frm, to, p)
+            self.cache.store(position, frm, to, p)
         return p
 
     def __call__(self, robot_id: str, frm: Point, to: Point) -> float:

@@ -436,10 +436,10 @@ def handle_new_agent(state: SearchState, event: DynamicEvent) -> None:
     The start joins the retained roadmap by edges out of it only
     (``motion.link_start``), so no older path changes and every plan,
     schedule and floor stays exact; only the bounds move. The exception is
-    a cache whose class ids an earlier agent loss or trait change
-    renumbered: its mispriced plans are dropped, and as schedules solved
-    since may have read them, the floors are zeroed and the frontier
-    demoted. The root's children are seeded after the re-key."""
+    a cache whose robot positions an earlier agent loss shifted: its
+    mispriced plans are dropped, and as schedules solved since may have
+    read them, the floors are zeroed and the frontier demoted. The root's
+    children are seeded after the re-key."""
     nodes = list(state.nodes.values())
     n_tasks = state.domain.n_tasks
     stack = _stack(nodes, state.batches, (n_tasks, state.domain.n_robots - 1))

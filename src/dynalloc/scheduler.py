@@ -399,9 +399,8 @@ def _branch_and_bound(comp: _Compiled, floor: float, hint: Schedule | None) -> S
             if (mk_r if r_live else mk_f) >= best_mk - FEAS_TOL:
                 continue
             edge = edges[branch][r_live]
+            # the last round probed both directions below the cutoff: finite
             res = comp.commit(edge, s_cur, mk_cur, rows)
-            if res is None:
-                continue
             recurse(*res, _with_edge(rows, edge), rest, la, chosen + ((pairs[branch], edge[:2]),))
             if best_mk <= floor + FEAS_TOL:
                 return  # incumbent meets the floor: provably optimal

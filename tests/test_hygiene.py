@@ -620,9 +620,8 @@ def test_one_assembler_builds_scheduling_problems():
     assert sites == {("scheduler.py", "build_scheduling_problem")}
 
 
-# the capability-class grouping, and the plan cache's reads and writes, whose
-# keys are class ids
-MOTION_ONLY = ("capability_classes", "lookup", "store")
+# the plan cache's reads and writes, whose keys are robot positions
+MOTION_ONLY = ("lookup", "store")
 
 
 def motion_only_calls(source: str) -> list[tuple[int, str]]:
@@ -633,20 +632,19 @@ def motion_only_calls(source: str) -> list[tuple[int, str]]:
 
 def test_the_scan_sees_a_class_or_cache_call():
     source = (
-        "from .motion import capability_classes\n"
+        "from .motion import PlanCache\n"
         "def price(state, frm, to):\n"
-        "    classes = motion.capability_classes(state.domain.team, state.domain.world)\n"
-        "    found, p = state.plan_cache.lookup(classes['r0'], frm, to)\n"
+        "    found, p = state.plan_cache.lookup(0, frm, to)\n"
         "    state.plan_cache.store(0, frm, to, p)\n"
-        "    return capability_classes, 'lookup', found\n"
+        "    return PlanCache, 'lookup', found\n"
     )
-    assert motion_only_calls(source) == [(3, "capability_classes"), (4, "lookup"), (5, "store")]
+    assert motion_only_calls(source) == [(3, "lookup"), (4, "store")]
 
 
-def test_class_ids_stay_inside_motion():
-    """Only ``motion.py`` groups robots into capability classes or reads and
-    writes the plan cache: every other module plans and prices trips through
-    a ``motion.Planner``, so no class id reaches it."""
+def test_plan_cache_keys_stay_inside_motion():
+    """Only ``motion.py`` reads and writes the plan cache: every other
+    module plans and prices trips through a ``motion.Planner``, so no
+    plan-cache key reaches it."""
     callers = {p.name for p in MODULES if motion_only_calls(p.read_text())}
     assert callers == {"motion.py"}
 

@@ -20,7 +20,6 @@ from dynalloc.motion import (
     Roadmap,
     RoadmapError,
     build_roadmap,
-    capability_classes,
     drop_mispriced_plans,
     link_start,
     mandatory_vertices,
@@ -423,7 +422,7 @@ class TestPlans:
         p = plan(rm, mandatory[0], mandatory[0], speed=1.0)
         assert p.length == 0.0 and p.duration == 0.0
 
-    def test_cache_shares_across_capability_class(self):
+    def test_cache_keeps_a_plan_per_robot(self):
         domain = build_domain(
             [[1.0], [1.0], [1.0]], [[1.0]], speeds={"r0": 1.0, "r1": 1.0, "r2": 2.0}
         )
@@ -434,10 +433,13 @@ class TestPlans:
         frm, to = mandatory[0], mandatory[1]
         first = planner.plan("r0", frm, to)
         assert first is not None and cache.planner_calls == 1
-        assert planner.plan("r1", frm, to) is first  # same traits and speed
+        assert planner.plan("r0", frm, to) is first
         assert cache.planner_calls == 1 and cache.hits == 1
+        twin = planner.plan("r1", frm, to)  # same traits and speed, own entry
+        assert cache.planner_calls == 2 and twin is not first
+        assert (twin.length, twin.duration) == (first.length, first.duration)
         faster = planner.plan("r2", frm, to)
-        assert cache.planner_calls == 2  # other speed: separate entry
+        assert cache.planner_calls == 3
         assert faster.duration == first.length / 2.0
         assert planner("r2", frm, to) == faster.duration
 
@@ -640,16 +642,6 @@ class TestLinkStart:
 
 
 class TestProviders:
-    def test_capability_classes_group_by_traits_and_speed(self):
-        domain = build_domain(
-            [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
-            [[1.0, 1.0]],
-            speeds={"r0": 1.0, "r1": 1.0, "r2": 1.0},
-        )
-        classes = capability_classes(domain.team, domain.world)
-        assert classes["r0"] == classes["r1"]
-        assert classes["r0"] != classes["r2"]
-
     def test_mispriced_plans_are_dropped(self, obstacle_domain):
         mandatory = mandatory_vertices(obstacle_domain)
         rm = build_roadmap(obstacle_domain.world, mandatory, 120, 8, seed=0)
@@ -660,7 +652,7 @@ class TestProviders:
         kept = dict(cache.entries)
         assert drop_mispriced_plans(cache, obstacle_domain) == 0
         assert cache.entries == kept
-        # a plan priced at another speed, and one under an id no class holds
+        # a plan priced at another speed, and one under a position no robot holds
         wrong = plan(rm, mandatory[1], mandatory[2], 123.0)
         cache.store(0, mandatory[1], mandatory[2], wrong)
         cache.store(99, mandatory[1], mandatory[2], None)

@@ -570,8 +570,8 @@ class TestIndependentValidation:
         assert any(v.startswith("no plan for") for v in found), found
 
     def test_desk_agent_loss_is_refused_or_priced_afresh(self, monkeypatch):
-        """Losing r0 on desk 0 renumbers the capability classes the plan
-        cache is keyed by, so the repair solves on stale prices. The
+        """Losing r0 on desk 0 shifts the robot positions the plan cache is
+        keyed by, so the repair solves on stale prices. The
         scenario must be refused, or report the fresh optimum of the
         repaired allocation."""
         domain = generate_problem(0, 4, 5, 3)
@@ -593,6 +593,31 @@ class TestIndependentValidation:
         problem = build_scheduling_problem(last.solution.allocation, memo)
         fresh = solve_schedule(problem).makespan
         assert result.records[-1].makespan == pytest.approx(fresh, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", [8, 22, 40, 54, 58])
+    def test_a_trait_change_keeps_twin_robots_priced(self, seed):
+        """r1 is r0's twin, in trait row and speed, and r2 is 2.5 times as
+        fast. Cutting r0's traits makes the twins differ, and the repair
+        must still price every trip at its own robot's speed."""
+        domain = generate_problem(seed, 3, 4, 2)
+        entries = domain.team.entries.copy()
+        entries[1] = entries[0]
+        speeds = dict(domain.world.robot_speeds)
+        speeds["r1"], speeds["r2"] = speeds["r0"], 2.5 * speeds["r0"]
+        domain = dataclasses.replace(
+            domain,
+            team=dataclasses.replace(domain.team, entries=entries),
+            world=dataclasses.replace(domain.world, robot_speeds=speeds),
+        )
+        result = search(domain, 0.25)
+        cut = {n: 0.9 * v for n, v in zip(domain.team.trait_names, entries[0].tolist())}
+        event = DynamicEvent(1.0, EventKind.TRAITS_REDUCED, {"agent": "r0", "traits": cut})
+        repaired = repair(result.state, result.solution, event)
+        after = apply_event(domain, event)
+        memo = _memo(after, repaired.state.roadmap, motion.PlanCache())
+        problem = build_scheduling_problem(repaired.solution.allocation, memo)
+        assert solution_violations(after, repaired.solution, repaired.state) == []
+        assert repaired.solution.makespan == solve_schedule(problem).makespan
 
 
 def _memo(domain, roadmap, cache: motion.PlanCache) -> PriceMemo:
@@ -842,8 +867,8 @@ class TestHandlerContract:
         self._apply(state, event)
 
     def test_a_new_agent_after_an_agent_loss(self, desk_solved, monkeypatch):
-        """The loss renumbers the capability classes, so the new agent's
-        handler drops mispriced plans and demotes the frontier."""
+        """The loss shifts the robot positions, so the new agent's handler
+        drops mispriced plans and demotes the frontier."""
         state = copy.deepcopy(desk_solved.state)
         self._apply(state, DynamicEvent(1.0, EventKind.AGENT_LOST, {"agent": "r0"}))
         dropped = []
@@ -996,8 +1021,8 @@ def _projection_case(state, incumbent, where, kind=None):
 ENVELOPE_DESKS = range(10)
 ENVELOPE_ALPHAS = (0.0, 0.25, 0.45)
 # (desk, alpha, chain) of the loss repairs the envelope flags because of
-# ROADMAP item 1: an agent loss renumbers the capability classes that key the
-# plan cache, so the survivors' trips are served at another robot's speed.
+# ROADMAP item 1: an agent loss shifts the robot positions that key the plan
+# cache, so the survivors' trips are served at another robot's speed.
 # ``test_the_known_faults_are_the_stale_plan_cache`` shows each is clean
 # when the cache is emptied before every repair
 STALE_CACHE_FAULTS = {
@@ -1209,7 +1234,7 @@ class TestNewAgent:
         assert state.stats.scheduler_calls == calls
 
     def test_a_new_agent_after_an_agent_loss_prices_plans_afresh(self):
-        """Losing r0 renumbers every capability class (ROADMAP item 1), so
+        """Losing r0 shifts every robot position (ROADMAP item 1), so
         the cache holds plans priced at another robot's speed; the new-agent
         repair that follows must price its solution as a fresh cache does."""
         domain = generate_problem(0, 4, 5, 3)

@@ -8,6 +8,7 @@ longest-path fixpoint (no code shared with the module under test).
 import hashlib
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -601,12 +602,14 @@ class TestProblemAssembly:
 def _full_scan_relax(comp: _Compiled, extra):
     """The worklist relaxation from the arrivals over ``comp``'s precedence
     edges and the ``extra`` edges that pops every task first and scans every
-    out-edge of each popped task."""
-    n, d = comp.n, comp.durations
-    out = [list(o) for o in comp.out]
+    out-edge of each popped task, in exact arithmetic: rounding cannot lift
+    a lap of a cycle weighing exactly ``FEAS_TOL`` past the tolerance."""
+    n, d = comp.n, [Fraction(x) for x in comp.durations]
+    out = [[(v, Fraction(w)) for v, w in o] for o in comp.out]
     for u, v, w in extra:
-        out[u].append((v, w))
-    s = list(comp.arrivals)
+        out[u].append((v, Fraction(w)))
+    s = [Fraction(x) for x in comp.arrivals]
+    tol = Fraction(FEAS_TOL)
     mk = max(x + y for x, y in zip(s, d))
     inq, counts = bytearray(b"\x01" * n), [0] * n
     queue = list(range(n))
@@ -618,7 +621,7 @@ def _full_scan_relax(comp: _Compiled, extra):
             return None
         for v, w in out[u]:
             nv = s[u] + w
-            if nv > s[v] + 1e-9:
+            if nv > s[v] + tol:
                 s[v] = nv
                 mk = max(mk, nv + d[v])
                 if not inq[v]:

@@ -396,8 +396,8 @@ class TestOptimality:
     def test_plans_are_keyed_by_robot_and_priced_at_its_speed(self, shape):
         """On a fresh solve, the plans are exactly the schedule's required
         trips, keyed (robot_id, from, to), each at its own robot's speed.
-        After an agent loss the cache's class ids go stale (ROADMAP item 1),
-        so only fresh solves are checked."""
+        After an agent loss the cache's robot positions go stale (ROADMAP
+        item 1), so only fresh solves are checked."""
         domain = generate_problem(*shape)
         solution = search(domain, 0.25).solution
         required = required_transitions(domain, solution.allocation, solution.schedule)
