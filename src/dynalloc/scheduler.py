@@ -6,13 +6,13 @@ set of mutex orderings is infeasible exactly when that graph has a
 positive cycle. The full problem (free mutex directions) is solved by
 branch-and-bound over the orderings; the bound at a partial assignment is
 the relaxation that drops every undecided mutex pair, which can only
-shorten the makespan, so pruning is safe and the optimum is exact. Each
-branch-and-bound node also keeps the all-pairs longest paths over its
-committed edges, so probing one more ordering (does it close a positive
-cycle, how far does it push the makespan) is a lookup, and committing it
-reads the child's start times off the same matrix in one pass over the
-tasks. A node reads each inherited lookahead entry once, since its cutoff
-holds until it branches.
+shorten the makespan, so pruning is safe and the optimum is exact. A
+branch-and-bound node is its longest paths over its committed edges, from
+each task and from a source whose edges weigh the arrivals (its start
+times). So probing one more ordering (does it close a positive cycle, how
+far does it push the makespan) is a lookup, and committing it is one
+update of the matrix. A node reads each inherited lookahead entry once,
+since its cutoff holds until it branches.
 """
 
 from __future__ import annotations
@@ -79,11 +79,11 @@ INFEASIBLE = None  # sentinel return for unschedulable instances
 
 
 class _Compiled:
-    """Per-solve working form: arrival floors, precedence edges, ordering edges.
+    """Per-solve working form: arrivals (the source row's edges), precedence and ordering edges.
 
     Never written once built but for its counters: ``bnb_nodes`` and
     ``relaxations`` count the work of one solve, a relaxation being a cold
-    solve (``relax``) or a commit.
+    solve (``relax``) or a committed ordering.
     """
 
     __slots__ = (
@@ -116,7 +116,9 @@ class _Compiled:
         edges (u, v, w), and their makespan; None on a positive cycle.
 
         Worklist propagation from the arrivals, seeded with every task; a
-        task dequeued more than n times witnesses a positive cycle.
+        task dequeued more than n times witnesses a positive cycle. Only the
+        root, whose precedence is acyclic, and the hint are relaxed: refusing
+        a cycle of exactly ``FEAS_TOL`` that the matrix accepts starts a solve cold.
         """
         self.relaxations += 1
         n, d = self.n, self.durations
@@ -145,30 +147,14 @@ class _Compiled:
                         queue.append(v)
         return s, mk
 
-    def commit(self, edge, s, mk: float, rows):
-        """Start times and makespan of the node (s, mk) with ``edge``
-        committed; None on a positive cycle. ``rows`` is the node's matrix.
-
-        Where the edge (u, v, w) already holds nothing moves; otherwise a
-        new longest path uses it once, so each task x starts at least at
-        s[u] + w + L[v][x].
-        """
-        self.relaxations += 1
-        u, v, w = edge
-        start = s[u] + w
-        if start <= s[v] + FEAS_TOL:
-            return s, mk
-        if w + rows[v][u] > FEAS_TOL:
-            return None
-        s = [y if (y := start + r) > x + FEAS_TOL else x for x, r in zip(s, rows[v])]
-        return s, makespan(s, self.durations)
-
 
 # A longest-path matrix over a set of committed edges: row a holds, for each
 # task b, the longest path from a to b (NO_PATH where there is none, 0 from a
 # to itself), and in a last column a's tail, the longest path from a through
 # any task x and on over x's duration: an edge of weight d[x] from every task
-# to one virtual finish vertex (Dechter, Meiri & Pearl, AIJ 1991).
+# to one virtual finish vertex (Dechter, Meiri & Pearl, AIJ 1991). A node's
+# row n is a virtual source's, whose edges weigh the arrivals: the start
+# times, and in the tail column the node's makespan bound.
 NO_PATH = -math.inf
 
 
@@ -204,14 +190,16 @@ def _with_edge(rows, edge) -> list[list[float]]:
     return new
 
 
-def _probe(s, mk: float, rows, edge) -> float:
-    """Makespan of the node (s, mk) with ``edge`` committed; inf on a positive cycle.
+def _probe(rows, edge) -> float:
+    """Makespan of the node ``rows`` with ``edge`` committed; inf on a positive cycle.
 
-    ``rows`` is the node's matrix and s its relaxation. When the edge
-    already holds nothing moves; otherwise the edge's head v starts at
-    s[u] + w, and every start it pushes ends by that plus v's tail.
+    s is the source row. When the edge already holds nothing moves;
+    otherwise the edge's head v starts at s[u] + w, and every start it
+    pushes ends by that plus v's tail.
     """
     u, v, w = edge
+    s = rows[-1]
+    mk = s[-1]
     start = s[u] + w
     if start <= s[v] + FEAS_TOL:
         return mk
@@ -275,22 +263,22 @@ def solve_schedule(
     first dead direction and re-sorting the rest, until every fresh entry
     is open both ways, and branches.
 
-    A node is a value: its start times, makespan, longest-path matrix over
-    its committed edges (see ``_with_edge``), lookahead table and chosen
-    orderings, which no child writes, so nothing is undone on return. A
-    probe is a lookup on the matrix, which tells whether an ordering closes
-    a positive cycle and how far it pushes the makespan (``_probe``);
-    committing an ordering, forced or branched, reads the child's start
-    times off the same matrix (``_Compiled.commit``). Only the root and the
-    hint are relaxed.
+    A node is a value: its longest-path matrix over its committed edges,
+    whose source row holds its start times and makespan bound (see
+    ``NO_PATH``), its lookahead table and its chosen orderings, which no
+    child writes, so nothing is undone on return. A probe is a lookup on
+    the matrix, which tells whether an ordering closes a positive cycle and
+    how far it pushes the makespan (``_probe``); committing an ordering,
+    forced or branched, is ``_with_edge``, the one rule that moves a start.
+    Only the root and the hint are relaxed.
 
     ``floor`` must be a sound lower bound on the optimum: one above it can
     end the search on a suboptimal schedule. ``hint`` is a related
     schedule, normally the parent allocation's; the orientation it implies
     (see ``_warm_incumbent``) is the first incumbent when feasible. Both
     only prune, so the optimum is unchanged; the defaults solve cold.
-    ``stats``, when given, gains the solve's B&B nodes and relaxations (cold
-    solves and commits) in its ``bnb_nodes`` and ``relaxations`` counters.
+    ``stats``, when given, gains the solve's B&B nodes and relaxations (see
+    ``_Compiled``) in its ``bnb_nodes`` and ``relaxations`` counters.
     """
     comp = _Compiled(problem)
     best = _branch_and_bound(comp, floor, hint) if comp.finite else INFEASIBLE
@@ -318,17 +306,17 @@ def _branch_and_bound(comp: _Compiled, floor: float, hint: Schedule | None) -> S
             best_mk = best.makespan
             if best_mk <= floor + FEAS_TOL:
                 return best
-    n = comp.n
+    n, d = comp.n, comp.durations
     edges = [comp.orders[p] for p in pairs]  # by pair position: (forward, reverse)
 
     # Lookahead table: pair position -> (makespan if forward, if reverse),
     # inf where the ordering closes a positive cycle. Starts only grow as
     # orderings are fixed, so a stale entry is a sound bound in its subtree.
 
-    def recurse(s_cur, mk_cur: float, rows, undecided, la, chosen) -> None:
+    def recurse(rows, undecided, la, chosen) -> None:
         nonlocal best, best_mk
         comp.bnb_nodes += 1
-        if best_mk <= floor + FEAS_TOL or mk_cur >= best_mk - FEAS_TOL:
+        if best_mk <= floor + FEAS_TOL or rows[n][n] >= best_mk - FEAS_TOL:
             return
         # cut holds until the node branches, so an entry found open stays
         # open: the stale scan resumes after a forced pair, and ends for good
@@ -344,9 +332,10 @@ def _branch_and_bound(comp: _Compiled, floor: float, hint: Schedule | None) -> S
                 undecided.append(k)
                 scored.append((abs(mk_f - mk_r), k))
             else:
+                s_cur, mk_cur = rows[n], rows[n][n]
                 if not undecided:
-                    best_mk = mk_cur
-                    best = Schedule(tuple(s_cur), mk_cur, dict(chosen))
+                    best = Schedule(tuple(s_cur[:n]), makespan(s_cur, d), dict(chosen))
+                    best_mk = best.makespan
                     return
                 # re-probe the open pairs by gap (stale, or fresh where the
                 # last refresh reached), stopping at a dead direction
@@ -384,13 +373,12 @@ def _branch_and_bound(comp: _Compiled, floor: float, hint: Schedule | None) -> S
             if r_live and mk_r >= cut:
                 return  # no completion of this node can improve
             edge = edges[k][r_live]
-            res = comp.commit(edge, s_cur, mk_cur, rows)
-            if res is None:
-                return
-            s_cur, mk_cur = res
-            if mk_cur >= cut:
-                return
+            comp.relaxations += 1
+            if _probe(rows, edge) == math.inf:
+                return  # the live entry was stale: it closes a positive cycle now
             rows = _with_edge(rows, edge)
+            if rows[n][n] >= cut:
+                return
             chosen += ((pairs[k], edge[:2]),)
         rest = undecided.copy()
         rest.remove(branch)
@@ -400,14 +388,14 @@ def _branch_and_bound(comp: _Compiled, floor: float, hint: Schedule | None) -> S
                 continue
             edge = edges[branch][r_live]
             # the last round probed both directions below the cutoff: finite
-            res = comp.commit(edge, s_cur, mk_cur, rows)
-            recurse(*res, _with_edge(rows, edge), rest, la, chosen + ((pairs[branch], edge[:2]),))
+            comp.relaxations += 1
+            recurse(_with_edge(rows, edge), rest, la, chosen + ((pairs[branch], edge[:2]),))
             if best_mk <= floor + FEAS_TOL:
                 return  # incumbent meets the floor: provably optimal
 
-    rows = _longest_paths(comp)
-    la = [(_probe(root_s, root_mk, rows, f), _probe(root_s, root_mk, rows, r)) for f, r in edges]
-    recurse(root_s, root_mk, rows, list(range(len(pairs))), la, ())
+    rows = _longest_paths(comp) + [root_s + [root_mk]]
+    la = [(_probe(rows, f), _probe(rows, r)) for f, r in edges]
+    recurse(rows, list(range(len(pairs))), la, ())
     return best
 
 

@@ -620,6 +620,47 @@ def test_one_assembler_builds_scheduling_problems():
     assert sites == {("scheduler.py", "build_scheduling_problem")}
 
 
+def commits(source: str) -> list[tuple[int, str]]:
+    """(line, "def" or "call") of every function named ``commit`` and every
+    call of one, as ``commit(...)`` or ``obj.commit(...)``."""
+    defined = [
+        (node.lineno, "def")
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "commit"
+    ]
+    return sorted(defined + [(line, "call") for line, _ in constructions(source, "commit")])
+
+
+def test_the_scan_sees_a_commit_or_a_matrix_update():
+    source = (
+        "class _Compiled:\n"
+        "    def commit(self, edge, s, rows):\n"
+        "        return _with_edge(rows, edge)\n"
+        "def _branch_and_bound(comp, rows, edge):\n"
+        "    def recurse(rows):\n"
+        "        return comp.commit(edge, rows[-1], rows), '_with_edge'\n"
+        "    return list(map(_with_edge, [rows], [edge])), recurse(rows)\n"
+    )
+    assert commits(source) == [(2, "def"), (6, "call")]
+    assert name_uses(source, {"_with_edge"}) == {
+        ("_with_edge", "commit"), ("_with_edge", "_branch_and_bound")
+    }
+
+
+def test_the_matrix_alone_moves_start_times():
+    """A branch-and-bound node's start times are the source row of its
+    longest-path matrix, and ``_with_edge`` is the one rule that updates the
+    matrix: it is read only where the root's matrix is built and where the
+    search commits an ordering, and no second update rule (a ``commit``)
+    grows back."""
+    uses = {(p.name, use) for p in MODULES for use in name_uses(p.read_text(), {"_with_edge"})}
+    assert uses == {
+        ("scheduler.py", ("_with_edge", "_longest_paths")),
+        ("scheduler.py", ("_with_edge", "recurse")),
+    }
+    assert [(p.name, found) for p in MODULES for found in commits(p.read_text())] == []
+
+
 # the plan cache's reads and writes, whose keys are robot positions
 MOTION_ONLY = ("lookup", "store")
 

@@ -8,6 +8,7 @@ longest-path fixpoint (no code shared with the module under test).
 import hashlib
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynalloc import scheduler as scheduler_module
 from dynalloc import search as search_module
 from dynalloc.domain import Allocation, DimensionMismatchError
 from dynalloc.generator import generate_problem
@@ -125,18 +127,23 @@ def random_problem(rng, max_tasks=8, max_mutex=6) -> SchedulingProblem:
 
 @pytest.fixture
 def relax_calls(monkeypatch):
-    """A list that gains one entry per ``_Compiled.relax`` or ``commit`` call."""
+    """A list that gains one entry per ``_Compiled.relax`` call and per
+    ``_with_edge`` call outside ``_longest_paths``: a cold solve or a
+    committed ordering."""
     calls = []
+    relax, with_edge = _Compiled.relax, _with_edge
 
-    def counted(method):
-        def call(self, *args):
-            calls.append(method.__name__)
-            return method(self, *args)
+    def counted_relax(self, *args):
+        calls.append("relax")
+        return relax(self, *args)
 
-        return call
+    def counted_with_edge(rows, edge):
+        if sys._getframe(1).f_code.co_name != "_longest_paths":
+            calls.append("commit")
+        return with_edge(rows, edge)
 
-    monkeypatch.setattr(_Compiled, "relax", counted(_Compiled.relax))
-    monkeypatch.setattr(_Compiled, "commit", counted(_Compiled.commit))
+    monkeypatch.setattr(_Compiled, "relax", counted_relax)
+    monkeypatch.setattr(scheduler_module, "_with_edge", counted_with_edge)
     return calls
 
 
@@ -496,6 +503,13 @@ class TestBenchScale:
             assert abs(sched.makespan - cold.makespan) <= tol
             assert max(abs(x - y) for x, y in zip(sched.start_times, cold.start_times)) <= tol
 
+    def test_every_makespan_is_its_start_times_makespan(self, bench_calls):
+        """Bit for bit, over the 275 solves: the search prunes on the source
+        row's tail column, which can sit an ulp off the start times' makespan."""
+        _, calls = bench_calls
+        for problem, _, _, sched in calls:
+            assert sched.makespan == makespan(sched.start_times, problem.durations)
+
     def test_warm_solves_match_a_milp_oracle(self, bench_searches):
         """Every solve with at least 45 mutex pairs, and every 25th of the rest,
         lies between HiGHS's dual bound and the makespan of HiGHS's orientation
@@ -646,38 +660,44 @@ def _drawn_problem(data, n, duration, gap, arrival):
     return problem, pairs
 
 
+def _node_matrix(comp: _Compiled):
+    """The root's matrix: the longest paths over ``comp``'s precedence
+    edges, and the cold relaxation's start times and makespan as the source
+    row."""
+    s, mk = comp.relax()
+    return _longest_paths(comp) + [s + [mk]]
+
+
 class TestCommit:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_a_commit_matches_a_cold_relaxation(self, data):
-        """Along a chain of edges each committed off the node's matrix, as the
-        branch-and-bound does: None exactly where a cold full-scan relaxation
-        of every committed edge finds a positive cycle, and otherwise its
-        start times and makespan within n * FEAS_TOL. Half-unit weights,
-        some off by less than the tolerance, make ties at and within it
-        common."""
+        """Along a chain of edges each committed onto the node's matrix, as
+        the branch-and-bound does (``_probe``, then ``_with_edge``): a
+        positive cycle exactly where a cold full-scan relaxation of every
+        committed edge finds one, and otherwise the source row's start times
+        and makespan bound within n * FEAS_TOL of the relaxation's.
+        Half-unit weights, some off by less than the tolerance, make ties at
+        and within it common."""
         n = data.draw(st.integers(2, 7))
         half = st.builds(
             lambda k, e: k / 2 + e, st.integers(0, 12), st.sampled_from([0.0, 5e-10])
         )
         problem, pairs = _drawn_problem(data, n, half, half, half)
         comp = _Compiled(problem)
-        s, mk = comp.relax()
-        rows = _longest_paths(comp)
+        rows = _node_matrix(comp)
         committed = []
         for _ in range(data.draw(st.integers(1, 6))):
             u, v = data.draw(st.sampled_from(pairs))
             edge = (u, v, comp.durations[u] + data.draw(half))
             committed.append(edge)
-            got = comp.commit(edge, s, mk, rows)
             cold = _full_scan_relax(comp, committed)
-            assert (got is None) == (cold is None)
-            if got is None:
+            assert (_probe(rows, edge) == math.inf) == (cold is None)
+            if cold is None:
                 return
-            s, mk = got
-            assert max(abs(x - y) for x, y in zip(s, cold[0])) <= n * FEAS_TOL
-            assert abs(mk - cold[1]) <= n * FEAS_TOL
             rows = _with_edge(rows, edge)
+            assert max(abs(x - y) for x, y in zip(rows[n], cold[0])) <= n * FEAS_TOL
+            assert abs(rows[n][n] - cold[1]) <= n * FEAS_TOL
 
 
 def _reference_longest_paths(comp: _Compiled, extra):
@@ -700,42 +720,64 @@ class TestProbe:
     @given(st.data())
     def test_a_lookup_probe_matches_a_relaxation(self, data):
         """Along a chain of random orderings: the probe's lookup of the tail
-        column and the commit's pass over the starts agree on whether the
-        ordering closes a positive cycle, and on the makespan within
-        n * FEAS_TOL; some orderings are then committed. Every duration is
+        column and a cold full-scan relaxation agree on whether the ordering
+        closes a positive cycle, and on the makespan within n * FEAS_TOL;
+        some orderings are then committed, and the source row's start times
+        agree with the relaxation's within n * FEAS_TOL. Every duration is
         at least 0.5, so every cycle is clearly positive or absent. The
         matrix stays the longest paths of the committed edges throughout."""
         n = data.draw(st.integers(2, 8))
         gap = st.floats(0.0, 5.0)
         problem, pairs = _drawn_problem(data, n, st.floats(0.5, 10.0), gap, st.floats(0.0, 4.0))
         comp = _Compiled(problem)
-        s, mk = comp.relax()
-        rows = _longest_paths(comp)
+        rows = _node_matrix(comp)
         committed = []
         for _ in range(data.draw(st.integers(1, 12))):
             u, v = data.draw(st.sampled_from(pairs))
             edge = (u, v, comp.durations[u] + data.draw(gap))
-            probed = _probe(s, mk, rows, edge)
-            res = comp.commit(edge, s, mk, rows)
-            assert (probed == math.inf) == (res is None)
-            if res is None:
+            probed = _probe(rows, edge)
+            cold = _full_scan_relax(comp, committed + [edge])
+            assert (probed == math.inf) == (cold is None)
+            if cold is None:
                 continue
-            assert abs(probed - res[1]) <= n * FEAS_TOL
+            assert abs(probed - cold[1]) <= n * FEAS_TOL
             if data.draw(st.booleans()):
                 committed.append(edge)
-                s, mk = res
                 rows = _with_edge(rows, edge)
+                assert max(abs(x - y) for x, y in zip(rows[n], cold[0])) <= n * FEAS_TOL
         reference = _reference_longest_paths(comp, committed)
         for row, ref in zip(rows, reference):
             for x, y in zip(row, ref):
                 assert x == y == NO_PATH or abs(x - y) <= n * FEAS_TOL
 
 
+def _reference_commit(comp: _Compiled, edge, s, mk: float, rows):
+    """Start times and makespan of the node (s, mk) with ``edge`` committed;
+    None on a positive cycle. ``rows`` is the node's matrix without its
+    source row.
+
+    Where the edge (u, v, w) already holds nothing moves; otherwise a
+    new longest path uses it once, so each task x starts at least at
+    s[u] + w + L[v][x].
+    """
+    comp.relaxations += 1
+    u, v, w = edge
+    start = s[u] + w
+    if start <= s[v] + FEAS_TOL:
+        return s, mk
+    if w + rows[v][u] > FEAS_TOL:
+        return None
+    s = [y if (y := start + r) > x + FEAS_TOL else x for x, r in zip(s, rows[v])]
+    return s, makespan(s, comp.durations)
+
+
 def _reference_branch_and_bound(comp: _Compiled, floor: float, hint: Schedule | None):
     """The branch-and-bound that restarts its stale scan after every forced
     pair, rebuilds and sorts its refresh list each time, copies the table and
-    the orderings at every step and probes through ``_probe``: the decisions
-    ``_branch_and_bound`` must make, node for node."""
+    the orderings at every step, probes through ``_probe`` and keeps its
+    start times and makespan beside the matrix, moved by a commit pass of
+    their own (``_reference_commit``): the decisions ``_branch_and_bound``
+    must make, node for node."""
     pairs = sorted(comp.orders)
     root = comp.relax()
     if root is None:
@@ -755,8 +797,9 @@ def _reference_branch_and_bound(comp: _Compiled, floor: float, hint: Schedule | 
     orders = comp.orders
 
     def probe(s, mk, rows, p):
+        node = [*rows, [*s, mk]]
         forward, reverse = orders[p]
-        return _probe(s, mk, rows, forward), _probe(s, mk, rows, reverse)
+        return _probe(node, forward), _probe(node, reverse)
 
     def recurse(s_cur, mk_cur, rows, undecided, la, orderings):
         nonlocal best, best_mk
@@ -792,7 +835,7 @@ def _reference_branch_and_bound(comp: _Compiled, floor: float, hint: Schedule | 
             if r_live and mk_r >= cut:
                 return
             edge = orders[p][r_live]
-            res = comp.commit(edge, s_cur, mk_cur, rows)
+            res = _reference_commit(comp, edge, s_cur, mk_cur, rows)
             if res is None:
                 return
             s_cur, mk_cur = res
@@ -805,7 +848,7 @@ def _reference_branch_and_bound(comp: _Compiled, floor: float, hint: Schedule | 
         for mk, edge in sorted(zip(la[branch], orders[branch]), key=lambda c: c[0]):
             if mk >= best_mk - FEAS_TOL:
                 continue
-            res = comp.commit(edge, s_cur, mk_cur, rows)
+            res = _reference_commit(comp, edge, s_cur, mk_cur, rows)
             if res is None:
                 continue
             recurse(
@@ -836,19 +879,18 @@ def _decisions(bnb, problem: SchedulingProblem, floor: float, hint):
 def _root_cycles(problem: SchedulingProblem) -> int:
     """The orderings that close a positive cycle at the root of a solve."""
     comp = _Compiled(problem)
-    s, mk = comp.relax()
-    rows = _longest_paths(comp)
-    return sum(_probe(s, mk, rows, e) == math.inf for pair in comp.orders.values() for e in pair)
+    rows = _node_matrix(comp)
+    return sum(_probe(rows, e) == math.inf for pair in comp.orders.values() for e in pair)
 
 
 class TestResumedScan:
-    def test_random_solves_decide_as_the_reference(self):
-        """Floors at zero, inside the optimum and at it; no hint, the cold
-        optimum, a random orientation, or every pair run high index first.
-        Among the solves are warm exits, hints that close a positive cycle,
-        and problems where some ordering closes one at the root."""
+    @pytest.fixture(scope="class")
+    def cases(self):
+        """300 random problems, three (problem, floor, hint) each: floors at
+        zero, inside the optimum and at it; no hint, the cold optimum, a
+        random orientation, or every pair run high index first."""
         rng = np.random.default_rng(26)
-        warm_exits = cyclic = branched = 0
+        cases = []
         for _ in range(300):
             p = random_problem(rng, max_tasks=9, max_mutex=14)
             cold = solve_schedule(p)
@@ -864,10 +906,23 @@ class TestResumedScan:
                 Schedule((0.0,) * len(p.durations), 0.0, {q: q[::-1] for q in pairs}),
             ]
             for floor in (0.0, cold.makespan * rng.uniform(0.5, 1.0), cold.makespan):
-                hint = hints[rng.integers(len(hints))]
-                got = _decisions(_branch_and_bound, p, floor, hint)
-                assert got == _decisions(_reference_branch_and_bound, p, floor, hint)
-                warm_exits += bool(pairs) and got[1] == 0
-                branched += got[1] > 1
-            cyclic += _root_cycles(p) > 0
+                cases.append((p, floor, hints[rng.integers(len(hints))]))
+        return cases
+
+    def test_random_solves_decide_as_the_reference(self, cases):
+        """Among the solves are warm exits, hints that close a positive
+        cycle, and problems where some ordering closes one at the root."""
+        warm_exits = branched = 0
+        for p, floor, hint in cases:
+            got = _decisions(_branch_and_bound, p, floor, hint)
+            assert got == _decisions(_reference_branch_and_bound, p, floor, hint)
+            warm_exits += bool(p.mutex_reduced) and got[1] == 0
+            branched += got[1] > 1
+        cyclic = sum(_root_cycles(p) > 0 for p, _, _ in cases[::3])
         assert min(warm_exits, cyclic, branched) >= 10
+
+    def test_every_makespan_is_its_start_times_makespan(self, cases):
+        """Bit for bit, as on the bench solves."""
+        for p, floor, hint in cases:
+            sched = solve_schedule(p, floor, hint)
+            assert sched.makespan == makespan(sched.start_times, p.durations)
