@@ -21,17 +21,17 @@ part of the frontier: the surgery treats each pending batch
 (``search.PendingBatch``) as its members, with one floor for all of them.
 The surgery only reshapes allocations and sets apr (``_rescore``) and
 floors (``_demote_frontier``). Then one shared re-key, ``_rekey``: the
-bounds are refreshed, every open node and pending batch is
-``prioritize``d, the heap is rebuilt once, and the nodes the event revived
-are ``requeue``d. Only a new agent does more, seeding fresh root children
+nodes the event revived are opened and demoted, the bounds are refreshed,
+every open node and pending batch is ``prioritize``d, and the heap is
+rebuilt once. Only a new agent does more, seeding fresh root children
 after it. Everything else is conserved, and the search is then simply
 resumed.
 
-No frontier schedule is re-solved by the repair itself: a demoted node
+No schedule is solved by the repair itself: a demoted or revived node
 keeps a lower bound on its new priority and is re-solved only when the
-resumed pop loop reaches it (the lazy reuse of Lifelong Planning A*), so
-the exact pops, and hence the expansions and the solution, are those an
-eager re-solve would give.
+resumed pop loop reaches it (the lazy reuse of Lifelong Planning A*:
+Koenig, Likhachev & Furcy, AIJ 2004), so the exact pops, and hence the
+expansions and the solution, are those an eager re-solve would give.
 
 The surgery handles nodes in whole arrays, not one numpy call per node:
 the allocations it rescores (nodes, then pending members) are stacked into
@@ -76,7 +76,6 @@ from .search import (
     AllocationNode,
     SearchResult,
     SearchState,
-    accept_goal,
     add_children,
     apr_value,
     apr_values,
@@ -84,7 +83,6 @@ from .search import (
     make_node,
     prioritize,
     refresh_bounds,
-    requeue,
     run_search,
     take_member,
 )
@@ -297,15 +295,16 @@ def _demote_frontier(state: SearchState, slack: float) -> None:
 
 
 def _rekey(state: SearchState, revived=()) -> None:
-    """The step every handler ends in: bounds from the new domain and
-    roadmap, every open node's and batch's priority from its apr and
-    floor, one heapify, then the nodes the event revived solved and
-    pushed."""
+    """The step every handler ends in: the nodes the event revived opened
+    and demoted, each keeping its sound floor, then bounds from the new
+    domain and roadmap, every open node's and batch's priority from its
+    apr and floor, and one heapify."""
+    for node in revived:
+        node.status = OPEN
+    demote(revived)
     refresh_bounds(state)
     prioritize(state, state.open_nodes(), state.batches)
     state.rebuild_heap()
-    for node in revived:
-        requeue(state, node)
 
 
 def handle_agent_or_task_loss(
@@ -313,7 +312,7 @@ def handle_agent_or_task_loss(
     event: DynamicEvent,
     old_domain: ProblemDomain,
     incumbent: AllocationNode | None = None,
-) -> AllocationNode | None:
+) -> None:
     """Drop every node and pending child referencing the lost agent or
     task, reindex the rest, and keep the incumbent minus the loss.
 
@@ -331,7 +330,7 @@ def handle_agent_or_task_loss(
     node whose parent is the incumbent's nearest ancestor that never used
     the lost index. That ancestor's allocation is a subset of the
     projection, so its floor is sound for it and its schedule is the warm
-    hint. Returns the node that stands for the incumbent, or None.
+    hint.
     """
     agent_loss = event.kind == EventKind.AGENT_LOST
     idx = _index(old_domain, event.payload, "agent" if agent_loss else "task")
@@ -375,10 +374,8 @@ def handle_agent_or_task_loss(
         revived = [node for node in state.with_status(CLOSED) if node.apr <= APR_TOL]
     if anchor is not None:
         projection = np.delete(incumbent.allocation.entries, idx, axis=axis)
-        incumbent = _projection(state, projection[None], anchor)
-        revived = [node for node in revived if node is not incumbent] + [incumbent]
+        revived.append(_projection(state, projection[None], anchor))
     _rekey(state, revived)
-    return incumbent
 
 
 def _projection(
@@ -487,11 +484,10 @@ def repair(state: SearchState, solution, event: DynamicEvent) -> SearchResult:
     ``solution`` is the one the last solve or repair of this state
     returned, None when that found none. Its node is first returned to the
     frontier; a loss that deletes it revives its projection in its place.
-    After the kind-specific surgery that node is re-certified under the new
-    domain and, when it is still a goal and no open node or pending child
-    has a lower priority, returned without any further expansion: what a
-    pop would have returned, so both gap bounds hold for it as for any
-    pop. Otherwise the search resumes.
+    The handlers solve nothing, so the one pop loop, ``run_search``,
+    re-certifies that node under the new domain when it reaches the top,
+    and returns it only as it would any goal: both gap bounds and the
+    tie-break by fewer assignments hold for a repair as for a fresh search.
 
     A solution whose allocation is not in the state's graph is refused, and
     every step is applied to the domain before the state is touched, so a
@@ -518,26 +514,12 @@ def repair(state: SearchState, solution, event: DynamicEvent) -> SearchResult:
         # wrappers bound to the module attributes see every call
         kind = step.kind
         if kind in (EventKind.AGENT_LOST, EventKind.TASK_LOST):
-            sol_node = handle_agent_or_task_loss(state, step, old_domain, sol_node)
+            handle_agent_or_task_loss(state, step, old_domain, sol_node)
         elif kind in ROW_CHANGES:
             handle_row_change(state, step)
         elif kind == EventKind.DURATION_CHANGED:
             handle_duration_change(state, step, old_domain)
         else:
             handle_new_agent(state, step)
-
-    # fast path: the old solution, or its projection, may still be the best
-    # goal on the frontier under the new domain
-    if (
-        sol_node is not None
-        and sol_node.status == OPEN
-        and sol_node.allocation.key() in state.nodes
-        and requeue(state, sol_node)
-        and sol_node.apr <= APR_TOL
-        and state.best_priority() >= sol_node.tetaq
-    ):
-        result = accept_goal(state, sol_node)
-        if result is not None:
-            return result
 
     return run_search(state)

@@ -561,24 +561,6 @@ def min_open_apr(state: SearchState) -> float:
     return min(values, default=1.0)
 
 
-def accept_goal(state: SearchState, node: AllocationNode) -> SearchResult | None:
-    """Close an exact zero-apr node as the solution once every trip is planned.
-
-    A disconnected trip prunes the node instead, and None is returned.
-    """
-    plans = instantiate_plans(state, node.allocation, node.schedule)
-    if plans is None:
-        node.status = PRUNED
-        return None
-    node.status = CLOSED
-    return SearchResult(
-        Solution(node.allocation, node.schedule, plans),
-        "solved",
-        min_open_apr(state),
-        state,
-    )
-
-
 def run_search(
     state: SearchState,
     max_expansions: int = 100_000,
@@ -586,8 +568,11 @@ def run_search(
 ) -> SearchResult:
     """Pop-best loop; goal = zero apr with a plan-backed feasible schedule.
 
-    An exact pop whose priority some other open node matches (within
-    TIE_TOL) counts in ``stats.tied_pops``. When even every robot on every
+    A goal pop whose trips are all planned is closed and returned as the
+    solution; a disconnected trip prunes it instead. An exact pop whose
+    priority some other open node matches (within TIE_TOL) counts in
+    ``stats.tied_pops``. Both limits count from the call, so a resumed
+    search gets its own budget. When even every robot on every
     task leaves a requirement unmet, no allocation meets them all (traits
     are non-negative, so apr only falls as cells are added), and the search
     reports ``exhausted`` before its first pop, leaving the state as it is.
@@ -596,9 +581,10 @@ def run_search(
     full = np.ones((1, domain.n_tasks, domain.n_robots), dtype=np.int8)
     if apr_values(full, domain.team, domain.requirements)[0] > APR_TOL:
         return SearchResult(None, "exhausted", min_open_apr(state), state)
+    expansion_limit = state.stats.expansions + max_expansions
     t0 = time.monotonic()
     while True:
-        if state.stats.expansions >= max_expansions:
+        if state.stats.expansions >= expansion_limit:
             return SearchResult(None, "limit-expansions", min_open_apr(state), state)
         if time.monotonic() - t0 > max_seconds:
             return SearchResult(None, "limit-time", min_open_apr(state), state)
@@ -614,10 +600,13 @@ def run_search(
         if state.best_priority() <= node.tetaq + TIE_TOL:
             state.stats.tied_pops += 1
         if node.apr <= APR_TOL:
-            result = accept_goal(state, node)
-            if result is not None:
-                return result
-            continue
+            plans = instantiate_plans(state, node.allocation, node.schedule)
+            if plans is None:
+                node.status = PRUNED
+                continue
+            node.status = CLOSED
+            solution = Solution(node.allocation, node.schedule, plans)
+            return SearchResult(solution, "solved", min_open_apr(state), state)
         expand(state, node)
 
 

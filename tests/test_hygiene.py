@@ -316,11 +316,27 @@ def test_the_scan_sees_a_name_use():
 
 
 def test_repair_rekeys_in_one_place():
-    """Every handler ends in ``_rekey``; no second re-key path grows back.
-    ``repair`` itself requeues only the old solution on its fast path."""
-    rekeying = {"refresh_bounds", "prioritize", "rebuild_heap", "requeue"}
+    """Every handler ends in ``_rekey``; no second re-key path grows back."""
+    rekeying = {"refresh_bounds", "prioritize", "rebuild_heap"}
     uses = name_uses((PACKAGE / "repair.py").read_text(), rekeying)
-    assert uses == {(name, "_rekey") for name in rekeying} | {("requeue", "repair")}
+    assert uses == {(name, "_rekey") for name in rekeying}
+
+
+# what solves a schedule or takes a goal as the solution
+SOLVING = {"requeue", "materialize", "evaluate", "solve_with_memo", "accept_goal"}
+
+
+def test_repair_solves_nothing():
+    """Repair only reshapes, rescores and re-keys: every schedule is solved,
+    and every solution built, by the resumed pop loop, so a repair answers
+    as a pop of a fresh search would."""
+    assert name_uses((PACKAGE / "repair.py").read_text(), SOLVING) == set()
+    sites = {
+        (p.name, function)
+        for p in MODULES
+        for _, function in constructions(p.read_text(), "Solution")
+    }
+    assert sites == {("search.py", "run_search")}
 
 
 def field_reads(source: str) -> list[tuple[int, str | None]]:

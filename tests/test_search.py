@@ -30,6 +30,7 @@ from dynalloc.search import (
     new_state,
     prioritize,
     required_transitions,
+    run_search,
     search,
     take_head,
 )
@@ -214,6 +215,20 @@ class TestTrivialGoals:
     def test_expansion_limit_reported(self, desk_domain):
         result = search(desk_domain, 0.25, max_expansions=0)
         assert result.reason in ("limit-expansions", "solved")
+
+    def test_each_call_gets_its_own_expansion_budget(self):
+        """Resumed in slices of five expansions, a search makes five more
+        per call and ends as one uninterrupted call does."""
+        domain = generate_problem(500, 8, 15, 4)
+        whole = search(domain, 0.25)
+        sliced = search(domain, 0.25, max_expansions=5)
+        state = sliced.state
+        for expansions in (5, 10, 15, 20):
+            assert (sliced.reason, state.stats.expansions) == ("limit-expansions", expansions)
+            sliced = run_search(state, max_expansions=5)
+        assert sliced.reason == "solved"
+        assert sliced.solution.allocation.key() == whole.solution.allocation.key()
+        assert state.stats == whole.state.stats
 
 
 class TestLaziness:
