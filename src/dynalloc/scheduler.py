@@ -1,24 +1,23 @@
 """Exact makespan minimization under precedence, mutex, and travel times.
 
-The core is a simple temporal network: earliest start times are the
-longest-path distances over the difference-constraint graph, and a fixed
-set of mutex orderings is infeasible exactly when that graph has a
-positive cycle. The full problem (free mutex directions) is solved by
-branch-and-bound over the orderings; the bound at a partial assignment is
-the relaxation that drops every undecided mutex pair, which can only
-shorten the makespan, so pruning is safe and the optimum is exact. A
-branch-and-bound node is its longest paths over its committed edges, from
-each task and from a source whose edges weigh the arrivals (its start
-times). So probing one more ordering (does it close a positive cycle, how
-far does it push the makespan) is a lookup, and committing it is one
-update of the matrix. A node reads each inherited lookahead entry once,
-since its cutoff holds until it branches.
+The core is a simple temporal network: a set of mutex orderings is
+feasible exactly when it closes no cycle with precedence (Balas,
+Operations Research 1969), and a schedule is then the longest paths over
+that graph, one pass in topological order. The full problem (free mutex
+directions) is solved by branch-and-bound over the orderings; the bound
+at a partial assignment is the relaxation that drops every undecided
+mutex pair, which can only shorten the makespan, so pruning is safe and
+the optimum is exact. A branch-and-bound node is its longest paths over
+its committed edges, from each task and from a source whose edges weigh
+the arrivals (its start times). So probing one more ordering (does it
+close a cycle, how far does it push the makespan) is a lookup, and
+committing it is one update of the matrix. A node reads each inherited
+lookahead entry once, since its cutoff holds until it branches.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from operator import add
 
@@ -65,7 +64,8 @@ class SchedulingProblem:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Never written once built, its dict included: a deep copy shares it."""
+    """``_Compiled.relax`` of its orderings, as the scheduler builds each one.
+    Never written once built, its dict included: a deep copy shares it."""
 
     start_times: tuple[float, ...]
     makespan: float
@@ -82,8 +82,9 @@ class _Compiled:
     """Per-solve working form: arrivals (the source row's edges), precedence and ordering edges.
 
     Never written once built but for its counters: ``bnb_nodes`` and
-    ``relaxations`` count the work of one solve, a relaxation being a cold
-    solve (``relax``) or a committed ordering.
+    ``relaxations`` count the work of one solve, a relaxation being a
+    ``relax`` pass (the root's, the hint orientation's or a leaf's) or a
+    committed ordering.
     """
 
     __slots__ = (
@@ -113,39 +114,35 @@ class _Compiled:
 
     def relax(self, extra=()):
         """Least start times over the precedence edges and the ``extra``
-        edges (u, v, w), and their makespan; None on a positive cycle.
+        edges (u, v, w), and their makespan; None when they close a cycle.
 
-        Worklist propagation from the arrivals, seeded with every task; a
-        task dequeued more than n times witnesses a positive cycle. Only the
-        root, whose precedence is acyclic, and the hint are relaxed: refusing
-        a cycle of exactly ``FEAS_TOL`` that the matrix accepts starts a solve cold.
+        One longest-path pass in topological order (Kahn): a task is
+        reached once its last in-edge is, and its start is then final, the
+        latest of its arrival and of s[u] + w over its in-edges. So the
+        result depends on the set of edges alone, not on their order.
         """
         self.relaxations += 1
-        n, d = self.n, self.durations
+        n = self.n
         out = [list(o) for o in self.out]
         for u, v, w in extra:
             out[u].append((v, w))
+        waiting = [0] * n  # in-edges not yet reached
+        for o in out:
+            for v, _ in o:
+                waiting[v] += 1
         s = list(self.arrivals)
-        mk = makespan(s, d)
-        inq, counts = bytearray(b"\x01" * n), [0] * n
-        queue = deque(range(n))
-        while queue:
-            u = queue.popleft()
-            inq[u] = 0
-            counts[u] += 1
-            if counts[u] > n:
-                return None
+        order = [u for u in range(n) if not waiting[u]]
+        for u in order:  # grows as tasks are reached
             su = s[u]
             for v, w in out[u]:
-                nv = su + w
-                if nv > s[v] + FEAS_TOL:
-                    s[v] = nv
-                    if nv + d[v] > mk:
-                        mk = nv + d[v]
-                    if not inq[v]:
-                        inq[v] = 1
-                        queue.append(v)
-        return s, mk
+                if su + w > s[v]:
+                    s[v] = su + w
+                waiting[v] -= 1
+                if not waiting[v]:
+                    order.append(v)
+        if len(order) < n:
+            return None
+        return s, makespan(s, self.durations)
 
 
 # A longest-path matrix over a set of committed edges: row a holds, for each
@@ -159,7 +156,7 @@ NO_PATH = -math.inf
 
 
 def _longest_paths(comp: _Compiled) -> list[list[float]]:
-    """The matrix over ``comp``'s precedence edges, which close no positive cycle."""
+    """The matrix over ``comp``'s precedence edges, which close no cycle."""
     n, d = comp.n, comp.durations
     rows = [[0.0 if b == a else NO_PATH for b in range(n)] + [d[a]] for a in range(n)]
     # tails in descending order: edges mostly run from lower to higher
@@ -171,7 +168,7 @@ def _longest_paths(comp: _Compiled) -> list[list[float]]:
 
 
 def _with_edge(rows, edge) -> list[list[float]]:
-    """The matrix with ``edge`` committed, where it closes no positive cycle.
+    """The matrix with ``edge`` committed, where it closes no cycle.
 
     A new longest path uses the edge at most once, so only the rows that
     reach its tail u change: row_a' = max(row_a, L[a][u] + w + row_v), the
@@ -191,20 +188,20 @@ def _with_edge(rows, edge) -> list[list[float]]:
 
 
 def _probe(rows, edge) -> float:
-    """Makespan of the node ``rows`` with ``edge`` committed; inf on a positive cycle.
+    """Makespan of the node ``rows`` with ``edge`` committed; inf on a cycle.
 
-    s is the source row. When the edge already holds nothing moves;
-    otherwise the edge's head v starts at s[u] + w, and every start it
-    pushes ends by that plus v's tail.
+    The edge (u, v, w) closes a cycle exactly when v reaches u. Otherwise,
+    s being the source row, nothing moves when the edge already holds; else
+    v starts at s[u] + w, and every start it pushes ends by that plus v's tail.
     """
     u, v, w = edge
+    if rows[v][u] != NO_PATH:
+        return math.inf
     s = rows[-1]
     mk = s[-1]
     start = s[u] + w
     if start <= s[v] + FEAS_TOL:
         return mk
-    if w + rows[v][u] > FEAS_TOL:
-        return math.inf
     end = start + rows[v][-1]
     return end if end > mk else mk
 
@@ -214,13 +211,18 @@ def makespan(start_times, durations) -> float:
     return max(map(add, start_times, durations), default=0.0)
 
 
+def _relaxed(comp: _Compiled, orderings) -> Schedule | None:
+    """``relax`` of the edges of ``orderings`` as a schedule; None on a cycle."""
+    res = comp.relax([comp.orders[p][o != p] for p, o in orderings.items()])
+    return None if res is None else Schedule(tuple(res[0]), res[1], orderings)
+
+
 def _warm_incumbent(comp: _Compiled, pairs, hint: Schedule) -> Schedule | None:
     """The schedule that orients every mutex pair as ``hint`` does.
 
     A pair the hint fixed keeps its direction; any other goes first by the
-    hint's start times, ties to the lower index. One cold relaxation on
-    ``comp``. None when the hint has another task count or its orientation
-    closes a positive cycle.
+    hint's start times, ties to the lower index. None when the hint has
+    another task count or its orientation closes a cycle.
     """
     starts = hint.start_times
     if len(starts) != comp.n:
@@ -231,10 +233,7 @@ def _warm_incumbent(comp: _Compiled, pairs, hint: Schedule) -> Schedule | None:
         if o is None:
             o = (j, i) if starts[j] < starts[i] else (i, j)
         orderings[(i, j)] = o
-    res = comp.relax([comp.orders[p][o != p] for p, o in orderings.items()])
-    if res is None:
-        return None
-    return Schedule(tuple(res[0]), res[1], orderings)
+    return _relaxed(comp, orderings)
 
 
 def solve_schedule(
@@ -267,10 +266,11 @@ def solve_schedule(
     whose source row holds its start times and makespan bound (see
     ``NO_PATH``), its lookahead table and its chosen orderings, which no
     child writes, so nothing is undone on return. A probe is a lookup on
-    the matrix, which tells whether an ordering closes a positive cycle and
-    how far it pushes the makespan (``_probe``); committing an ordering,
-    forced or branched, is ``_with_edge``, the one rule that moves a start.
-    Only the root and the hint are relaxed.
+    the matrix, which tells whether an ordering closes a cycle and how far
+    it pushes the makespan (``_probe``); committing an ordering, forced or
+    branched, is ``_with_edge``. No commit closes a cycle, so every
+    orientation the search builds is acyclic, and every schedule it returns
+    (the root's, the hint's, each leaf's) is ``relax`` of its orderings.
 
     ``floor`` must be a sound lower bound on the optimum: one above it can
     end the search on a suboptimal schedule. ``hint`` is a related
@@ -291,12 +291,9 @@ def solve_schedule(
 def _branch_and_bound(comp: _Compiled, floor: float, hint: Schedule | None) -> Schedule | None:
     """``solve_schedule``'s search on a compiled problem with finite prices."""
     pairs = sorted(comp.orders)
-    root = comp.relax()
-    if root is None:
-        return INFEASIBLE
-    root_s, root_mk = root
-    if not pairs:
-        return Schedule(tuple(root_s), root_mk, {})
+    root = _relaxed(comp, {})
+    if root is None or not pairs:
+        return root  # infeasible, or nothing to order
 
     best_mk = math.inf
     best: Schedule | None = None
@@ -306,11 +303,11 @@ def _branch_and_bound(comp: _Compiled, floor: float, hint: Schedule | None) -> S
             best_mk = best.makespan
             if best_mk <= floor + FEAS_TOL:
                 return best
-    n, d = comp.n, comp.durations
+    n = comp.n
     edges = [comp.orders[p] for p in pairs]  # by pair position: (forward, reverse)
 
     # Lookahead table: pair position -> (makespan if forward, if reverse),
-    # inf where the ordering closes a positive cycle. Starts only grow as
+    # inf where the ordering closes a cycle. Starts only grow as
     # orderings are fixed, so a stale entry is a sound bound in its subtree.
 
     def recurse(rows, undecided, la, chosen) -> None:
@@ -332,11 +329,12 @@ def _branch_and_bound(comp: _Compiled, floor: float, hint: Schedule | None) -> S
                 undecided.append(k)
                 scored.append((abs(mk_f - mk_r), k))
             else:
-                s_cur, mk_cur = rows[n], rows[n][n]
                 if not undecided:
-                    best = Schedule(tuple(s_cur[:n]), makespan(s_cur, d), dict(chosen))
+                    # every commit kept the orientation acyclic
+                    best = _relaxed(comp, dict(chosen))
                     best_mk = best.makespan
                     return
+                s_cur, mk_cur = rows[n], rows[n][n]
                 # re-probe the open pairs by gap (stale, or fresh where the
                 # last refresh reached), stopping at a dead direction
                 scored.sort(reverse=True)
@@ -344,18 +342,17 @@ def _branch_and_bound(comp: _Compiled, floor: float, hint: Schedule | None) -> S
                 for pos, (_, k) in enumerate(scored):
                     (i, j, w_f), (_, _, w_r) = edges[k]
                     s_i, s_j = s_cur[i], s_cur[j]
-                    start = s_i + w_f  # each direction as _probe gives it
-                    if start <= s_j + FEAS_TOL:
-                        mk_f = mk_cur
-                    elif w_f + rows[j][i] > FEAS_TOL:
+                    # each direction as _probe gives it
+                    if rows[j][i] != NO_PATH:
                         mk_f = math.inf
+                    elif (start := s_i + w_f) <= s_j + FEAS_TOL:
+                        mk_f = mk_cur
                     else:
                         mk_f = end if (end := start + rows[j][n]) > mk_cur else mk_cur
-                    start = s_j + w_r
-                    if start <= s_i + FEAS_TOL:
-                        mk_r = mk_cur
-                    elif w_r + rows[i][j] > FEAS_TOL:
+                    if rows[i][j] != NO_PATH:
                         mk_r = math.inf
+                    elif (start := s_j + w_r) <= s_i + FEAS_TOL:
+                        mk_r = mk_cur
                     else:
                         mk_r = end if (end := start + rows[i][n]) > mk_cur else mk_cur
                     la[k] = mk_f, mk_r
@@ -374,8 +371,8 @@ def _branch_and_bound(comp: _Compiled, floor: float, hint: Schedule | None) -> S
                 return  # no completion of this node can improve
             edge = edges[k][r_live]
             comp.relaxations += 1
-            if _probe(rows, edge) == math.inf:
-                return  # the live entry was stale: it closes a positive cycle now
+            if rows[edge[1]][edge[0]] != NO_PATH:
+                return  # the live entry was stale: it closes a cycle now
             rows = _with_edge(rows, edge)
             if rows[n][n] >= cut:
                 return
@@ -387,13 +384,13 @@ def _branch_and_bound(comp: _Compiled, floor: float, hint: Schedule | None) -> S
             if (mk_r if r_live else mk_f) >= best_mk - FEAS_TOL:
                 continue
             edge = edges[branch][r_live]
-            # the last round probed both directions below the cutoff: finite
+            # the last round probed both directions below the cutoff: acyclic
             comp.relaxations += 1
             recurse(_with_edge(rows, edge), rest, la, chosen + ((pairs[branch], edge[:2]),))
             if best_mk <= floor + FEAS_TOL:
                 return  # incumbent meets the floor: provably optimal
 
-    rows = _longest_paths(comp) + [root_s + [root_mk]]
+    rows = _longest_paths(comp) + [[*root.start_times, root.makespan]]
     la = [(_probe(rows, f), _probe(rows, r)) for f, r in edges]
     recurse(rows, list(range(len(pairs))), la, ())
     return best

@@ -247,16 +247,17 @@ def test_only_prioritize_writes_scores():
         assert stray_score_writes(path.name, path.read_text()) == []
 
 
+def callee(node) -> str | None:
+    """The name a call calls, as ``f`` for ``f()`` and ``obj.f()`` alike;
+    None for any other node."""
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "id", getattr(node.func, "attr", None))
+    return None
+
+
 def called_names(source: str) -> set[str]:
     """Names a module calls, as ``f`` for ``f()`` and ``obj.f()`` alike."""
-    called = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Call):
-            if isinstance(node.func, ast.Name):
-                called.add(node.func.id)
-            elif isinstance(node.func, ast.Attribute):
-                called.add(node.func.attr)
-    return called
+    return {name for node in ast.walk(ast.parse(source)) if (name := callee(node))}
 
 
 def test_the_scan_sees_a_call():
@@ -663,12 +664,123 @@ def test_the_scan_sees_a_commit_or_a_matrix_update():
     }
 
 
-def test_the_matrix_alone_moves_start_times():
-    """A branch-and-bound node's start times are the source row of its
-    longest-path matrix, and ``_with_edge`` is the one rule that updates the
-    matrix: it is read only where the root's matrix is built and where the
-    search commits an ordering, and no second update rule (a ``commit``)
-    grows back."""
+def top_level_functions(source: str):
+    """Every function defined at module level or in a module-level class."""
+    for stmt in ast.parse(source).body:
+        body = stmt.body if isinstance(stmt, ast.ClassDef) else [stmt]
+        yield from (f for f in body if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+
+def schedule_builds(source: str) -> list[tuple[int, str, bool]]:
+    """(line, top-level function, from relax) of every ``Schedule(...)``
+    call in a function: from relax when its start times read a name that the
+    function binds to what a ``relax(...)`` call returns."""
+    found = []
+    for function in top_level_functions(source):
+        relaxed = {
+            name.id
+            for node in ast.walk(function)
+            if isinstance(node, (ast.Assign, ast.NamedExpr)) and callee(node.value) == "relax"
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            for name in ast.walk(target)
+            if isinstance(name, ast.Name)
+        }
+        for node in ast.walk(function):
+            if callee(node) == "Schedule":
+                starts = node.args[:1] + [k.value for k in node.keywords if k.arg == "start_times"]
+                reads = {n.id for s in starts for n in ast.walk(s) if isinstance(n, ast.Name)}
+                found.append((node.lineno, function.name, bool(reads & relaxed)))
+    return sorted(found)
+
+
+def test_the_scan_sees_a_schedule_built_off_relax():
+    source = (
+        "def _relaxed(comp, orderings):\n"
+        "    res = comp.relax(edges)\n"
+        "    return Schedule(tuple(res[0]), res[1], orderings)\n"
+        "class K:\n"
+        "    def leaf(self, rows, chosen):\n"
+        "        if (s := self.relax()) is None:\n"
+        "            return None\n"
+        "        s_cur = rows[-1]\n"
+        "        def inner():\n"
+        "            return Schedule(tuple(s_cur[:-1]), s_cur[-1], chosen)\n"
+        "        return Schedule(start_times=s, makespan=0.0), inner()\n"
+    )
+    assert schedule_builds(source) == [
+        (3, "_relaxed", True), (10, "leaf", False), (11, "leaf", True)
+    ]
+
+
+def is_cycle_read(node) -> bool:
+    """``NO_PATH``, or a matrix entry off the source row: ``rows[a][b]``
+    with a neither ``n`` nor ``-1``."""
+    return (isinstance(node, ast.Name) and node.id == "NO_PATH") or (
+        isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Subscript)
+        and ast.unparse(node.value.slice) not in ("n", "-1")
+    )
+
+
+def tolerance_reads(source: str) -> list[tuple[int, str, bool]]:
+    """(line, top-level function, beside a cycle read) of every read of
+    ``FEAS_TOL`` in a function: beside one when the innermost comparison
+    holding it, or else the whole expression, has a cycle read."""
+    found = []
+    for function in top_level_functions(source):
+        parent = {c: p for p in ast.walk(function) for c in ast.iter_child_nodes(p)}
+        for node in ast.walk(function):
+            if isinstance(node, ast.Name) and node.id == "FEAS_TOL":
+                scope = node
+                while isinstance(parent[scope], ast.expr) and not isinstance(scope, ast.Compare):
+                    scope = parent[scope]
+                found.append((node.lineno, function.name, any(map(is_cycle_read, ast.walk(scope)))))
+    return sorted(found)
+
+
+def test_the_scan_sees_a_tolerance_beside_a_cycle_read():
+    source = (
+        "def _probe(rows, edge):\n"
+        "    u, v, w = edge\n"
+        "    if rows[v][u] != NO_PATH or w + rows[v][u] > FEAS_TOL:\n"
+        "        return inf\n"
+        "    s = rows[-1]\n"
+        "    return s[-1] if s[u] + w <= s[v] + FEAS_TOL else rows[-1][-1]\n"
+        "def bnb(rows, n, best, floor):\n"
+        "    def recurse(rows):\n"
+        "        cut = best - FEAS_TOL\n"
+        "        return floor + FEAS_TOL >= best or rows[n][n] >= cut\n"
+        "    return recurse(rows), max(FEAS_TOL, NO_PATH)\n"
+    )
+    assert tolerance_reads(source) == [
+        (3, "_probe", True), (6, "_probe", False), (9, "bnb", False), (10, "bnb", False),
+        (11, "bnb", True),
+    ]
+
+
+def test_every_schedule_is_its_orientation_relaxed():
+    """Every ``Schedule`` the scheduler builds takes its start times from
+    ``relax``, the one longest-path pass, so a schedule is a function of its
+    orderings alone. The one cycle rule is reachability (``NO_PATH``):
+    ``FEAS_TOL`` is read only by ``_probe``'s and the search's prune
+    comparisons and "already holds" shortcuts, never beside a cycle read.
+    ``relax`` keeps no worklist (``deque``), and ``_with_edge``, the one
+    rule that updates a node's matrix, is read only where the root's matrix
+    is built and where the search commits an ordering; no second update
+    rule (a ``commit``) grows back."""
+    source = (PACKAGE / "scheduler.py").read_text()
+    builds = schedule_builds(source)
+    assert builds and all(from_relax for _, _, from_relax in builds)
+    reads = tolerance_reads(source)
+    assert {function for _, function, _ in reads} == {"_probe", "_branch_and_bound"}
+    assert [read for read in reads if read[2]] == []
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert "deque" not in imported
     uses = {(p.name, use) for p in MODULES for use in name_uses(p.read_text(), {"_with_edge"})}
     assert uses == {
         ("scheduler.py", ("_with_edge", "_longest_paths")),

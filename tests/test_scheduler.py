@@ -5,6 +5,7 @@ and solves each resulting fixed network with an independent full-sweep
 longest-path fixpoint (no code shared with the module under test).
 """
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -13,13 +14,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynalloc import scheduler as scheduler_module
 from dynalloc import search as search_module
 from dynalloc.domain import Allocation, DimensionMismatchError
 from dynalloc.generator import generate_problem
+from dynalloc.motion import PlanCache, Planner
 from dynalloc.scheduler import (
     FEAS_TOL,
     INFEASIBLE,
@@ -425,6 +427,19 @@ BENCH_PINS = {
 }
 
 
+def _broken_edges(problem: SchedulingProblem, sched: Schedule):
+    """The arrival, precedence and ordering edges (u, v, w) that ``sched``'s
+    start times break, compared exactly: w is formed as ``_Compiled`` forms
+    it, d[u] plus the transition, and u is None for an arrival."""
+    s, d = sched.start_times, problem.durations
+    edges = [(None, v, a) for v, a in problem.initial_arrivals.items()]
+    edges += [
+        (u, v, d[u] + problem.transition(u, v))
+        for u, v in [*problem.precedence, *sched.fixed_orderings.values()]
+    ]
+    return [(u, v, w) for u, v, w in edges if s[v] < (w if u is None else s[u] + w)]
+
+
 def _schedule_digest(schedule: Schedule) -> str:
     key = (schedule.start_times, sorted(schedule.fixed_orderings.items()))
     return hashlib.sha256(repr(key).encode()).hexdigest()
@@ -494,14 +509,30 @@ class TestBenchScale:
             assert got == _decisions(_reference_branch_and_bound, problem, floor, hint)
 
     def test_every_solve_is_its_orderings_relaxed(self, bench_calls):
-        """Each of the 275 solves returns the start times and makespan of a
-        cold relaxation of its fixed orderings, within n * FEAS_TOL."""
+        """Each of the 275 solves returns, bit for bit, the start times and
+        makespan of a cold relaxation of its fixed orderings."""
         _, calls = bench_calls
         for problem, _, _, sched in calls:
-            tol = len(problem.durations) * FEAS_TOL
-            cold = stn_solve(problem, sched.fixed_orderings)
-            assert abs(sched.makespan - cold.makespan) <= tol
-            assert max(abs(x - y) for x, y in zip(sched.start_times, cold.start_times)) <= tol
+            assert sched == stn_solve(problem, sched.fixed_orderings)
+
+    def test_every_schedule_holds_its_edges_exactly(self, bench_calls):
+        """Each of the 275 solves: no start breaks an arrival, precedence or
+        ordering edge, compared exactly."""
+        _, calls = bench_calls
+        for problem, _, _, sched in calls:
+            assert _broken_edges(problem, sched) == []
+
+    def test_a_cold_solve_on_fresh_prices_recomputes_every_makespan(self, bench_searches):
+        """Each of the ten solutions' makespans, bit for bit: a cold solve
+        (no floor, no hint) of its allocation's problem, assembled on fresh
+        prices as ``validation.solution_violations`` assembles it."""
+        results, _ = bench_searches
+        for seed, result in results.items():
+            state = result.state
+            roadmap = dataclasses.replace(state.roadmap, trees={})
+            memo = PriceMemo(state.domain, Planner(state.domain, roadmap, PlanCache()))
+            problem = build_scheduling_problem(result.solution.allocation, memo)
+            assert solve_schedule(problem).makespan == result.solution.makespan, seed
 
     def test_every_makespan_is_its_start_times_makespan(self, bench_calls):
         """Bit for bit, over the 275 solves: the search prunes on the source
@@ -614,48 +645,38 @@ class TestProblemAssembly:
 
 
 def _full_scan_relax(comp: _Compiled, extra):
-    """The worklist relaxation from the arrivals over ``comp``'s precedence
-    edges and the ``extra`` edges that pops every task first and scans every
-    out-edge of each popped task, in exact arithmetic: rounding cannot lift
-    a lap of a cycle weighing exactly ``FEAS_TOL`` past the tolerance."""
+    """Least start times and makespan over ``comp``'s precedence edges and
+    the ``extra`` edges, in exact arithmetic; None when the edges close any
+    cycle, whatever it weighs. Tasks with no in-edge from the rest are peeled
+    off while any are, and a cycle is what is left; otherwise n full sweeps
+    over every edge from the arrivals give the longest paths."""
     n, d = comp.n, [Fraction(x) for x in comp.durations]
-    out = [[(v, Fraction(w)) for v, w in o] for o in comp.out]
-    for u, v, w in extra:
-        out[u].append((v, Fraction(w)))
+    edges = [(u, v, Fraction(w)) for u in range(n) for v, w in comp.out[u]]
+    edges += [(u, v, Fraction(w)) for u, v, w in extra]
+    left = set(range(n))
+    while peeled := left - {v for u, v, _ in edges if u in left}:
+        left -= peeled
+    if left:
+        return None
     s = [Fraction(x) for x in comp.arrivals]
-    tol = Fraction(FEAS_TOL)
-    mk = max(x + y for x, y in zip(s, d))
-    inq, counts = bytearray(b"\x01" * n), [0] * n
-    queue = list(range(n))
-    while queue:
-        u = queue.pop(0)
-        inq[u] = 0
-        counts[u] += 1
-        if counts[u] > n:
-            return None
-        for v, w in out[u]:
-            nv = s[u] + w
-            if nv > s[v] + tol:
-                s[v] = nv
-                mk = max(mk, nv + d[v])
-                if not inq[v]:
-                    inq[v] = 1
-                    queue.append(v)
-    return s, mk
+    for _ in range(n):
+        for u, v, w in edges:
+            s[v] = max(s[v], s[u] + w)
+    return s, max(x + y for x, y in zip(s, d))
 
 
-def _drawn_problem(data, n, duration, gap, arrival):
-    """A problem of n tasks with no mutex pair: drawn durations, precedence
-    edges i -> j with i < j and their transition gaps, and arrivals; and
-    every ordered task pair, for drawing orderings."""
+def _drawn_problem(draw, n, duration, gap, arrival):
+    """A problem of n tasks with no mutex pair, each part taken by ``draw``:
+    durations, precedence edges i -> j with i < j and their transition gaps,
+    and arrivals; and every ordered task pair, for drawing orderings."""
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    precedence = data.draw(st.sets(st.sampled_from([p for p in pairs if p[0] < p[1]])))
+    precedence = draw(st.sets(st.sampled_from([p for p in pairs if p[0] < p[1]])))
     problem = SchedulingProblem(
-        durations=tuple(data.draw(st.lists(duration, min_size=n, max_size=n))),
+        durations=tuple(draw(st.lists(duration, min_size=n, max_size=n))),
         precedence=frozenset(precedence),
         mutex_reduced=frozenset(),
-        transition_times={p: data.draw(gap) for p in sorted(precedence)},
-        initial_arrivals={i: data.draw(arrival) for i in range(n)},
+        transition_times={p: draw(gap) for p in sorted(precedence)},
+        initial_arrivals={i: draw(arrival) for i in range(n)},
     )
     return problem, pairs
 
@@ -668,31 +689,57 @@ def _node_matrix(comp: _Compiled):
     return _longest_paths(comp) + [s + [mk]]
 
 
+# half-unit weights, some off by less than the tolerance: ties at and
+# within it are common
+HALF = st.builds(lambda k, e: k / 2 + e, st.integers(0, 12), st.sampled_from([0.0, 5e-10]))
+
+
+@st.composite
+def _commit_chains(draw):
+    """A problem of 2 to 7 tasks with half-unit weights, and a chain of 1 to
+    6 orderings (u, v, gap)."""
+    problem, pairs = _drawn_problem(draw, draw(st.integers(2, 7)), HALF, HALF, HALF)
+    chain = draw(st.lists(st.tuples(st.sampled_from(pairs), HALF), min_size=1, max_size=6))
+    return problem, [(u, v, gap) for (u, v), gap in chain]
+
+
+def _two_task_cycle(duration: float, gap: float):
+    """Durations (0, ``duration``), precedence 0 -> 1 with ``gap``, zero
+    arrivals, and the chain that orders 1 before 0 with ``gap``: a cycle of
+    weight ``duration`` + 2 * ``gap``, each edge within the tolerance."""
+    problem = SchedulingProblem(
+        durations=(0.0, duration),
+        precedence=frozenset({(0, 1)}),
+        mutex_reduced=frozenset(),
+        transition_times={(0, 1): gap},
+        initial_arrivals={0: 0.0, 1: 0.0},
+    )
+    return problem, [(1, 0, gap)]
+
+
 class TestCommit:
     @settings(max_examples=300, deadline=None)
-    @given(st.data())
-    def test_a_commit_matches_a_cold_relaxation(self, data):
+    @given(_commit_chains())
+    @example(_two_task_cycle(5e-10, 5e-10))  # the ordering (1, 0, 1e-9) closes 1.5e-9
+    @example(_two_task_cycle(0.0, 0.0))  # a zero-weight cycle
+    def test_a_commit_matches_a_cold_relaxation(self, drawn):
         """Along a chain of edges each committed onto the node's matrix, as
-        the branch-and-bound does (``_probe``, then ``_with_edge``): a
-        positive cycle exactly where a cold full-scan relaxation of every
-        committed edge finds one, and otherwise the source row's start times
-        and makespan bound within n * FEAS_TOL of the relaxation's.
-        Half-unit weights, some off by less than the tolerance, make ties at
-        and within it common."""
-        n = data.draw(st.integers(2, 7))
-        half = st.builds(
-            lambda k, e: k / 2 + e, st.integers(0, 12), st.sampled_from([0.0, 5e-10])
-        )
-        problem, pairs = _drawn_problem(data, n, half, half, half)
+        the branch-and-bound does (``_probe``, then ``_with_edge``): a cycle,
+        refused by ``_probe`` and by ``relax``, exactly where an exact cold
+        relaxation of every committed edge finds one, and otherwise the
+        source row's start times and makespan bound within n * FEAS_TOL of
+        the relaxation's."""
+        problem, chain = drawn
+        n = len(problem.durations)
         comp = _Compiled(problem)
         rows = _node_matrix(comp)
         committed = []
-        for _ in range(data.draw(st.integers(1, 6))):
-            u, v = data.draw(st.sampled_from(pairs))
-            edge = (u, v, comp.durations[u] + data.draw(half))
+        for u, v, gap in chain:
+            edge = (u, v, comp.durations[u] + gap)
             committed.append(edge)
             cold = _full_scan_relax(comp, committed)
             assert (_probe(rows, edge) == math.inf) == (cold is None)
+            assert (comp.relax(committed) is None) == (cold is None)
             if cold is None:
                 return
             rows = _with_edge(rows, edge)
@@ -720,15 +767,17 @@ class TestProbe:
     @given(st.data())
     def test_a_lookup_probe_matches_a_relaxation(self, data):
         """Along a chain of random orderings: the probe's lookup of the tail
-        column and a cold full-scan relaxation agree on whether the ordering
-        closes a positive cycle, and on the makespan within n * FEAS_TOL;
+        column and an exact cold relaxation agree on whether the ordering
+        closes a cycle, and on the makespan within n * FEAS_TOL;
         some orderings are then committed, and the source row's start times
         agree with the relaxation's within n * FEAS_TOL. Every duration is
         at least 0.5, so every cycle is clearly positive or absent. The
         matrix stays the longest paths of the committed edges throughout."""
         n = data.draw(st.integers(2, 8))
         gap = st.floats(0.0, 5.0)
-        problem, pairs = _drawn_problem(data, n, st.floats(0.5, 10.0), gap, st.floats(0.0, 4.0))
+        problem, pairs = _drawn_problem(
+            data.draw, n, st.floats(0.5, 10.0), gap, st.floats(0.0, 4.0)
+        )
         comp = _Compiled(problem)
         rows = _node_matrix(comp)
         committed = []
@@ -753,20 +802,19 @@ class TestProbe:
 
 def _reference_commit(comp: _Compiled, edge, s, mk: float, rows):
     """Start times and makespan of the node (s, mk) with ``edge`` committed;
-    None on a positive cycle. ``rows`` is the node's matrix without its
-    source row.
+    None on a cycle. ``rows`` is the node's matrix without its source row.
 
-    Where the edge (u, v, w) already holds nothing moves; otherwise a
-    new longest path uses it once, so each task x starts at least at
-    s[u] + w + L[v][x].
+    The edge (u, v, w) closes a cycle exactly when v reaches u. Otherwise,
+    where it already holds nothing moves; else a new longest path uses it
+    once, so each task x starts at least at s[u] + w + L[v][x].
     """
     comp.relaxations += 1
     u, v, w = edge
+    if rows[v][u] != NO_PATH:
+        return None
     start = s[u] + w
     if start <= s[v] + FEAS_TOL:
         return s, mk
-    if w + rows[v][u] > FEAS_TOL:
-        return None
     s = [y if (y := start + r) > x + FEAS_TOL else x for x, r in zip(s, rows[v])]
     return s, makespan(s, comp.durations)
 
@@ -776,7 +824,8 @@ def _reference_branch_and_bound(comp: _Compiled, floor: float, hint: Schedule | 
     pair, rebuilds and sorts its refresh list each time, copies the table and
     the orderings at every step, probes through ``_probe`` and keeps its
     start times and makespan beside the matrix, moved by a commit pass of
-    their own (``_reference_commit``): the decisions ``_branch_and_bound``
+    their own (``_reference_commit``), and takes each leaf's schedule from a
+    cold relaxation of its orderings: the decisions ``_branch_and_bound``
     must make, node for node."""
     pairs = sorted(comp.orders)
     root = comp.relax()
@@ -808,8 +857,8 @@ def _reference_branch_and_bound(comp: _Compiled, floor: float, hint: Schedule | 
             if best_mk <= floor + FEAS_TOL or mk_cur >= best_mk - FEAS_TOL:
                 return
             if not undecided:
-                best_mk = mk_cur
-                best = Schedule(tuple(s_cur), mk_cur, dict(orderings))
+                s, best_mk = comp.relax([orders[p][o != p] for p, o in orderings.items()])
+                best = Schedule(tuple(s), best_mk, dict(orderings))
                 return
             cut = best_mk - FEAS_TOL
             scored = []
@@ -877,7 +926,7 @@ def _decisions(bnb, problem: SchedulingProblem, floor: float, hint):
 
 
 def _root_cycles(problem: SchedulingProblem) -> int:
-    """The orderings that close a positive cycle at the root of a solve."""
+    """The orderings that close a cycle at the root of a solve."""
     comp = _Compiled(problem)
     rows = _node_matrix(comp)
     return sum(_probe(rows, e) == math.inf for pair in comp.orders.values() for e in pair)
@@ -910,8 +959,8 @@ class TestResumedScan:
         return cases
 
     def test_random_solves_decide_as_the_reference(self, cases):
-        """Among the solves are warm exits, hints that close a positive
-        cycle, and problems where some ordering closes one at the root."""
+        """Among the solves are warm exits, hints that close a cycle, and
+        problems where some ordering closes one at the root."""
         warm_exits = branched = 0
         for p, floor, hint in cases:
             got = _decisions(_branch_and_bound, p, floor, hint)
@@ -926,3 +975,14 @@ class TestResumedScan:
         for p, floor, hint in cases:
             sched = solve_schedule(p, floor, hint)
             assert sched.makespan == makespan(sched.start_times, p.durations)
+
+    def test_every_solve_is_its_orderings_relaxed(self, cases):
+        """Bit for bit, as on the bench solves."""
+        for p, floor, hint in cases:
+            sched = solve_schedule(p, floor, hint)
+            assert sched == stn_solve(p, sched.fixed_orderings)
+
+    def test_every_schedule_holds_its_edges_exactly(self, cases):
+        """Exactly, as on the bench solves."""
+        for p, floor, hint in cases:
+            assert _broken_edges(p, solve_schedule(p, floor, hint)) == []

@@ -489,9 +489,10 @@ class TestStateBookkeeping:
 
 
 # (count, digest) of the lazy pops, measured when every child was registered
-# as a node at its parent's expansion; (3, 0.0)'s digest since commits read
-# start times off the longest-path matrix, which put node 1946's makespan one
-# ulp above node 1951's, its tie before, so 1946 now pops after 1951
+# as a node at its parent's expansion; (3, 0.0)'s digest as it was before
+# commits read start times off the longest-path matrix, which moved node
+# 1946's makespan one ulp off its tie with node 1951: each schedule is now
+# the longest paths of its orderings, so tied pops stay tied
 DESK_POPS = {
     (0, 0.0): (3832, "80771fe564cba6e1"),
     (0, 0.25): (6, "b7dc2ddc443a49ba"),
@@ -502,7 +503,7 @@ DESK_POPS = {
     (2, 0.0): (1435, "b9926b0ecab4c08d"),
     (2, 0.25): (7, "b094a5a2bc57b8c5"),
     (2, 1.0): (6, "ed5cbdee8cc3cd31"),
-    (3, 0.0): (3493, "da39a26bbbd7427f"),
+    (3, 0.0): (3493, "ed7d299941dd3215"),
     (3, 0.25): (7, "08382b28b50260a0"),
     (3, 1.0): (6, "b4c03058a64f38a2"),
 }
