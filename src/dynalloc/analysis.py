@@ -1,9 +1,8 @@
-"""Optimality-gap machinery: analytic bounds plus brute-force oracles.
+"""Optimality-gap machinery: analytic bounds plus a brute-force oracle.
 
-The oracles enumerate every valid binary allocation (guarded to M*N <= 12)
-and solve each one exactly, giving ground truth for the makespan gap and
-the minimum-assignment count that the search's guarantees are checked
-against.
+The oracle enumerates every valid binary allocation (guarded to M*N <= 12)
+and solves each one exactly, giving the true optimal makespan that the
+search's gap bounds are checked against.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import motion
-from .domain import GE_TOL, Allocation, ProblemDomain, is_valid_allocation, resource_count
+from .domain import GE_TOL, Allocation, ProblemDomain, is_valid_allocation
 from .scheduler import PriceMemo, build_scheduling_problem, solve_schedule
 from .search import OPEN, SearchResult, search
 
@@ -31,6 +30,13 @@ def open_frontier(state) -> list[tuple[float, float]]:
     pairs = [(n.apr, n.floor) for n in state.nodes.values() if n.status == OPEN]
     pairs += [(max(b.aprs), b.floor) for b in state.batches]
     return pairs
+
+
+def min_open_apr(state) -> float:
+    """Lowest apr on the frontier; 1 when it is empty."""
+    values = [n.apr for n in state.nodes.values() if n.status == OPEN]
+    values += [min(b.aprs) for b in state.batches]
+    return min(values, default=1.0)
 
 
 BRUTE_FORCE_CELL_LIMIT = 12
@@ -144,21 +150,6 @@ def brute_force_optimal_makespan(domain: ProblemDomain, travel) -> float:
     return best
 
 
-def brute_force_min_assignments(domain: ProblemDomain, travel) -> float:
-    """Fewest assignments among valid, schedulable allocations; inf if none."""
-    check_enumerable(domain)
-    memo = PriceMemo(domain, travel)
-    best = math.inf
-    for alloc in _enumerate_valid(domain):
-        rc = resource_count(alloc)
-        if rc >= best:
-            continue
-        sched = solve_schedule(build_scheduling_problem(alloc, memo))
-        if sched is not None:
-            best = rc
-    return best
-
-
 def oracle_travel(domain: ProblemDomain, prm_samples: int = 200, prm_k: int = 8, seed: int = 0):
     """A ``motion.Planner`` outside any search state.
 
@@ -207,7 +198,7 @@ def validate_bound(
         ub=state.ub,
         apriori_bound=apriori,
         posthoc_bound=tightened,
-        min_open_apr=result.min_open_apr,
+        min_open_apr=min_open_apr(state),
         normalized_gap=gap / (state.ub - state.lb),
     )
     if gap > apriori + BOUND_TOL:
@@ -216,38 +207,3 @@ def validate_bound(
         raise BoundError(f"gap {gap} exceeds post-hoc bound {tightened}: {report}")
     return report
 
-
-def min_assignments_certificate(domain: ProblemDomain) -> float:
-    """Independent assignment-count floor, one task row at a time.
-
-    Requirement rows are satisfied independently, so the fewest possible
-    assignments is the sum over tasks of the smallest coalition covering
-    that task alone (enumerated by increasing size). Scheduling can only
-    exclude allocations, so this never exceeds the true minimum.
-    """
-    total = 0.0
-    n = domain.n_robots
-    for req in domain.requirements.entries:
-        total += next(
-            (
-                size
-                for size in range(n + 1)
-                for subset in itertools.combinations(range(n), size)
-                if np.all(domain.team.entries[list(subset)].sum(axis=0) >= req - 1e-9)
-            ),
-            math.inf,
-        )
-    return total
-
-
-def search_min_resources(domain: ProblemDomain):
-    """Run the search at alpha = 1; return (solution or None, tie_free, state).
-
-    At alpha = 1 the priority is the coverage residual alone, so the
-    greedy argument for minimal assignment count holds only when every
-    popped node strictly beats the rest of the frontier. ``run_search``
-    counts the pops with an equal-priority rival in ``stats.tied_pops``;
-    the run is tie-free when there were none.
-    """
-    result = search(domain, 1.0)
-    return result.solution, result.state.stats.tied_pops == 0, result.state

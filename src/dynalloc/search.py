@@ -48,7 +48,6 @@ from .scheduler import (
 )
 
 APR_TOL = 1e-12
-TIE_TOL = 1e-12
 # allocations scored per matmul in ``apr_values``, so that its float
 # temporaries stay small however many nodes a repair rescores
 APR_SLICE = 512
@@ -174,7 +173,6 @@ class SearchStats:
     expansions: int = 0
     scheduler_calls: int = 0
     nodes_touched: int = 0
-    tied_pops: int = 0  # exact pops with an open rival of equal priority
     bnb_nodes: int = 0  # scheduler branch-and-bound nodes, over every solve
     relaxations: int = 0  # scheduler relaxations, over every solve
 
@@ -249,11 +247,6 @@ class SearchState:
         else:
             heapq.heappop(self.open_heap)
         return node
-
-    def best_priority(self) -> float:
-        """Lowest tetaq on the frontier; inf when it is empty."""
-        entry = self._live_top()
-        return math.inf if entry is None else entry[0]
 
     def rebuild_heap(self) -> None:
         """Re-key every open node and batch after bulk priority updates.
@@ -551,14 +544,7 @@ def instantiate_plans(
 class SearchResult:
     solution: Solution | None
     reason: str  # solved | exhausted | limit-expansions | limit-time
-    min_open_apr: float
     state: SearchState
-
-
-def min_open_apr(state: SearchState) -> float:
-    values = [n.apr for n in state.nodes.values() if n.status == OPEN]
-    values += [min(b.aprs) for b in state.batches]
-    return min(values, default=1.0)
 
 
 def run_search(
@@ -569,36 +555,33 @@ def run_search(
     """Pop-best loop; goal = zero apr with a plan-backed feasible schedule.
 
     A goal pop whose trips are all planned is closed and returned as the
-    solution; a disconnected trip prunes it instead. An exact pop whose
-    priority some other open node matches (within TIE_TOL) counts in
-    ``stats.tied_pops``. Both limits count from the call, so a resumed
-    search gets its own budget. When even every robot on every
-    task leaves a requirement unmet, no allocation meets them all (traits
-    are non-negative, so apr only falls as cells are added), and the search
-    reports ``exhausted`` before its first pop, leaving the state as it is.
+    solution; a disconnected trip prunes it instead. Both limits count from
+    the call, so a resumed search gets its own budget. When even every
+    robot on every task leaves a requirement unmet, no allocation meets
+    them all (traits are non-negative, so apr only falls as cells are
+    added), and the search reports ``exhausted`` before its first pop,
+    leaving the state as it is.
     """
     domain = state.domain
     full = np.ones((1, domain.n_tasks, domain.n_robots), dtype=np.int8)
     if apr_values(full, domain.team, domain.requirements)[0] > APR_TOL:
-        return SearchResult(None, "exhausted", min_open_apr(state), state)
+        return SearchResult(None, "exhausted", state)
     expansion_limit = state.stats.expansions + max_expansions
     t0 = time.monotonic()
     while True:
         if state.stats.expansions >= expansion_limit:
-            return SearchResult(None, "limit-expansions", min_open_apr(state), state)
+            return SearchResult(None, "limit-expansions", state)
         if time.monotonic() - t0 > max_seconds:
-            return SearchResult(None, "limit-time", min_open_apr(state), state)
+            return SearchResult(None, "limit-time", state)
         node = state.pop()
         if node is None:
-            return SearchResult(None, "exhausted", min_open_apr(state), state)
+            return SearchResult(None, "exhausted", state)
         if not node.exact:
             # re-queue with the exact priority; best-first order over exact
             # values is preserved because the bound never overestimates
             requeue(state, node)
             continue
         state.stats.nodes_touched += 1
-        if state.best_priority() <= node.tetaq + TIE_TOL:
-            state.stats.tied_pops += 1
         if node.apr <= APR_TOL:
             plans = instantiate_plans(state, node.allocation, node.schedule)
             if plans is None:
@@ -606,7 +589,7 @@ def run_search(
                 continue
             node.status = CLOSED
             solution = Solution(node.allocation, node.schedule, plans)
-            return SearchResult(solution, "solved", min_open_apr(state), state)
+            return SearchResult(solution, "solved", state)
         expand(state, node)
 
 

@@ -3,18 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
-import math
-
-import numpy as np
 
 from .domain import ProblemDomain, is_valid_allocation
-from .geometry import points_in_any
-from .motion import MotionPlan, PlanCache, Planner, Roadmap, plan
+from .motion import PlanCache, Planner, Roadmap, plan
 from .scheduler import PriceMemo, SchedulingProblem, Schedule, build_scheduling_problem
 from .search import SearchState, Solution, required_transitions
 
 CHECK_TOL = 1e-9
-COLLISION_SAMPLE_STEP = 0.01  # world units between the oracle's samples
 
 
 def schedule_violations(problem: SchedulingProblem, schedule: Schedule) -> list[str]:
@@ -39,21 +34,6 @@ def schedule_violations(problem: SchedulingProblem, schedule: Schedule) -> list[
         if s[j] < s[i] + d[i] + problem.transition(i, j) - CHECK_TOL:
             out.append(f"mutex ordering ({i},{j}) violated")
     return out
-
-
-def plan_collision_samples(plan: MotionPlan, obstacles) -> bool:
-    """Dense-sampling oracle: True when every sample is obstacle-free.
-
-    Each segment's ``np.linspace`` samples are tested as arrays by
-    ``geometry.points_in_any``, with the verdicts of ``point_in_any``.
-    """
-    for a, b in zip(plan.waypoints, plan.waypoints[1:]):
-        n = max(2, int(math.dist(a, b) / COLLISION_SAMPLE_STEP) + 1)
-        xs = np.linspace(a[0], b[0], n)
-        ys = np.linspace(a[1], b[1], n)
-        if points_in_any(xs, ys, obstacles).any():
-            return False
-    return True
 
 
 def plan_violations(domain: ProblemDomain, solution: Solution, roadmap: Roadmap) -> list[str]:

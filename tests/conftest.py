@@ -1,13 +1,16 @@
-"""Shared fixtures: tiny hand-built domains and seeded generated ones."""
+"""Shared fixtures: tiny hand-built domains and seeded generated ones, and
+the oracles and counters that only the tests use."""
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from dynalloc.analysis import _enumerate_valid, check_enumerable
 from dynalloc.domain import (
     Allocation,
     DesiredTraitMatrix,
@@ -16,11 +19,22 @@ from dynalloc.domain import (
     TaskSpec,
     TeamTraitMatrix,
     WorldModel,
+    resource_count,
 )
 from dynalloc.generator import generate_problem
-from dynalloc.geometry import Circle
-from dynalloc.scheduler import INFEASIBLE, Schedule, _Compiled
-from dynalloc.search import OPEN, PendingBatch, SearchState, apr_value
+from dynalloc.geometry import Circle, points_in_any
+from dynalloc.scheduler import (
+    INFEASIBLE,
+    PriceMemo,
+    Schedule,
+    _Compiled,
+    build_scheduling_problem,
+    solve_schedule,
+)
+from dynalloc.search import OPEN, PendingBatch, SearchState, apr_value, search
+
+COLLISION_SAMPLE_STEP = 0.01  # world units between the sampling oracle's samples
+TIE_TOL = 1e-12
 
 
 def build_domain(
@@ -94,6 +108,95 @@ def euclidean_provider(domain):
         return estimate_travel_time(frm, to, speeds[robot_id])
 
     return travel
+
+
+def plan_collision_samples(plan, obstacles) -> bool:
+    """Dense-sampling oracle: True when every sample is obstacle-free.
+
+    Each segment's ``np.linspace`` samples are tested as arrays by
+    ``geometry.points_in_any``, with the verdicts of ``point_in_any``.
+    """
+    for a, b in zip(plan.waypoints, plan.waypoints[1:]):
+        n = max(2, int(math.dist(a, b) / COLLISION_SAMPLE_STEP) + 1)
+        xs = np.linspace(a[0], b[0], n)
+        ys = np.linspace(a[1], b[1], n)
+        if points_in_any(xs, ys, obstacles).any():
+            return False
+    return True
+
+
+def brute_force_min_assignments(domain, travel) -> float:
+    """Fewest assignments among valid, schedulable allocations; inf if none."""
+    check_enumerable(domain)
+    memo = PriceMemo(domain, travel)
+    best = math.inf
+    for alloc in _enumerate_valid(domain):
+        rc = resource_count(alloc)
+        if rc >= best:
+            continue
+        sched = solve_schedule(build_scheduling_problem(alloc, memo))
+        if sched is not None:
+            best = rc
+    return best
+
+
+def min_assignments_certificate(domain) -> float:
+    """Independent assignment-count floor, one task row at a time.
+
+    Requirement rows are satisfied independently, so the fewest possible
+    assignments is the sum over tasks of the smallest coalition covering
+    that task alone (enumerated by increasing size). Scheduling can only
+    exclude allocations, so this never exceeds the true minimum.
+    """
+    total = 0.0
+    n = domain.n_robots
+    for req in domain.requirements.entries:
+        total += next(
+            (
+                size
+                for size in range(n + 1)
+                for subset in itertools.combinations(range(n), size)
+                if np.all(domain.team.entries[list(subset)].sum(axis=0) >= req - 1e-9)
+            ),
+            math.inf,
+        )
+    return total
+
+
+def search_counting_ties(domain, alpha):
+    """``search(domain, alpha)``'s result, and its number of tied pops.
+
+    A pop is tied when it returns an exact node and the frontier left
+    behind holds a live entry whose priority is within ``TIE_TOL`` of the
+    node's: the moment the search would expand or accept it.
+    """
+    tied = 0
+    real = SearchState.pop
+
+    def pop(state):
+        nonlocal tied
+        node = real(state)
+        if node is not None and node.exact:
+            top = state._live_top()
+            tied += top is not None and top[0] <= node.tetaq + TIE_TOL
+        return node
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(SearchState, "pop", pop)
+        result = search(domain, alpha)
+    return result, tied
+
+
+def search_min_resources(domain):
+    """Run the search at alpha = 1; return (solution or None, tie_free, state).
+
+    At alpha = 1 the priority is the coverage residual alone, so the
+    greedy argument for minimal assignment count holds only when every
+    popped node strictly beats the rest of the frontier; the run is
+    tie-free when no pop was tied (``search_counting_ties``).
+    """
+    result, tied = search_counting_ties(domain, 1.0)
+    return result.solution, tied == 0, result.state
 
 
 def pending_members(state):

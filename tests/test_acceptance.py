@@ -16,13 +16,10 @@ import numpy as np
 import pytest
 
 from dynalloc.analysis import (
-    brute_force_min_assignments,
     brute_force_optimal_makespan,
-    min_assignments_certificate,
     open_frontier,
     oracle_travel,
     posthoc_bound,
-    search_min_resources,
     time_optimality_bound,
 )
 from dynalloc.cli import main as cli_main
@@ -33,9 +30,15 @@ from dynalloc.repair import DynamicEvent, EventKind, apply_event, decompose_mixe
 from dynalloc.runner import TIMING_COLUMNS
 from dynalloc.scheduler import solve_schedule
 from dynalloc.search import apr_value, search
-from dynalloc.validation import plan_collision_samples, solution_violations
+from dynalloc.validation import solution_violations
 
-from conftest import pending_members
+from conftest import (
+    brute_force_min_assignments,
+    min_assignments_certificate,
+    pending_members,
+    plan_collision_samples,
+    search_min_resources,
+)
 from test_scheduler import oracle_min_makespan, random_problem
 
 MK_TOL = 1e-9

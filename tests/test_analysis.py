@@ -8,12 +8,9 @@ import pytest
 from dynalloc.analysis import (
     BoundError,
     _enumerate_valid,
-    brute_force_min_assignments,
     brute_force_optimal_makespan,
-    min_assignments_certificate,
     oracle_travel,
     posthoc_bound,
-    search_min_resources,
     time_optimality_bound,
     validate_bound,
 )
@@ -21,7 +18,13 @@ from dynalloc.domain import Allocation, is_valid_allocation, resource_count
 from dynalloc.generator import generate_problem
 from dynalloc.search import search
 
-from conftest import build_domain
+from conftest import (
+    brute_force_min_assignments,
+    build_domain,
+    min_assignments_certificate,
+    search_counting_ties,
+    search_min_resources,
+)
 
 
 class TestBoundFormulas:
@@ -193,14 +196,23 @@ class TestResourceOptimality:
         solution, tie_free, state = search_min_resources(domain)
         assert solution is not None
         assert tie_free is False
-        assert state.stats.tied_pops > 0
 
     def test_single_robot_run_is_tie_free(self):
         domain = build_domain([[1.0]], [[1.0]])
         solution, tie_free, state = search_min_resources(domain)
         assert solution is not None
         assert tie_free is True
-        assert state.stats.tied_pops == 0
+
+    def test_desk_runs_tie_as_pinned(self):
+        """The tied pops of criterion 3's 20 desk runs at alpha 1, as the
+        search's own counter read them when it probed the heap after each
+        exact pop."""
+        shapes = [(3, 4), (2, 4), (3, 3), (2, 3), (3, 2)]
+        tied = [
+            search_counting_ties(generate_problem(100 + i, *shapes[i % 5], 3), 1.0)[1]
+            for i in range(20)
+        ]
+        assert tied == [2, 0, 2, 0, 0, 1, 0, 1, 1, 0, 0, 0, 0, 0, 1, 2, 1, 1, 0, 0]
 
     def test_achieved_never_below_oracle(self):
         for seed in (4, 5):

@@ -17,7 +17,8 @@ from dynalloc.geometry import (
     segments_collide,
 )
 from dynalloc.motion import MotionPlan
-from dynalloc.validation import COLLISION_SAMPLE_STEP, plan_collision_samples
+
+from conftest import COLLISION_SAMPLE_STEP, plan_collision_samples
 
 
 def _dense_hits(a, b, shape, step=0.002):
@@ -173,7 +174,7 @@ def _plans(draw):
 
 
 class TestSampleOracle:
-    """``validation.plan_collision_samples`` tests samples as arrays; its
+    """``conftest.plan_collision_samples`` tests samples as arrays; its
     verdicts are those of testing each sample on its own."""
 
     @settings(max_examples=120, deadline=None)

@@ -570,6 +570,93 @@ def test_every_default_is_passed_by_some_caller():
     assert set(unpassed_defaults(defined, callers)) == UNPASSED_ALLOWED
 
 
+UNREAD_ALLOWED = {
+    # the write half of the scenario format that ``load_events`` reads
+    "problem_io.py: save_events",
+    # the query of the public ``validate_problem`` report
+    "domain.py: ValidationReport.codes",
+}
+
+
+def public_functions(source: str) -> list[tuple[str, ast.FunctionDef]]:
+    """(label, definition) of every public module-level function and every
+    public method of a module-level class, labelled ``Class.method``."""
+    found = []
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.append((stmt.name, stmt))
+        elif isinstance(stmt, ast.ClassDef):
+            found.extend(
+                (f"{stmt.name}.{child.name}", child)
+                for child in stmt.body
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            )
+    return [(label, fn) for label, fn in found if not fn.name.startswith("_")]
+
+
+def name_reads(source: str) -> list[tuple[str, int]]:
+    """(name, line) of every name or attribute a module reads."""
+    return [
+        (node.id if isinstance(node, ast.Name) else node.attr, node.lineno)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    ]
+
+
+def unread_functions(defined: list[str], sources: dict[str, str]) -> list[str]:
+    """``module: function`` for each public function of the ``defined``
+    modules that no source reads outside the function's own body.
+
+    ``sources`` maps a module's name to its source and holds the defined
+    modules. Functions are matched by name alone, as ``unpassed_defaults``
+    matches callees; importing a name is not a read.
+    """
+    reads = {module: name_reads(source) for module, source in sources.items()}
+    found = []
+    for module in defined:
+        for label, fn in public_functions(sources[module]):
+            if not any(
+                name == fn.name and not (where == module and fn.lineno <= line <= fn.end_lineno)
+                for where, lines in reads.items()
+                for name, line in lines
+            ):
+                found.append(f"{module}: {label}")
+    return sorted(found)
+
+
+def test_the_scan_sees_an_unread_function():
+    sources = {
+        "m.py": (
+            "def f():\n"
+            "    return f()\n"
+            "def g():\n"
+            "    return 1\n"
+            "def h():\n"
+            "    return g()\n"
+            "class K:\n"
+            "    def m(self):\n"
+            "        return self.m()\n"
+            "    def n(self):\n"
+            "        pass\n"
+            "    def _p(self):\n"
+            "        pass\n"
+            "def _q():\n"
+            "    pass\n"
+        ),
+        "run.py": "from m import f\nk.n()\nh()\n",
+    }
+    assert unread_functions(["m.py"], sources) == ["m.py: K.m", "m.py: f"]
+
+
+def test_every_public_function_has_a_production_reader():
+    """Every public function and method of the package is read by the
+    package or the benchmark, so the package carries no code that only
+    the tests use."""
+    sources = {p.name: p.read_text() for p in MODULES}
+    sources.update((f"perfbench/{p.name}", p.read_text()) for p in sorted(PERFBENCH.glob("*.py")))
+    assert set(unread_functions([p.name for p in MODULES], sources)) == UNREAD_ALLOWED
+
+
 def constructions(source: str, name: str) -> list[tuple[int, str | None]]:
     """(line, outermost enclosing function) of every call of ``name``, as
     ``name(...)`` or ``module.name(...)``."""

@@ -26,9 +26,13 @@ from dynalloc.motion import (
     plan,
 )
 from dynalloc.search import search
-from dynalloc.validation import plan_collision_samples
 
-from conftest import build_domain, estimate_travel_time, euclidean_provider
+from conftest import (
+    build_domain,
+    estimate_travel_time,
+    euclidean_provider,
+    plan_collision_samples,
+)
 
 
 def _bellman_ford_shortest(roadmap, src, dst):

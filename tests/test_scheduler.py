@@ -345,13 +345,16 @@ class TestWarmStart:
         assert branched > 0
 
 
-def _milp_optimum(problem: SchedulingProblem, optimize):
-    """HiGHS's dual bound and optimal orientation for the disjunctive big-M model.
+def _milp_optimum(problem: SchedulingProblem, optimize, cap: float):
+    """HiGHS's dual bound and optimal orientation for the disjunctive big-M
+    model, its makespan capped at ``cap``.
 
     Binary ``y`` per mutex pair (i, j) is 1 when i goes first; each direction's
     edge is switched off by ``big_m`` in the other. Starts are capped at
     ``horizon``, the longest any acyclic orientation's least starts can be,
-    which keeps the big-M valid.
+    which keeps the big-M valid. The makespan variable and every start are
+    also capped at ``cap``, so when the optimum lies above it the model is
+    infeasible and the helper fails.
     """
     n, d = len(problem.durations), problem.durations
     pairs = sorted(problem.mutex_reduced)
@@ -388,7 +391,7 @@ def _milp_optimum(problem: SchedulingProblem, optimize):
         integrality=np.array([0] * ys + [1] * len(pairs)),
         bounds=optimize.Bounds(
             arrivals + [0.0] + [0.0] * len(pairs),
-            [horizon] * n + [horizon + max(d)] + [1.0] * len(pairs),
+            [min(horizon, cap)] * n + [min(horizon + max(d), cap)] + [1.0] * len(pairs),
         ),
         options={"mip_rel_gap": 0.0},
     )
@@ -544,16 +547,42 @@ class TestBenchScale:
     def test_warm_solves_match_a_milp_oracle(self, bench_searches):
         """Every solve with at least 45 mutex pairs, and every 25th of the rest,
         lies between HiGHS's dual bound and the makespan of HiGHS's orientation
-        re-solved by ``stn_solve``. HiGHS's bound can sit up to 1e-6 low."""
+        re-solved by ``stn_solve``. HiGHS's bound can sit up to 1e-6 low, so
+        the model's makespan is capped at the solve's plus 1e-6: a solve
+        below the optimum leaves the capped model infeasible, which
+        ``_milp_optimum`` refuses."""
         optimize = pytest.importorskip("scipy.optimize")
         _, solves = bench_searches
         heavy = [c for c in solves if len(c[0].mutex_reduced) >= 45]
         rest = [c for c in solves if len(c[0].mutex_reduced) < 45]
         assert len(heavy) >= 10
         for problem, sched in heavy + rest[::25]:
-            dual, orientation = _milp_optimum(problem, optimize)
+            dual, orientation = _milp_optimum(problem, optimize, sched.makespan + 1e-6)
             assert sched.makespan <= stn_solve(problem, orientation).makespan + MK_TOL
             assert sched.makespan >= dual - 1e-6
+
+    def test_the_capped_oracle_catches_a_planted_fault(self, bench_calls):
+        """On the first three of seed 503's solves with at least 45 mutex
+        pairs: a claim 0.01 below the solve's makespan leaves the capped
+        model infeasible, and a claim 0.5 above it is beaten by HiGHS's
+        orientation."""
+        optimize = pytest.importorskip("scipy.optimize")
+        _, calls = bench_calls
+        # the searches ran in BENCH_PINS order, each making its pinned solves
+        first = sum(pin[3] for seed, pin in BENCH_PINS.items() if seed < 503)
+        heavy = [
+            (problem, sched)
+            for problem, _, _, sched in calls[first : first + BENCH_PINS[503][3]]
+            if len(problem.mutex_reduced) >= 45
+        ]
+        assert len(heavy) >= 3
+        for problem, sched in heavy[:3]:
+            low = sched.makespan - 0.01
+            with pytest.raises(AssertionError, match="infeasible"):
+                _milp_optimum(problem, optimize, low + 1e-6)
+            high = sched.makespan + 0.5
+            _, orientation = _milp_optimum(problem, optimize, high + 1e-6)
+            assert high > stn_solve(problem, orientation).makespan + MK_TOL
 
 
 class TestBounds:

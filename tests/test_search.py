@@ -1,6 +1,5 @@
 """Best-first allocation search: goals, ordering, laziness, monotonicity."""
 
-import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynalloc.analysis import brute_force_optimal_makespan, oracle_travel
+from dynalloc.analysis import brute_force_optimal_makespan, min_open_apr, oracle_travel
 from dynalloc.domain import (
     Allocation,
     DesiredTraitMatrix,
@@ -26,7 +25,6 @@ from dynalloc.search import (
     apr_values,
     expand,
     materialize,
-    min_open_apr,
     new_state,
     prioritize,
     required_transitions,
@@ -209,7 +207,7 @@ class TestTrivialGoals:
         assert result.solution is None
         assert result.reason == "exhausted"
         # nothing was expanded, so min_open_apr is the root's
-        assert result.min_open_apr == 1.0
+        assert min_open_apr(result.state) == 1.0
         assert result.state.stats.expansions == 0
 
     def test_expansion_limit_reported(self, desk_domain):
@@ -467,15 +465,17 @@ class TestStateBookkeeping:
                 result = search(domain, alpha, seed=0)
                 assert heap_violations(result.state) == []
 
-    def test_best_priority_matches_frontier_scan(self, desk_domain):
+    def test_live_top_matches_frontier_scan(self, desk_domain):
+        """``pop`` takes the live top: its tetaq is the frontier's least, and
+        a drained heap has none."""
         state = new_state(desk_domain, 0.25, prm_samples=100, prm_k=6)
         expand(state, state.pop())
         open_tetaq = [n.tetaq for n in state.nodes.values() if n.status == OPEN]
         open_tetaq += [batch.tetaq[i] for batch, i, *_ in pending_members(state)]
-        assert state.best_priority() == min(open_tetaq)
+        assert state._live_top()[0] == min(open_tetaq)
         while state.pop() is not None:
             pass
-        assert state.best_priority() == math.inf
+        assert state._live_top() is None
 
     def test_min_open_apr_tracks_frontier(self, desk_domain):
         state = new_state(desk_domain, 0.25)
